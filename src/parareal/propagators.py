@@ -94,30 +94,68 @@ class ThetaPropagator(Propagator):
     def order(self) -> int:
         return 2 if self.theta == 0.5 else 1
 
-    def _grid(self, t0: float, t1: float) -> np.ndarray:
+    def _grid(self, t0: float, t1: float) -> list[float]:
+        if self.substeps == 1 and not self.discontinuity_aligned:
+            return [float(t0), float(t1)]  # what np.linspace(t0, t1, 2) holds
         grid = np.linspace(t0, t1, self.substeps + 1)
-        if not self.discontinuity_aligned:
-            return grid
-        switches = self.ivp.input_switching_times(t0, t1)
-        if switches.size == 0:
-            return grid
-        merged = np.union1d(grid, switches)
-        # drop near-duplicates created by roundoff-level coincidences
-        keep = np.concatenate([[True], np.diff(merged) > 1e-13 * (t1 - t0)])
-        return merged[keep]
+        if self.discontinuity_aligned:
+            switches = self.ivp.input_switching_times(t0, t1)
+            if switches.size:
+                merged = np.union1d(grid, switches)
+                # drop near-duplicates created by roundoff-level coincidences
+                keep = np.concatenate([[True], np.diff(merged) > 1e-13 * (t1 - t0)])
+                grid = merged[keep]
+        return grid.tolist()
 
     def propagate(self, t0, t1, u0):
         if not t0 < t1:
             raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
         u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
         grid = self._grid(t0, t1)
+        if self.ivp.dim == 1 and self.ivp.smooth_matrix is not None:
+            return np.array([self._scalar_sweep(grid, float(u[0]))])
         for s, e in zip(grid, grid[1:]):
-            u = self._step(float(s), float(e), u)
+            u = self._step(s, e, u)
             if not np.all(np.isfinite(u)):
                 raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
         return u
 
+    def _scalar_sweep(self, grid: list[float], u: float) -> float:
+        """All substeps of a linear scalar problem, in plain floats.
+
+        Per substep this is ``num = u + h*((1-theta)*(a*u + p_s) + theta*p_e)``
+        and ``u = num / (1 - h*theta*a)``, the 1x1 case of the matrix path's
+        implicit solve, with ``p = 0.0 + gain * input``: the sum of the 1x1
+        product ``injection @ input`` starts at +0.0, which turns a -0.0
+        product into +0.0.
+        """
+        ivp = self.ivp
+        a = float(ivp.smooth_matrix[0, 0])
+        th = self.theta
+        if ivp.channels == 1:
+            gain, value = float(ivp.injection[0, 0]), ivp.input_signals[0].value
+        else:  # mix the channels as the matrix path does
+            gain = 1.0
+
+            def value(t, side):
+                return float((ivp.injection @ ivp.input_vector(t, side))[0])
+
+        right, left = Side.RIGHT_LIMIT, Side.LEFT_LIMIT
+        for s, e in zip(grid, grid[1:]):
+            h = e - s
+            if h <= 0.0:
+                raise ValueError("degenerate substep")
+            p_s = 0.0 + gain * value(s, right)
+            p_e = 0.0 + gain * value(e, left)
+            num = u + h * ((1.0 - th) * (a * u + p_s) + th * p_e)
+            den = 1.0 - h * th * a
+            u = num / den if den != 0.0 else math.inf  # den == 0: the implicit solve's pole
+            if not math.isfinite(u):
+                raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
+        return u
+
     def _step(self, s: float, e: float, u: np.ndarray) -> np.ndarray:
+        """One substep of a vector-valued or nonlinear problem."""
         h = e - s
         if h <= 0.0:
             raise ValueError("degenerate substep")
@@ -128,11 +166,6 @@ class ThetaPropagator(Propagator):
 
         if ivp.smooth_matrix is not None:
             A = ivp.smooth_matrix
-            if ivp.dim == 1:
-                a00 = float(A[0, 0])
-                num = u[0] + h * ((1.0 - th) * (a00 * u[0] + p_s[0]) + th * p_e[0])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.array([np.float64(num) / np.float64(1.0 - h * th * a00)])
             rhs = u + h * ((1.0 - th) * (A @ u + p_s) + th * p_e)
             return np.linalg.solve(np.eye(ivp.dim) - h * th * A, rhs)
 

@@ -9,9 +9,12 @@ one-sided values at segment boundaries.
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,45 @@ class SegmentForm:
     phase: float = 0.0
 
 
+class _SwitchTable(NamedTuple):
+    """A signal's switching instants in (0, period), strictly increasing.
+
+    ``times`` serves the range queries of ``switching_times``; ``floats`` holds
+    the same values as a tuple for ``bisect`` in one-sided evaluation.
+    """
+
+    times: np.ndarray
+    floats: tuple[float, ...]
+
+
+_NO_SWITCHES = _SwitchTable(np.empty(0), ())
+
+# serializes cache lookups so that concurrent first lookups build a table once;
+# reentrant because a Difference builds its table from its operands' tables
+_TABLE_LOCK = threading.RLock()
+
+
+@lru_cache(maxsize=64)
+def _table_cache(sig: Signal) -> _SwitchTable:
+    times = sig._build_table()  # type: ignore[attr-defined]
+    return _SwitchTable(times, tuple(times.tolist()))
+
+
+def _cached_table(sig: Signal) -> _SwitchTable:
+    """The switch table shared by all signals equal to ``sig``.
+
+    The first lookup on an instance goes through the cache under the lock and
+    keeps the entry on the instance, so later lookups skip hashing the signal
+    and taking the lock.
+    """
+    table = sig.__dict__.get("_table")
+    if table is None:
+        with _TABLE_LOCK:
+            table = _table_cache(sig)
+        object.__setattr__(sig, "_table", table)
+    return table
+
+
 class Signal:
     """Base class; concrete signals are small frozen dataclasses."""
 
@@ -60,9 +102,9 @@ class Signal:
 
     # -- switching structure ------------------------------------------------
 
-    def _switch_table(self) -> np.ndarray:
+    def _switch_table(self) -> _SwitchTable:
         """All discontinuities in the open interval (0, period)."""
-        return np.empty(0)
+        return _NO_SWITCHES
 
     def switching_times(self, t0: float, t1: float) -> np.ndarray:
         """Discontinuity instants in the open interval ``(t0, t1)``."""
@@ -70,7 +112,7 @@ class Signal:
         self._check_domain(t1)
         if not t0 < t1:
             raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
-        table = self._switch_table()
+        table = self._switch_table().times
         i0 = np.searchsorted(table, t0, side="right")
         i1 = np.searchsorted(table, t1, side="left")
         out = table[i0:i1]
@@ -83,15 +125,12 @@ class Signal:
     def value(self, t: float, side: Side = Side.POINTWISE) -> float:
         """Signal value at ``t``; ``side`` resolves jumps one-sidedly."""
         self._check_domain(t)
-        if side is Side.POINTWISE or self._is_smooth():
-            return self._formula(t)
-        near = self._nearest_switch(t)
-        if near is None:
-            return self._formula(t)
-        lo, sw, hi = near
-        if side is Side.LEFT_LIMIT:
-            return self._formula(0.5 * (lo + sw))
-        return self._formula(0.5 * (sw + hi))
+        if side is not Side.POINTWISE:
+            near = self._nearest_switch(t)
+            if near is not None:
+                lo, sw, hi = near
+                return self._formula(0.5 * (lo + sw) if side is Side.LEFT_LIMIT else 0.5 * (sw + hi))
+        return self._formula(t)
 
     def bound(self) -> float:
         """An upper bound for ``|value|`` on the whole period."""
@@ -103,9 +142,6 @@ class Signal:
 
     # -- helpers -------------------------------------------------------------
 
-    def _is_smooth(self) -> bool:
-        return self._switch_table().size == 0
-
     def _tol_scale(self) -> float:
         return self.period if math.isfinite(self.period) else 1.0
 
@@ -114,25 +150,25 @@ class Signal:
             raise ValueError(f"t={t} outside signal domain [0, {self.period}]")
 
     def _nearest_switch(self, t: float) -> tuple[float, float, float] | None:
-        """(previous switch or 0, the switch at t, next switch or T), or None."""
-        table = self._switch_table()
-        if table.size == 0:
+        """(previous switch or 0, the switch at t, next switch or T), or None.
+
+        A switch within 1e-9*T of ``t`` counts as the switch at ``t``; the one
+        at or after ``t`` wins a tie with the one before it.
+        """
+        table = self._switch_table().floats
+        if not table:
             return None
         tol = 1e-9 * self._tol_scale()
-        i = np.searchsorted(table, t)
-        cand = []
-        if i < table.size:
-            cand.append(table[i])
-        if i > 0:
-            cand.append(table[i - 1])
-        hits = [s for s in cand if abs(s - t) <= tol]
-        if not hits:
+        i = bisect_left(table, t)
+        if i < len(table) and abs(table[i] - t) <= tol:
+            j = i
+        elif i > 0 and abs(table[i - 1] - t) <= tol:
+            j = i - 1
+        else:
             return None
-        sw = hits[0]
-        j = np.searchsorted(table, sw)
         lo = table[j - 1] if j > 0 else 0.0
-        hi = table[j + 1] if j + 1 < table.size else self.period
-        return float(lo), float(sw), float(hi)
+        hi = table[j + 1] if j + 1 < len(table) else float(self.period)
+        return lo, table[j], hi
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +233,6 @@ def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
     return np.array(kept)
 
 
-@lru_cache(maxsize=64)
-def _cached_table(sig: Signal) -> np.ndarray:
-    return sig._build_table()  # type: ignore[attr-defined]
-
-
 # ---------------------------------------------------------------------------
 # concrete signals
 
@@ -262,6 +293,9 @@ class StepWave(Signal):
         return np.where(np.asarray(ts) < 0.5 * self.period, 1.0, -1.0)
 
     def _switch_table(self):
+        return _cached_table(self)
+
+    def _build_table(self) -> np.ndarray:
         return np.array([0.5 * self.period])
 
     def bound(self) -> float:
@@ -462,7 +496,7 @@ class Difference(Signal):
         return _cached_table(self)
 
     def _build_table(self) -> np.ndarray:
-        cands = list(self.a._switch_table()) + list(self.b._switch_table())
+        cands = list(self.a._switch_table().floats) + list(self.b._switch_table().floats)
         return _filter_jumps(self, cands)
 
     def bound(self) -> float:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parareal
 from parareal.cli import main
 
 
@@ -133,6 +138,19 @@ class TestBoundEval:
         got = float(capsys.readouterr().out.strip())
         want = (1e-6 + 1e-8) / math.factorial(2) * 2
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(parareal.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "parareal.cli", "bound", "eval", "--which", "lemma",
+             "--Cp", "2", "--p", "1", "--dT", "0.001"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
 
 
 class TestUsageErrors:

@@ -9,6 +9,7 @@ from parareal import (
     LinearScalarModel,
     NonFiniteStateError,
     PwmSingle,
+    Side,
     SineWave,
     SplitIvp,
     StepWave,
@@ -17,6 +18,7 @@ from parareal import (
     exact_linear_propagate,
     local_order_probe,
     parse_propagator,
+    parse_signal,
 )
 
 T = 0.02
@@ -188,21 +190,104 @@ class TestNonlinearAndVector:
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
     def test_non_finite_detection(self):
-        # a growing mode stepped exactly onto the implicit solve's pole
+        # (theta, growth rate, substeps): a growing mode stepped exactly onto
+        # the implicit solve's pole, and an explicit step whose growth
+        # overflows to inf with no pole in sight
+        for theta, rate, substeps in ((1.0, 1.0, 1), (0.0, 1e200, 3)):
+            ivp = SplitIvp(
+                dim=1,
+                smooth_rhs=lambda t, u, rate=rate: rate * u,
+                input_signals=(Zero(period=1.0),),
+                injection=np.array([[1.0]]),
+                u0=np.array([1.0]),
+                t_end=1.0,
+                lipschitz=rate,
+                smooth_bound=rate,
+                smooth_matrix=np.array([[rate]]),
+            )
+            prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
+            with pytest.raises(NonFiniteStateError):
+                prop.propagate(0.0, 1.0, ivp.u0)
+
+
+def reference_sweep(prop, t0, t1, u0):
+    """The theta stepper's scalar update, one numpy substep at a time."""
+    ivp = prop.ivp
+    th = prop.theta
+    grid = np.linspace(t0, t1, prop.substeps + 1)
+    if prop.discontinuity_aligned:
+        switches = ivp.input_switching_times(t0, t1)
+        if switches.size:
+            merged = np.union1d(grid, switches)
+            grid = merged[np.concatenate([[True], np.diff(merged) > 1e-13 * (t1 - t0)])]
+    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    a00 = float(ivp.smooth_matrix[0, 0])
+    for s, e in zip(grid, grid[1:]):
+        s, e = float(s), float(e)
+        h = e - s
+        p_s = ivp.injection @ ivp.input_vector(s, Side.RIGHT_LIMIT)
+        p_e = ivp.injection @ ivp.input_vector(e, Side.LEFT_LIMIT)
+        num = u[0] + h * ((1.0 - th) * (a00 * u[0] + p_s[0]) + th * p_e[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.array([np.float64(num) / np.float64(1.0 - h * th * a00)])
+    return u
+
+
+class TestScalarSweepReference:
+    """``propagate`` on scalar linear problems equals the numpy reference bitwise."""
+
+    @pytest.mark.parametrize("spec", ["pwm:m=400", "pwm3:m=400", "step", "sine", "diff:pwm:m=400-sine", "const:v=1"])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_sync_grid_sweeps(self, spec, theta):
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T)).ivp()
+        for substeps in (1, 7):
+            for aligned in (False, True):
+                prop = ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=aligned)
+                # N=20 divides m=400, so every sync point lands on a PWM switch
+                for n_int in (20, 13):
+                    times = np.linspace(0.0, T, n_int + 1)
+                    u = want = np.array([0.25])
+                    for n in range(n_int):
+                        u = prop.propagate(times[n], times[n + 1], u)
+                        want = reference_sweep(prop, times[n], times[n + 1], want)
+                        assert np.array_equal(u, want), (substeps, aligned, n_int, n)
+
+    def test_two_channel_scalar_problem(self):
+        signals = (parse_signal("pwm:m=400", T), SineWave(T))
         ivp = SplitIvp(
             dim=1,
-            smooth_rhs=lambda t, u: u,
-            input_signals=(Zero(period=1.0),),
-            injection=np.array([[1.0]]),
-            u0=np.array([1.0]),
-            t_end=1.0,
-            lipschitz=1.0,
-            smooth_bound=1.0,
-            smooth_matrix=np.array([[1.0]]),
+            smooth_rhs=lambda t, u: -A_RATE * u,
+            input_signals=signals,
+            injection=np.array([[0.01, 0.003]]),
+            u0=np.array([0.0]),
+            t_end=T,
+            smooth_matrix=np.array([[-A_RATE]]),
         )
-        prop = ThetaPropagator(ivp, theta=1.0, substeps=1)
-        with pytest.raises(NonFiniteStateError):
-            prop.propagate(0.0, 1.0, ivp.u0)
+        for theta in (1.0, 0.5):
+            prop = ThetaPropagator(ivp, theta=theta, substeps=7, discontinuity_aligned=True)
+            times = np.linspace(0.0, T, 14)
+            u = want = ivp.u0
+            for n in range(13):
+                u = prop.propagate(times[n], times[n + 1], u)
+                want = reference_sweep(prop, times[n], times[n + 1], want)
+                assert np.array_equal(u, want), (theta, n)
+
+    def test_signed_zero_state(self):
+        # a -0.0 input product must become +0.0 as in the matrix product, or
+        # a -0.0 state in a neutral mode keeps its sign; == cannot see this
+        ivp = SplitIvp(
+            dim=1,
+            smooth_rhs=lambda t, u: 0.0 * u,
+            input_signals=(Zero(period=T),),
+            injection=np.array([[-1.0]]),
+            u0=np.array([-0.0]),
+            t_end=T,
+            smooth_matrix=np.array([[0.0]]),
+        )
+        for theta in (1.0, 0.5):
+            prop = ThetaPropagator(ivp, theta=theta, substeps=3)
+            got = prop.propagate(0.0, T, ivp.u0)
+            assert got.tobytes() == reference_sweep(prop, 0.0, T, ivp.u0).tobytes()
 
 
 class TestParsePropagator:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from parareal import (
     Zero,
     parse_signal,
 )
+from parareal import signals
 
 T = 0.02
 
@@ -178,6 +181,100 @@ class TestSides:
         left = sig.value(sw, Side.LEFT_LIMIT)
         right = sig.value(sw, Side.RIGHT_LIMIT)
         assert left != right
+
+
+def searchsorted_one_sided(sig, t, side):
+    """One-sided value located with ``np.searchsorted`` on the switch table."""
+    if isinstance(sig, Difference):
+        return searchsorted_one_sided(sig.a, t, side) - searchsorted_one_sided(sig.b, t, side)
+    table = sig._switch_table().times
+    if table.size == 0:
+        return sig._formula(t)
+    tol = 1e-9 * sig.period
+    i = np.searchsorted(table, t)
+    cand = []
+    if i < table.size:
+        cand.append(table[i])
+    if i > 0:
+        cand.append(table[i - 1])
+    hits = [s for s in cand if abs(s - t) <= tol]
+    if not hits:
+        return sig._formula(t)
+    sw = hits[0]
+    j = np.searchsorted(table, sw)
+    lo = float(table[j - 1] if j > 0 else 0.0)
+    hi = float(table[j + 1] if j + 1 < table.size else sig.period)
+    sw = float(sw)
+    if side is Side.LEFT_LIMIT:
+        return sig._formula(0.5 * (lo + sw))
+    return sig._formula(0.5 * (sw + hi))
+
+
+ONE_SIDED_SIGNALS = [
+    PwmSingle(m=400, period=T),
+    ThreePhasePwm(m=400, period=T, phase_index=2),
+    StepWave(T),
+    Difference(PwmSingle(m=400, period=T), SineWave(T)),
+]
+
+
+@st.composite
+def near_switch_times(draw):
+    """A signal and a time: a switch moved by up to twice the snap tolerance, or an end point."""
+    sig = draw(st.sampled_from(ONE_SIDED_SIGNALS))
+    if draw(st.booleans()):
+        return sig, draw(st.sampled_from([0.0, T]))
+    table = sig.switching_times(0.0, T)
+    sw = float(table[draw(st.integers(0, table.size - 1))])
+    delta = draw(st.floats(min_value=0.0, max_value=2e-9 * T))
+    t = sw + delta if draw(st.booleans()) else sw - delta
+    return sig, min(max(t, 0.0), T)
+
+
+class TestOneSidedLookup:
+    @given(near_switch_times(), st.sampled_from([Side.LEFT_LIMIT, Side.RIGHT_LIMIT]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_searchsorted_lookup(self, sig_t, side):
+        sig, t = sig_t
+        got = sig.value(t, side)
+        want = searchsorted_one_sided(sig, t, side)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestSwitchTableCache:
+    def test_racing_first_lookups_build_once(self, monkeypatch):
+        builds = []
+        original = PwmSingle._build_table
+
+        def counting(self):
+            builds.append(threading.get_ident())
+            return original(self)
+
+        monkeypatch.setattr(PwmSingle, "_build_table", counting)
+        signals._table_cache.cache_clear()
+        # equal but distinct instances, so each thread takes the shared-cache path
+        sigs = [PwmSingle(m=97, period=T) for _ in range(8)]
+        start = threading.Barrier(len(sigs))
+
+        def first_lookup(sig):
+            start.wait(timeout=30)
+            sig.switching_times(0.0, T)
+
+        threads = [threading.Thread(target=first_lookup, args=(sig,)) for sig in sigs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            signals._table_cache.cache_clear()
+        assert not any(th.is_alive() for th in threads)
+        assert len(builds) == 1
+        floats = [sig._switch_table().floats for sig in sigs]
+        assert all(f is floats[0] for f in floats)
 
 
 class TestThreePhase:
