@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import LinearScalarModel, exact_trajectory, reduced_ivp
+from .models import LinearScalarModel, closed_form_trajectory, reduced_ivp
 from .propagators import ExactLinearPropagator, NonFiniteStateError, Propagator, ThetaPropagator
 
 
@@ -59,6 +59,9 @@ class PararealConfig:
     "reduced" (coarse solves the smoothed-input problem); with "reduced" the
     coarse propagator's IVP must be exactly the fine IVP with its input
     replaced, which ``validate`` checks.
+
+    ``reference`` is "exact" (errors are measured against the fine problem's
+    exact solution, see ``reference_trajectory``) or "none" (no errors).
     """
 
     n_intervals: int
@@ -68,7 +71,7 @@ class PararealConfig:
     k_max: int = 20
     variant: str = "original"
     cache_coarse: bool = False
-    reference: str = "exact"  # "exact" | "fine10" | "none"
+    reference: str = "exact"  # "exact" | "none"
 
     def __post_init__(self):
         if self.n_intervals < 1:
@@ -77,6 +80,8 @@ class PararealConfig:
             raise ValueError("k_max must be >= 1")
         if self.variant not in ("original", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.reference not in ("exact", "none"):
+            raise ValueError(f"unknown reference {self.reference!r}")
         self.validate()
 
     def validate(self) -> None:
@@ -164,24 +169,33 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
 
 
 def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
-    """Exact trajectory at the sync points, or a 10x-refined fine solve."""
+    """The fine problem's exact solution at the sync points, or None without a reference.
+
+    Every scalar linear problem with decay rate ``a > 0`` and one input
+    channel, whatever its fine propagator, is solved in closed form
+    (``closed_form_trajectory``).  Where no closed form exists (vector or
+    nonlinear problems, ``a <= 0``, an input segment that is neither constant
+    nor sinusoidal) the fine propagator with 10x the substeps stands in.
+    """
     if cfg.reference == "none":
         return None
     times = cfg.times
     fine = cfg.fine
-    if cfg.reference == "exact" and isinstance(fine, ExactLinearPropagator):
-        return exact_trajectory(fine.model, times)[:, None]
+    ivp = fine.ivp
+    exact = closed_form_trajectory(ivp, times)
+    if exact is not None:
+        return exact[:, None]
     if isinstance(fine, ThetaPropagator):
         refined = ThetaPropagator(
-            fine.ivp,
+            ivp,
             theta=fine.theta,
             substeps=10 * fine.substeps,
             discontinuity_aligned=fine.discontinuity_aligned,
         )
     else:
         refined = fine
-    out = np.empty((len(times), fine.ivp.dim))
-    out[0] = fine.ivp.u0
+    out = np.empty((len(times), ivp.dim))
+    out[0] = ivp.u0
     for n in range(1, len(times)):
         out[n] = refined.propagate(times[n - 1], times[n], out[n - 1])
     return out

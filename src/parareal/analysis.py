@@ -166,7 +166,8 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
     """Run the sweep; the per-N runs are independent and may run concurrently.
 
     Each run performs exactly k update sweeps (no early stopping).  Propagator
-    failures are recorded on the affected point and the study continues.
+    failures are recorded on the affected point as ``"ExceptionType: message"``
+    and the study continues.
     """
 
     def one(n: int) -> StudyPoint:
@@ -182,7 +183,7 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
             )
         except Exception as exc:  # noqa: BLE001 - per-point failures are data
             return StudyPoint(n=n, dt=t_end / n, err_max=math.nan, err_final=math.nan,
-                              err_first_active=math.nan, failure=str(exc))
+                              err_first_active=math.nan, failure=f"{type(exc).__name__}: {exc}")
 
     if executor is None:
         results = [one(n) for n in spec.n_list]

@@ -84,7 +84,12 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
 
 
 def _manifest_lines(command: str, resolved: dict) -> list[str]:
-    manifest = {"command": command, "version": __version__, **{k: str(v) for k, v in sorted(resolved.items())}}
+    """Hash and JSON of the configuration; lists stay JSON lists, other values become strings."""
+    manifest = {
+        "command": command,
+        "version": __version__,
+        **{k: v if isinstance(v, list) else str(v) for k, v in sorted(resolved.items())},
+    }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -284,7 +289,14 @@ def _cmd_study_run(args, config) -> int:
             with ThreadPoolExecutor(max_workers=threads or None) as pool:
                 studies.append((label, run_study(spec, executor=pool)))
 
-    lines = _manifest_lines("study run", r)
+    # each series records the spec it ran; the run-wide flags it overrides are dropped
+    series = [
+        {"label": label, "variant": spec.variant, "coarse": spec.coarse_scheme, "k": spec.k,
+         "reduced_input": e.get("reduced"), "n_list": list(spec.n_list), "fit_min_n": spec.fit_min_n}
+        for e, (label, spec) in zip(entries, specs)
+    ]
+    shared = {k: v for k, v in r.items() if k not in ("variant", "coarse", "k", "reduced_input", "n_list")}
+    lines = _manifest_lines("study run", {**shared, "series": series})
     lines.append("N,dT,err_max,err_final,order_fit_running,series,k,err_first_active")
     for label, study in studies:
         running = [math.nan] + study.pairwise_orders()

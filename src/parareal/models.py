@@ -183,17 +183,10 @@ def _segment_step(a: float, gain: float, form: SegmentForm, t0: float, t1: float
     return (phi - steady - particular(t0)) * decay + steady + particular(t1)
 
 
-def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0: float) -> float:
-    """Exact solution of the scalar linear model at ``t1`` starting from ``phi0``.
-
-    The input must be piecewise constant or sinusoidal on its continuity
-    segments (all shipped signal kinds qualify); the trajectory is composed
-    segment by segment in closed form, accurate to roundoff.
-    """
+def _closed_form_propagate(a: float, gain: float, sig: Signal, t0: float, t1: float, phi0: float) -> float:
+    """``phi' = -a phi + gain * sig(t)`` from ``phi0`` at ``t0`` to ``t1``, segment by segment."""
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
-    a = model.decay_rate
-    sig = model.signal
     pts = [t0] + [float(s) for s in sig.switching_times(t0, t1)] + [t1]
     phi = phi0
     for s, e in zip(pts, pts[1:]):
@@ -202,19 +195,54 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
             raise UnsupportedSignalError(
                 f"signal {sig!r} has no constant-plus-sinusoid form on ({s}, {e})"
             )
-        phi = _segment_step(a, model.R_res, form, s, e, phi)
+        phi = _segment_step(a, gain, form, s, e, phi)
     return phi
+
+
+def _closed_form_trajectory(a: float, gain: float, sig: Signal, times: np.ndarray, phi: float) -> np.ndarray:
+    out = np.empty(len(times))
+    out[0] = phi
+    for i in range(1, len(times)):
+        phi = _closed_form_propagate(a, gain, sig, times[i - 1], times[i], phi)
+        out[i] = phi
+    return out
+
+
+def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0: float) -> float:
+    """Exact solution of the scalar linear model at ``t1`` starting from ``phi0``.
+
+    The input must be piecewise constant or sinusoidal on its continuity
+    segments (all shipped signal kinds qualify); the trajectory is composed
+    segment by segment in closed form, accurate to roundoff.
+    """
+    return _closed_form_propagate(model.decay_rate, model.R_res, model.signal, t0, t1, phi0)
 
 
 def exact_trajectory(model: LinearScalarModel, times: np.ndarray, phi0: float | None = None) -> np.ndarray:
     """Exact solution sampled at an increasing time grid starting at times[0]."""
     phi = model.u0 if phi0 is None else phi0
-    out = np.empty(len(times))
-    out[0] = phi
-    for i in range(1, len(times)):
-        phi = exact_linear_propagate(model, times[i - 1], times[i], phi)
-        out[i] = phi
-    return out
+    return _closed_form_trajectory(model.decay_rate, model.R_res, model.signal, times, phi)
+
+
+def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | None:
+    """Exact solution of a scalar linear IVP at ``times`` (from ``times[0]``), or None.
+
+    The closed form exists for ``u' = -a u + gain * w(t)`` with one input
+    channel and decay rate ``a = -smooth_matrix[0, 0] > 0``, the domain of
+    ``LinearScalarModel``; for its ``ivp()`` this equals ``exact_trajectory``
+    bitwise.  Other problems, and inputs with a segment that is neither
+    constant nor sinusoidal, return None.
+    """
+    if ivp.dim != 1 or ivp.channels != 1 or ivp.smooth_matrix is None:
+        return None
+    a = -float(ivp.smooth_matrix[0, 0])
+    if not a > 0.0:
+        return None
+    gain = float(ivp.injection[0, 0])
+    try:
+        return _closed_form_trajectory(a, gain, ivp.input_signals[0], times, float(ivp.u0[0]))
+    except UnsupportedSignalError:
+        return None
 
 
 # ---------------------------------------------------------------------------

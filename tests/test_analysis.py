@@ -199,4 +199,5 @@ class TestRunStudy:
         study = run_study(spec)
         failed = [p for p in study.results if p.failure is not None]
         assert len(failed) == 1 and failed[0].n == 10
+        assert failed[0].failure == "RuntimeError: synthetic blow-up"
         assert not math.isnan(study.fitted_order)  # remaining points still fitted

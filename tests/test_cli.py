@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -119,6 +120,17 @@ class TestStudy:
         assert len(data) == 2 * 3  # two series, three N points
         orders = [ln for ln in lines if ln.startswith("# order")]
         assert len(orders) == 2
+
+    def test_manifest_records_each_series_spec(self, tmp_path):
+        out = tmp_path / "fig5.csv"
+        assert main(["study", "run", "--preset", "fig5", "--n-list", "10,20",
+                     "--threads", "1", "--out", str(out)]) == 0
+        manifest = read_lines(out)[0]
+        series = json.loads(manifest.split(" ", 3)[3])["series"]
+        assert [(s["variant"], s["coarse"], s["k"], s["reduced_input"]) for s in series] == [
+            ("reduced", "cn", 1, "step"), ("reduced", "cn", 1, "sine"),
+        ]
+        assert "original" not in manifest
 
     def test_unknown_preset(self):
         assert main(["study", "run", "--preset", "fig99"]) == 1

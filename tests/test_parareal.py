@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from parareal import (
     ExactLinearPropagator,
     FixedIterations,
+    LinearScalarModel,
     PararealConfig,
+    PwmSingle,
+    SineWave,
+    SplitIvp,
     Termination,
     ThetaPropagator,
     exact_trajectory,
@@ -17,9 +21,12 @@ from parareal import (
     iterate,
     jump_norm,
     original_config,
+    parse_propagator,
+    parse_signal,
     reduced_config,
     reduced_ivp,
 )
+from parareal.algorithm import reference_trajectory
 
 T = 0.02
 
@@ -230,3 +237,79 @@ class TestConfigValidation:
         fine = ExactLinearPropagator(pwm10_model)
         with pytest.raises(ValueError):
             PararealConfig(n_intervals=0, fine=fine, coarse=fine)
+
+    def test_unknown_reference(self, pwm10_model):
+        fine = ExactLinearPropagator(pwm10_model)
+        with pytest.raises(ValueError, match="reference"):
+            PararealConfig(n_intervals=4, fine=fine, coarse=fine, reference="bogus")
+
+
+REFERENCE_INPUTS = ("pwm:m=400", "pwm3:m=400,phase=1", "step", "sine")
+
+
+def _model(input_spec):
+    return LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(input_spec, period=T))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReferenceTrajectory:
+    """The reference is the closed form wherever one exists, else a 10x-refined fine solve."""
+
+    @pytest.mark.parametrize("input_spec", REFERENCE_INPUTS)
+    @pytest.mark.parametrize("n", [5, 13, 320])
+    def test_exact_fine_configs_equal_exact_trajectory(self, input_spec, n):
+        model = _model(input_spec)
+        want = exact_trajectory(model, original_config(model, n).times)
+        for cfg in (original_config(model, n), reduced_config(model, SineWave(T), n)):
+            ref = reference_trajectory(cfg)
+            assert _same_bits(ref[:, 0], want)
+
+    @pytest.mark.parametrize("input_spec", REFERENCE_INPUTS)
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_theta_fine_gets_the_closed_form(self, input_spec, n):
+        model = _model(input_spec)
+        fine = parse_propagator("cn:substeps=7,aligned=1", model.ivp(), model)
+        cfg = PararealConfig(n_intervals=n, fine=fine, coarse=ThetaPropagator(fine.ivp), variant="original")
+        assert _same_bits(reference_trajectory(cfg)[:, 0], exact_trajectory(model, cfg.times))
+
+    @staticmethod
+    def _refined_loop(fine, times):
+        refined = ThetaPropagator(
+            fine.ivp, theta=fine.theta, substeps=10 * fine.substeps,
+            discontinuity_aligned=fine.discontinuity_aligned,
+        )
+        out = [fine.ivp.u0]
+        for n in range(1, len(times)):
+            out.append(refined.propagate(times[n - 1], times[n], out[-1]))
+        return np.vstack(out)
+
+    def _assert_falls_back(self, fine, n=5):
+        cfg = PararealConfig(n_intervals=n, fine=fine, coarse=ThetaPropagator(fine.ivp), variant="original")
+        ref = reference_trajectory(cfg)
+        assert _same_bits(ref, self._refined_loop(fine, cfg.times))
+        assert np.all(np.isfinite(ref))
+
+    def test_zero_decay_rate_falls_back(self):
+        # a = 0 has no decaying closed form (the segment step divides by a)
+        ivp = SplitIvp(
+            dim=1, smooth_rhs=lambda t, u: 0.0 * u, input_signals=(PwmSingle(m=400, period=T),),
+            injection=np.array([[0.01]]), u0=np.array([0.0]), t_end=T,
+            smooth_matrix=np.array([[0.0]]),
+        )
+        self._assert_falls_back(ThetaPropagator(ivp, theta=0.5, substeps=7, discontinuity_aligned=True))
+
+    def test_input_without_closed_form_falls_back(self):
+        model = _model("diff:sine-sine3:phase=2")
+        self._assert_falls_back(parse_propagator("cn:substeps=7,aligned=1", model.ivp(), model))
+
+    def test_nonlinear_problem_falls_back(self):
+        ivp = SplitIvp(
+            dim=1, smooth_rhs=lambda t, u: -10.0 * u - u**3, input_signals=(PwmSingle(m=10, period=T),),
+            injection=np.array([[0.01]]), u0=np.array([0.0]), t_end=T,
+            smooth_jac=lambda t, u: np.array([[-10.0 - 3.0 * u[0] ** 2]]),
+        )
+        self._assert_falls_back(ThetaPropagator(ivp, theta=1.0, substeps=2))
