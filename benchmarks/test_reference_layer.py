@@ -15,7 +15,7 @@ e.g. ``[parent-1]``.
 import numpy as np
 import pytest
 
-from parareal import FixedIterations, LinearScalarModel, PararealConfig, PwmSingle, original_config, parse_propagator
+from parareal import FixedIterations, LinearScalarModel, PararealConfig, PwmSingle, make_config, parse_propagator
 from parareal.algorithm import reference_trajectory
 
 T = 0.02
@@ -39,6 +39,6 @@ def test_reference_costly_fine_n20(benchmark, model):
 
 
 def test_reference_exact_fine_n320(benchmark, model):
-    cfg = original_config(model, 320, termination=FixedIterations(1))
+    cfg = make_config(model, 320, termination=FixedIterations(1))
     ref = benchmark(reference_trajectory, cfg)
     assert ref.shape == (321, 1) and np.isfinite(ref).all()

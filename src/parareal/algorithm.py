@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import LinearScalarModel, closed_form_trajectory, reduced_ivp
-from .propagators import ExactLinearPropagator, NonFiniteStateError, Propagator, ThetaPropagator
+from .propagators import NonFiniteStateError, Propagator, ThetaPropagator, parse_propagator
+from .signals import Signal
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,15 @@ class FixedIterations:
 
 @dataclass(frozen=True, eq=False)
 class PararealConfig:
-    """Everything needed for one run.
+    """Everything needed for one run: the (fine, coarse) propagator pair,
+    the sync grid and when to stop.  ``make_config`` builds one from spec
+    strings.
 
     ``variant`` is "original" (coarse solves the same problem as fine) or
-    "reduced" (coarse solves the smoothed-input problem); with "reduced" the
-    coarse propagator's IVP must be exactly the fine IVP with its input
-    replaced, which ``validate`` checks.
+    "reduced" (coarse solves the smoothed-input problem).  Either way the
+    coarse propagator's IVP must be the fine IVP with at most its input
+    signals replaced, which ``validate`` checks; "original" also requires the
+    same input signals.
 
     ``reference`` is "exact" (errors are measured against the fine problem's
     exact solution, see ``reference_trajectory``) or "none" (no errors).
@@ -70,7 +74,6 @@ class PararealConfig:
     termination: Termination | FixedIterations = field(default_factory=Termination)
     k_max: int = 20
     variant: str = "original"
-    cache_coarse: bool = False
     reference: str = "exact"  # "exact" | "none"
 
     def __post_init__(self):
@@ -86,14 +89,12 @@ class PararealConfig:
 
     def validate(self) -> None:
         fi, ci = self.fine.ivp, self.coarse.ivp
-        if fi.dim != ci.dim or fi.t_end != ci.t_end:
+        if (fi.dim, fi.t_end, fi.channels) != (ci.dim, ci.t_end, ci.channels) or not all(
+            np.array_equal(getattr(fi, a), getattr(ci, a)) for a in ("u0", "injection", "smooth_matrix")
+        ):
             raise ValueError("fine and coarse propagators integrate different problems")
         if self.variant == "original" and ci.input_signals != fi.input_signals:
             raise ValueError("variant 'original' requires identical inputs for fine and coarse")
-        if self.variant == "reduced":
-            want = reduced_ivp(fi, ci.input_signals)
-            if want.input_signals != ci.input_signals or ci.channels != fi.channels:
-                raise ValueError("reduced coarse input does not match the fine problem's channels")
 
     @property
     def times(self) -> np.ndarray:
@@ -239,14 +240,6 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     arrivals_hist: list[np.ndarray] = []
     jumps_hist: list[np.ndarray] = []
 
-    # coarse values of the current iterate, reusable when cache_coarse is set
-    coarse_cache: list[np.ndarray] | None = None
-    if cfg.cache_coarse:
-        coarse_cache = [
-            np.asarray(cfg.coarse.propagate(times[n - 1], times[n], guess[n - 1]))
-            for n in range(1, N + 1)
-        ]
-
     converged = False
     k = 0
     while k < cfg.max_iterations:
@@ -263,20 +256,12 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
 
         new = np.empty_like(current)
         new[0] = cfg.fine.ivp.u0
-        new_cache: list[np.ndarray] = []
         for n in range(1, N + 1):
-            if coarse_cache is not None:
-                g_old = coarse_cache[n - 1]
-            else:
-                g_old = cfg.coarse.propagate(times[n - 1], times[n], current[n - 1])
+            g_old = cfg.coarse.propagate(times[n - 1], times[n], current[n - 1])
             g_new = cfg.coarse.propagate(times[n - 1], times[n], new[n - 1])
             new[n] = arrivals[n] + g_new - g_old
             if not np.all(np.isfinite(new[n])):
                 raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}")
-            if cfg.cache_coarse:
-                new_cache.append(np.asarray(g_new))
-        if cfg.cache_coarse:
-            coarse_cache = new_cache
         iterates.append(new)
         k += 1
         if not fixed and float(np.max(jumps)) < threshold:
@@ -302,43 +287,31 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     )
 
 
-def reduced_config(
-    model: LinearScalarModel,
-    reduced_signal,
-    n_intervals: int,
-    coarse_theta: float = 1.0,
-    termination: Termination | FixedIterations | None = None,
-    **kwargs,
-) -> PararealConfig:
-    """Convenience builder: exact fine on the full model, theta coarse on the
-    smoothed-input problem."""
-    fine = ExactLinearPropagator(model)
-    coarse = ThetaPropagator(reduced_ivp(model.ivp(), reduced_signal), theta=coarse_theta)
-    return PararealConfig(
-        n_intervals=n_intervals,
-        fine=fine,
-        coarse=coarse,
-        termination=termination or Termination(),
-        variant="reduced",
-        **kwargs,
-    )
-
-
-def original_config(
+def make_config(
     model: LinearScalarModel,
     n_intervals: int,
-    coarse_theta: float = 1.0,
+    *,
+    coarse: str = "be",
+    fine: str = "exact",
+    reduced_input: Signal | None = None,
     termination: Termination | FixedIterations | None = None,
-    **kwargs,
+    k_max: int = 20,
 ) -> PararealConfig:
-    """Convenience builder: exact fine and theta coarse on the same problem."""
-    fine = ExactLinearPropagator(model)
-    coarse = ThetaPropagator(model.ivp(), theta=coarse_theta)
+    """The run of ``model`` on ``n_intervals`` sync intervals.
+
+    ``fine`` and ``coarse`` are ``parse_propagator`` specs ("be", "cn",
+    "exact", "cn:substeps=500,aligned=1").  The fine propagator solves the
+    model's problem; the coarse one solves it with its input replaced by
+    ``reduced_input`` when that is given (variant "reduced"), else the same
+    problem (variant "original").  The default termination is ``Termination()``.
+    """
+    ivp = model.ivp()
+    coarse_ivp = ivp if reduced_input is None else reduced_ivp(ivp, reduced_input)
     return PararealConfig(
         n_intervals=n_intervals,
-        fine=fine,
-        coarse=coarse,
+        fine=parse_propagator(fine, ivp, model),
+        coarse=parse_propagator(coarse, coarse_ivp, model),
         termination=termination or Termination(),
-        variant="original",
-        **kwargs,
+        k_max=k_max,
+        variant="original" if reduced_input is None else "reduced",
     )

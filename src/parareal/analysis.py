@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import FixedIterations, PararealConfig, iterate, original_config, reduced_config
+from .algorithm import FixedIterations, PararealConfig, iterate, make_config
 from .models import LinearScalarModel, exact_linear_propagate
-from .signals import Signal, StepWave
+from .propagators import Propagator
+from .signals import Difference, Signal, StepWave
 
 ERROR_FLOOR = 1e-13
 
@@ -68,14 +69,14 @@ def best_fit_constant(points: list[tuple[float, float]], exponent: float, floor:
 # convergence studies
 
 
-_THETAS = {"be": 1.0, "cn": 0.5}
-
-
 @dataclass
 class StudySpec:
     """One convergence sweep: model, algorithm variant and the N grid.
 
-    ``coarse_scheme`` is "be", "cn" or "exact".  ``error_metric`` is one of
+    Every point is the run ``make_config`` builds: exact fine propagator,
+    coarse propagator ``coarse_scheme`` ("be", "cn" or "exact"), on the
+    smoothed-input problem ``reduced_input`` in the "reduced" variant, and
+    exactly ``k`` update sweeps.  ``error_metric`` is one of
     "max" (largest error over all sync points, the default), "final" (error
     at t_end) or "first_active" (error at the first sync point not rendered
     exact by finite termination, n = k+1).  With a step-function reduced
@@ -94,6 +95,8 @@ class StudySpec:
     fit_min_n: int | None = None  # fit only points with N >= this
 
     def __post_init__(self):
+        if self.variant not in ("original", "reduced"):
+            raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "reduced" and self.reduced_input is None:
             raise ValueError("reduced variant needs a reduced_input signal")
         if self.coarse_scheme not in ("be", "cn", "exact"):
@@ -108,23 +111,12 @@ class StudySpec:
             self.n_list = tuple(n for n in self.n_list if n % 2 == 0)
 
     def config(self, n: int) -> PararealConfig:
-        from .propagators import ExactLinearPropagator
-
-        term = FixedIterations(self.k)
-        if self.coarse_scheme == "exact":
-            fine = ExactLinearPropagator(self.model)
-            if self.variant == "original":
-                coarse = ExactLinearPropagator(self.model)
-            else:
-                coarse = ExactLinearPropagator(self.model.with_signal(self.reduced_input))
-            return PararealConfig(
-                n_intervals=n, fine=fine, coarse=coarse, termination=term, variant=self.variant
-            )
-        theta = _THETAS[self.coarse_scheme]
-        if self.variant == "original":
-            return original_config(self.model, n, coarse_theta=theta, termination=term)
-        return reduced_config(
-            self.model, self.reduced_input, n, coarse_theta=theta, termination=term
+        return make_config(
+            self.model,
+            n,
+            coarse=self.coarse_scheme,
+            reduced_input=self.reduced_input if self.variant == "reduced" else None,
+            termination=FixedIterations(self.k),
         )
 
 
@@ -335,14 +327,11 @@ def defect_scaling_study(
         full = exact_linear_propagate(model, t_start, t_start + dt, u0)
         red = exact_linear_propagate(reduced_model, t_start, t_start + dt, u0)
         defects.append(abs(full - red))
-    good = [(d, e) for d, e in zip(dt_ladder, defects) if e > floor]
-    floor_hit = len(good) < len(dt_ladder)
-    if len(good) < 2:
+    try:
+        fit = fit_order(list(zip(dt_ladder, defects)), floor=floor, min_points=2)
+    except InsufficientPointsError:
         return DefectStudy(list(dt_ladder), defects, math.nan, True)
-    xs = np.log([d for d, _ in good])
-    ys = np.log([e for _, e in good])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return DefectStudy(list(dt_ladder), defects, slope, floor_hit)
+    return DefectStudy(list(dt_ladder), defects, -fit.order, len(fit.window) < len(dt_ladder))
 
 
 def defect_ode_solution(model: LinearScalarModel, reduced_input: Signal, t0: float, t1: float) -> float:
@@ -353,7 +342,52 @@ def defect_ode_solution(model: LinearScalarModel, reduced_input: Signal, t0: flo
     ``d(t0) = 0``; by linearity this equals the exact propagation of the model
     driven by the difference signal from a zero state.
     """
-    from .signals import Difference
-
     diff_model = model.with_signal(Difference(model.signal, reduced_input))
     return exact_linear_propagate(diff_model, t0, t1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# local truncation order of a propagator
+
+
+@dataclass
+class OrderProbe:
+    """Result of a local-truncation-order measurement."""
+
+    slope: float
+    dts: list[float]
+    errors: list[float]
+    floor_hit: bool
+
+
+def local_order_probe(
+    prop: Propagator,
+    reference: Propagator,
+    t_start: float = 0.0,
+    u_start: np.ndarray | None = None,
+    n_points: int = 7,
+    dt_max: float | None = None,
+    floor: float = 1e-15,
+) -> OrderProbe:
+    """Fit the decay of the one-step defect against an exact reference.
+
+    Measures ``||reference(t0+dt) - prop(t0+dt)||`` from a common state over a
+    geometric dt ladder; the log-log slope estimates the local truncation
+    order (scheme order + 1) on smooth inputs.  Points at or below ``floor``
+    are flagged and excluded; if fewer than two points remain the slope is NaN.
+    """
+    ivp = prop.ivp
+    u0 = ivp.u0 if u_start is None else np.atleast_1d(np.asarray(u_start, dtype=float))
+    span = dt_max if dt_max is not None else (ivp.t_end - t_start) / 16.0
+    dts, errs = [], []
+    for j in range(n_points):
+        dt = span / 2.0**j
+        ue = reference.propagate(t_start, t_start + dt, u0)
+        ua = prop.propagate(t_start, t_start + dt, u0)
+        dts.append(dt)
+        errs.append(float(np.max(np.abs(ue - ua))))
+    try:
+        fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
+    except InsufficientPointsError:
+        return OrderProbe(math.nan, dts, errs, True)
+    return OrderProbe(-fit.order, dts, errs, len(fit.window) < len(dts))

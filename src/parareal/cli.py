@@ -21,10 +21,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .algorithm import FixedIterations, PararealConfig, Termination, iterate
+from .algorithm import FixedIterations, PararealConfig, Termination, iterate, make_config
 from .analysis import BoundParams, StudySpec, eval_bound, run_study
-from .models import exact_trajectory, parse_model, reduced_ivp
-from .propagators import NewtonError, NonFiniteStateError, parse_propagator
+from .models import exact_trajectory, parse_model
+from .propagators import NewtonError, NonFiniteStateError
 from .signals import parse_signal
 from .svgplot import log_log_svg
 
@@ -45,10 +45,8 @@ HARD_DEFAULTS = {
     "jump_threshold": 1.0,
     "threads": 0,  # 0 = hardware default
     "metric": "max",
-    "seed": 0,
     "n_list": None,
     "preset": None,
-    "which": "reduced-linf",
 }
 
 
@@ -73,13 +71,14 @@ def _read_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, config: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
+    """The subcommand's settings, one per flag it has: defaults, overridden by
+    the config file, overridden by explicit flags.  Config keys of other
+    subcommands are ignored, so a manifest records only what its subcommand reads."""
     resolved = {}
     for key, hard in HARD_DEFAULTS.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, hard)
-        resolved[key] = value
+        if hasattr(args, key):
+            value = getattr(args, key)
+            resolved[key] = config.get(key, hard) if value is None else value
     return resolved
 
 
@@ -150,29 +149,18 @@ def _cmd_model_reference(args, config) -> int:
 
 def _build_run_config(r: dict) -> PararealConfig:
     model = parse_model(r["model"])
-    full_ivp = model.ivp()
-    fine = parse_propagator(r["fine"], full_ivp, model)
-    if r["variant"] == "reduced":
-        reduced_signal = parse_signal(r["reduced_input"], period=model.t_end)
-        coarse_ivp = reduced_ivp(full_ivp, reduced_signal)
-    elif r["variant"] == "original":
-        coarse_ivp = full_ivp
-    else:
+    if r["variant"] not in ("original", "reduced"):
         raise UsageError(f"unknown variant {r['variant']!r}")
-    coarse = parse_propagator(r["coarse"], coarse_ivp, model)
+    reduced = parse_signal(r["reduced_input"], period=model.t_end) if r["variant"] == "reduced" else None
     if r["k"] is not None:
         term = FixedIterations(int(r["k"]), atol=float(r["atol"]), rtol=float(r["rtol"]))
     else:
         term = Termination(
             atol=float(r["atol"]), rtol=float(r["rtol"]), jump_threshold=float(r["jump_threshold"])
         )
-    return PararealConfig(
-        n_intervals=int(r["N"]),
-        fine=fine,
-        coarse=coarse,
-        termination=term,
-        k_max=int(r["kmax"]),
-        variant=r["variant"],
+    return make_config(
+        model, int(r["N"]), coarse=r["coarse"], fine=r["fine"], reduced_input=reduced,
+        termination=term, k_max=int(r["kmax"]),
     )
 
 
@@ -256,7 +244,7 @@ def _cmd_study_run(args, config) -> int:
         entries = [
             dict(
                 variant=r["variant"],
-                scheme=r["coarse"].partition(":")[0],
+                scheme=r["coarse"],
                 k=int(r["k"] or 1),
                 reduced=r["reduced_input"] if r["variant"] == "reduced" else None,
                 label="study",
@@ -369,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--model", str), ("--fine", str), ("--coarse", str), ("--variant", str),
         ("--reduced-input", str), ("--N", int), ("--k", int), ("--kmax", int),
         ("--atol", float), ("--rtol", float), ("--jump-threshold", float),
-        ("--threads", int), ("--metric", str), ("--seed", int),
+        ("--threads", int),
     ]:
         p_run.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
     p_run.add_argument("--out")
@@ -382,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, typ in [
         ("--preset", str), ("--model", str), ("--variant", str), ("--coarse", str),
         ("--reduced-input", str), ("--k", int), ("--n-list", str), ("--metric", str),
-        ("--threads", int), ("--seed", int),
+        ("--threads", int),
     ]:
         p_srun.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
     p_srun.add_argument("--out")

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signals import Constant, Difference, SegmentForm, Side, Signal
+from .signals import Difference, SegmentForm, Side, Signal, parse_kv, parse_signal
 
 
 class UnsupportedSignalError(ValueError):
@@ -328,31 +328,17 @@ def caratheodory_check(ivp: SplitIvp, sample_count: int = 1000, seed: int = 0) -
 def parse_model(spec: str, default_period: float = 0.02) -> LinearScalarModel:
     """Build a model from its CLI name, e.g. ``rl:R=0.01,L=0.001,input=pwm:m=400``.
 
-    Commas inside the nested input spec are re-attached to the ``input=``
-    value, so ``input=pwm3:m=400,phase=2`` parses as one token.
+    The keys are ``R``, ``L``, ``T`` (the period) and ``input`` (a signal
+    spec), in the ``parse_kv`` grammar; commas after ``input=`` stay in the
+    signal spec, so ``input=pwm3:m=400,phase=2`` parses as one value.
     """
-    from .signals import parse_signal
-
     head, _, body = spec.strip().partition(":")
     if head != "rl":
         raise ValueError(f"unknown model kind {head!r} in {spec!r}")
-    known = {"R", "L", "input", "T"}
-    merged: list[str] = []
-    for tok in body.split(","):
-        key = tok.split("=", 1)[0] if "=" in tok else ""
-        if merged and key not in known:
-            merged[-1] += "," + tok
-        else:
-            merged.append(tok)
-    kv: dict[str, str] = {}
-    for tok in merged:
-        if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        kv[k.strip()] = v.strip()
-    period = float(kv.get("T", default_period))
+    defaults = {"R": "0.01", "L": "0.001", "T": repr(default_period), "input": "pwm:m=400"}
+    kv = parse_kv(body, defaults, nested="input")
     return LinearScalarModel(
-        R_res=float(kv.get("R", 0.01)),
-        L_ind=float(kv.get("L", 0.001)),
-        signal=parse_signal(kv.get("input", "pwm:m=400"), period=period),
+        R_res=float(kv["R"]),
+        L_ind=float(kv["L"]),
+        signal=parse_signal(kv["input"], period=float(kv["T"])),
     )

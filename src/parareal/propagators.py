@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LinearScalarModel, SplitIvp, exact_linear_propagate
-from .signals import Side
+from .signals import Side, parse_kv
 
 
 class NewtonError(RuntimeError):
@@ -216,67 +216,23 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
 
 
 def parse_propagator(spec: str, ivp: SplitIvp, model: LinearScalarModel | None = None) -> Propagator:
-    """Build a propagator from its CLI name: ``be[:substeps=1]``, ``cn``, ``exact``."""
+    """Build a propagator from its CLI name: ``be``, ``cn`` or ``exact``.
+
+    The theta schemes take ``substeps=<int>`` (default 1) and ``aligned=0|1``
+    (default 0), in the ``parse_kv`` grammar: ``cn:substeps=500,aligned=1``.
+    """
     head, _, body = spec.strip().partition(":")
-    kv = {}
-    for tok in body.split(","):
-        if tok:
-            k, v = tok.split("=", 1)
-            kv[k.strip()] = v.strip()
-    substeps = int(kv.get("substeps", 1))
-    aligned = kv.get("aligned", "0") in ("1", "true", "yes")
-    if head == "be":
-        return ThetaPropagator(ivp, theta=1.0, substeps=substeps, discontinuity_aligned=aligned)
-    if head == "cn":
-        return ThetaPropagator(ivp, theta=0.5, substeps=substeps, discontinuity_aligned=aligned)
     if head == "exact":
+        parse_kv(body, {})
         if model is None:
             raise ValueError("exact propagator needs a scalar linear model")
         return ExactLinearPropagator(model.with_signal(ivp.input_signals[0]))
-    raise ValueError(f"unknown propagator {spec!r}")
-
-
-@dataclass
-class OrderProbe:
-    """Result of a local-truncation-order measurement."""
-
-    slope: float
-    dts: list[float]
-    errors: list[float]
-    floor_hit: bool
-
-
-def local_order_probe(
-    prop: Propagator,
-    reference: Propagator,
-    t_start: float = 0.0,
-    u_start: np.ndarray | None = None,
-    n_points: int = 7,
-    dt_max: float | None = None,
-    floor: float = 1e-15,
-) -> OrderProbe:
-    """Fit the decay of the one-step defect against an exact reference.
-
-    Measures ``||reference(t0+dt) - prop(t0+dt)||`` from a common state over a
-    geometric dt ladder; the log-log slope estimates the local truncation
-    order (scheme order + 1) on smooth inputs.  Points at or below ``floor``
-    are flagged and excluded; if fewer than two points remain the slope is NaN.
-    """
-    ivp = prop.ivp
-    u0 = ivp.u0 if u_start is None else np.atleast_1d(np.asarray(u_start, dtype=float))
-    span = dt_max if dt_max is not None else (ivp.t_end - t_start) / 16.0
-    dts, errs = [], []
-    for j in range(n_points):
-        dt = span / 2.0**j
-        ue = reference.propagate(t_start, t_start + dt, u0)
-        ua = prop.propagate(t_start, t_start + dt, u0)
-        dts.append(dt)
-        errs.append(float(np.max(np.abs(ue - ua))))
-    good = [(d, e) for d, e in zip(dts, errs) if e > floor]
-    floor_hit = len(good) < len(dts)
-    if len(good) < 2:
-        return OrderProbe(math.nan, dts, errs, True)
-    xs = np.log([d for d, _ in good])
-    ys = np.log([e for _, e in good])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return OrderProbe(slope, dts, errs, floor_hit)
+    theta = {"be": 1.0, "cn": 0.5}.get(head)
+    if theta is None:
+        raise ValueError(f"unknown propagator {spec!r}")
+    kv = parse_kv(body, {"substeps": "1", "aligned": "0"})
+    if kv["aligned"] not in ("0", "1"):
+        raise ValueError(f"aligned must be 0 or 1, got {kv['aligned']!r}")
+    return ThetaPropagator(
+        ivp, theta=theta, substeps=int(kv["substeps"]), discontinuity_aligned=kv["aligned"] == "1"
+    )

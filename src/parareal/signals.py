@@ -522,15 +522,35 @@ class Difference(Signal):
 # CLI-facing textual signal specs, e.g. "pwm:m=400", "diff:pwm:m=400-sine"
 
 
-def _parse_kv(body: str) -> dict[str, str]:
-    out = {}
-    for tok in body.split(","):
-        if not tok:
+def parse_kv(body: str, keys: dict[str, str | None], nested: str | None = None) -> dict[str, str]:
+    """Parse the ``key=value,...`` body of a spec, strictly.
+
+    ``keys`` maps every allowed key to its default; a default of None marks a
+    required key.  Unknown, repeated or missing keys and tokens without ``=``
+    raise ``ValueError``.  Tokens after ``nested=`` whose key is not allowed
+    belong to the nested value, so ``input=pwm3:m=400,phase=2`` stays whole.
+    """
+    out: dict[str, str] = {}
+    last = None
+    for tok in body.split(",") if body else ():
+        key, eq, value = tok.partition("=")
+        key = key.strip()
+        if nested is not None and last == nested and key not in keys:
+            out[nested] += "," + tok
             continue
-        if "=" not in tok:
+        if not eq:
             raise ValueError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k.strip()] = v.strip()
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {body!r}; allowed: {', '.join(sorted(keys)) or 'none'}")
+        if key in out:
+            raise ValueError(f"key {key!r} given twice in {body!r}")
+        out[key] = value.strip()
+        last = key
+    for key, default in keys.items():
+        if key not in out:
+            if default is None:
+                raise ValueError(f"missing required key {key!r}")
+            out[key] = default
     return out
 
 
@@ -538,7 +558,8 @@ def parse_signal(spec: str, period: float = 0.02) -> Signal:
     """Build a signal from its CLI name.
 
     Supported: ``pwm:m=400``, ``step``, ``sine``, ``pwm3:m=400,phase=1``,
-    ``sine3:phase=1``, ``const:v=1``, ``zero`` and ``diff:<a>-<b>``.
+    ``sine3:phase=1``, ``const:v=1``, ``zero`` and ``diff:<a>-<b>``; the
+    ``key=value`` body follows ``parse_kv``.
     """
     spec = spec.strip()
     head, _, body = spec.partition(":")
@@ -552,19 +573,18 @@ def parse_signal(spec: str, period: float = 0.02) -> Signal:
             except ValueError:
                 continue
         raise ValueError(f"cannot parse difference signal {spec!r}")
-    kv = _parse_kv(body)
-    if head == "pwm":
-        return PwmSingle(m=int(kv["m"]), period=period)
-    if head == "step":
-        return StepWave(period=period)
-    if head == "sine":
-        return SineWave(period=period)
-    if head == "pwm3":
-        return ThreePhasePwm(m=int(kv["m"]), period=period, phase_index=int(kv.get("phase", 1)))
-    if head == "sine3":
-        return ThreePhaseSine(period=period, phase_index=int(kv.get("phase", 1)))
-    if head == "const":
-        return Constant(value_=float(kv.get("v", 1.0)), period=period)
-    if head == "zero":
-        return Zero(period=period)
-    raise ValueError(f"unknown signal kind {head!r} in {spec!r}")
+    # each kind's keys with their defaults (None: required), and its constructor
+    kinds = {
+        "pwm": ({"m": None}, lambda kv: PwmSingle(m=int(kv["m"]), period=period)),
+        "step": ({}, lambda kv: StepWave(period=period)),
+        "sine": ({}, lambda kv: SineWave(period=period)),
+        "pwm3": ({"m": None, "phase": "1"},
+                 lambda kv: ThreePhasePwm(m=int(kv["m"]), period=period, phase_index=int(kv["phase"]))),
+        "sine3": ({"phase": "1"}, lambda kv: ThreePhaseSine(period=period, phase_index=int(kv["phase"]))),
+        "const": ({"v": "1.0"}, lambda kv: Constant(value_=float(kv["v"]), period=period)),
+        "zero": ({}, lambda kv: Zero(period=period)),
+    }
+    if head not in kinds:
+        raise ValueError(f"unknown signal kind {head!r} in {spec!r}")
+    keys, build = kinds[head]
+    return build(parse_kv(body, keys))

@@ -33,7 +33,7 @@ from parareal import (
     iterate,
     jump_norm,
     local_order_probe,
-    reduced_config,
+    make_config,
     run_study,
 )
 
@@ -163,7 +163,7 @@ def test_c6_property_suite():
     gf_ok = float(np.max(run_gf.jumps[1])) <= 1e-12
 
     # bitwise determinism of the concurrent fine sweep
-    cfg_par = reduced_config(MODEL, SINE, 16, termination=FixedIterations(2))
+    cfg_par = make_config(MODEL, 16, reduced_input=SINE, termination=FixedIterations(2))
     serial = iterate(cfg_par)
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = iterate(cfg_par, executor=pool)
@@ -208,7 +208,7 @@ def test_c6_property_suite():
 
 def test_c7_scripted_update_bitwise():
     N, k_iters = 20, 1
-    cfg = reduced_config(MODEL, SINE, N, termination=FixedIterations(k_iters))
+    cfg = make_config(MODEL, N, reduced_input=SINE, termination=FixedIterations(k_iters))
     run = iterate(cfg)
 
     fine, coarse, times = cfg.fine, cfg.coarse, cfg.times

@@ -6,11 +6,13 @@ import pytest
 from parareal import (
     BoundParams,
     Constant,
+    ExactLinearPropagator,
     InsufficientPointsError,
     LinearScalarModel,
     SineWave,
     StepWave,
     StudySpec,
+    ThetaPropagator,
     Zero,
     best_fit_constant,
     defect_ode_solution,
@@ -18,6 +20,7 @@ from parareal import (
     eval_bound,
     exact_linear_propagate,
     fit_order,
+    local_order_probe,
     run_study,
 )
 
@@ -128,6 +131,15 @@ class TestDefectStudy:
         study = defect_scaling_study(pwm400_model, step_signal)
         assert study.slope == pytest.approx(1.0, abs=0.1)
 
+    def test_slopes_come_from_fit_order(self, pwm400_model, sine_model, step_signal):
+        study = defect_scaling_study(pwm400_model, step_signal)
+        assert study.slope == -fit_order(list(zip(study.dts, study.defects)), floor=1e-16, min_points=2).order
+        probe = local_order_probe(
+            ThetaPropagator(sine_model.ivp(), theta=0.5), ExactLinearPropagator(sine_model),
+            t_start=0.003, u_start=np.array([0.02]), dt_max=T / 32,
+        )
+        assert probe.slope == -fit_order(list(zip(probe.dts, probe.errors)), floor=1e-15, min_points=2).order
+
     def test_defect_matches_averaged_jacobian_ode(self, pwm400_model, sine_signal):
         # the defect equation driven by the input difference reproduces the
         # directly measured defect on random intervals
@@ -163,6 +175,10 @@ class TestRunStudy:
         spec = StudySpec(model=pwm10_model, variant="reduced", coarse_scheme="cn",
                          reduced_input=step_signal, k=1)
         assert all(n % 2 == 0 for n in spec.n_list)
+
+    def test_unknown_variant(self, pwm10_model):
+        with pytest.raises(ValueError, match="unknown variant"):
+            StudySpec(model=pwm10_model, variant="classic")
 
     def test_n_list_must_increase(self, pwm10_model):
         with pytest.raises(ValueError):

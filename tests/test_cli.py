@@ -89,6 +89,14 @@ class TestRun:
         b4 = [ln for ln in body_without_timestamp(read_lines(out4)) if not ln.startswith("#")]
         assert b1 == b4
 
+    def test_manifest_records_only_the_keys_a_run_reads(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--model", "rl:R=0.01,L=0.001,input=pwm:m=10", "--N", "4", "--k", "1",
+                     "--threads", "1", "--out", str(out)]) == 0
+        manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
+        assert not {"grid", "samples", "period", "preset", "n_list", "which", "metric", "seed"} & set(manifest)
+        assert manifest["N"] == "4" and manifest["fine"] == "exact"
+
     def test_row_schema(self, tmp_path):
         out = tmp_path / "run.csv"
         main([
@@ -132,6 +140,21 @@ class TestStudy:
         ]
         assert "original" not in manifest
 
+    def test_manifest_records_only_the_keys_a_study_reads(self, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("fine=cn:substeps=3\n")
+        out = tmp_path / "fig5.csv"
+        assert main(["--config", str(cfg), "study", "run", "--preset", "fig5", "--n-list", "10,20",
+                     "--threads", "1", "--out", str(out)]) == 0
+        manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
+        assert not {"fine", "N", "kmax", "atol", "rtol", "jump_threshold", "seed", "which"} & set(manifest)
+        assert manifest["preset"] == "fig5" and manifest["metric"] == "max"
+
+    def test_coarse_parameters_are_not_dropped(self, capsys):
+        # a study's coarse propagator is a bare scheme name; parameters are refused, not ignored
+        assert main(["study", "run", "--coarse", "be:substeps=4", "--n-list", "5,10", "--threads", "1"]) == 1
+        assert "unknown coarse scheme 'be:substeps=4'" in capsys.readouterr().err
+
     def test_unknown_preset(self):
         assert main(["study", "run", "--preset", "fig99"]) == 1
 
@@ -168,12 +191,18 @@ class TestModuleEntry:
 class TestUsageErrors:
     def test_unknown_flag(self):
         assert main(["run", "--frobnicate", "1"]) == 1
+        # flags that changed no output are gone
+        assert main(["run", "--seed", "1"]) == 1
+        assert main(["run", "--metric", "final"]) == 1
+        assert main(["study", "run", "--seed", "1"]) == 1
 
     def test_unknown_subcommand(self):
         assert main(["transmogrify"]) == 1
 
-    def test_bad_signal(self):
+    def test_bad_signal(self, capsys):
         assert main(["signal", "dump", "--signal", "nope"]) == 1
+        assert main(["signal", "dump", "--signal", "pwm"]) == 1
+        assert "missing required key 'm'" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

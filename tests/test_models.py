@@ -195,8 +195,14 @@ class TestParseModel:
         assert m.signal.phase_index == 2
 
     def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            parse_model("rc:R=1")
+        for spec, match in [
+            ("rc:R=1", "unknown model kind"),
+            ("rl:R=0.01,Q=3", "unknown key 'Q'"),
+            ("rl:R", "expected key=value"),
+            ("rl:input=pwm3:m=100,phase=2,Q=3", "unknown key 'Q'"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                parse_model(spec)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

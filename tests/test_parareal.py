@@ -20,10 +20,9 @@ from parareal import (
     initial_guess,
     iterate,
     jump_norm,
-    original_config,
+    make_config,
     parse_propagator,
     parse_signal,
-    reduced_config,
     reduced_ivp,
 )
 from parareal.algorithm import reference_trajectory
@@ -69,7 +68,7 @@ class TestInitialGuess:
         np.testing.assert_array_equal(guess[:, 0], ref)
 
     def test_matches_scripted_recursion(self, pwm10_model, sine_signal):
-        cfg = reduced_config(pwm10_model, sine_signal, 10, coarse_theta=1.0)
+        cfg = make_config(pwm10_model, 10, reduced_input=sine_signal, coarse="be")
         guess = initial_guess(cfg)
         # straight-line transcription of the sweep, same propagator object
         u = np.array([0.0])
@@ -80,14 +79,14 @@ class TestInitialGuess:
         np.testing.assert_array_equal(guess, np.vstack(expected))
 
     def test_single_interval(self, pwm10_model, sine_signal):
-        cfg = reduced_config(pwm10_model, sine_signal, 1, coarse_theta=1.0)
+        cfg = make_config(pwm10_model, 1, reduced_input=sine_signal, coarse="be")
         guess = initial_guess(cfg)
         step = cfg.coarse.propagate(0.0, T, np.array([0.0]))
         assert guess.shape == (2, 1)
         np.testing.assert_array_equal(guess[1], step)
 
     def test_grid_is_built_by_multiplication(self, pwm10_model, sine_signal):
-        cfg = reduced_config(pwm10_model, sine_signal, 7, coarse_theta=1.0)
+        cfg = make_config(pwm10_model, 7, reduced_input=sine_signal, coarse="be")
         for n, t in enumerate(cfg.times):
             assert t == n * T / 7
 
@@ -116,14 +115,14 @@ class TestIterate:
         assert np.max(run.jumps[1]) <= 1e-12
 
     def test_finite_termination(self, pwm10_model):
-        cfg = original_config(pwm10_model, 8, coarse_theta=1.0, termination=FixedIterations(8))
+        cfg = make_config(pwm10_model, 8, coarse="be", termination=FixedIterations(8))
         run = iterate(cfg)
         for k in range(9):
             for n in range(min(k, 8) + 1):
                 assert run.errors_vs_reference[k][n] <= 1e-12
 
     def test_parallel_matches_serial_bitwise(self, pwm400_model, sine_signal):
-        cfg = reduced_config(pwm400_model, sine_signal, 16, termination=FixedIterations(3))
+        cfg = make_config(pwm400_model, 16, reduced_input=sine_signal, termination=FixedIterations(3))
         serial = iterate(cfg)
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = iterate(cfg, executor=pool)
@@ -136,7 +135,7 @@ class TestIterate:
 
     def test_reduced_with_original_input_matches_original_bitwise(self, pwm10_model):
         term = FixedIterations(2)
-        orig = iterate(original_config(pwm10_model, 10, coarse_theta=1.0, termination=term))
+        orig = iterate(make_config(pwm10_model, 10, coarse="be", termination=term))
         red_cfg = PararealConfig(
             n_intervals=10,
             fine=ExactLinearPropagator(pwm10_model),
@@ -148,24 +147,15 @@ class TestIterate:
         for a, b in zip(orig.iterates, red.iterates):
             assert np.array_equal(a, b)
 
-    def test_coarse_caching_is_bitwise_equivalent(self, pwm10_model, sine_signal):
-        base = reduced_config(pwm10_model, sine_signal, 12, termination=FixedIterations(3))
-        cached = reduced_config(
-            pwm10_model, sine_signal, 12, termination=FixedIterations(3), cache_coarse=True
-        )
-        a, b = iterate(base), iterate(cached)
-        for x, y in zip(a.iterates, b.iterates):
-            assert np.array_equal(x, y)
-
     def test_sync_anchor_invariance(self, pwm10_model, sine_signal):
-        cfg = reduced_config(pwm10_model, sine_signal, 10, termination=FixedIterations(4))
+        cfg = make_config(pwm10_model, 10, reduced_input=sine_signal, termination=FixedIterations(4))
         run = iterate(cfg)
         for it in run.iterates:
             assert np.array_equal(it[0], np.array([0.0]))
 
     def test_jump_termination(self, pwm400_model, sine_signal):
-        cfg = reduced_config(
-            pwm400_model, sine_signal, 20,
+        cfg = make_config(
+            pwm400_model, 20, reduced_input=sine_signal,
             termination=Termination(atol=1.5e-5, rtol=1.5e-5, jump_threshold=1.0),
             k_max=10,
         )
@@ -200,7 +190,7 @@ class TestScriptedUpdateOracle:
         """One fixed configuration checked against a line-by-line transcription
         of the coarse-sweep initialization and the correction update."""
         N, k_iters = 20, 1
-        cfg = reduced_config(pwm400_model, sine_signal, N, termination=FixedIterations(k_iters))
+        cfg = make_config(pwm400_model, N, reduced_input=sine_signal, termination=FixedIterations(k_iters))
         run = iterate(cfg)
 
         fine, coarse, times = cfg.fine, cfg.coarse, cfg.times
@@ -233,6 +223,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PararealConfig(n_intervals=4, fine=fine, coarse=coarse, variant="original")
 
+    @pytest.mark.parametrize("variant", ["original", "reduced"])
+    def test_coarse_on_another_circuit_is_rejected(self, pwm10_model, sine_signal, variant):
+        other = LinearScalarModel(R_res=2 * pwm10_model.R_res, L_ind=pwm10_model.L_ind, signal=pwm10_model.signal)
+        coarse_signal = other.signal if variant == "original" else sine_signal
+        coarse = ThetaPropagator(reduced_ivp(other.ivp(), coarse_signal), theta=1.0)
+        with pytest.raises(ValueError, match="different problems"):
+            PararealConfig(n_intervals=4, fine=ExactLinearPropagator(pwm10_model), coarse=coarse, variant=variant)
+
     def test_bad_interval_count(self, pwm10_model):
         fine = ExactLinearPropagator(pwm10_model)
         with pytest.raises(ValueError):
@@ -263,8 +261,8 @@ class TestReferenceTrajectory:
     @pytest.mark.parametrize("n", [5, 13, 320])
     def test_exact_fine_configs_equal_exact_trajectory(self, input_spec, n):
         model = _model(input_spec)
-        want = exact_trajectory(model, original_config(model, n).times)
-        for cfg in (original_config(model, n), reduced_config(model, SineWave(T), n)):
+        want = exact_trajectory(model, make_config(model, n).times)
+        for cfg in (make_config(model, n), make_config(model, n, reduced_input=SineWave(T))):
             ref = reference_trajectory(cfg)
             assert _same_bits(ref[:, 0], want)
 

@@ -299,5 +299,13 @@ class TestParsePropagator:
         assert isinstance(parse_propagator("exact", ivp, sine_model), ExactLinearPropagator)
 
     def test_unknown(self, sine_model):
-        with pytest.raises(ValueError):
-            parse_propagator("rk4", sine_model.ivp(), sine_model)
+        for spec, match in [
+            ("rk4", "unknown propagator"),
+            ("be:substep=50", "unknown key 'substep'"),
+            ("cn:aligned=on", "aligned must be 0 or 1, got 'on'"),
+            ("be:substeps", "expected key=value"),
+            ("be:substeps=2,substeps=3", "given twice"),
+            ("exact:substeps=2", "unknown key 'substeps'"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                parse_propagator(spec, sine_model.ivp(), sine_model)

@@ -335,5 +335,12 @@ class TestParse:
         assert isinstance(sig.a, PwmSingle) and isinstance(sig.b, SineWave)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            parse_signal("sawtooth", period=T)
+        for spec, match in [
+            ("sawtooth", "unknown signal kind"),
+            ("sine3:phse=2", "unknown key 'phse'"),
+            ("pwm", "missing required key 'm'"),
+            ("sine:m=4", "unknown key 'm'"),
+            ("pwm:m", "expected key=value"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                parse_signal(spec, period=T)
