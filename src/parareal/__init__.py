@@ -36,20 +36,16 @@ from .analysis import (
     run_study,
 )
 from .models import (
-    CaratheodoryReport,
     LinearScalarModel,
     SplitIvp,
     UnsupportedSignalError,
-    caratheodory_check,
     exact_linear_propagate,
     exact_trajectory,
     parse_model,
-    perturbation_signals,
     reduced_ivp,
 )
 from .propagators import (
     ExactLinearPropagator,
-    NewtonError,
     NonFiniteStateError,
     Propagator,
     ThetaPropagator,
@@ -71,7 +67,6 @@ from .signals import (
 
 __all__ = [
     "BoundParams",
-    "CaratheodoryReport",
     "Constant",
     "ConvergenceStudy",
     "DefectStudy",
@@ -80,7 +75,6 @@ __all__ = [
     "FixedIterations",
     "InsufficientPointsError",
     "LinearScalarModel",
-    "NewtonError",
     "NonFiniteStateError",
     "OrderFit",
     "OrderProbe",
@@ -101,7 +95,6 @@ __all__ = [
     "UnsupportedSignalError",
     "Zero",
     "best_fit_constant",
-    "caratheodory_check",
     "defect_ode_solution",
     "defect_scaling_study",
     "eval_bound",
@@ -116,7 +109,6 @@ __all__ = [
     "parse_model",
     "parse_propagator",
     "parse_signal",
-    "perturbation_signals",
     "reduced_ivp",
     "reference_trajectory",
     "run_study",

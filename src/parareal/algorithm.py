@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class PararealConfig:
     ``variant`` is "original" (coarse solves the same problem as fine) or
     "reduced" (coarse solves the smoothed-input problem).  Either way the
     coarse propagator's IVP must be the fine IVP with at most its input
-    signals replaced, which ``validate`` checks; "original" also requires the
-    same input signals.
+    signal replaced, which ``validate`` checks; "original" also requires the
+    same input signal.
 
     ``reference`` is "exact" (errors are measured against the fine problem's
     exact solution, see ``reference_trajectory``) or "none" (no errors).
@@ -89,11 +89,9 @@ class PararealConfig:
 
     def validate(self) -> None:
         fi, ci = self.fine.ivp, self.coarse.ivp
-        if (fi.dim, fi.t_end, fi.channels) != (ci.dim, ci.t_end, ci.channels) or not all(
-            np.array_equal(getattr(fi, a), getattr(ci, a)) for a in ("u0", "injection", "smooth_matrix")
-        ):
+        if replace(ci, signal=fi.signal) != fi:
             raise ValueError("fine and coarse propagators integrate different problems")
-        if self.variant == "original" and ci.input_signals != fi.input_signals:
+        if self.variant == "original" and ci != fi:
             raise ValueError("variant 'original' requires identical inputs for fine and coarse")
 
     @property
@@ -157,7 +155,7 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
     """Sequential coarse sweep from u0: ``U[0][n] = G(T_n, T_{n-1}, U[0][n-1])``."""
     times = cfg.times
     ivp = cfg.fine.ivp
-    guess = np.empty((cfg.n_intervals + 1, ivp.dim))
+    guess = np.empty((cfg.n_intervals + 1, 1))
     guess[0] = ivp.u0
     for n in range(1, cfg.n_intervals + 1):
         try:
@@ -172,11 +170,10 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
 def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
     """The fine problem's exact solution at the sync points, or None without a reference.
 
-    Every scalar linear problem with decay rate ``a > 0`` and one input
-    channel, whatever its fine propagator, is solved in closed form
-    (``closed_form_trajectory``).  Where no closed form exists (vector or
-    nonlinear problems, ``a <= 0``, an input segment that is neither constant
-    nor sinusoidal) the fine propagator with 10x the substeps stands in.
+    Every problem with decay rate ``a > 0``, whatever its fine propagator, is
+    solved in closed form (``closed_form_trajectory``).  Where no closed form
+    exists (``a <= 0``, an input segment that is neither constant nor
+    sinusoidal) the fine propagator with 10x the substeps stands in.
     """
     if cfg.reference == "none":
         return None
@@ -195,7 +192,7 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
         )
     else:
         refined = fine
-    out = np.empty((len(times), ivp.dim))
+    out = np.empty((len(times), 1))
     out[0] = ivp.u0
     for n in range(1, len(times)):
         out[n] = refined.propagate(times[n - 1], times[n], out[n - 1])

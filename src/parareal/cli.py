@@ -24,7 +24,7 @@ from . import __version__
 from .algorithm import FixedIterations, PararealConfig, Termination, iterate, make_config
 from .analysis import BoundParams, StudySpec, eval_bound, run_study
 from .models import exact_trajectory, parse_model
-from .propagators import NewtonError, NonFiniteStateError
+from .propagators import NonFiniteStateError
 from .signals import parse_signal
 from .svgplot import log_log_svg
 
@@ -55,6 +55,7 @@ class UsageError(ValueError):
 
 
 def _read_config(path: str | None) -> dict:
+    """``key=value`` lines; a key that no subcommand has a flag for is a usage error."""
     if not path:
         return {}
     out = {}
@@ -66,7 +67,10 @@ def _read_config(path: str | None) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in HARD_DEFAULTS:
+                raise UsageError(f"unknown config key {key!r} in {path}")
+            out[key] = val.strip()
     return out
 
 
@@ -411,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NewtonError, NonFiniteStateError, FloatingPointError) as exc:
+    except (NonFiniteStateError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

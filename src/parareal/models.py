@@ -1,114 +1,50 @@
-"""Initial value problems with a smooth state part plus a pure-time input.
+"""The scalar linear initial value problem ``u' = -decay * u + gain * w(t)``.
 
-The right-hand side is split as ``u' = f_smooth(t, u) + B @ input(t)`` where
-the input may be discontinuous.  The scalar linear model (an RL circuit driven
-by a current source) admits an exact per-segment solution which serves as the
-fine propagator and as the reference in every convergence experiment.
+The input ``w`` is a pure-time signal that may be discontinuous (PWM).  The
+model, an RL circuit driven by a current source, admits an exact per-segment
+solution which serves as the fine propagator and as the reference in every
+convergence experiment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .signals import Difference, SegmentForm, Side, Signal, parse_kv, parse_signal
+from .signals import SegmentForm, Signal, parse_kv, parse_signal
 
 
 class UnsupportedSignalError(ValueError):
     """Raised when the exact solver meets a segment with no closed form."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SplitIvp:
-    """IVP ``u' = f_smooth(t, u) + B @ w(t)``, ``u(0) = u0`` on ``(0, t_end]``.
+    """IVP ``u' = -decay * u + gain * signal(t)``, ``u(0) = u0`` on ``(0, t_end]``.
 
-    Parameters
-    ----------
-    dim : int
-        State dimension.
-    smooth_rhs : callable ``(t, u) -> array``
-        The smooth part, Lipschitz in ``u`` with constant ``lipschitz`` and
-        bounded by ``smooth_bound`` on the admissible state box.
-    input_signals : tuple of Signal
-        One signal per input channel.
-    injection : array, shape (dim, channels)
-        Constant matrix mapping input channels into the state equation.
-    u0 : array, shape (dim,)
-    t_end : float
-    smooth_matrix : array or None
-        When the smooth part is ``A @ u``, the matrix ``A``; enables the
-        closed-form implicit solve in the theta stepper.
-    smooth_jac : callable or None
-        Jacobian of the smooth part for Newton on nonlinear problems.
+    A record of floats and one input signal: the linear state part is split
+    from the pure-time input, which may be discontinuous.  It compares, hashes
+    and pickles by value.
     """
 
-    dim: int
-    smooth_rhs: Callable[[float, np.ndarray], np.ndarray]
-    input_signals: tuple[Signal, ...]
-    injection: np.ndarray
-    u0: np.ndarray
+    decay: float
+    gain: float
+    signal: Signal
+    u0: float
     t_end: float
-    lipschitz: float = 0.0
-    smooth_bound: float = 0.0
-    smooth_matrix: np.ndarray | None = None
-    smooth_jac: Callable[[float, np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.lipschitz < 0 or self.smooth_bound < 0:
-            raise ValueError("lipschitz and smooth_bound must be nonnegative")
-        object.__setattr__(self, "u0", np.atleast_1d(np.asarray(self.u0, dtype=float)))
-        object.__setattr__(self, "injection", np.atleast_2d(np.asarray(self.injection, dtype=float)))
-        if self.injection.shape != (self.dim, len(self.input_signals)):
-            raise ValueError(
-                f"injection shape {self.injection.shape} does not match "
-                f"(dim={self.dim}, channels={len(self.input_signals)})"
-            )
-
-    @property
-    def channels(self) -> int:
-        return len(self.input_signals)
-
-    def input_vector(self, t: float, side: Side = Side.POINTWISE) -> np.ndarray:
-        return np.array([sig.value(t, side) for sig in self.input_signals])
-
-    def rhs(self, t: float, u: np.ndarray, side: Side = Side.POINTWISE) -> np.ndarray:
-        return self.smooth_rhs(t, u) + self.injection @ self.input_vector(t, side)
-
-    def input_switching_times(self, t0: float, t1: float) -> np.ndarray:
-        """Union of the channels' switching instants in ``(t0, t1)``."""
-        times = np.concatenate([sig.switching_times(t0, t1) for sig in self.input_signals])
-        if times.size == 0:
-            return times
-        times = np.sort(times)
-        keep = np.concatenate([[True], np.diff(times) > 1e-13 * max(t1 - t0, 1e-300)])
-        return times[keep]
-
-    def input_bound(self) -> float:
-        """Sup-norm bound of ``B @ w(t)`` over the horizon."""
-        sig_bounds = np.array([sig.bound() for sig in self.input_signals])
-        return float(np.max(np.abs(self.injection) @ sig_bounds))
 
 
-def reduced_ivp(ivp: SplitIvp, reduced_input: Signal | tuple[Signal, ...]) -> SplitIvp:
+def reduced_ivp(ivp: SplitIvp, reduced_input: Signal) -> SplitIvp:
     """Copy of the IVP with the input replaced by a smooth surrogate.
 
-    The smooth part, initial value and horizon are unchanged; the implied
-    perturbation is the channel-wise difference of original and surrogate.
+    The decay rate, gain, initial value and horizon are unchanged; the implied
+    perturbation is ``Difference(ivp.signal, reduced_input)``.
     """
-    signals = (reduced_input,) if isinstance(reduced_input, Signal) else tuple(reduced_input)
-    if len(signals) != ivp.channels:
-        raise ValueError(f"expected {ivp.channels} reduced channels, got {len(signals)}")
-    return replace(ivp, input_signals=signals)
-
-
-def perturbation_signals(ivp: SplitIvp, reduced: SplitIvp) -> tuple[Difference, ...]:
-    """Channel-wise difference between the full and the reduced input."""
-    if ivp.channels != reduced.channels:
-        raise ValueError("channel count mismatch")
-    return tuple(Difference(a, b) for a, b in zip(ivp.input_signals, reduced.input_signals))
+    if not isinstance(reduced_input, Signal):
+        raise ValueError(f"expected one reduced input signal, got {reduced_input!r}")
+    return replace(ivp, signal=reduced_input)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +63,6 @@ class LinearScalarModel:
     L_ind: float
     signal: Signal
     u0: float = 0.0
-    state_halfwidth: float = 1.0
 
     def __post_init__(self):
         if not (self.R_res > 0 and self.L_ind > 0):
@@ -142,26 +77,7 @@ class LinearScalarModel:
         return self.signal.period
 
     def ivp(self) -> SplitIvp:
-        a = self.decay_rate
-
-        def smooth(t, u):
-            return -a * u
-
-        def jac(t, u):
-            return np.array([[-a]])
-
-        return SplitIvp(
-            dim=1,
-            smooth_rhs=smooth,
-            input_signals=(self.signal,),
-            injection=np.array([[self.R_res]]),
-            u0=np.array([self.u0]),
-            t_end=self.t_end,
-            lipschitz=a,
-            smooth_bound=a * self.state_halfwidth,
-            smooth_matrix=np.array([[-a]]),
-            smooth_jac=jac,
-        )
+        return SplitIvp(decay=self.decay_rate, gain=self.R_res, signal=self.signal, u0=self.u0, t_end=self.t_end)
 
     def with_signal(self, signal: Signal) -> "LinearScalarModel":
         return replace(self, signal=signal)
@@ -225,104 +141,20 @@ def exact_trajectory(model: LinearScalarModel, times: np.ndarray, phi0: float | 
 
 
 def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | None:
-    """Exact solution of a scalar linear IVP at ``times`` (from ``times[0]``), or None.
+    """Exact solution of the IVP at ``times`` (from ``times[0]``), or None.
 
-    The closed form exists for ``u' = -a u + gain * w(t)`` with one input
-    channel and decay rate ``a = -smooth_matrix[0, 0] > 0``, the domain of
-    ``LinearScalarModel``; for its ``ivp()`` this equals ``exact_trajectory``
-    bitwise.  Other problems, and inputs with a segment that is neither
-    constant nor sinusoidal, return None.
+    The closed form needs a decay rate ``ivp.decay > 0``; for a model's
+    ``ivp()`` this equals ``exact_trajectory`` bitwise.  A zero or negative
+    decay rate, or an input with a segment that is neither constant nor
+    sinusoidal, returns None.
     """
-    if ivp.dim != 1 or ivp.channels != 1 or ivp.smooth_matrix is None:
-        return None
-    a = -float(ivp.smooth_matrix[0, 0])
+    a = ivp.decay
     if not a > 0.0:
         return None
-    gain = float(ivp.injection[0, 0])
     try:
-        return _closed_form_trajectory(a, gain, ivp.input_signals[0], times, float(ivp.u0[0]))
+        return _closed_form_trajectory(a, ivp.gain, ivp.signal, times, float(ivp.u0))
     except UnsupportedSignalError:
         return None
-
-
-# ---------------------------------------------------------------------------
-# admissibility probe
-
-
-@dataclass
-class CaratheodoryReport:
-    """Numerical probe of the solvability conditions for a split IVP."""
-
-    continuity_in_u: bool
-    measurable_in_t: bool
-    dominated: bool
-    lipschitz_estimate: float
-    lipschitz_ok: bool
-    domination_bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.continuity_in_u and self.measurable_in_t and self.dominated and self.lipschitz_ok
-
-
-def caratheodory_check(ivp: SplitIvp, sample_count: int = 1000, seed: int = 0) -> CaratheodoryReport:
-    """Probe continuity in u, finiteness in t, domination and the Lipschitz bound.
-
-    The sampled Lipschitz quotient must not exceed ``1.05 * ivp.lipschitz``;
-    exceeding it is reported as a failure, not raised.
-    """
-    if sample_count < 100:
-        raise ValueError("sample_count must be >= 100")
-    rng = np.random.default_rng(seed)
-    box = max(1e-30, np.max(np.abs(ivp.u0)) + 1.0)
-    horizon = ivp.t_end if math.isfinite(ivp.t_end) else 1.0
-
-    ts = rng.uniform(0.0, horizon, sample_count)
-    us = rng.uniform(-box, box, (sample_count, ivp.dim))
-    vs = rng.uniform(-box, box, (sample_count, ivp.dim))
-
-    # measurability probe: the rhs evaluates finitely along random times
-    measurable = all(np.all(np.isfinite(ivp.rhs(t, u))) for t, u in zip(ts[:200], us[:200]))
-
-    # domination: max sampled ||f(t, u)|| against declared smooth + input bounds
-    max_norm = 0.0
-    for t, u in zip(ts, us):
-        max_norm = max(max_norm, float(np.max(np.abs(ivp.rhs(t, u)))))
-    declared = ivp.smooth_bound * box + ivp.input_bound()
-    dominated = math.isfinite(max_norm) and max_norm <= declared * 1.05 + 1e-12
-
-    # continuity in u: shrinking perturbations yield shrinking increments
-    continuity = True
-    for t, u in zip(ts[:50], us[:50]):
-        base = ivp.smooth_rhs(t, u)
-        prev = math.inf
-        for delta in (1e-2, 1e-4, 1e-6):
-            d = rng.uniform(-1.0, 1.0, ivp.dim)
-            d *= delta / max(np.max(np.abs(d)), 1e-300)
-            inc = float(np.max(np.abs(ivp.smooth_rhs(t, u + d) - base)))
-            if inc > prev * 1.5 + 1e-12:
-                continuity = False
-            prev = inc
-        if prev > 1e-4 * (1.0 + float(np.max(np.abs(base)))):
-            continuity = False
-
-    # Lipschitz estimate from difference quotients of the smooth part
-    lip = 0.0
-    for t, u, v in zip(ts, us, vs):
-        du = float(np.max(np.abs(u - v)))
-        if du < 1e-12:
-            continue
-        df = float(np.max(np.abs(ivp.smooth_rhs(t, u) - ivp.smooth_rhs(t, v))))
-        lip = max(lip, df / du)
-
-    return CaratheodoryReport(
-        continuity_in_u=continuity,
-        measurable_in_t=measurable,
-        dominated=dominated,
-        lipschitz_estimate=lip,
-        lipschitz_ok=lip <= 1.05 * ivp.lipschitz + 1e-300,
-        domination_bound=max_norm,
-    )
 
 
 def parse_model(spec: str, default_period: float = 0.02) -> LinearScalarModel:

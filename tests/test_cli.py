@@ -224,3 +224,12 @@ class TestConfigFile:
         # N came from the config file: sync points 0..6 per recorded iterate
         ns = {int(ln.split(",")[1]) for ln in data}
         assert max(ns) == 6
+
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("Nn=6\nthreads=1\n")
+        out = tmp_path / "o.csv"
+        code = main(["--config", str(cfg), "run", "--k", "1", "--out", str(out)])
+        assert code == 1
+        assert "unknown config key 'Nn'" in capsys.readouterr().err
+        assert not out.exists()

@@ -10,16 +10,13 @@ from parareal import (
     LinearScalarModel,
     PwmSingle,
     SineWave,
-    SplitIvp,
     StepWave,
     ThreePhaseSine,
     UnsupportedSignalError,
     Zero,
-    caratheodory_check,
     exact_linear_propagate,
     exact_trajectory,
     parse_model,
-    perturbation_signals,
     reduced_ivp,
 )
 
@@ -117,71 +114,24 @@ class TestReducedIvp:
     def test_replaces_input_only(self, pwm400_model, sine_signal):
         ivp = pwm400_model.ivp()
         red = reduced_ivp(ivp, sine_signal)
-        assert red.input_signals == (sine_signal,)
+        assert red.signal == sine_signal
         assert red.u0 == ivp.u0 and red.t_end == ivp.t_end
-        assert red.lipschitz == ivp.lipschitz
+        assert red.decay == ivp.decay
 
     def test_step_surrogate(self, pwm400_model, step_signal):
         red = reduced_ivp(pwm400_model.ivp(), step_signal)
-        assert isinstance(red.input_signals[0], StepWave)
+        assert isinstance(red.signal, StepWave)
 
     def test_identity_reduction_gives_zero_perturbation(self, pwm400_model):
         ivp = pwm400_model.ivp()
-        red = reduced_ivp(ivp, ivp.input_signals[0])
-        (pert,) = perturbation_signals(ivp, red)
+        red = reduced_ivp(ivp, ivp.signal)
+        pert = Difference(ivp.signal, red.signal)
         ts = np.linspace(0.0, T, 20001)
         assert np.all(pert.values(ts) == 0.0)
 
     def test_channel_mismatch(self, pwm400_model):
         with pytest.raises(ValueError):
             reduced_ivp(pwm400_model.ivp(), (SineWave(T), SineWave(T)))
-
-
-class TestCaratheodory:
-    def test_rl_lipschitz_estimate(self, pwm400_model):
-        report = caratheodory_check(pwm400_model.ivp(), sample_count=2000, seed=1)
-        assert report.lipschitz_estimate == pytest.approx(A_RATE, abs=1e-9)
-        assert report.passed
-
-    def test_zero_problem_dominated_with_zero_bound(self):
-        ivp = SplitIvp(
-            dim=1,
-            smooth_rhs=lambda t, u: np.zeros(1),
-            input_signals=(Zero(period=T),),
-            injection=np.array([[1.0]]),
-            u0=np.zeros(1),
-            t_end=T,
-            lipschitz=0.0,
-            smooth_bound=0.0,
-        )
-        report = caratheodory_check(ivp, sample_count=500, seed=2)
-        assert report.dominated
-        assert report.domination_bound == 0.0
-
-    def test_wrong_declared_lipschitz_reports_failure(self):
-        sig = PwmSingle(m=400, period=T)
-        a = A_RATE
-
-        def smooth(t, u):
-            return -a * u
-
-        ivp = SplitIvp(
-            dim=1,
-            smooth_rhs=smooth,
-            input_signals=(sig,),
-            injection=np.array([[0.01]]),
-            u0=np.zeros(1),
-            t_end=T,
-            lipschitz=1.0,  # wrong on purpose: true constant is 10
-            smooth_bound=a,
-        )
-        report = caratheodory_check(ivp, sample_count=500, seed=3)
-        assert not report.lipschitz_ok
-        assert not report.passed
-
-    def test_sample_count_precondition(self, pwm400_model):
-        with pytest.raises(ValueError):
-            caratheodory_check(pwm400_model.ivp(), sample_count=10)
 
 
 class TestParseModel:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,21 +294,33 @@ class TestReferenceTrajectory:
 
     def test_zero_decay_rate_falls_back(self):
         # a = 0 has no decaying closed form (the segment step divides by a)
-        ivp = SplitIvp(
-            dim=1, smooth_rhs=lambda t, u: 0.0 * u, input_signals=(PwmSingle(m=400, period=T),),
-            injection=np.array([[0.01]]), u0=np.array([0.0]), t_end=T,
-            smooth_matrix=np.array([[0.0]]),
-        )
+        ivp = SplitIvp(decay=-0.0, gain=0.01, signal=PwmSingle(m=400, period=T), u0=0.0, t_end=T)
         self._assert_falls_back(ThetaPropagator(ivp, theta=0.5, substeps=7, discontinuity_aligned=True))
 
     def test_input_without_closed_form_falls_back(self):
         model = _model("diff:sine-sine3:phase=2")
         self._assert_falls_back(parse_propagator("cn:substeps=7,aligned=1", model.ivp(), model))
 
-    def test_nonlinear_problem_falls_back(self):
-        ivp = SplitIvp(
-            dim=1, smooth_rhs=lambda t, u: -10.0 * u - u**3, input_signals=(PwmSingle(m=10, period=T),),
-            injection=np.array([[0.01]]), u0=np.array([0.0]), t_end=T,
-            smooth_jac=lambda t, u: np.array([[-10.0 - 3.0 * u[0] ** 2]]),
+
+class TestPickling:
+    """Configs and propagators are plain records, so they cross process boundaries."""
+
+    def test_config_round_trip_iterates_bitwise(self):
+        model = _model("pwm:m=400")
+        cfg = make_config(
+            model, 20, fine="cn:substeps=50,aligned=1", reduced_input=SineWave(T), termination=FixedIterations(2)
         )
-        self._assert_falls_back(ThetaPropagator(ivp, theta=1.0, substeps=2))
+        clone = pickle.loads(pickle.dumps(cfg))
+        want, got = iterate(cfg), iterate(clone)
+        assert len(got.iterates) == len(want.iterates) == 3
+        for a, b in zip(want.iterates, got.iterates):
+            assert _same_bits(a, b)
+
+    def test_propagators_round_trip(self, pwm10_model):
+        for prop in (
+            ThetaPropagator(pwm10_model.ivp(), theta=0.5, substeps=7, discontinuity_aligned=True),
+            ExactLinearPropagator(pwm10_model),
+        ):
+            clone = pickle.loads(pickle.dumps(prop))
+            assert type(clone) is type(prop) and clone.ivp == prop.ivp
+            assert _same_bits(clone.propagate(0.001, 0.013, 0.25), prop.propagate(0.001, 0.013, 0.25))
