@@ -11,6 +11,11 @@ where F is the fine and G the coarse propagator; in the reduced variant G
 integrates the smoothed-input problem while F keeps the original input.  The
 N fine propagations of an iteration are independent and may run concurrently;
 the corrected coarse sweep is sequential.
+
+A run keeps its states as Python floats.  It plans the intervals of the
+propagators that evaluate each interval more than once (the coarse one, and an
+exact fine one, whose plans the reference reuses) and drops the plans when it
+returns; a theta fine propagator stays cold.
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import LinearScalarModel, closed_form_trajectory, reduced_ivp
-from .propagators import NonFiniteStateError, Propagator, ThetaPropagator, parse_propagator
+from .propagators import (
+    ExactLinearPropagator,
+    NonFiniteStateError,
+    Propagator,
+    ThetaPropagator,
+    parse_propagator,
+    planned,
+    scalar_state,
+)
 from .signals import Signal
 
 
@@ -107,9 +120,15 @@ class PararealConfig:
 
 
 def jump_norm(u: np.ndarray, v: np.ndarray, atol: float, rtol: float) -> float:
-    """Mixed-tolerance distance: ``sqrt(mean_i (|u_i-v_i| / (atol+rtol*|v_i|))^2)``."""
+    """Mixed-tolerance distance: ``sqrt(mean_i (|u_i-v_i| / (atol+rtol*|v_i|))^2)``.
+
+    Two floats take a float path, bitwise equal to the mean of one element.
+    """
     if atol <= 0 or rtol < 0:
         raise ValueError("need atol > 0 and rtol >= 0")
+    if isinstance(u, float) and isinstance(v, float):
+        scaled = abs(u - v) / (atol + rtol * abs(v))
+        return math.sqrt(scaled * scaled)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     scaled = np.abs(u - v) / (atol + rtol * np.abs(v))
@@ -153,34 +172,39 @@ class PararealRun:
 
 def initial_guess(cfg: PararealConfig) -> np.ndarray:
     """Sequential coarse sweep from u0: ``U[0][n] = G(T_n, T_{n-1}, U[0][n-1])``."""
-    times = cfg.times
-    ivp = cfg.fine.ivp
-    guess = np.empty((cfg.n_intervals + 1, 1))
-    guess[0] = ivp.u0
+    times = cfg.times.tolist()
+    u = float(cfg.fine.ivp.u0)
+    guess = [u]
     for n in range(1, cfg.n_intervals + 1):
         try:
-            guess[n] = cfg.coarse.propagate(times[n - 1], times[n], guess[n - 1])
+            u = scalar_state(cfg.coarse.propagate(times[n - 1], times[n], u))
         except Exception as exc:
-            raise type(exc)(f"coarse guess failed on interval {n}: {exc}") from exc
-        if not np.all(np.isfinite(guess[n])):
-            raise NonFiniteStateError(f"non-finite initial guess at interval {n}")
-    return guess
+            relabelled = type(exc)(f"coarse guess failed on interval {n}: {exc}")
+            if isinstance(exc, NonFiniteStateError):
+                relabelled.k, relabelled.n = 0, n
+            raise relabelled from exc
+        if not math.isfinite(u):
+            raise NonFiniteStateError(f"non-finite initial guess at interval {n}", k=0, n=n)
+        guess.append(u)
+    return np.array(guess)[:, None]
 
 
 def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
     """The fine problem's exact solution at the sync points, or None without a reference.
 
     Every problem with decay rate ``a > 0``, whatever its fine propagator, is
-    solved in closed form (``closed_form_trajectory``).  Where no closed form
-    exists (``a <= 0``, an input segment that is neither constant nor
-    sinusoidal) the fine propagator with 10x the substeps stands in.
+    solved in closed form (``closed_form_trajectory``), chaining an exact fine
+    propagator's interval plans where the run has built them.  Where no
+    closed form exists (``a <= 0``, an input segment that is neither constant
+    nor sinusoidal) the fine propagator with 10x the substeps stands in.
     """
     if cfg.reference == "none":
         return None
     times = cfg.times
     fine = cfg.fine
     ivp = fine.ivp
-    exact = closed_form_trajectory(ivp, times)
+    plans = fine.model._plans if isinstance(fine, ExactLinearPropagator) else None
+    exact = closed_form_trajectory(ivp, times, plans)
     if exact is not None:
         return exact[:, None]
     if isinstance(fine, ThetaPropagator):
@@ -199,79 +223,93 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
     return out
 
 
-def _fine_sweep(cfg: PararealConfig, iterate: np.ndarray, executor: Executor | None) -> np.ndarray:
-    """All N fine propagations of one iteration; results gathered in index order."""
-    times = cfg.times
-    N = cfg.n_intervals
+def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float], executor: Executor | None) -> list[float]:
+    """All N fine propagations of one iteration, as floats in index order; entry 0 is u0."""
+    fine = cfg.fine
 
-    def one(n: int) -> np.ndarray:
-        return cfg.fine.propagate(times[n - 1], times[n], iterate[n - 1])
+    def one(n: int) -> float:
+        return scalar_state(fine.propagate(times[n - 1], times[n], state[n - 1]))
 
-    arrivals = np.empty_like(iterate)
-    arrivals[0] = cfg.fine.ivp.u0
-    if executor is None:
-        results = [one(n) for n in range(1, N + 1)]
-    else:
-        results = list(executor.map(one, range(1, N + 1)))
-    for n, value in enumerate(results, start=1):
-        arrivals[n] = value
-    return arrivals
+    indices = range(1, cfg.n_intervals + 1)
+    results = [one(n) for n in indices] if executor is None else list(executor.map(one, indices))
+    return [state[0]] + results
+
+
+def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
+    """The propagators worth planning: each evaluates every interval more than once per run.
+
+    The coarse one runs 2k+1 times per interval.  An exact fine one runs k
+    times plus once in the reference.  A theta fine one stays cold: it is
+    the costly kind, which converges after a sweep or two, so a plan would be
+    built for one use.
+    """
+    props = [cfg.coarse]
+    if isinstance(cfg.fine, ExactLinearPropagator) and (cfg.max_iterations > 1 or cfg.reference == "exact"):
+        props.append(cfg.fine)
+    return props
 
 
 def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRun:
     """Run the iteration until the jump criterion or the iteration cap.
 
     Raises ``NonFiniteStateError`` (annotated with the offending iteration and
-    interval) if a state stops being finite.
+    interval, also as its ``k`` and ``n``) if a state stops being finite.
+
+    The states are Python floats throughout; the state-independent work of
+    each interval is done once per run (``propagators.planned``) and dropped
+    on return.
     """
     times = cfg.times
+    ts = times.tolist()
     N = cfg.n_intervals
+    coarse = cfg.coarse
     term = cfg.termination
     atol = term.atol
     rtol = term.rtol
     fixed = isinstance(term, FixedIterations)
     threshold = 1.0 if fixed else term.jump_threshold
 
-    guess = initial_guess(cfg)
-    iterates = [guess]
-    arrivals_hist: list[np.ndarray] = []
-    jumps_hist: list[np.ndarray] = []
+    with planned(_planned_propagators(cfg), ts):
+        guess = initial_guess(cfg)
+        iterates = [guess]
+        arrivals_hist: list[np.ndarray] = []
+        jumps_hist: list[np.ndarray] = []
 
-    converged = False
-    k = 0
-    while k < cfg.max_iterations:
-        current = iterates[k]
-        arrivals = _fine_sweep(cfg, current, executor)
-        for n in range(1, N + 1):
-            if not np.all(np.isfinite(arrivals[n])):
-                raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}")
-        jumps = np.zeros(N + 1)
-        for n in range(1, N + 1):
-            jumps[n] = jump_norm(arrivals[n], current[n], atol, rtol)
-        arrivals_hist.append(arrivals)
-        jumps_hist.append(jumps)
+        current = guess[:, 0].tolist()
+        u0 = current[0]
+        converged = False
+        k = 0
+        while k < cfg.max_iterations:
+            arrivals = _fine_sweep(cfg, ts, current, executor)
+            for n in range(1, N + 1):
+                if not math.isfinite(arrivals[n]):
+                    raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}", k=k, n=n)
+            jumps = np.array([0.0] + [jump_norm(arrivals[n], current[n], atol, rtol) for n in range(1, N + 1)])
+            arrivals_hist.append(np.array(arrivals)[:, None])
+            jumps_hist.append(jumps)
 
-        new = np.empty_like(current)
-        new[0] = cfg.fine.ivp.u0
-        for n in range(1, N + 1):
-            g_old = cfg.coarse.propagate(times[n - 1], times[n], current[n - 1])
-            g_new = cfg.coarse.propagate(times[n - 1], times[n], new[n - 1])
-            new[n] = arrivals[n] + g_new - g_old
-            if not np.all(np.isfinite(new[n])):
-                raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}")
-        iterates.append(new)
-        k += 1
-        if not fixed and float(np.max(jumps)) < threshold:
-            converged = True
-            break
+            new = [u0]
+            for n in range(1, N + 1):
+                g_old = scalar_state(coarse.propagate(ts[n - 1], ts[n], current[n - 1]))
+                g_new = scalar_state(coarse.propagate(ts[n - 1], ts[n], new[n - 1]))
+                u = arrivals[n] + g_new - g_old
+                if not math.isfinite(u):
+                    raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}", k=k + 1, n=n)
+                new.append(u)
+            iterates.append(np.array(new)[:, None])
+            current = new
+            k += 1
+            if not fixed and float(np.max(jumps)) < threshold:
+                converged = True
+                break
 
-    if fixed:
-        converged = float(np.max(jumps_hist[-1])) < threshold
+        if fixed:
+            converged = float(np.max(jumps_hist[-1])) < threshold
 
-    errors = None
-    ref = reference_trajectory(cfg)
-    if ref is not None:
-        errors = [np.max(np.abs(it - ref), axis=1) for it in iterates]
+        errors = None
+        ref = reference_trajectory(cfg)
+        if ref is not None:
+            errors = [np.max(np.abs(it - ref), axis=1) for it in iterates]
 
     return PararealRun(
         times=times,

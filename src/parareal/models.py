@@ -3,7 +3,10 @@
 The input ``w`` is a pure-time signal that may be discontinuous (PWM).  The
 model, an RL circuit driven by a current source, admits an exact per-segment
 solution which serves as the fine propagator and as the reference in every
-convergence experiment.
+convergence experiment.  The closed form is split into the segment data of an
+interval (``_segments``, which depends only on the input and the times) and
+its application to a state (``_advance``), so a run can keep the former per
+interval.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ class LinearScalarModel:
     signal: Signal
     u0: float = 0.0
 
+    # interval plans of the exact propagator that owns this instance, set only
+    # while a run is in progress (``propagators.planned``); not a field
+    _plans = None
+
     def __post_init__(self):
         if not (self.R_res > 0 and self.L_ind > 0):
             raise ValueError("R_res and L_ind must be positive")
@@ -83,43 +90,62 @@ class LinearScalarModel:
         return replace(self, signal=signal)
 
 
-def _segment_step(a: float, gain: float, form: SegmentForm, t0: float, t1: float, phi: float) -> float:
-    """Advance ``phi' = -a phi + gain * (c + A sin(w t + p))`` across one segment."""
+def _segment_step(a: float, gain: float, form: SegmentForm, t0: float, t1: float) -> tuple:
+    """State-independent data of ``phi' = -a phi + gain * (c + A sin(w t + p))`` on one segment.
+
+    ``(decay, steady, p0, p1)``; ``p0`` is None for a constant segment.
+    ``_advance`` applies it to a state.
+    """
     dt = t1 - t0
     decay = math.exp(-a * dt)
     steady = gain * form.const / a
     if form.amp == 0.0:
-        return (phi - steady) * decay + steady
+        return decay, steady, None, None
     den = a * a + form.omega * form.omega
 
     def particular(t: float) -> float:
         arg = form.omega * t + form.phase
         return gain * form.amp * (a * math.sin(arg) - form.omega * math.cos(arg)) / den
 
-    return (phi - steady - particular(t0)) * decay + steady + particular(t1)
+    return decay, steady, particular(t0), particular(t1)
 
 
-def _closed_form_propagate(a: float, gain: float, sig: Signal, t0: float, t1: float, phi0: float) -> float:
-    """``phi' = -a phi + gain * sig(t)`` from ``phi0`` at ``t0`` to ``t1``, segment by segment."""
+def _segments(a: float, gain: float, sig: Signal, t0: float, t1: float):
+    """The segment data of ``(t0, t1)``, one ``_segment_step`` per continuity segment, lazily."""
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
     pts = [t0] + [float(s) for s in sig.switching_times(t0, t1)] + [t1]
-    phi = phi0
     for s, e in zip(pts, pts[1:]):
         form = sig.segment_form(s, e)
         if form is None:
             raise UnsupportedSignalError(
                 f"signal {sig!r} has no constant-plus-sinusoid form on ({s}, {e})"
             )
-        phi = _segment_step(a, gain, form, s, e, phi)
+        yield _segment_step(a, gain, form, s, e)
+
+
+def _advance(segments, phi: float) -> float:
+    """Apply segment data to the state; the one place the closed-form recurrence lives."""
+    for decay, steady, p0, p1 in segments:
+        if p0 is None:
+            phi = (phi - steady) * decay + steady
+        else:
+            phi = (phi - steady - p0) * decay + steady + p1
     return phi
 
 
-def _closed_form_trajectory(a: float, gain: float, sig: Signal, times: np.ndarray, phi: float) -> np.ndarray:
-    out = np.empty(len(times))
+def _interval(plans, a: float, gain: float, sig: Signal, t0: float, t1: float):
+    """The segment data of ``(t0, t1)``: its plan if ``plans`` holds one, else set up now."""
+    segments = plans.get((t0, t1)) if plans else None
+    return _segments(a, gain, sig, t0, t1) if segments is None else segments
+
+
+def _closed_form_trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=None) -> np.ndarray:
+    ts = np.asarray(times, dtype=float).tolist()
+    out = np.empty(len(ts))
     out[0] = phi
-    for i in range(1, len(times)):
-        phi = _closed_form_propagate(a, gain, sig, times[i - 1], times[i], phi)
+    for i in range(1, len(ts)):
+        phi = _advance(_interval(plans, a, gain, sig, ts[i - 1], ts[i]), phi)
         out[i] = phi
     return out
 
@@ -129,9 +155,11 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
 
     The input must be piecewise constant or sinusoidal on its continuity
     segments (all shipped signal kinds qualify); the trajectory is composed
-    segment by segment in closed form, accurate to roundoff.
+    segment by segment in closed form, accurate to roundoff.  While a run has
+    planned the model's intervals (``propagators.planned``), a planned
+    interval reuses its segment data; the result is the same bits.
     """
-    return _closed_form_propagate(model.decay_rate, model.R_res, model.signal, t0, t1, phi0)
+    return _advance(_interval(model._plans, model.decay_rate, model.R_res, model.signal, t0, t1), phi0)
 
 
 def exact_trajectory(model: LinearScalarModel, times: np.ndarray, phi0: float | None = None) -> np.ndarray:
@@ -140,19 +168,20 @@ def exact_trajectory(model: LinearScalarModel, times: np.ndarray, phi0: float | 
     return _closed_form_trajectory(model.decay_rate, model.R_res, model.signal, times, phi)
 
 
-def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | None:
+def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray, plans: dict | None = None) -> np.ndarray | None:
     """Exact solution of the IVP at ``times`` (from ``times[0]``), or None.
 
     The closed form needs a decay rate ``ivp.decay > 0``; for a model's
     ``ivp()`` this equals ``exact_trajectory`` bitwise.  A zero or negative
     decay rate, or an input with a segment that is neither constant nor
-    sinusoidal, returns None.
+    sinusoidal, returns None.  ``plans`` are an exact propagator's interval
+    plans of the same problem, reused where an interval of ``times`` has one.
     """
     a = ivp.decay
     if not a > 0.0:
         return None
     try:
-        return _closed_form_trajectory(a, ivp.gain, ivp.signal, times, float(ivp.u0))
+        return _closed_form_trajectory(a, ivp.gain, ivp.signal, times, float(ivp.u0), plans)
     except UnsupportedSignalError:
         return None
 

@@ -4,6 +4,7 @@ rebind could disappear unnoticed; this imports each micro-benchmark and
 installs the perfbench tracer."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,39 @@ def test_perfbench_tracer_installs():
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_RUN = """
+import json
+import tracer
+from parareal import algorithm
+from parareal.algorithm import FixedIterations, make_config
+from parareal.models import parse_model
+
+t = tracer.Tracer()
+tracer.install(t)
+cfg = make_config(parse_model("rl:R=0.01,L=0.001,input=pwm:m=400"), 5, termination=FixedIterations(1))
+t.start()
+algorithm.iterate(cfg)
+spans = t.stop()
+inst = spans.cols["inst"]
+print(json.dumps({
+    "fine": int((spans.mask("propagators.exact") & (inst == id(cfg.fine))).sum()),
+    "coarse": int((spans.mask("propagators.theta") & (inst == id(cfg.coarse))).sum()),
+    "exact_linear_propagate": int(spans.mask("models.exact_linear_propagate").sum()),
+    "jump_norm": int(spans.mask("algorithm.jump_norm").sum()),
+    "segments": spans.counts.get("models.segments", 0),
+}))
+"""
+
+
+def test_perfbench_tracer_sees_every_layer_of_a_run():
+    # the tracer tells fine from coarse by instance and counts the layers below
+    # them, so a run must keep calling them: N*k fine and N + 2*N*k coarse calls
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["fine"] == 5 and counts["coarse"] == 15, counts
+    assert counts["exact_linear_propagate"] >= 1 and counts["jump_norm"] >= 1 and counts["segments"] >= 1, counts

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ from parareal import (
     SplitIvp,
     Termination,
     ThetaPropagator,
+    UnsupportedSignalError,
     exact_trajectory,
     initial_guess,
     iterate,
@@ -52,6 +54,12 @@ class TestJumpNorm:
     def test_nonnegative(self, xs, ys):
         n = min(len(xs), len(ys))
         assert jump_norm(np.array(xs[:n]), np.array(ys[:n]), 1e-6, 1e-6) >= 0.0
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    def test_float_path_equals_one_element_arrays(self, x, y):
+        with np.errstate(over="ignore"):  # both paths square to inf for |x - y| near 1e300
+            want = jump_norm(np.array([x]), np.array([y]), 1.5e-5, 1.5e-5)
+        assert _same_bits(jump_norm(x, y, 1.5e-5, 1.5e-5), want)
 
     def test_tolerance_preconditions(self):
         with pytest.raises(ValueError):
@@ -182,8 +190,30 @@ class TestIterate:
         )
         from parareal import NonFiniteStateError
 
-        with pytest.raises(NonFiniteStateError, match="interval"):
+        with pytest.raises(NonFiniteStateError, match="interval") as info:
             iterate(cfg)
+        # the coarse guess blows up on the interval starting at T/2
+        assert (info.value.k, info.value.n) == (0, 6)
+
+    def test_non_finite_fine_arrival_carries_its_location(self, pwm10_model):
+        class LateExploder(ExactLinearPropagator):
+            # finite in the first sweep, inf on interval 3 of the second
+            def propagate(self, t0, t1, u0):
+                calls.append(t0)
+                if len(calls) > 10 and t0 == 0.004:
+                    return np.array([math.inf])
+                return super().propagate(t0, t1, u0)
+
+        from parareal import NonFiniteStateError
+
+        calls = []
+        cfg = PararealConfig(
+            n_intervals=10, fine=LateExploder(pwm10_model), coarse=ThetaPropagator(pwm10_model.ivp()),
+            termination=FixedIterations(3), variant="original",
+        )
+        with pytest.raises(NonFiniteStateError, match="fine arrival at iteration 1, interval 3") as info:
+            iterate(cfg)
+        assert (info.value.k, info.value.n) == (1, 3)
 
 
 class TestScriptedUpdateOracle:
@@ -215,6 +245,96 @@ class TestScriptedUpdateOracle:
 
         np.testing.assert_array_equal(run.iterates[k_iters], np.vstack(state))
         np.testing.assert_array_equal(run.iterates[0], np.vstack(guess))
+
+
+def _cold_script(cfg, k_iters):
+    """Iterates, fine arrivals and jumps of ``cfg``'s update, one public call at a time."""
+    fine, coarse, times = cfg.fine, cfg.coarse, cfg.times
+    N = cfg.n_intervals
+    term = cfg.termination
+    u0 = np.array([fine.ivp.u0])
+    state = [u0]
+    for n in range(1, N + 1):
+        state.append(coarse.propagate(times[n - 1], times[n], state[n - 1]))
+    iterates, arrivals_hist, jumps_hist = [np.vstack(state)], [], []
+    for _ in range(k_iters):
+        arrivals = [u0] + [fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)]
+        jumps = [0.0] + [jump_norm(arrivals[n], state[n], term.atol, term.rtol) for n in range(1, N + 1)]
+        new = [u0]
+        for n in range(1, N + 1):
+            g_old = coarse.propagate(times[n - 1], times[n], state[n - 1])
+            g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
+            new.append(arrivals[n] + g_new - g_old)
+        state = new
+        iterates.append(np.vstack(state))
+        arrivals_hist.append(np.vstack(arrivals))
+        jumps_hist.append(np.array(jumps))
+    return iterates, arrivals_hist, jumps_hist
+
+
+class TestPlannedRunOracle:
+    """A run, with its per-run plans and float states, equals a script of cold
+    calls on fresh propagators that never went through ``iterate``."""
+
+    @pytest.mark.parametrize("fine", ["exact", "cn:substeps=7,aligned=1"])
+    @pytest.mark.parametrize("coarse", ["be", "cn"])
+    @pytest.mark.parametrize("reduced", [None, "sine"])
+    def test_iterate_matches_cold_script_bitwise(self, pwm400_model, fine, coarse, reduced):
+        N, k_iters = 13, 2
+
+        def config():
+            red = None if reduced is None else parse_signal(reduced, period=T)
+            return make_config(
+                pwm400_model, N, fine=fine, coarse=coarse, reduced_input=red, termination=FixedIterations(k_iters)
+            )
+
+        cfg = config()
+        run = iterate(cfg)
+        assert cfg.coarse._plans is None and getattr(cfg.fine, "model", cfg.fine)._plans is None
+        iterates, arrivals, jumps = _cold_script(config(), k_iters)
+        for got, want in ((run.iterates, iterates), (run.fine_arrivals, arrivals), (run.jumps, jumps)):
+            assert len(got) == len(want)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("fine", ["exact", "cn:substeps=7,aligned=1"])
+    def test_errors_are_measured_against_exact_trajectory(self, pwm400_model, fine):
+        cfg = make_config(pwm400_model, 20, fine=fine, reduced_input=SineWave(T), termination=FixedIterations(2))
+        run = iterate(cfg)
+        ref = exact_trajectory(pwm400_model, cfg.times)[:, None]
+        want = [np.max(np.abs(it - ref), axis=1) for it in run.iterates]
+        assert all(_same_bits(a, b) for a, b in zip(run.errors_vs_reference, want))
+
+    def test_concurrent_runs_sharing_propagators(self, pwm400_model):
+        # runs on two grids race to plan the same instances; a run that finds
+        # another's plans, or loses its own, runs cold with the same bits
+        def run(n, fine, coarse):
+            cfg = PararealConfig(n_intervals=n, fine=fine, coarse=coarse, termination=FixedIterations(2))
+            return iterate(cfg).iterates[2]
+
+        def fresh():
+            return ExactLinearPropagator(pwm400_model.with_signal(pwm400_model.signal)), ThetaPropagator(
+                pwm400_model.ivp(), theta=0.5
+            )
+
+        fine, coarse = fresh()
+        grids = [7, 13] * 4
+        want = {n: run(n, *fresh()) for n in set(grids)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda n: run(n, fine, coarse), grids, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(_same_bits(g, want[n]) for g, n in zip(got, grids))
+        assert coarse._plans is None and fine.model._plans is None
+
+    def test_plans_are_dropped_when_a_run_fails(self):
+        model = _model("diff:sine-sine3:phase=2")
+        cfg = make_config(model, 5, termination=FixedIterations(1))
+        with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+            iterate(cfg)
+        assert cfg.coarse._plans is None and cfg.fine.model._plans is None
 
 
 class TestConfigValidation:

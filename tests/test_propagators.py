@@ -11,12 +11,14 @@ from parareal import (
     Side,
     SplitIvp,
     ThetaPropagator,
+    UnsupportedSignalError,
     Zero,
     exact_linear_propagate,
     local_order_probe,
     parse_propagator,
     parse_signal,
 )
+from parareal.propagators import planned
 
 T = 0.02
 A_RATE = 10.0
@@ -57,6 +59,15 @@ class TestThetaStep:
                 gu = prop.propagate(0.004, 0.006, np.array([u]))
                 gv = prop.propagate(0.004, 0.006, np.array([v]))
                 assert abs(gu[0] - gv[0]) <= abs(u - v)
+
+    def test_state_must_be_scalar(self, sine_model):
+        # a float or a one-element array is a state; more elements are a caller's mistake
+        for prop in (ThetaPropagator(sine_model.ivp()), ExactLinearPropagator(sine_model)):
+            want = prop.propagate(0.0, 0.001, 1.0)
+            assert np.array_equal(prop.propagate(0.0, 0.001, np.array([1.0])), want)
+            assert np.array_equal(prop.propagate(0.0, 0.001, np.array([[1.0]])), want)
+            with pytest.raises(ValueError, match="scalar state"):
+                prop.propagate(0.0, 0.001, np.array([1.0, 2.0]))
 
     def test_degenerate_interval_rejected(self, sine_ivp):
         be = ThetaPropagator(sine_ivp, theta=1.0)
@@ -180,6 +191,68 @@ class TestScalarSweepReference:
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = prop.propagate(0.0, T, ivp.u0)
             assert got.tobytes() == reference_sweep(prop, 0.0, T, ivp.u0).tobytes()
+
+
+PLAN_INPUTS = ["pwm:m=400", "pwm3:m=400", "step", "sine", "diff:pwm:m=400-sine", "const:v=1"]
+
+
+def _chain(prop, times, u=0.25):
+    out = [np.array([u])]
+    for t0, t1 in zip(times, times[1:]):
+        out.append(prop.propagate(t0, t1, out[-1]))
+    return np.vstack(out)
+
+
+class TestPlannedPropagate:
+    """A planned ``propagate`` equals the cold call of a fresh propagator bitwise."""
+
+    @staticmethod
+    def _assert_planned_equals_cold(make, times):
+        warm, cold = make(), make()
+        with planned([warm], times):
+            holder = warm.model if isinstance(warm, ExactLinearPropagator) else warm
+            assert len(holder._plans) == len(times) - 1  # every interval is served by its plan
+            got = _chain(warm, times)
+        assert holder._plans is None
+        want = _chain(cold, times)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", PLAN_INPUTS)
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_theta(self, spec, theta):
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T)).ivp()
+        for substeps in (1, 7):
+            for aligned in (False, True):
+                for n_int in (13, 20):
+                    times = [n * T / n_int for n in range(n_int + 1)]
+                    self._assert_planned_equals_cold(
+                        lambda: ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=aligned),
+                        times,
+                    )
+
+    @pytest.mark.parametrize("spec", PLAN_INPUTS)
+    def test_exact(self, spec):
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+        for n_int in (13, 20):
+            times = [n * T / n_int for n in range(n_int + 1)]
+            self._assert_planned_equals_cold(lambda: parse_propagator("exact", model.ivp(), model), times)
+
+    def test_failed_set_up_leaves_the_interval_unplanned(self):
+        # diff:sine-sine3 has no closed form on any interval: nothing is
+        # planned, and the call fails as a cold one does
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("diff:sine-sine3:phase=2", T))
+        prop = parse_propagator("exact", model.ivp(), model)
+        with planned([prop], [0.0, T / 2, T]):
+            assert prop.model._plans == {}
+            with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+                prop.propagate(0.0, T / 2, 0.0)
+
+    def test_plans_are_dropped_on_error(self, sine_model):
+        prop = ThetaPropagator(sine_model.ivp())
+        with pytest.raises(RuntimeError, match="inside"):
+            with planned([prop], [0.0, T]):
+                raise RuntimeError("inside")
+        assert prop._plans is None
 
 
 class TestParsePropagator:
