@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import LinearScalarModel, closed_form_trajectory, reduced_ivp
+from .models import LinearScalarModel, closed_form_trajectory, exact_trajectory, reduced_ivp
 from .propagators import (
     ExactLinearPropagator,
     NonFiniteStateError,
@@ -193,18 +193,21 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
     """The fine problem's exact solution at the sync points, or None without a reference.
 
     Every problem with decay rate ``a > 0``, whatever its fine propagator, is
-    solved in closed form (``closed_form_trajectory``), chaining an exact fine
-    propagator's interval plans where the run has built them.  Where no
-    closed form exists (``a <= 0``, an input segment that is neither constant
-    nor sinusoidal) the fine propagator with 10x the substeps stands in.
+    solved in closed form: an exact fine propagator's own model by
+    ``exact_trajectory``, which chains the interval plans the run has built,
+    any other by ``closed_form_trajectory``.  Where no closed form exists
+    (``a <= 0``, an input segment that is neither constant nor sinusoidal)
+    the fine propagator with 10x the substeps stands in; an exact fine
+    propagator has no stand-in and raises ``UnsupportedSignalError``.
     """
     if cfg.reference == "none":
         return None
     times = cfg.times
     fine = cfg.fine
+    if isinstance(fine, ExactLinearPropagator):
+        return exact_trajectory(fine.model, times)[:, None]
     ivp = fine.ivp
-    plans = fine.model._plans if isinstance(fine, ExactLinearPropagator) else None
-    exact = closed_form_trajectory(ivp, times, plans)
+    exact = closed_form_trajectory(ivp, times)
     if exact is not None:
         return exact[:, None]
     if isinstance(fine, ThetaPropagator):
@@ -236,15 +239,14 @@ def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float], exe
 
 
 def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
-    """The propagators worth planning: each evaluates every interval more than once per run.
+    """The propagators worth planning: the coarse one, run 2k+1 times per
+    interval, and an exact fine one, run k times plus once in the reference.
 
-    The coarse one runs 2k+1 times per interval.  An exact fine one runs k
-    times plus once in the reference.  A theta fine one stays cold: it is
-    the costly kind, which converges after a sweep or two, so a plan would be
-    built for one use.
+    A theta fine one stays cold: it is the costly kind, which converges after
+    a sweep or two, so a plan would be built for one use.
     """
     props = [cfg.coarse]
-    if isinstance(cfg.fine, ExactLinearPropagator) and (cfg.max_iterations > 1 or cfg.reference == "exact"):
+    if isinstance(cfg.fine, ExactLinearPropagator):
         props.append(cfg.fine)
     return props
 

@@ -163,25 +163,28 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
 
 
 def exact_trajectory(model: LinearScalarModel, times: np.ndarray, phi0: float | None = None) -> np.ndarray:
-    """Exact solution sampled at an increasing time grid starting at times[0]."""
+    """Exact solution sampled at an increasing time grid starting at times[0].
+
+    Like ``exact_linear_propagate``, it chains the model's interval plans
+    where a run has built them; the result is the same bits.
+    """
     phi = model.u0 if phi0 is None else phi0
-    return _closed_form_trajectory(model.decay_rate, model.R_res, model.signal, times, phi)
+    return _closed_form_trajectory(model.decay_rate, model.R_res, model.signal, times, phi, model._plans)
 
 
-def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray, plans: dict | None = None) -> np.ndarray | None:
+def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | None:
     """Exact solution of the IVP at ``times`` (from ``times[0]``), or None.
 
     The closed form needs a decay rate ``ivp.decay > 0``; for a model's
     ``ivp()`` this equals ``exact_trajectory`` bitwise.  A zero or negative
     decay rate, or an input with a segment that is neither constant nor
-    sinusoidal, returns None.  ``plans`` are an exact propagator's interval
-    plans of the same problem, reused where an interval of ``times`` has one.
+    sinusoidal, returns None.
     """
     a = ivp.decay
     if not a > 0.0:
         return None
     try:
-        return _closed_form_trajectory(a, ivp.gain, ivp.signal, times, float(ivp.u0), plans)
+        return _closed_form_trajectory(a, ivp.gain, ivp.signal, times, float(ivp.u0))
     except UnsupportedSignalError:
         return None
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import sys
@@ -217,84 +218,64 @@ class TestIterate:
 
 
 class TestScriptedUpdateOracle:
-    def test_iterate_matches_straight_line_script_bitwise(self, pwm400_model, sine_signal):
-        """One fixed configuration checked against a line-by-line transcription
-        of the coarse-sweep initialization and the correction update."""
-        N, k_iters = 20, 1
-        cfg = make_config(pwm400_model, N, reduced_input=sine_signal, termination=FixedIterations(k_iters))
-        run = iterate(cfg)
+    def test_iterate_matches_straight_line_script_bitwise(self, pwm400_model):
+        """Runs, with their per-run plans and float states, checked against a
+        line-by-line transcription of the coarse-sweep initialization and the
+        correction update, made of public calls on a second, freshly built
+        config that never went through ``iterate``."""
+        N, k_iters = 20, 2
+        for fine_spec, coarse_spec, reduced in itertools.product(
+            ["exact", "cn:substeps=7,aligned=1"], ["be", "cn"], [None, "sine"]
+        ):
 
-        fine, coarse, times = cfg.fine, cfg.coarse, cfg.times
-        u0 = np.array([0.0])
-        guess = [u0]
-        for n in range(1, N + 1):
-            guess.append(coarse.propagate(times[n - 1], times[n], guess[n - 1]))
-        state = list(guess)
-        for _ in range(k_iters):
-            arrivals = [u0] + [
-                fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
-            ]
-            g_old = [u0] + [
-                coarse.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
-            ]
-            new = [u0]
+            def config():
+                red = None if reduced is None else parse_signal(reduced, period=T)
+                return make_config(
+                    pwm400_model, N, fine=fine_spec, coarse=coarse_spec, reduced_input=red,
+                    termination=FixedIterations(k_iters),
+                )
+
+            cfg = config()
+            run = iterate(cfg)
+            assert cfg.coarse._plans is None and getattr(cfg.fine, "model", cfg.fine)._plans is None
+
+            script = config()
+            fine, coarse, times, term = script.fine, script.coarse, script.times, script.termination
+            u0 = np.array([fine.ivp.u0])
+            guess = [u0]
             for n in range(1, N + 1):
-                g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
-                new.append(arrivals[n] + g_new - g_old[n])
-            state = new
+                guess.append(coarse.propagate(times[n - 1], times[n], guess[n - 1]))
+            state = list(guess)
+            iterates, arrivals_hist, jumps_hist = [guess], [], []
+            for _ in range(k_iters):
+                arrivals = [u0] + [
+                    fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
+                ]
+                jumps = [0.0] + [jump_norm(arrivals[n], state[n], term.atol, term.rtol) for n in range(1, N + 1)]
+                g_old = [u0] + [
+                    coarse.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
+                ]
+                new = [u0]
+                for n in range(1, N + 1):
+                    g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
+                    new.append(arrivals[n] + g_new - g_old[n])
+                state = new
+                iterates.append(state)
+                arrivals_hist.append(arrivals)
+                jumps_hist.append(jumps)
 
-        np.testing.assert_array_equal(run.iterates[k_iters], np.vstack(state))
-        np.testing.assert_array_equal(run.iterates[0], np.vstack(guess))
-
-
-def _cold_script(cfg, k_iters):
-    """Iterates, fine arrivals and jumps of ``cfg``'s update, one public call at a time."""
-    fine, coarse, times = cfg.fine, cfg.coarse, cfg.times
-    N = cfg.n_intervals
-    term = cfg.termination
-    u0 = np.array([fine.ivp.u0])
-    state = [u0]
-    for n in range(1, N + 1):
-        state.append(coarse.propagate(times[n - 1], times[n], state[n - 1]))
-    iterates, arrivals_hist, jumps_hist = [np.vstack(state)], [], []
-    for _ in range(k_iters):
-        arrivals = [u0] + [fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)]
-        jumps = [0.0] + [jump_norm(arrivals[n], state[n], term.atol, term.rtol) for n in range(1, N + 1)]
-        new = [u0]
-        for n in range(1, N + 1):
-            g_old = coarse.propagate(times[n - 1], times[n], state[n - 1])
-            g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
-            new.append(arrivals[n] + g_new - g_old)
-        state = new
-        iterates.append(np.vstack(state))
-        arrivals_hist.append(np.vstack(arrivals))
-        jumps_hist.append(np.array(jumps))
-    return iterates, arrivals_hist, jumps_hist
+            case = (fine_spec, coarse_spec, reduced)
+            for got, want in (
+                (run.iterates, [np.vstack(u) for u in iterates]),
+                (run.fine_arrivals, [np.vstack(u) for u in arrivals_hist]),
+                (run.jumps, [np.array(j) for j in jumps_hist]),
+            ):
+                assert len(got) == len(want), case
+                assert all(_same_bits(a, b) for a, b in zip(got, want)), case
 
 
 class TestPlannedRunOracle:
-    """A run, with its per-run plans and float states, equals a script of cold
-    calls on fresh propagators that never went through ``iterate``."""
-
-    @pytest.mark.parametrize("fine", ["exact", "cn:substeps=7,aligned=1"])
-    @pytest.mark.parametrize("coarse", ["be", "cn"])
-    @pytest.mark.parametrize("reduced", [None, "sine"])
-    def test_iterate_matches_cold_script_bitwise(self, pwm400_model, fine, coarse, reduced):
-        N, k_iters = 13, 2
-
-        def config():
-            red = None if reduced is None else parse_signal(reduced, period=T)
-            return make_config(
-                pwm400_model, N, fine=fine, coarse=coarse, reduced_input=red, termination=FixedIterations(k_iters)
-            )
-
-        cfg = config()
-        run = iterate(cfg)
-        assert cfg.coarse._plans is None and getattr(cfg.fine, "model", cfg.fine)._plans is None
-        iterates, arrivals, jumps = _cold_script(config(), k_iters)
-        for got, want in ((run.iterates, iterates), (run.fine_arrivals, arrivals), (run.jumps, jumps)):
-            assert len(got) == len(want)
-            assert all(_same_bits(a, b) for a, b in zip(got, want))
+    """A run's per-run plans change none of its results."""
 
     @pytest.mark.parametrize("fine", ["exact", "cn:substeps=7,aligned=1"])
     def test_errors_are_measured_against_exact_trajectory(self, pwm400_model, fine):
