@@ -1,5 +1,6 @@
-"""Layer micro-benchmarks: exact propagation, the corrected coarse sweep, one
-``iterate`` and one ``run_study``, the layers that per-run interval plans move.
+"""Layer micro-benchmarks: exact propagation, the fine sweep, the corrected
+coarse sweep, one ``iterate``, one ``run_study`` and one pass of every preset
+study, the layers that interval plans and a study's shared segment data move.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -10,8 +11,9 @@ do after its plans are built; the plans are built before the timed calls.  A
 source tree without ``planned`` runs those cases cold, which is how its runs
 make the same calls.  ``iterate`` and ``run_study`` build their plans inside
 the timed call.  Every case warms the input's switch table first.  The
-checked-in ``BENCH_plan.json`` merges alternating runs against two source
-trees; each entry's name carries the tree and the pair, e.g. ``[parent-1]``.
+checked-in ``BENCH_plan.json`` and ``BENCH_study.json`` merge alternating runs
+against two source trees; each entry's name carries the tree and the pair,
+e.g. ``[parent-1]``.
 """
 
 import contextlib
@@ -19,8 +21,19 @@ import contextlib
 import numpy as np
 import pytest
 
-from parareal import FixedIterations, LinearScalarModel, PwmSingle, SineWave, StudySpec, iterate, make_config, run_study
-from parareal import propagators
+from parareal import (
+    FixedIterations,
+    LinearScalarModel,
+    PwmSingle,
+    SineWave,
+    StudySpec,
+    iterate,
+    make_config,
+    parse_signal,
+    run_study,
+)
+from parareal import algorithm, propagators
+from parareal.cli import PRESETS
 
 T = 0.02
 R_RES = 0.01
@@ -61,6 +74,16 @@ def test_exact_interval_planned(benchmark, model):
     assert np.isfinite(out).all()
 
 
+def test_fine_sweep_n80(benchmark, model):
+    # the N exact fine calls of one iteration, serial, on float states
+    cfg = make_config(model, N_RUN)
+    times = sync_times(N_RUN)
+    state = [0.0] + [1e-5 * n for n in range(1, N_RUN + 1)]
+    with planned([cfg.fine], times):
+        arrivals = benchmark(algorithm._fine_sweep, cfg, times, state, None)
+    assert np.isfinite(arrivals).all()
+
+
 def test_corrected_coarse_sweep_n80(benchmark, model):
     # the 2N backward-Euler calls of one correction, on float states
     coarse = make_config(model, N_RUN).coarse
@@ -92,3 +115,15 @@ def test_run_study_fig4_right_sine_k2(benchmark, model):
     spec = StudySpec(model=model, variant="reduced", coarse_scheme="be", reduced_input=SineWave(T), k=2)
     study = benchmark(run_study, spec)
     assert all(p.failure is None for p in study.results)
+
+
+def test_study_presets_pass(benchmark, model):
+    # every series of the five CLI presets, 69 points: N = 5 ... 320 per series
+    specs = []
+    for e in [e for series in PRESETS.values() for e in series]:
+        reduced = parse_signal(e["reduced"], T) if e.get("reduced") else None
+        specs.append(StudySpec(model=model, variant=e["variant"], coarse_scheme=e["scheme"],
+                               reduced_input=reduced, k=e["k"], fit_min_n=e.get("fit_min_n")))
+    studies = benchmark(lambda: [run_study(spec) for spec in specs])
+    assert sum(len(s.results) for s in studies) == 69
+    assert all(p.failure is None for s in studies for p in s.results)

@@ -14,7 +14,8 @@ the corrected coarse sweep is sequential.
 
 A run keeps its states as Python floats.  It plans the intervals of the
 propagators that evaluate each interval more than once (the coarse one, and an
-exact fine one, whose plans the reference reuses) and drops the plans when it
+exact fine one, whose plans the reference reuses; inside ``run_study`` these
+draw on segment data the study's runs share) and drops the plans when it
 returns; a theta fine propagator stays cold.
 """
 
@@ -231,7 +232,11 @@ def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float], exe
     fine = cfg.fine
 
     def one(n: int) -> float:
-        return scalar_state(fine.propagate(times[n - 1], times[n], state[n - 1]))
+        try:
+            return scalar_state(fine.propagate(times[n - 1], times[n], state[n - 1]))
+        except NonFiniteStateError as exc:
+            exc.n = n
+            raise
 
     indices = range(1, cfg.n_intervals + 1)
     results = [one(n) for n in indices] if executor is None else list(executor.map(one, indices))
@@ -245,21 +250,14 @@ def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
     A theta fine one stays cold: it is the costly kind, which converges after
     a sweep or two, so a plan would be built for one use.
     """
-    props = [cfg.coarse]
-    if isinstance(cfg.fine, ExactLinearPropagator):
-        props.append(cfg.fine)
-    return props
+    return [cfg.coarse, cfg.fine] if isinstance(cfg.fine, ExactLinearPropagator) else [cfg.coarse]
 
 
 def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRun:
     """Run the iteration until the jump criterion or the iteration cap.
 
-    Raises ``NonFiniteStateError`` (annotated with the offending iteration and
-    interval, also as its ``k`` and ``n``) if a state stops being finite.
-
-    The states are Python floats throughout; the state-independent work of
-    each interval is done once per run (``propagators.planned``) and dropped
-    on return.
+    Raises ``NonFiniteStateError`` if a state stops being finite, with ``k``
+    and ``n`` set, also where a propagator raised it (fine sweep, correction).
     """
     times = cfg.times
     ts = times.tolist()
@@ -282,7 +280,11 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         converged = False
         k = 0
         while k < cfg.max_iterations:
-            arrivals = _fine_sweep(cfg, ts, current, executor)
+            try:
+                arrivals = _fine_sweep(cfg, ts, current, executor)
+            except NonFiniteStateError as exc:
+                exc.k = k
+                raise
             for n in range(1, N + 1):
                 if not math.isfinite(arrivals[n]):
                     raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}", k=k, n=n)
@@ -291,13 +293,17 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
             jumps_hist.append(jumps)
 
             new = [u0]
-            for n in range(1, N + 1):
-                g_old = scalar_state(coarse.propagate(ts[n - 1], ts[n], current[n - 1]))
-                g_new = scalar_state(coarse.propagate(ts[n - 1], ts[n], new[n - 1]))
-                u = arrivals[n] + g_new - g_old
-                if not math.isfinite(u):
-                    raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}", k=k + 1, n=n)
-                new.append(u)
+            try:
+                for n in range(1, N + 1):
+                    g_old = scalar_state(coarse.propagate(ts[n - 1], ts[n], current[n - 1]))
+                    g_new = scalar_state(coarse.propagate(ts[n - 1], ts[n], new[n - 1]))
+                    u = arrivals[n] + g_new - g_old
+                    if not math.isfinite(u):
+                        raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}")
+                    new.append(u)
+            except NonFiniteStateError as exc:
+                exc.k, exc.n = k + 1, n
+                raise
             iterates.append(np.array(new)[:, None])
             current = new
             k += 1

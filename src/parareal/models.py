@@ -6,7 +6,7 @@ solution which serves as the fine propagator and as the reference in every
 convergence experiment.  The closed form is split into the segment data of an
 interval (``_segments``, which depends only on the input and the times) and
 its application to a state (``_advance``), so a run can keep the former per
-interval.
+interval, and the runs of a study can share it per segment (``_grid_plans``).
 """
 
 from __future__ import annotations
@@ -122,6 +122,19 @@ def _segments(a: float, gain: float, sig: Signal, t0: float, t1: float):
                 f"signal {sig!r} has no constant-plus-sinusoid form on ({s}, {e})"
             )
         yield _segment_step(a, gain, form, s, e)
+
+
+def _grid_plans(a: float, gain: float, sig: Signal, times: list[float], memo: dict) -> dict:
+    """``{(t0, t1): tuple(_segments(a, gain, sig, t0, t1))}`` over the sync grid ``times``,
+    split in one pass (``Signal.grid_switches``).  A segment's data is taken from ``memo``
+    by its ends, or made by the call ``_segments`` makes and kept there."""
+    plans = {}
+    for t0, t1, inner in zip(times, times[1:], sig.grid_switches(times)):
+        plans[t0, t1] = tuple(
+            memo.get((s, e)) or memo.setdefault((s, e), _segment_step(a, gain, sig.segment_form(s, e), s, e))
+            for s, e in zip([t0, *inner], [*inner, t1])
+        )
+    return plans
 
 
 def _advance(segments, phi: float) -> float:

@@ -10,19 +10,22 @@ Each call splits into a state-independent set-up of the interval (the theta
 substeps' step sizes, input values and denominators; the exact solver's
 segments) and the state recurrence over it.  ``planned`` does the set-up of
 every sync interval once for the duration of a run, so the run's repeated
-calls on an interval run only the recurrence, with the same bits.
+calls on an interval run only the recurrence, with the same bits.  Inside
+``shared_segments`` (a study, ``analysis.run_study``) the runs planned on any
+thread also share the exact solver's segment data, which does not depend on N.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LinearScalarModel, SplitIvp, _segments, exact_linear_propagate
+from .models import LinearScalarModel, SplitIvp, _grid_plans, exact_linear_propagate
 from .signals import Side, parse_kv
 
 
@@ -184,13 +187,44 @@ def _interval_plans(setup, times: list[float]) -> dict:
     return plans
 
 
+_SHARED: dict = {}  # {(decay, gain, signal): {(s, e): segment data}}; global, as studies use pool threads
+_SHARED_LOCK = threading.Lock()
+_shared_depth = 0  # open ``shared_segments`` blocks
+
+
+@contextmanager
+def shared_segments():
+    """Share the exact solver's segment data among runs planned on any thread until the last block exits."""
+    global _shared_depth
+    with _SHARED_LOCK:
+        _shared_depth += 1
+    try:
+        yield
+    finally:
+        with _SHARED_LOCK:
+            _shared_depth -= 1
+            if not _shared_depth:
+                _SHARED.clear()
+
+
+def _exact_plans(model: LinearScalarModel, times: list[float]) -> dict:
+    """The exact solver's plans over ``times``, from the shared memo inside ``shared_segments``."""
+    key = (model.decay_rate, model.R_res, model.signal)
+    with _SHARED_LOCK:
+        memo = _SHARED.setdefault(key, {}) if _shared_depth else {}
+    try:
+        return _grid_plans(*key, times, memo)
+    except Exception:  # noqa: BLE001 - e.g. an unsupported segment: the cold calls raise it again
+        return {}
+
+
 @contextmanager
 def planned(props, times: list[float]):
     """Plan every interval of the sync grid ``times`` for ``props`` while the block runs.
 
     A plan holds an interval's state-independent data: a theta propagator's
     substeps (``_steps``), or the exact solver's segments
-    (``models._segments``).  A planned ``propagate`` call runs only the state
+    (``models._grid_plans``).  A planned ``propagate`` call runs only the state
     recurrence, the same code and bits as a cold call.  Propagators of other
     types are skipped, and so is a holder that already has plans.  Plans are
     dropped when the block ends, also on an error.
@@ -198,14 +232,13 @@ def planned(props, times: list[float]):
     holders = []
     for prop in props:
         if isinstance(prop, ThetaPropagator):
-            holder, setup = prop, prop._steps
+            holder, plan = prop, functools.partial(_interval_plans, prop._steps)
         elif isinstance(prop, ExactLinearPropagator):
-            holder = prop.model
-            setup = functools.partial(_segments, holder.decay_rate, holder.R_res, holder.signal)
+            holder, plan = prop.model, functools.partial(_exact_plans, prop.model)
         else:
             continue
         if holder._plans is None:
-            object.__setattr__(holder, "_plans", _interval_plans(setup, times))
+            object.__setattr__(holder, "_plans", plan(times))
             holders.append(holder)
     try:
         yield

@@ -120,6 +120,19 @@ class Signal:
         tol = MERGE_TOL * self._tol_scale()
         return out[(out > t0 + tol) & (out < t1 - tol)]
 
+    def grid_switches(self, times: list[float]) -> list[list[float]]:
+        """``switching_times(t0, t1)`` of each interval of the strictly increasing grid ``times``,
+        in one pass: the switches ``s`` with ``t0 + tol < s < t1 - tol``."""
+        grid = np.array(times)
+        if not np.all(grid[1:] > grid[:-1]):
+            raise ValueError("need a strictly increasing grid")
+        tol = MERGE_TOL * self._tol_scale()
+        switches = self.switching_times(times[0], times[-1])
+        lo = np.searchsorted(switches, grid[:-1] + tol, side="right").tolist()
+        hi = np.searchsorted(switches, grid[1:] - tol, side="left").tolist()
+        switches = switches.tolist()
+        return [switches[i:j] for i, j in zip(lo, hi)]
+
     # -- evaluation ----------------------------------------------------------
 
     def value(self, t: float, side: Side = Side.POINTWISE) -> float:

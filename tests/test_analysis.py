@@ -1,4 +1,7 @@
+import contextlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,8 +24,11 @@ from parareal import (
     exact_linear_propagate,
     fit_order,
     local_order_probe,
+    parse_signal,
     run_study,
 )
+from parareal import propagators
+from parareal.cli import PRESETS
 
 T = 0.02
 
@@ -205,6 +211,7 @@ class TestRunStudy:
         real_iterate = analysis.iterate
 
         def flaky(cfg, executor=None):
+            assert propagators._shared_depth == 1  # the runs see the study's shared segments
             if cfg.n_intervals == 10:
                 raise RuntimeError("synthetic blow-up")
             return real_iterate(cfg, executor)
@@ -217,3 +224,64 @@ class TestRunStudy:
         assert len(failed) == 1 and failed[0].n == 10
         assert failed[0].failure == "RuntimeError: synthetic blow-up"
         assert not math.isnan(study.fitted_order)  # remaining points still fitted
+        assert_no_shared_segments()
+
+
+def assert_no_shared_segments():
+    assert not propagators._SHARED and propagators._shared_depth == 0
+
+
+def _run_bits(run):
+    return [np.asarray(a).tobytes() for a in run.iterates + run.fine_arrivals + run.jumps + run.errors_vs_reference]
+
+
+class TestStudyOracle:
+    """Each point of a study has the bits of the same run made outside any study."""
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_preset_points_equal_runs_outside_a_study(self, pwm400_model, monkeypatch, threads):
+        import parareal.analysis as analysis
+
+        real_iterate = analysis.iterate
+        runs = {}
+
+        def capture(cfg, executor=None):
+            runs[cfg.n_intervals] = run = real_iterate(cfg, executor)
+            return run
+
+        monkeypatch.setattr(analysis, "iterate", capture)
+        for e in [e for series in PRESETS.values() for e in series]:
+            reduced = parse_signal(e["reduced"], T) if e.get("reduced") else None
+            spec = StudySpec(model=pwm400_model, variant=e["variant"], coarse_scheme=e["scheme"],
+                             reduced_input=reduced, k=e["k"])
+            runs.clear()
+            with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
+                study = run_study(spec, pool)
+            assert_no_shared_segments()
+            assert [p.n for p in study.results] == list(spec.n_list)
+            for point in study.results:
+                alone = real_iterate(spec.config(point.n))
+                assert point.failure is None and _run_bits(runs[point.n]) == _run_bits(alone), (e["label"], point.n)
+                got = [point.err_max, point.err_final, point.err_first_active]
+                want = [alone.error(spec.k, metric) for metric in ("max", "final", "first_active")]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_overlapping_studies_on_threads(self, pwm400_model):
+        # studies that open and close their shared scope while others run keep
+        # their bits, and the last one to finish drops every memo
+        specs = [StudySpec(model=pwm400_model, variant="reduced", reduced_input=parse_signal(red, T), k=2,
+                           n_list=(5, 10, 20, 40)) for red in ("sine", "step")] * 4
+
+        def bits(study):
+            return np.array([[p.err_max, p.err_final, p.err_first_active] for p in study.results]).tobytes()
+
+        want = [bits(run_study(spec)) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = [bits(study) for study in pool.map(run_study, specs, timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert_no_shared_segments()

@@ -1,7 +1,8 @@
 """The layer micro-benchmarks in ``benchmarks/`` and the repo benchmark in
 ``perfbench/`` sit outside ``testpaths``, so a public name they import or
-rebind could disappear unnoticed; this imports each micro-benchmark and
-installs the perfbench tracer."""
+rebind could disappear, or a case could break, unnoticed; this imports each
+micro-benchmark, runs each of its cases once, and installs the perfbench
+tracer."""
 
 import importlib.util
 import json
@@ -24,6 +25,15 @@ def test_benchmarks_are_found():
 def test_benchmark_module_imports(path):
     spec = importlib.util.spec_from_file_location(f"_benchmark_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+@pytest.mark.parametrize("path", BENCHMARKS, ids=lambda p: p.name)
+def test_benchmark_cases_run_once(path):
+    # with --benchmark-disable each case calls its timed function once, untimed
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "pytest", str(path), "-q", "-p", "no:cacheprovider", "--benchmark-disable"]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_perfbench_tracer_installs():

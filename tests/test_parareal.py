@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import pickle
@@ -214,6 +215,47 @@ class TestIterate:
         )
         with pytest.raises(NonFiniteStateError, match="fine arrival at iteration 1, interval 3") as info:
             iterate(cfg)
+        assert (info.value.k, info.value.n) == (1, 3)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_fine_sweep_pole_carries_its_location(self, threads):
+        # u' = 4u + w with a step at t=0.75 on three intervals of 0.5: the
+        # aligned BE fine splits interval 2 into substeps of 0.25, where its
+        # implicit solve 1 - h*4 = 0 hits its pole; h = 0.5 elsewhere is finite
+        from parareal import NonFiniteStateError, StepWave
+
+        ivp = SplitIvp(decay=-4.0, gain=1.0, signal=StepWave(1.5), u0=1.0, t_end=1.5)
+        cfg = PararealConfig(
+            n_intervals=3, fine=ThetaPropagator(ivp, discontinuity_aligned=True), coarse=ThetaPropagator(ivp),
+            termination=FixedIterations(2),
+        )
+        with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
+            with pytest.raises(NonFiniteStateError, match="step ending at t=0.75") as info:
+                iterate(cfg, pool)
+        assert (info.value.k, info.value.n) == (0, 2)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_correction_failure_carries_its_location(self, pwm10_model, threads):
+        from parareal import NonFiniteStateError
+
+        times = make_config(pwm10_model, 10).times.tolist()
+
+        class PoleAfterGuess(ThetaPropagator):
+            # the guess passes; the correction to iterate 1 fails on interval 3
+            def propagate(self, t0, t1, u0):
+                calls.append(t0)
+                if len(calls) > 10 and t0 == times[2]:
+                    raise NonFiniteStateError("pole")
+                return super().propagate(t0, t1, u0)
+
+        calls = []
+        cfg = PararealConfig(
+            n_intervals=10, fine=ExactLinearPropagator(pwm10_model), coarse=PoleAfterGuess(pwm10_model.ivp()),
+            termination=FixedIterations(2),
+        )
+        with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
+            with pytest.raises(NonFiniteStateError, match="^pole$") as info:
+                iterate(cfg, pool)
         assert (info.value.k, info.value.n) == (1, 3)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parareal import (
     ExactLinearPropagator,
@@ -18,7 +20,9 @@ from parareal import (
     parse_propagator,
     parse_signal,
 )
-from parareal.propagators import planned
+from parareal import propagators
+from parareal.propagators import planned, shared_segments
+from parareal.signals import MERGE_TOL
 
 T = 0.02
 A_RATE = 10.0
@@ -253,6 +257,72 @@ class TestPlannedPropagate:
             with planned([prop], [0.0, T]):
                 raise RuntimeError("inside")
         assert prop._plans is None
+
+
+NEAR_SWITCH_INPUTS = ["pwm:m=400", "pwm3:m=400", "step", "diff:pwm:m=400-sine"]
+
+
+@st.composite
+def near_switch_grids(draw):
+    """An input and a sync grid on ``[0, T]`` some of whose points sit within
+    ``MERGE_TOL*T`` or ``1e-9*T`` of a switch, on either side."""
+    sig = parse_signal(draw(st.sampled_from(NEAR_SWITCH_INPUTS)), T)
+    table = sig.switching_times(0.0, T).tolist()
+    n_int = draw(st.integers(1, 40))
+    points = {n * T / n_int for n in range(n_int + 1)}
+    for _ in range(draw(st.integers(1, 6))):
+        sw = table[draw(st.integers(0, len(table) - 1))]
+        reach = draw(st.sampled_from([MERGE_TOL, 1e-9])) * T
+        points.add(sw + draw(st.floats(-reach, reach)))
+    return sig, sorted(points)
+
+
+class TestNearSwitchGrids:
+    @given(near_switch_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_split_equals_switching_times(self, sig_times):
+        sig, times = sig_times
+        want = [sig.switching_times(t0, t1).tolist() for t0, t1 in zip(times, times[1:])]
+        assert sig.grid_switches(times) == want
+
+    @given(near_switch_grids())
+    @settings(max_examples=100, deadline=None)
+    def test_study_planned_exact_equals_cold_call(self, sig_times):
+        # inside a study, after a uniform run has filled the shared segment memo
+        sig, times = sig_times
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
+
+        def make():
+            return parse_propagator("exact", model.ivp(), model)
+
+        with shared_segments():
+            with planned([make()], [n * T / 20 for n in range(21)]):
+                pass
+            warm = make()
+            with planned([warm], times):
+                assert len(warm.model._plans) == len(times) - 1
+                got = [warm.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
+        cold = make()
+        want = [cold.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
+        assert np.vstack(got).tobytes() == np.vstack(want).tobytes()
+
+    def test_shared_memo_is_per_problem(self):
+        # two inputs with the same segment ends (no switches) on one circuit
+        times = [n * T / 8 for n in range(9)]
+        with shared_segments():
+            for spec in ("sine", "const:v=1"):
+                model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+                warm, cold = (parse_propagator("exact", model.ivp(), model) for _ in range(2))
+                with planned([warm], times):
+                    assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), spec
+
+    def test_shared_memo_is_dropped_on_error(self, pwm400_model):
+        with pytest.raises(RuntimeError, match="inside"):
+            with shared_segments():
+                with planned([ExactLinearPropagator(pwm400_model)], [0.0, T / 2, T]):
+                    assert propagators._SHARED
+                    raise RuntimeError("inside")
+        assert not propagators._SHARED and propagators._shared_depth == 0
 
 
 class TestParsePropagator:
