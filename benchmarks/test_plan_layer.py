@@ -1,6 +1,8 @@
-"""Layer micro-benchmarks: exact propagation, the fine sweep, the corrected
-coarse sweep, one ``iterate``, one ``run_study`` and one pass of every preset
-study, the layers that interval plans and a study's shared segment data move.
+"""Layer micro-benchmarks: exact propagation, the plans of one run, the fine
+sweep, the corrected coarse sweep, one ``iterate``, one ``run_study`` and one
+pass of every preset study, the layers that interval plans, the exact
+solver's per-process table of switch-to-switch segments and a study's shared
+end segments move.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -9,8 +11,10 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 The planned cases run inside ``propagators.planned``, as the calls of a run
 do after its plans are built; the plans are built before the timed calls.  A
 source tree without ``planned`` runs those cases cold, which is how its runs
-make the same calls.  ``iterate`` and ``run_study`` build their plans inside
-the timed call.  Every case warms the input's switch table first.  The
+make the same calls.  The "plan one run" cases time building and dropping
+the plans of one propagator over a sync grid, outside a study, after one
+untimed warm-up build.  ``iterate`` and ``run_study`` build their plans
+inside the timed call.  Every case warms the input's switch table first.  The
 checked-in ``BENCH_plan.json`` and ``BENCH_study.json`` merge alternating runs
 against two source trees; each entry's name carries the tree and the pair,
 e.g. ``[parent-1]``.
@@ -40,6 +44,7 @@ R_RES = 0.01
 L_IND = 0.001
 N_EXACT = 20
 N_RUN = 80
+N_PLAN = 320
 
 
 def planned(props, times):
@@ -72,6 +77,23 @@ def test_exact_interval_planned(benchmark, model):
     with planned([fine], times):
         out = benchmark(fine.propagate, times[3], times[4], 0.25)
     assert np.isfinite(out).all()
+
+
+def plan_once(prop, times):
+    with planned([prop], times):
+        pass
+
+
+@pytest.mark.parametrize("role", ["fine", "coarse"])
+def test_plan_one_run_n320(benchmark, model, role):
+    # the plans iterate builds for an exact fine or a backward-Euler coarse
+    # propagator on the PWM input over N=320 intervals, built and dropped
+    prop = getattr(make_config(model, N_PLAN), role)
+    times = sync_times(N_PLAN)
+    plan_once(prop, times)
+    benchmark(plan_once, prop, times)
+    with planned([prop], times):
+        assert len(getattr(prop, "model", prop)._plans) == N_PLAN
 
 
 def test_fine_sweep_n80(benchmark, model):

@@ -1,7 +1,7 @@
 """The parallel-in-time iteration, in its classic form and the variant whose
 coarse propagator solves a smoothed-input problem.
 
-The update at iteration k+1 on the uniform grid ``T_n = n*T/N`` is
+The update at iteration k+1 on the uniform grid ``T_n = n*T/N`` (``T_N = T``) is
 
     U[0]   = u0
     U[n]   = F(T_n, T_{n-1}, U_prev[n-1])
@@ -110,8 +110,10 @@ class PararealConfig:
 
     @property
     def times(self) -> np.ndarray:
+        """The sync grid ``T_n = n*T/N``, with ``T_N = T`` exactly: ``N*T/N`` can
+        round an ulp past ``T``, outside the input's domain."""
         t_end = self.fine.ivp.t_end
-        return np.array([n * t_end / self.n_intervals for n in range(self.n_intervals + 1)])
+        return np.array([n * t_end / self.n_intervals for n in range(self.n_intervals)] + [t_end])
 
     @property
     def max_iterations(self) -> int:

@@ -3,8 +3,10 @@
 A study sweeps the interval count N at a fixed iteration count k, records the
 error of the k-th iterate against the exact reference under several metrics
 and fits the observed order as the negative log-log slope versus N.  The runs
-of a sweep share the exact solver's set-up of each input segment, which does
-not depend on N, while ``run_study`` runs (``propagators.shared_segments``).
+of a sweep share the exact solver's set-up of the input segments that end at
+a sync point, which the nested grids of a sweep over N have in common, while
+``run_study`` runs (``propagators.shared_segments``); the segments between
+two input switches come from a table built once per process and problem.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .algorithm import FixedIterations, PararealConfig, iterate, make_config
 from .models import LinearScalarModel, exact_linear_propagate
-from .propagators import Propagator, shared_segments
+from .propagators import Propagator, parse_propagator, shared_segments
 from .signals import Difference, Signal, StepWave
 
 ERROR_FLOOR = 1e-13
@@ -76,14 +78,15 @@ class StudySpec:
     """One convergence sweep: model, algorithm variant and the N grid.
 
     Every point is the run ``make_config`` builds: exact fine propagator,
-    coarse propagator ``coarse_scheme`` ("be", "cn" or "exact"), on the
-    smoothed-input problem ``reduced_input`` in the "reduced" variant, and
-    exactly ``k`` update sweeps.  ``error_metric`` is one of
-    "max" (largest error over all sync points, the default), "final" (error
-    at t_end) or "first_active" (error at the first sync point not rendered
-    exact by finite termination, n = k+1).  With a step-function reduced
-    input and Crank-Nicolson the N list keeps only even entries so the jump
-    sits on an interval boundary.
+    coarse propagator ``coarse_scheme`` (a ``parse_propagator`` spec: "be",
+    "cn", "exact", "be:substeps=4", ...), on the smoothed-input problem
+    ``reduced_input`` in the "reduced" variant, and exactly ``k`` update
+    sweeps.  ``error_metric`` is one of "max" (largest error over all sync
+    points, the default), "final" (error at t_end) or "first_active" (error
+    at the first sync point not rendered exact by finite termination, n =
+    k+1).  With a step-function reduced input and a Crank-Nicolson scheme
+    the N list keeps only even entries so the jump sits on an interval
+    boundary.
     """
 
     model: LinearScalarModel
@@ -101,13 +104,12 @@ class StudySpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "reduced" and self.reduced_input is None:
             raise ValueError("reduced variant needs a reduced_input signal")
-        if self.coarse_scheme not in ("be", "cn", "exact"):
-            raise ValueError(f"unknown coarse scheme {self.coarse_scheme!r}")
+        parse_propagator(self.coarse_scheme, self.model.ivp(), self.model)  # a bad spec raises ValueError
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
         if (
             self.variant == "reduced"
-            and self.coarse_scheme == "cn"
+            and self.coarse_scheme.strip().partition(":")[0] == "cn"
             and isinstance(self.reduced_input, StepWave)
         ):
             self.n_list = tuple(n for n in self.n_list if n % 2 == 0)

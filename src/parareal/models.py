@@ -6,13 +6,20 @@ solution which serves as the fine propagator and as the reference in every
 convergence experiment.  The closed form is split into the segment data of an
 interval (``_segments``, which depends only on the input and the times) and
 its application to a state (``_advance``), so a run can keep the former per
-interval, and the runs of a study can share it per segment (``_grid_plans``).
+interval (``_grid_plans``).  The segments between two switches of the input
+do not depend on the sync grid: each process sets them up once per decay
+rate, gain and input (``_switch_steps``), and a run's plans slice that table;
+only an interval's end segments, bounded by a sync point, are set up per run,
+or per study, whose runs share them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,16 +131,49 @@ def _segments(a: float, gain: float, sig: Signal, t0: float, t1: float):
         yield _segment_step(a, gain, form, s, e)
 
 
-def _grid_plans(a: float, gain: float, sig: Signal, times: list[float], memo: dict) -> dict:
-    """``{(t0, t1): tuple(_segments(a, gain, sig, t0, t1))}`` over the sync grid ``times``,
-    split in one pass (``Signal.grid_switches``).  A segment's data is taken from ``memo``
-    by its ends, or made by the call ``_segments`` makes and kept there."""
-    plans = {}
+# serializes table lookups so that concurrent first lookups build a table once
+_STEPS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=64)
+def _step_table(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple]:
+    table = sig._switch_table().floats
+    return table, tuple(_segment_step(a, gain, sig.segment_form(s, e), s, e) for s, e in zip(table, table[1:]))
+
+
+def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple]:
+    """``(switches, steps)``: the input's switch table and, at ``steps[j]``, the
+    ``_segment_step`` of ``(switches[j], switches[j + 1])``.
+
+    Built once per ``(a, gain, sig)`` and process, under a lock; a build that
+    fails (a segment with no closed form) is not kept.
+    """
+    with _STEPS_LOCK:
+        return _step_table(a, gain, sig)
+
+
+def _grid_plans(a: float, gain: float, sig: Signal, times: list[float], memo: dict) -> list[tuple]:
+    """``tuple(_segments(a, gain, sig, t0, t1))`` of each interval of the sync grid ``times``.
+
+    The grid is split against the switch table in one pass
+    (``Signal.grid_switches``); an interval's switches are a run of that
+    table, so its segments between two switches are a slice of
+    ``_switch_steps``.  Only its end segments, bounded by a sync point, are
+    set up here, by the call ``_segments`` makes, and kept in ``memo`` by
+    their ends.
+    """
+    switches, steps = _switch_steps(a, gain, sig)
+
+    def end(s: float, e: float) -> tuple:
+        return memo.get((s, e)) or memo.setdefault((s, e), _segment_step(a, gain, sig.segment_form(s, e), s, e))
+
+    plans = []
     for t0, t1, inner in zip(times, times[1:], sig.grid_switches(times)):
-        plans[t0, t1] = tuple(
-            memo.get((s, e)) or memo.setdefault((s, e), _segment_step(a, gain, sig.segment_form(s, e), s, e))
-            for s, e in zip([t0, *inner], [*inner, t1])
-        )
+        if inner:
+            i = bisect_left(switches, inner[0])
+            plans.append((end(t0, inner[0]), *steps[i : i + len(inner) - 1], end(inner[-1], t1)))
+        else:
+            plans.append((end(t0, t1),))
     return plans
 
 

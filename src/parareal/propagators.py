@@ -8,20 +8,25 @@ adapter wraps the closed-form linear solver.
 
 Each call splits into a state-independent set-up of the interval (the theta
 substeps' step sizes, input values and denominators; the exact solver's
-segments) and the state recurrence over it.  ``planned`` does the set-up of
-every sync interval once for the duration of a run, so the run's repeated
-calls on an interval run only the recurrence, with the same bits.  Inside
-``shared_segments`` (a study, ``analysis.run_study``) the runs planned on any
-thread also share the exact solver's segment data, which does not depend on N.
+segments) and the state recurrence over it.  ``planned`` sets up the whole
+sync grid once for the duration of a run, in one pass, so the run's repeated
+calls on an interval run only the recurrence, with the same bits; a cold call
+runs the same set-up on its own two-point grid.  The exact solver's segments
+between two input switches come from a table each process builds once per
+problem (``models._switch_steps``); inside ``shared_segments`` (a study,
+``analysis.run_study``) the runs planned on any thread also share the end
+segments of their intervals, bounded by sync points, which the nested grids
+of a sweep over N have in common.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -129,33 +134,39 @@ class ThetaPropagator(Propagator):
         u = scalar_state(u0)
         plans = self._plans
         steps = plans.get((t0, t1)) if plans else None
-        return np.array([self._sweep(self._steps(t0, t1) if steps is None else steps, u)])
+        return np.array([self._sweep(self._substeps((t0, t1))[0] if steps is None else steps, u)])
 
-    def _steps(self, t0: float, t1: float):
-        """The substeps of ``(t0, t1)``: an iterator of ``(h, p_s, theta*p_e, den, end)``.
+    def _substeps(self, times: Sequence[float]) -> tuple[Iterator[tuple], list[int]]:
+        """The substeps of the grid ``times``, set up in one pass: an iterator
+        of ``(h, p_s, theta*p_e, den, end)`` over all of them, in order, and
+        the number of substeps of each interval.
 
         This is the state-independent part of the sweep: ``p = 0.0 + gain *
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
         with ``a = -decay``.  The sum starting at +0.0 turns a -0.0 product
         into +0.0, as the 1x1 product ``[[gain]] @ [input]`` does.
         """
-        if not t0 < t1:
-            raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
+        starts, ends, counts = [], [], []
+        for t0, t1 in zip(times, times[1:]):
+            if not t0 < t1:
+                raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
+            grid = self._grid(t0, t1)
+            starts += grid[:-1]
+            ends += grid[1:]
+            counts.append(len(grid) - 1)
         ivp = self.ivp
         a = -ivp.decay
         th = self.theta
         gain, value = ivp.gain, ivp.signal.value
         right, left = Side.RIGHT_LIMIT, Side.LEFT_LIMIT
-        grid = self._grid(t0, t1)
-        ends = grid[1:]
-        hs = [e - s for s, e in zip(grid, ends)]
+        hs = [e - s for s, e in zip(starts, ends)]
         return zip(
             hs,
-            [0.0 + gain * value(s, right) for s in grid[:-1]],
+            [0.0 + gain * value(s, right) for s in starts],
             [th * (0.0 + gain * value(e, left)) for e in ends],
             [1.0 - h * th * a for h in hs],
             ends,
-        )
+        ), counts
 
     def _sweep(self, steps, u: float) -> float:
         """Apply substeps to the state in plain floats: ``num = u +
@@ -172,29 +183,14 @@ class ThetaPropagator(Propagator):
         return u
 
 
-def _interval_plans(setup, times: list[float]) -> dict:
-    """``{(t0, t1): tuple(setup(t0, t1))}`` over the intervals of ``times``.
-
-    An interval whose set-up fails is left out: its call then runs cold and
-    raises the same error at the same point of the run.
-    """
-    plans = {}
-    for t0, t1 in zip(times, times[1:]):
-        try:
-            plans[(t0, t1)] = tuple(setup(t0, t1))
-        except Exception:  # noqa: BLE001 - not swallowed: the cold call raises it again, in its place in the run
-            pass
-    return plans
-
-
-_SHARED: dict = {}  # {(decay, gain, signal): {(s, e): segment data}}; global, as studies use pool threads
+_SHARED: dict = {}  # {(decay, gain, signal): {(s, e): end segment data}}; global, as studies use pool threads
 _SHARED_LOCK = threading.Lock()
 _shared_depth = 0  # open ``shared_segments`` blocks
 
 
 @contextmanager
 def shared_segments():
-    """Share the exact solver's segment data among runs planned on any thread until the last block exits."""
+    """Share the exact solver's end segments among runs planned on any thread until the last block exits."""
     global _shared_depth
     with _SHARED_LOCK:
         _shared_depth += 1
@@ -207,15 +203,18 @@ def shared_segments():
                 _SHARED.clear()
 
 
-def _exact_plans(model: LinearScalarModel, times: list[float]) -> dict:
-    """The exact solver's plans over ``times``, from the shared memo inside ``shared_segments``."""
+def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[tuple]:
+    """A theta propagator's plans over ``times``: its one-pass set-up, split per interval."""
+    steps, counts = prop._substeps(times)
+    return [tuple(islice(steps, n)) for n in counts]
+
+
+def _exact_plans(model: LinearScalarModel, times: list[float]) -> list[tuple]:
+    """The exact solver's plans over ``times``, with end segments from the shared memo inside ``shared_segments``."""
     key = (model.decay_rate, model.R_res, model.signal)
     with _SHARED_LOCK:
         memo = _SHARED.setdefault(key, {}) if _shared_depth else {}
-    try:
-        return _grid_plans(*key, times, memo)
-    except Exception:  # noqa: BLE001 - e.g. an unsupported segment: the cold calls raise it again
-        return {}
+    return _grid_plans(*key, times, memo)
 
 
 @contextmanager
@@ -223,22 +222,29 @@ def planned(props, times: list[float]):
     """Plan every interval of the sync grid ``times`` for ``props`` while the block runs.
 
     A plan holds an interval's state-independent data: a theta propagator's
-    substeps (``_steps``), or the exact solver's segments
-    (``models._grid_plans``).  A planned ``propagate`` call runs only the state
-    recurrence, the same code and bits as a cold call.  Propagators of other
-    types are skipped, and so is a holder that already has plans.  Plans are
-    dropped when the block ends, also on an error.
+    substeps (``_substeps``), or the exact solver's segments
+    (``models._grid_plans``), set up for the whole grid in one pass.  A
+    planned ``propagate`` call runs only the state recurrence, the same code
+    and bits as a cold call.  If the set-up fails anywhere, the propagator is
+    left unplanned: its cold calls raise the same error in their place in the
+    run.  Propagators of other types are skipped, and so is a holder that
+    already has plans.  Plans are dropped when the block ends, also on an
+    error.
     """
     holders = []
     for prop in props:
         if isinstance(prop, ThetaPropagator):
-            holder, plan = prop, functools.partial(_interval_plans, prop._steps)
+            holder, setup = prop, _theta_plans
         elif isinstance(prop, ExactLinearPropagator):
-            holder, plan = prop.model, functools.partial(_exact_plans, prop.model)
+            holder, setup = prop.model, _exact_plans
         else:
             continue
         if holder._plans is None:
-            object.__setattr__(holder, "_plans", plan(times))
+            try:
+                plans = dict(zip(zip(times, times[1:]), setup(holder, times)))
+            except Exception:  # noqa: BLE001 - not swallowed: the cold calls raise it again, in their place in the run
+                plans = {}
+            object.__setattr__(holder, "_plans", plans)
             holders.append(holder)
     try:
         yield

@@ -27,7 +27,7 @@ from parareal import (
     parse_signal,
     run_study,
 )
-from parareal import propagators
+from parareal import models, propagators
 from parareal.cli import PRESETS
 
 T = 0.02
@@ -178,9 +178,19 @@ class TestRunStudy:
             assert p.dt == T / p.n
 
     def test_even_n_restriction_for_cn_step(self, pwm10_model, step_signal):
-        spec = StudySpec(model=pwm10_model, variant="reduced", coarse_scheme="cn",
-                         reduced_input=step_signal, k=1)
-        assert all(n % 2 == 0 for n in spec.n_list)
+        for scheme in ("cn", "cn:substeps=3"):
+            spec = StudySpec(model=pwm10_model, variant="reduced", coarse_scheme=scheme,
+                             reduced_input=step_signal, k=1)
+            assert spec.n_list == (10, 20, 40, 80, 160, 320), scheme
+
+    def test_coarse_scheme_is_a_propagator_spec(self, pwm10_model, sine_signal):
+        spec = StudySpec(model=pwm10_model, variant="reduced", coarse_scheme="be:substeps=4",
+                         reduced_input=sine_signal, k=1, n_list=(5, 10))
+        assert spec.config(5).coarse.substeps == 4
+        assert all(p.failure is None for p in run_study(spec).results)
+        for bad in ("rk4", "be:substep=4", "cn:aligned=on", "exact:substeps=2"):
+            with pytest.raises(ValueError):
+                StudySpec(model=pwm10_model, coarse_scheme=bad)
 
     def test_unknown_variant(self, pwm10_model):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -240,10 +250,21 @@ class TestStudyOracle:
 
     @pytest.mark.parametrize("threads", [None, 2])
     def test_preset_points_equal_runs_outside_a_study(self, pwm400_model, monkeypatch, threads):
+        # the first point builds the input's table of switch-to-switch segments;
+        # every later one slices a table built on another grid.  Serially, the
+        # run made alone is also checked against the same run made with no
+        # plans at all, every call cold
+        import parareal.algorithm as algorithm
         import parareal.analysis as analysis
 
+        models._step_table.cache_clear()
         real_iterate = analysis.iterate
         runs = {}
+
+        def cold_iterate(cfg):
+            with monkeypatch.context() as m:
+                m.setattr(algorithm, "_planned_propagators", lambda cfg: [])
+                return real_iterate(cfg)
 
         def capture(cfg, executor=None):
             runs[cfg.n_intervals] = run = real_iterate(cfg, executor)
@@ -262,6 +283,8 @@ class TestStudyOracle:
             for point in study.results:
                 alone = real_iterate(spec.config(point.n))
                 assert point.failure is None and _run_bits(runs[point.n]) == _run_bits(alone), (e["label"], point.n)
+                if threads is None:
+                    assert _run_bits(alone) == _run_bits(cold_iterate(spec.config(point.n))), (e["label"], point.n)
                 got = [point.err_max, point.err_final, point.err_first_active]
                 want = [alone.error(spec.k, metric) for metric in ("max", "final", "first_active")]
                 assert np.array(got).tobytes() == np.array(want).tobytes()

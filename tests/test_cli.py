@@ -150,10 +150,27 @@ class TestStudy:
         assert not {"fine", "N", "kmax", "atol", "rtol", "jump_threshold", "seed", "which"} & set(manifest)
         assert manifest["preset"] == "fig5" and manifest["metric"] == "max"
 
-    def test_coarse_parameters_are_not_dropped(self, capsys):
-        # a study's coarse propagator is a bare scheme name; parameters are refused, not ignored
-        assert main(["study", "run", "--coarse", "be:substeps=4", "--n-list", "5,10", "--threads", "1"]) == 1
-        assert "unknown coarse scheme 'be:substeps=4'" in capsys.readouterr().err
+    def test_coarse_parameters_are_not_dropped(self, tmp_path):
+        # a study's coarse propagator is a full propagator spec: its parameters
+        # reach the runs and the manifest
+        rows = {}
+        for coarse in ("be", "be:substeps=4"):
+            out = tmp_path / "study.csv"
+            assert main(["study", "run", "--coarse", coarse, "--n-list", "5,10", "--threads", "1",
+                         "--out", str(out)]) == 0
+            lines = read_lines(out)
+            assert json.loads(lines[0].split(" ", 3)[3])["series"][0]["coarse"] == coarse
+            rows[coarse] = [ln for ln in lines[3:] if not ln.startswith("#")]
+        assert len(rows["be:substeps=4"]) == 2 and rows["be:substeps=4"] != rows["be"]
+
+    def test_grid_that_rounds_past_t_end_writes_finite_rows(self, tmp_path):
+        # N*T/N exceeds T for N = 57 and 114; those points used to fail on their last interval
+        out = tmp_path / "study.csv"
+        assert main(["study", "run", "--variant", "reduced", "--reduced-input", "sine", "--coarse", "exact",
+                     "--k", "2", "--n-list", "5,57,114", "--threads", "1", "--out", str(out)]) == 0
+        data = [ln.split(",") for ln in read_lines(out)[3:] if not ln.startswith("#")]
+        assert [row[0] for row in data] == ["5", "57", "114"]
+        assert all(math.isfinite(float(v)) for row in data for v in (row[2], row[3], row[7]))
 
     def test_unknown_preset(self):
         assert main(["study", "run", "--preset", "fig99"]) == 1

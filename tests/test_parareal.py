@@ -30,6 +30,7 @@ from parareal import (
     parse_signal,
     reduced_ivp,
 )
+from parareal import models
 from parareal.algorithm import reference_trajectory
 
 T = 0.02
@@ -101,8 +102,22 @@ class TestInitialGuess:
         for n, t in enumerate(cfg.times):
             assert t == n * T / 7
 
+    @pytest.mark.parametrize("n_int", [29, 57, 114])
+    def test_last_sync_point_is_t_end(self, pwm10_model, n_int):
+        # N*T/N rounds an ulp below T at N=29 and an ulp above it at N=57, 114
+        assert n_int * T / n_int != T
+        times = make_config(pwm10_model, n_int).times
+        assert times[-1] == T
+        assert all(t == n * T / n_int for n, t in enumerate(times[:-1]))
+
 
 class TestIterate:
+    def test_grid_that_rounds_past_t_end_completes(self, pwm400_model):
+        # N=57: N*T/N exceeds T, so the last interval used to end outside the input's domain
+        run = iterate(make_config(pwm400_model, 57, termination=FixedIterations(1)))
+        assert run.times[-1] == T
+        assert all(np.isfinite(u).all() for u in run.iterates + run.errors_vs_reference)
+
     def test_identical_propagators_collapse_in_one_iteration(self, pwm10_model):
         fine = ExactLinearPropagator(pwm10_model)
         cfg = PararealConfig(
@@ -264,8 +279,11 @@ class TestScriptedUpdateOracle:
         """Runs, with their per-run plans and float states, checked against a
         line-by-line transcription of the coarse-sweep initialization and the
         correction update, made of public calls on a second, freshly built
-        config that never went through ``iterate``."""
+        config that never went through ``iterate``.  The input's table of
+        switch-to-switch segments is built by a run on another grid first."""
         N, k_iters = 20, 2
+        models._step_table.cache_clear()
+        iterate(make_config(pwm400_model, 13, termination=FixedIterations(1)))
         for fine_spec, coarse_spec, reduced in itertools.product(
             ["exact", "cn:substeps=7,aligned=1"], ["be", "cn"], [None, "sine"]
         ):

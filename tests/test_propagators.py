@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from parareal import (
     parse_propagator,
     parse_signal,
 )
-from parareal import propagators
+from parareal import models, propagators
 from parareal.propagators import planned, shared_segments
 from parareal.signals import MERGE_TOL
 
@@ -236,6 +237,9 @@ class TestPlannedPropagate:
 
     @pytest.mark.parametrize("spec", PLAN_INPUTS)
     def test_exact(self, spec):
+        # the 13-interval grid builds the input's table of switch-to-switch
+        # segments; the 20-interval grid slices the table the other one built
+        models._step_table.cache_clear()
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
         for n_int in (13, 20):
             times = [n * T / n_int for n in range(n_int + 1)]
@@ -250,6 +254,17 @@ class TestPlannedPropagate:
             assert prop.model._plans == {}
             with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
                 prop.propagate(0.0, T / 2, 0.0)
+        # a theta grid whose last point lies past the input's domain: the
+        # whole grid stays unplanned, the good interval runs cold with the
+        # same bits, and the bad one fails as a cold call does
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        past = math.nextafter(T, math.inf)
+        warm, cold = (ThetaPropagator(model.ivp(), theta=0.5, substeps=3) for _ in range(2))
+        with planned([warm], [0.0, T / 2, past]):
+            assert warm._plans == {}
+            assert warm.propagate(0.0, T / 2, 0.25).tobytes() == cold.propagate(0.0, T / 2, 0.25).tobytes()
+            with pytest.raises(ValueError, match="outside signal domain"):
+                warm.propagate(T / 2, past, 0.25)
 
     def test_plans_are_dropped_on_error(self, sine_model):
         prop = ThetaPropagator(sine_model.ivp())
@@ -288,33 +303,84 @@ class TestNearSwitchGrids:
     @given(near_switch_grids())
     @settings(max_examples=100, deadline=None)
     def test_study_planned_exact_equals_cold_call(self, sig_times):
-        # inside a study, after a uniform run has filled the shared segment memo
+        # after a uniform run has built the input's switch-to-switch table and,
+        # inside a study, filled the shared end-segment memo; then outside one
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
 
         def make():
             return parse_propagator("exact", model.ivp(), model)
 
-        with shared_segments():
-            with planned([make()], [n * T / 20 for n in range(21)]):
-                pass
-            warm = make()
-            with planned([warm], times):
-                assert len(warm.model._plans) == len(times) - 1
-                got = [warm.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
         cold = make()
-        want = [cold.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
-        assert np.vstack(got).tobytes() == np.vstack(want).tobytes()
+        want = np.vstack([cold.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]).tobytes()
+        for scope in (shared_segments, contextlib.nullcontext):
+            with scope():
+                with planned([make()], [n * T / 20 for n in range(21)]):
+                    pass
+                warm = make()
+                with planned([warm], times):
+                    assert len(warm.model._plans) == len(times) - 1
+                    got = [warm.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
+            assert np.vstack(got).tobytes() == want, scope
+
+    @given(
+        near_switch_grids(),
+        st.sampled_from([1.0, 0.5]),
+        st.sampled_from([1, 7]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_planned_theta_equals_cold_call(self, sig_times, theta, substeps, aligned):
+        # the whole grid set up in one pass against one fresh propagator's
+        # cold call per interval; a failure (a substep collapsed to h = 0 on
+        # an interval a few ulps wide) must be the same too
+        sig, times = sig_times
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig).ivp()
+
+        def make():
+            return ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=aligned)
+
+        def chain(prop):
+            out = []
+            for t0, t1 in zip(times, times[1:]):
+                try:
+                    out.append(prop.propagate(t0, t1, 0.25).tobytes())
+                except ValueError as exc:
+                    out.append(repr(exc))
+            return out
+
+        warm = make()
+        with planned([warm], times):
+            assert len(warm._plans) == len(times) - 1
+            got = chain(warm)
+        assert got == chain(make())
 
     def test_shared_memo_is_per_problem(self):
-        # two inputs with the same segment ends (no switches) on one circuit
+        # two inputs with the same segment ends (no switches) on one circuit,
+        # and two PWM circuits that differ only in R, whose switch-to-switch
+        # tables have the same ends; inside a study and outside one
         times = [n * T / 8 for n in range(9)]
+        problems = [(0.01, "sine"), (0.01, "const:v=1"), (0.01, "pwm:m=400"), (0.02, "pwm:m=400")]
+        for scope in (shared_segments, contextlib.nullcontext):
+            models._step_table.cache_clear()
+            with scope():
+                for r_res, spec in problems:
+                    model = LinearScalarModel(R_res=r_res, L_ind=0.001, signal=parse_signal(spec, T))
+                    warm, cold = (parse_propagator("exact", model.ivp(), model) for _ in range(2))
+                    with planned([warm], times):
+                        assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), (r_res, spec)
+
+    def test_shared_end_segments_are_keyed_by_both_ends(self, pwm400_model):
+        # in both grids the first interval's right end segment starts at the
+        # same switch and the second interval's left one ends at the next,
+        # but the sync point between them differs
+        sw = pwm400_model.signal.switching_times(0.0, T).tolist()
+        grids = [[0.0, 0.5 * (sw[10] + sw[11]), T], [0.0, 0.25 * sw[10] + 0.75 * sw[11], T]]
         with shared_segments():
-            for spec in ("sine", "const:v=1"):
-                model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
-                warm, cold = (parse_propagator("exact", model.ivp(), model) for _ in range(2))
+            for times in grids:
+                warm, cold = (parse_propagator("exact", pwm400_model.ivp(), pwm400_model) for _ in range(2))
                 with planned([warm], times):
-                    assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), spec
+                    assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), times
 
     def test_shared_memo_is_dropped_on_error(self, pwm400_model):
         with pytest.raises(RuntimeError, match="inside"):
