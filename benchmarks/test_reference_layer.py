@@ -5,9 +5,10 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
     PYTHONPATH=src python -m pytest benchmarks/test_reference_layer.py --benchmark-json BENCH_reference.json
 
 The costly-fine case is the reference of a ``cn:substeps=500,aligned=1`` fine
-propagator at N=20; the exact-fine case, at N=320, is the control whose
-reference was already the closed form.  Both warm the input's switch table
-first.  The checked-in ``BENCH_reference.json`` merges alternating runs
+propagator at N=20, the closed form set up from the input's cached
+switch-to-switch table, which its first round builds; the exact-fine case, at
+N=320, is the control that chains the run's own plans.  Both warm the input's
+switch table first.  The checked-in ``BENCH_reference.json`` merges alternating runs
 against two source trees; each entry's name carries the tree and the pair,
 e.g. ``[parent-1]``.
 """

@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: one theta step, one costly fine call, one input lookup.
+"""Layer micro-benchmarks: one theta step, one costly fine call, a refined one, one input lookup.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -34,6 +34,14 @@ def test_coarse_be_one_step_sine(benchmark):
     coarse = parse_propagator("be", model.ivp(), model)
     t0, t1 = 3 * T / 20, 4 * T / 20
     out = benchmark(coarse.propagate, t0, t1, U0)
+    assert np.isfinite(out).all()
+
+
+def test_fine_cn_500_aligned_interval(benchmark, pwm):
+    # one fine call of a costly-fine run: a cold sweep over one sync interval of T/20
+    model = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=pwm)
+    fine = parse_propagator("cn:substeps=500,aligned=1", model.ivp(), model)
+    out = benchmark(fine.propagate, 0.0, T / 20, U0)
     assert np.isfinite(out).all()
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -151,6 +152,13 @@ def _cmd_model_reference(args, config) -> int:
     return 0
 
 
+def _threads(r: dict) -> int:
+    threads = int(r["threads"])
+    if threads < 0:
+        raise UsageError(f"--threads must be >= 0 (0: hardware default), got {threads}")
+    return threads
+
+
 def _build_run_config(r: dict) -> PararealConfig:
     model = parse_model(r["model"])
     if r["variant"] not in ("original", "reduced"):
@@ -170,8 +178,8 @@ def _build_run_config(r: dict) -> PararealConfig:
 
 def _cmd_run(args, config) -> int:
     r = _resolve(args, config)
+    threads = _threads(r)
     cfg = _build_run_config(r)
-    threads = int(r["threads"])
     if threads == 1:
         run = iterate(cfg)
     else:
@@ -235,6 +243,7 @@ PRESETS = {
 
 def _cmd_study_run(args, config) -> int:
     r = _resolve(args, config)
+    threads = _threads(r)
     model = parse_model(r["model"])
     n_list = None
     if r["n_list"]:
@@ -272,7 +281,6 @@ def _cmd_study_run(args, config) -> int:
             kwargs["n_list"] = n_list
         specs.append((e["label"], StudySpec(**kwargs)))
 
-    threads = int(r["threads"])
     studies = []
     for label, spec in specs:
         if threads == 1:
@@ -402,10 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves the tree unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems; remap usage to 1
         return 0 if exc.code == 0 else 1

@@ -10,7 +10,9 @@ interval (``_grid_plans``).  The segments between two switches of the input
 do not depend on the sync grid: each process sets them up once per decay
 rate, gain and input (``_switch_steps``), and a run's plans slice that table;
 only an interval's end segments, bounded by a sync point, are set up per run,
-or per study, whose runs share them.
+or per study, whose runs share them.  ``closed_form_trajectory``, the
+reference of every non-exact fine propagator, sets its intervals up the same
+way.
 """
 
 from __future__ import annotations
@@ -231,13 +233,20 @@ def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | Non
     The closed form needs a decay rate ``ivp.decay > 0``; for a model's
     ``ivp()`` this equals ``exact_trajectory`` bitwise.  A zero or negative
     decay rate, or an input with a segment that is neither constant nor
-    sinusoidal, returns None.
+    sinusoidal, returns None.  The intervals are set up as a run plans them
+    (``_grid_plans``), from the input's cached switch-to-switch table; where
+    that set-up fails, the cold per-interval path runs and meets the fault.
     """
     a = ivp.decay
     if not a > 0.0:
         return None
+    ts = np.asarray(times, dtype=float).tolist()
     try:
-        return _closed_form_trajectory(a, ivp.gain, ivp.signal, times, float(ivp.u0))
+        plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, ivp.gain, ivp.signal, ts, {})))
+    except Exception:  # noqa: BLE001 - not swallowed: the cold path below raises it again or returns None
+        plans = None
+    try:
+        return _closed_form_trajectory(a, ivp.gain, ivp.signal, ts, float(ivp.u0), plans)
     except UnsupportedSignalError:
         return None
 

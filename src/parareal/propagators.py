@@ -11,7 +11,10 @@ substeps' step sizes, input values and denominators; the exact solver's
 segments) and the state recurrence over it.  ``planned`` sets up the whole
 sync grid once for the duration of a run, in one pass, so the run's repeated
 calls on an interval run only the recurrence, with the same bits; a cold call
-runs the same set-up on its own two-point grid.  The exact solver's segments
+runs the same set-up on its own two-point grid.  A theta set-up looks up the
+input at an interval's ends with ``Signal.value`` and at the interior nodes of
+its substep grid, each the end of one substep and the start of the next, once
+per node with ``Signal.node_limits``.  The exact solver's segments
 between two input switches come from a table each process builds once per
 problem (``models._switch_steps``); inside ``shared_segments`` (a study,
 ``analysis.run_study``) the runs planned on any thread also share the end
@@ -146,11 +149,12 @@ class ThetaPropagator(Propagator):
         with ``a = -decay``.  The sum starting at +0.0 turns a -0.0 product
         into +0.0, as the 1x1 product ``[[gain]] @ [input]`` does.
         """
-        starts, ends, counts = [], [], []
+        grids, starts, ends, counts = [], [], [], []
         for t0, t1 in zip(times, times[1:]):
             if not t0 < t1:
                 raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
             grid = self._grid(t0, t1)
+            grids.append(grid)
             starts += grid[:-1]
             ends += grid[1:]
             counts.append(len(grid) - 1)
@@ -159,14 +163,23 @@ class ThetaPropagator(Propagator):
         th = self.theta
         gain, value = ivp.gain, ivp.signal.value
         right, left = Side.RIGHT_LIMIT, Side.LEFT_LIMIT
+        if len(starts) == len(grids):  # no interior node
+            p_s = [0.0 + gain * value(s, right) for s in starts]
+            th_p_e = [th * (0.0 + gain * value(e, left)) for e in ends]
+        else:
+            # an interior node starts one substep and ends the one before it:
+            # both of its limits come from one ``node_limits`` pass
+            rights, lefts = [], []
+            for grid in grids:
+                rights.append(value(grid[0], right))
+                inner_lefts, inner_rights = ivp.signal.node_limits(grid[1:-1])
+                rights += inner_rights
+                lefts += inner_lefts
+                lefts.append(value(grid[-1], left))
+            p_s = [0.0 + gain * v for v in rights]
+            th_p_e = [th * (0.0 + gain * v) for v in lefts]
         hs = [e - s for s, e in zip(starts, ends)]
-        return zip(
-            hs,
-            [0.0 + gain * value(s, right) for s in starts],
-            [th * (0.0 + gain * value(e, left)) for e in ends],
-            [1.0 - h * th * a for h in hs],
-            ends,
-        ), counts
+        return zip(hs, p_s, th_p_e, [1.0 - h * th * a for h in hs], ends), counts
 
     def _sweep(self, steps, u: float) -> float:
         """Apply substeps to the state in plain floats: ``num = u +
@@ -271,6 +284,8 @@ def parse_propagator(spec: str, ivp: SplitIvp, model: LinearScalarModel | None =
     kv = parse_kv(body, {"substeps": "1", "aligned": "0"})
     if kv["aligned"] not in ("0", "1"):
         raise ValueError(f"aligned must be 0 or 1, got {kv['aligned']!r}")
-    return ThetaPropagator(
-        ivp, theta=theta, substeps=int(kv["substeps"]), discontinuity_aligned=kv["aligned"] == "1"
-    )
+    try:
+        substeps = int(kv["substeps"])
+    except ValueError:
+        raise ValueError(f"substeps must be an integer, got {kv['substeps']!r}") from None
+    return ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=kv["aligned"] == "1")

@@ -3,7 +3,10 @@
 Every signal is defined on one period ``[0, T]`` and knows where it is
 discontinuous.  Integrators and the exact linear solver rely on
 ``switching_times`` to segment the time axis and on ``Side`` hints to take
-one-sided values at segment boundaries.
+one-sided values at segment boundaries.  ``node_limits`` takes both one-sided
+values at each node of an increasing grid in one merge pass over the switch
+table: a node with no switch at it costs one formula evaluation for both
+sides, the same bits as two ``value`` calls.
 """
 
 from __future__ import annotations
@@ -86,6 +89,17 @@ def _cached_table(sig: Signal) -> _SwitchTable:
     return table
 
 
+def _switch_at(table: tuple[float, ...], i: int, t: float, scale: float) -> int | None:
+    """Index of the switch at ``t``, given ``i = bisect_left(table, t)``: ``table[i]``,
+    or else ``table[i - 1]``, if within 1e-9*``scale`` of ``t``; or None."""
+    tol = 1e-9 * scale
+    if i < len(table) and abs(table[i] - t) <= tol:
+        return i
+    if i > 0 and abs(table[i - 1] - t) <= tol:
+        return i - 1
+    return None
+
+
 class Signal:
     """Base class; concrete signals are small frozen dataclasses."""
 
@@ -137,13 +151,41 @@ class Signal:
 
     def value(self, t: float, side: Side = Side.POINTWISE) -> float:
         """Signal value at ``t``; ``side`` resolves jumps one-sidedly."""
-        self._check_domain(t)
+        if not 0.0 <= t <= self.period:  # the check's call only where it may raise
+            self._check_domain(t)
         if side is not Side.POINTWISE:
             near = self._nearest_switch(t)
             if near is not None:
                 lo, sw, hi = near
                 return self._formula(0.5 * (lo + sw) if side is Side.LEFT_LIMIT else 0.5 * (sw + hi))
         return self._formula(t)
+
+    def node_limits(self, ts: list[float]) -> tuple[list[float], list[float]]:
+        """``([value(t, LEFT_LIMIT) ...], [value(t, RIGHT_LIMIT) ...])`` over the increasing times ``ts``.
+
+        One merge pass over the switch table: a node with no switch at it
+        (``_nearest_switch``) takes one ``_formula(t)`` for both sides, a node
+        with one goes through ``value`` per side.
+        """
+        self._check_nodes(ts)
+        table = self._switch_table().floats
+        scale = self._tol_scale()
+        formula, value = self._formula, self.value
+        left, right = Side.LEFT_LIMIT, Side.RIGHT_LIMIT
+        lefts, rights = [], []
+        n = len(table)
+        i = bisect_left(table, ts[0]) if ts else 0
+        for t in ts:
+            while i < n and table[i] < t:
+                i += 1
+            if _switch_at(table, i, t, scale) is None:
+                v = formula(t)
+                lefts.append(v)
+                rights.append(v)
+            else:
+                lefts.append(value(t, left))
+                rights.append(value(t, right))
+        return lefts, rights
 
     def bound(self) -> float:
         """An upper bound for ``|value|`` on the whole period."""
@@ -162,22 +204,23 @@ class Signal:
         if t < 0.0 or t > self.period:
             raise ValueError(f"t={t} outside signal domain [0, {self.period}]")
 
+    def _check_nodes(self, ts: list[float]) -> None:
+        """``_check_domain`` of each of the increasing times ``ts``: the first one outside raises."""
+        if ts and (ts[0] < 0.0 or ts[-1] > self.period):
+            for t in ts:
+                self._check_domain(t)
+
     def _nearest_switch(self, t: float) -> tuple[float, float, float] | None:
         """(previous switch or 0, the switch at t, next switch or T), or None.
 
         A switch within 1e-9*T of ``t`` counts as the switch at ``t``; the one
-        at or after ``t`` wins a tie with the one before it.
+        at or after ``t`` wins a tie with the one before it (``_switch_at``).
         """
         table = self._switch_table().floats
         if not table:
             return None
-        tol = 1e-9 * self._tol_scale()
-        i = bisect_left(table, t)
-        if i < len(table) and abs(table[i] - t) <= tol:
-            j = i
-        elif i > 0 and abs(table[i - 1] - t) <= tol:
-            j = i - 1
-        else:
+        j = _switch_at(table, bisect_left(table, t), t, self._tol_scale())
+        if j is None:
             return None
         lo = table[j - 1] if j > 0 else 0.0
         hi = table[j + 1] if j + 1 < len(table) else float(self.period)
@@ -504,6 +547,13 @@ class Difference(Signal):
     def value(self, t, side=Side.POINTWISE):
         self._check_domain(t)
         return self.a.value(t, side) - self.b.value(t, side)
+
+    def node_limits(self, ts):
+        # per operand, as ``value``: a switch that cancels here is missing from this table
+        self._check_nodes(ts)
+        la, ra = self.a.node_limits(ts)
+        lb, rb = self.b.node_limits(ts)
+        return [x - y for x, y in zip(la, lb)], [x - y for x, y in zip(ra, rb)]
 
     def _switch_table(self):
         return _cached_table(self)

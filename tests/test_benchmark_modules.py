@@ -79,3 +79,38 @@ def test_perfbench_tracer_sees_every_layer_of_a_run():
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["fine"] == 5 and counts["coarse"] == 15, counts
     assert counts["exact_linear_propagate"] >= 1 and counts["jump_norm"] >= 1 and counts["segments"] >= 1, counts
+
+
+TRACED_THETA_RUN = """
+import json
+import tracer
+from parareal import algorithm
+from parareal.algorithm import FixedIterations, make_config
+from parareal.models import parse_model
+
+t = tracer.Tracer()
+tracer.install(t)
+cfg = make_config(parse_model("rl:R=0.01,L=0.001,input=pwm:m=400"), 5, fine="cn:substeps=50,aligned=1",
+                  termination=FixedIterations(1))
+t.start()
+algorithm.iterate(cfg)
+spans = t.stop()
+inst = spans.cols["inst"]
+print(json.dumps({
+    "fine": int((spans.mask("propagators.theta") & (inst == id(cfg.fine))).sum()),
+    "value": int(spans.mask("signals.value").sum()),
+    "substeps": spans.counts.get("propagators.theta.substeps", 0),
+}))
+"""
+
+
+def test_perfbench_tracer_sees_a_theta_fine_run():
+    # costly-fine's self-check needs one-sided lookups and substep counts from
+    # a cold theta fine propagator, whatever path its interior nodes take
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", TRACED_THETA_RUN], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["fine"] == 5 and counts["value"] > 0 and counts["substeps"] > 0, counts

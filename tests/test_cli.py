@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import parareal
+from parareal import cli
 from parareal.cli import main
 
 
@@ -223,6 +224,27 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", [["run", "--k", "1"], ["study", "run", "--n-list", "4,8"]])
+    def test_negative_threads(self, command, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([*command, "--threads", "-1", "--out", str(out)]) == 1
+        assert "--threads must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_substeps(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--fine", "cn:substeps=x", "--k", "1", "--out", str(out)]) == 1
+        assert "substeps must be an integer, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parser_is_reused(self, capsys):
+        # one argparse tree per process; a failed parse leaves it usable
+        assert main(["run", "--frobnicate", "1"]) == 1
+        parser = cli._parser()
+        assert main(["bound", "eval", "--which", "lemma", "--Cp", "2", "--p", "1"]) == 0
+        assert cli._parser() is parser
+        assert capsys.readouterr().out.strip() == "2"
 
 
 class TestConfigFile:

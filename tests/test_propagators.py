@@ -355,6 +355,59 @@ class TestNearSwitchGrids:
             got = chain(warm)
         assert got == chain(make())
 
+    @given(
+        st.sampled_from(["pwm:m=400", "pwm3:m=400"]),
+        st.integers(0, 10**6),
+        st.integers(1, 36),
+        st.sampled_from([0.0, MERGE_TOL, 1e-9, 2e-9]),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(T / 8000, T / 400),
+        st.sampled_from([1.0, 0.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cold_theta_with_interior_nodes_near_switches(self, spec, pick, j, reach, sign, h, theta):
+        # a non-aligned 37-substep interval whose interior node j lands on a
+        # switch, or within MERGE_TOL*T or 1e-9*T of it: the one-pass node
+        # lookup against the straight-line ``Signal.value`` formula
+        sig = parse_signal(spec, T)
+        table = sig.switching_times(0.0, T).tolist()
+        sw = table[pick % len(table)]
+        t0 = max(sw + sign * reach * T - j * h, 0.0)
+        t1 = min(t0 + 37 * h, T)
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig).ivp()
+        prop = ThetaPropagator(ivp, theta=theta, substeps=37)
+        assert prop.propagate(t0, t1, 0.25).tobytes() == reference_sweep(prop, t0, t1, 0.25).tobytes()
+
+    @given(near_switch_grids())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_trajectory_equals_cold_chain(self, sig_times):
+        # set up from the switch-to-switch table, against one cold set-up per interval
+        sig, times = sig_times
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
+        want = [model.u0]
+        for t0, t1 in zip(times, times[1:]):
+            want.append(models._advance(models._segments(model.decay_rate, model.R_res, sig, t0, t1), want[-1]))
+        assert models.closed_form_trajectory(model.ivp(), times).tobytes() == np.array(want).tobytes()
+
+    def test_closed_form_trajectory_slices_the_switch_table(self, monkeypatch):
+        # after the first call has built the table, a call sets up only the end
+        # segments of its intervals, not each of the input's ~800 segments
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        times = [n * T / 20 for n in range(21)]
+        want = models.closed_form_trajectory(model.ivp(), times)
+        calls = []
+        step = models._segment_step
+        monkeypatch.setattr(models, "_segment_step", lambda *args: calls.append(args) or step(*args))
+        assert models.closed_form_trajectory(model.ivp(), times).tobytes() == want.tobytes()
+        assert 0 < len(calls) <= 2 * 20
+
+    def test_closed_form_trajectory_without_a_closed_form(self):
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("diff:sine-sine3:phase=2", T))
+        assert models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T]) is None
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        with pytest.raises(ValueError, match="need t0 < t1"):
+            models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T / 2, T])
+
     def test_shared_memo_is_per_problem(self):
         # two inputs with the same segment ends (no switches) on one circuit,
         # and two PWM circuits that differ only in R, whose switch-to-switch
@@ -407,6 +460,7 @@ class TestParsePropagator:
             ("be:substeps", "expected key=value"),
             ("be:substeps=2,substeps=3", "given twice"),
             ("exact:substeps=2", "unknown key 'substeps'"),
+            ("cn:substeps=x", "substeps must be an integer, got 'x'"),
         ]:
             with pytest.raises(ValueError, match=match):
                 parse_propagator(spec, sine_model.ivp(), sine_model)

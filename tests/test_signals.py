@@ -231,6 +231,47 @@ def near_switch_times(draw):
     return sig, min(max(t, 0.0), T)
 
 
+# every signal kind, a difference with one PWM and one of two PWMs (whose
+# switch tables merge), and a difference whose switches all cancel
+NODE_SIGNALS = [
+    parse_signal(spec, T)
+    for spec in ["pwm:m=400", "pwm:m=7", "pwm3:m=400,phase=2", "step", "sine", "sine3:phase=3", "const:v=1",
+                 "zero", "diff:pwm:m=400-sine", "diff:pwm:m=400-pwm3:m=400", "diff:pwm:m=7-pwm:m=7"]
+]
+
+
+def _operand_switches(sig):
+    if isinstance(sig, Difference):
+        return _operand_switches(sig.a) + _operand_switches(sig.b)
+    return sig.switching_times(0.0, T).tolist()
+
+
+@st.composite
+def node_grids(draw):
+    """A signal and an increasing grid of nodes: uniform draws, end points,
+    and switches (of the signal or, for a difference, of its operands) moved
+    by up to twice the 1e-9*T snap tolerance, by exactly that tolerance, or
+    by one ulp more or less than it."""
+    sig = draw(st.sampled_from(NODE_SIGNALS))
+    switches = _operand_switches(sig)
+    tol = 1e-9 * T
+    nodes = set(draw(st.lists(st.floats(0.0, T), max_size=20)))
+    if draw(st.booleans()):
+        nodes |= {0.0, T}
+    for _ in range(draw(st.integers(0, 12)) if switches else 0):
+        sw = draw(st.sampled_from(switches))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        kind = draw(st.sampled_from(["within", "at", "ulp"]))
+        if kind == "within":
+            t = sw + sign * draw(st.floats(0.0, 2.0 * tol))
+        else:
+            t = sw + sign * tol
+            if kind == "ulp":
+                t = math.nextafter(t, draw(st.sampled_from([-math.inf, math.inf])))
+        nodes.add(min(max(t, 0.0), T))
+    return sig, sorted(nodes)
+
+
 class TestOneSidedLookup:
     @given(near_switch_times(), st.sampled_from([Side.LEFT_LIMIT, Side.RIGHT_LIMIT]))
     @settings(max_examples=400, deadline=None)
@@ -239,6 +280,42 @@ class TestOneSidedLookup:
         got = sig.value(t, side)
         want = searchsorted_one_sided(sig, t, side)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(node_grids())
+    @settings(max_examples=400, deadline=None)
+    def test_node_limits_equal_two_value_calls(self, sig_ts):
+        sig, ts = sig_ts
+        lefts, rights = sig.node_limits(ts)
+        want_l = [sig.value(t, Side.LEFT_LIMIT) for t in ts]
+        want_r = [sig.value(t, Side.RIGHT_LIMIT) for t in ts]
+        assert np.array(lefts).tobytes() == np.array(want_l).tobytes()
+        assert np.array(rights).tobytes() == np.array(want_r).tobytes()
+
+    def test_node_limits_at_the_snap_tolerance_edge(self):
+        # the last node after a switch that still snaps to it, and the next float
+        sig = PwmSingle(m=400, period=T)
+        sw = float(sig.switching_times(0.0, T)[100])
+        tol = 1e-9 * T
+        edge = sw + tol
+        while abs(edge - sw) > tol:
+            edge = math.nextafter(edge, -math.inf)
+        while abs(math.nextafter(edge, math.inf) - sw) <= tol:
+            edge = math.nextafter(edge, math.inf)
+        past = math.nextafter(edge, math.inf)
+        lefts, rights = sig.node_limits([sw, edge, past])
+        assert lefts == [sig.value(t, Side.LEFT_LIMIT) for t in (sw, edge, past)]
+        assert rights == [sig.value(t, Side.RIGHT_LIMIT) for t in (sw, edge, past)]
+        # the switch's two sides at the snapped nodes, one side past the edge
+        assert lefts[0] != rights[0] and (lefts[1], rights[1]) == (lefts[0], rights[0])
+        assert lefts[2] == rights[2] == rights[0]
+
+    def test_node_limits_outside_the_domain(self):
+        sig = Difference(PwmSingle(m=400, period=T), SineWave(T))
+        assert sig.node_limits([]) == ([], [])
+        with pytest.raises(ValueError, match=f"t={T * 1.5} outside"):
+            sig.node_limits([T / 2, T * 1.5, T * 2])
+        with pytest.raises(ValueError, match="t=-1.0 outside"):
+            PwmSingle(m=400, period=T).node_limits([-1.0, T / 2])
 
 
 class TestSwitchTableCache:
