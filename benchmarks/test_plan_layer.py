@@ -115,9 +115,9 @@ def test_corrected_coarse_sweep_n80(benchmark, model):
     def sweep():
         new = [0.0]
         for n in range(1, N_RUN + 1):
-            g_old = coarse.propagate(times[n - 1], times[n], state[n - 1])[0]
-            g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])[0]
-            new.append(float(state[n] + g_new - g_old))
+            g_old = coarse.propagate(times[n - 1], times[n], state[n - 1])
+            g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
+            new.append(state[n] + g_new - g_old)
         return new
 
     with planned([coarse], times):

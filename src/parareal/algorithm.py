@@ -40,6 +40,12 @@ from .propagators import (
 from .signals import Signal
 
 
+def _check_tolerances(atol: float, rtol: float) -> None:
+    # negated comparisons, so that NaN fails too: ``nan < 0`` is False
+    if not (atol > 0 and rtol >= 0):
+        raise ValueError(f"need atol > 0 and rtol >= 0, got atol={atol!r}, rtol={rtol!r}")
+
+
 @dataclass(frozen=True)
 class Termination:
     """Stop when the largest mixed-tolerance jump norm drops below the threshold."""
@@ -49,8 +55,9 @@ class Termination:
     jump_threshold: float = 1.0
 
     def __post_init__(self):
-        if not self.atol > 0 or self.rtol < 0:
-            raise ValueError("need atol > 0 and rtol >= 0")
+        _check_tolerances(self.atol, self.rtol)
+        if not 0 < self.jump_threshold < math.inf:
+            raise ValueError(f"jump_threshold must be a positive finite number, got {self.jump_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,7 @@ class FixedIterations:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        _check_tolerances(self.atol, self.rtol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,20 +130,16 @@ class PararealConfig:
         return self.k_max
 
 
-def jump_norm(u: np.ndarray, v: np.ndarray, atol: float, rtol: float) -> float:
-    """Mixed-tolerance distance: ``sqrt(mean_i (|u_i-v_i| / (atol+rtol*|v_i|))^2)``.
+def jump_norm(u: float, v: float, atol: float, rtol: float) -> float:
+    """Mixed-tolerance distance of two scalar states: ``sqrt(x*x)`` with
+    ``x = |u-v| / (atol+rtol*|v|)``, the root mean square of one element.
 
-    Two floats take a float path, bitwise equal to the mean of one element.
+    A state may also be a one-element array (``scalar_state``).
     """
-    if atol <= 0 or rtol < 0:
-        raise ValueError("need atol > 0 and rtol >= 0")
-    if isinstance(u, float) and isinstance(v, float):
-        scaled = abs(u - v) / (atol + rtol * abs(v))
-        return math.sqrt(scaled * scaled)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    scaled = np.abs(u - v) / (atol + rtol * np.abs(v))
-    return float(math.sqrt(np.mean(scaled**2)))
+    _check_tolerances(atol, rtol)
+    u, v = scalar_state(u), scalar_state(v)
+    scaled = abs(u - v) / (atol + rtol * abs(v))
+    return math.sqrt(scaled * scaled)
 
 
 @dataclass
@@ -180,7 +184,7 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
     guess = [u]
     for n in range(1, cfg.n_intervals + 1):
         try:
-            u = scalar_state(cfg.coarse.propagate(times[n - 1], times[n], u))
+            u = cfg.coarse.propagate(times[n - 1], times[n], u)
         except Exception as exc:
             relabelled = type(exc)(f"coarse guess failed on interval {n}: {exc}")
             if isinstance(exc, NonFiniteStateError):
@@ -213,20 +217,11 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
     exact = closed_form_trajectory(ivp, times)
     if exact is not None:
         return exact[:, None]
-    if isinstance(fine, ThetaPropagator):
-        refined = ThetaPropagator(
-            ivp,
-            theta=fine.theta,
-            substeps=10 * fine.substeps,
-            discontinuity_aligned=fine.discontinuity_aligned,
-        )
-    else:
-        refined = fine
-    out = np.empty((len(times), 1))
-    out[0] = ivp.u0
+    refined = replace(fine, substeps=10 * fine.substeps) if isinstance(fine, ThetaPropagator) else fine
+    out = [float(ivp.u0)]
     for n in range(1, len(times)):
-        out[n] = refined.propagate(times[n - 1], times[n], out[n - 1])
-    return out
+        out.append(refined.propagate(times[n - 1], times[n], out[-1]))
+    return np.array(out)[:, None]
 
 
 def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float], executor: Executor | None) -> list[float]:
@@ -235,7 +230,7 @@ def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float], exe
 
     def one(n: int) -> float:
         try:
-            return scalar_state(fine.propagate(times[n - 1], times[n], state[n - 1]))
+            return fine.propagate(times[n - 1], times[n], state[n - 1])
         except NonFiniteStateError as exc:
             exc.n = n
             raise
@@ -297,8 +292,8 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
             new = [u0]
             try:
                 for n in range(1, N + 1):
-                    g_old = scalar_state(coarse.propagate(ts[n - 1], ts[n], current[n - 1]))
-                    g_new = scalar_state(coarse.propagate(ts[n - 1], ts[n], new[n - 1]))
+                    g_old = coarse.propagate(ts[n - 1], ts[n], current[n - 1])
+                    g_new = coarse.propagate(ts[n - 1], ts[n], new[n - 1])
                     u = arrivals[n] + g_new - g_old
                     if not math.isfinite(u):
                         raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}")

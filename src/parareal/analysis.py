@@ -369,20 +369,20 @@ def local_order_probe(
     prop: Propagator,
     reference: Propagator,
     t_start: float = 0.0,
-    u_start: np.ndarray | None = None,
+    u_start: float | None = None,
     n_points: int = 7,
     dt_max: float | None = None,
     floor: float = 1e-15,
 ) -> OrderProbe:
     """Fit the decay of the one-step defect against an exact reference.
 
-    Measures ``||reference(t0+dt) - prop(t0+dt)||`` from a common state over a
+    Measures ``|reference(t0+dt) - prop(t0+dt)|`` from a common state over a
     geometric dt ladder; the log-log slope estimates the local truncation
     order (scheme order + 1) on smooth inputs.  Points at or below ``floor``
     are flagged and excluded; if fewer than two points remain the slope is NaN.
     """
     ivp = prop.ivp
-    u0 = ivp.u0 if u_start is None else np.atleast_1d(np.asarray(u_start, dtype=float))
+    u0 = ivp.u0 if u_start is None else u_start
     span = dt_max if dt_max is not None else (ivp.t_end - t_start) / 16.0
     dts, errs = [], []
     for j in range(n_points):
@@ -390,7 +390,7 @@ def local_order_probe(
         ue = reference.propagate(t_start, t_start + dt, u0)
         ua = prop.propagate(t_start, t_start + dt, u0)
         dts.append(dt)
-        errs.append(float(np.max(np.abs(ue - ua))))
+        errs.append(abs(ue - ua))
     try:
         fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
     except InsufficientPointsError:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -112,11 +113,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_state(u: np.ndarray) -> str:
-    u = np.atleast_1d(u)
-    return ";".join(_fmt(float(x)) for x in u)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -152,11 +148,13 @@ def _cmd_model_reference(args, config) -> int:
     return 0
 
 
-def _threads(r: dict) -> int:
+def _pool(r: dict):
+    """The executor a subcommand's runs share, as a context: none for ``--threads 1``,
+    else a thread pool (``--threads 0``: the hardware default)."""
     threads = int(r["threads"])
     if threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: hardware default), got {threads}")
-    return threads
+    return contextlib.nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads or None)
 
 
 def _build_run_config(r: dict) -> PararealConfig:
@@ -178,13 +176,9 @@ def _build_run_config(r: dict) -> PararealConfig:
 
 def _cmd_run(args, config) -> int:
     r = _resolve(args, config)
-    threads = _threads(r)
     cfg = _build_run_config(r)
-    if threads == 1:
-        run = iterate(cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=threads or None) as pool:
-            run = iterate(cfg, executor=pool)
+    with _pool(r) as executor:
+        run = iterate(cfg, executor=executor)
 
     lines = _manifest_lines("run", r)
     lines.append("k,n,T_n,U,fine_arrival,jump,err_vs_ref")
@@ -193,10 +187,10 @@ def _cmd_run(args, config) -> int:
         for n, t in enumerate(run.times):
             arrival = jump = ""
             if 1 <= k <= run.iterations_used and n >= 1:
-                arrival = _fmt_state(run.fine_arrivals[k - 1][n])
+                arrival = _fmt(run.fine_arrivals[k - 1][n, 0])
                 jump = _fmt(run.jumps[k - 1][n])
             err = _fmt(float(errs[k][n])) if errs is not None else ""
-            lines.append(f"{k},{n},{_fmt(t)},{_fmt_state(it[n])},{arrival},{jump},{err}")
+            lines.append(f"{k},{n},{_fmt(t)},{_fmt(it[n, 0])},{arrival},{jump},{err}")
     max_jump = run.max_jump(run.iterations_used - 1) if run.jumps else math.nan
     summary = (
         f"iterations_used={run.iterations_used},converged={str(run.converged).lower()},"
@@ -243,7 +237,6 @@ PRESETS = {
 
 def _cmd_study_run(args, config) -> int:
     r = _resolve(args, config)
-    threads = _threads(r)
     model = parse_model(r["model"])
     n_list = None
     if r["n_list"]:
@@ -281,13 +274,8 @@ def _cmd_study_run(args, config) -> int:
             kwargs["n_list"] = n_list
         specs.append((e["label"], StudySpec(**kwargs)))
 
-    studies = []
-    for label, spec in specs:
-        if threads == 1:
-            studies.append((label, run_study(spec)))
-        else:
-            with ThreadPoolExecutor(max_workers=threads or None) as pool:
-                studies.append((label, run_study(spec, executor=pool)))
+    with _pool(r) as executor:
+        studies = [(label, run_study(spec, executor=executor)) for label, spec in specs]
 
     # each series records the spec it ran; the run-wide flags it overrides are dropped
     series = [

@@ -10,9 +10,9 @@ interval (``_grid_plans``).  The segments between two switches of the input
 do not depend on the sync grid: each process sets them up once per decay
 rate, gain and input (``_switch_steps``), and a run's plans slice that table;
 only an interval's end segments, bounded by a sync point, are set up per run,
-or per study, whose runs share them.  ``closed_form_trajectory``, the
-reference of every non-exact fine propagator, sets its intervals up the same
-way.
+or per study, whose runs share them.  The closed-form trajectories
+(``exact_trajectory``, ``closed_form_trajectory``) set a grid up the same way
+outside a run, and chain the run's plans inside one.
 """
 
 from __future__ import annotations
@@ -195,16 +195,6 @@ def _interval(plans, a: float, gain: float, sig: Signal, t0: float, t1: float):
     return _segments(a, gain, sig, t0, t1) if segments is None else segments
 
 
-def _closed_form_trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=None) -> np.ndarray:
-    ts = np.asarray(times, dtype=float).tolist()
-    out = np.empty(len(ts))
-    out[0] = phi
-    for i in range(1, len(ts)):
-        phi = _advance(_interval(plans, a, gain, sig, ts[i - 1], ts[i]), phi)
-        out[i] = phi
-    return out
-
-
 def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0: float) -> float:
     """Exact solution of the scalar linear model at ``t1`` starting from ``phi0``.
 
@@ -217,14 +207,34 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
     return _advance(_interval(model._plans, model.decay_rate, model.R_res, model.signal, t0, t1), phi0)
 
 
-def exact_trajectory(model: LinearScalarModel, times: np.ndarray, phi0: float | None = None) -> np.ndarray:
-    """Exact solution sampled at an increasing time grid starting at times[0].
+def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=None) -> np.ndarray:
+    """The closed-form chain from ``phi`` at ``times[0]`` over the increasing grid ``times``.
 
-    Like ``exact_linear_propagate``, it chains the model's interval plans
-    where a run has built them; the result is the same bits.
+    Each interval's segment data comes from ``plans`` where a run has built
+    them; without, the grid is set up as a run plans it (``_grid_plans``),
+    from the input's cached switch-to-switch table.  Where that set-up fails,
+    the cold per-interval path runs and meets the fault.  Either way the bits
+    are those of the cold path.
     """
-    phi = model.u0 if phi0 is None else phi0
-    return _closed_form_trajectory(model.decay_rate, model.R_res, model.signal, times, phi, model._plans)
+    ts = np.asarray(times, dtype=float).tolist()
+    if plans is None:
+        try:
+            plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, gain, sig, ts, {})))
+        except Exception:  # noqa: BLE001 - not swallowed: the cold path below raises it again
+            pass
+    out = [float(phi)]
+    for t0, t1 in zip(ts, ts[1:]):
+        out.append(_advance(_interval(plans, a, gain, sig, t0, t1), out[-1]))
+    return np.array(out)
+
+
+def exact_trajectory(model: LinearScalarModel, times: np.ndarray) -> np.ndarray:
+    """Exact solution from ``model.u0`` at ``times[0]``, sampled at the increasing grid ``times``.
+
+    Inside a run it chains the interval plans the run has built for the
+    model (``propagators.planned``); the result is the same bits.
+    """
+    return _trajectory(model.decay_rate, model.R_res, model.signal, times, model.u0, model._plans)
 
 
 def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | None:
@@ -233,20 +243,12 @@ def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | Non
     The closed form needs a decay rate ``ivp.decay > 0``; for a model's
     ``ivp()`` this equals ``exact_trajectory`` bitwise.  A zero or negative
     decay rate, or an input with a segment that is neither constant nor
-    sinusoidal, returns None.  The intervals are set up as a run plans them
-    (``_grid_plans``), from the input's cached switch-to-switch table; where
-    that set-up fails, the cold per-interval path runs and meets the fault.
+    sinusoidal, returns None.
     """
-    a = ivp.decay
-    if not a > 0.0:
+    if not ivp.decay > 0.0:
         return None
-    ts = np.asarray(times, dtype=float).tolist()
     try:
-        plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, ivp.gain, ivp.signal, ts, {})))
-    except Exception:  # noqa: BLE001 - not swallowed: the cold path below raises it again or returns None
-        plans = None
-    try:
-        return _closed_form_trajectory(a, ivp.gain, ivp.signal, ts, float(ivp.u0), plans)
+        return _trajectory(ivp.decay, ivp.gain, ivp.signal, times, ivp.u0)
     except UnsupportedSignalError:
         return None
 

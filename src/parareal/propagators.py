@@ -1,10 +1,11 @@
 """Coarse and fine propagators: implicit theta methods and the exact solver.
 
-A propagator maps ``(t0, t1, u0)`` to the state at ``t1`` of its scalar
-linear IVP; the state is a float or a one-element array, and the result a
-one-element array.  The theta family covers Backward Euler (theta=1, order 1)
-and Crank-Nicolson (theta=1/2, order 2), stepped in plain floats; the exact
-adapter wraps the closed-form linear solver.
+A propagator maps ``(t0, t1, u)`` to the state at ``t1`` of its scalar
+linear IVP: a float in, a float out.  A one-element array is accepted as the
+state too (``scalar_state``), a longer one raises ``ValueError``.  The theta
+family covers Backward Euler (theta=1, order 1) and Crank-Nicolson
+(theta=1/2, order 2), stepped in plain floats; the exact adapter wraps the
+closed-form linear solver.
 
 Each call splits into a state-independent set-up of the interval (the theta
 substeps' step sizes, input values and denominators; the exact solver's
@@ -34,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .models import LinearScalarModel, SplitIvp, _grid_plans, exact_linear_propagate
-from .signals import Side, parse_kv
+from .signals import MERGE_TOL, Side, parse_kv
 
 
 class NonFiniteStateError(RuntimeError):
@@ -61,12 +62,13 @@ def scalar_state(u) -> float:
 
 
 class Propagator:
-    """Common protocol: pure and concurrency-safe.  A run may attach interval
-    plans (``planned``) for its duration; they change no result."""
+    """Common protocol: ``propagate(t0, t1, u)`` maps the scalar state ``u`` at
+    ``t0`` to the float state at ``t1``, pure and concurrency-safe.  A run may
+    attach interval plans (``planned``) for its duration; they change no result."""
 
     ivp: SplitIvp
 
-    def propagate(self, t0: float, t1: float, u0: np.ndarray) -> np.ndarray:
+    def propagate(self, t0: float, t1: float, u: float) -> float:
         raise NotImplementedError
 
 
@@ -84,8 +86,8 @@ class ExactLinearPropagator(Propagator):
     def ivp(self) -> SplitIvp:  # type: ignore[override]
         return self.model.ivp()
 
-    def propagate(self, t0, t1, u0):
-        return np.array([exact_linear_propagate(self.model, t0, t1, scalar_state(u0))])
+    def propagate(self, t0, t1, u):
+        return exact_linear_propagate(self.model, t0, t1, scalar_state(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +131,15 @@ class ThetaPropagator(Propagator):
             if switches.size:
                 merged = np.union1d(grid, switches)
                 # drop near-duplicates created by roundoff-level coincidences
-                keep = np.concatenate([[True], np.diff(merged) > 1e-13 * (t1 - t0)])
+                keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL * (t1 - t0)])
                 grid = merged[keep]
         return grid.tolist()
 
-    def propagate(self, t0, t1, u0):
-        u = scalar_state(u0)
+    def propagate(self, t0, t1, u):
+        u = scalar_state(u)
         plans = self._plans
         steps = plans.get((t0, t1)) if plans else None
-        return np.array([self._sweep(self._substeps((t0, t1))[0] if steps is None else steps, u)])
+        return self._sweep(self._substeps((t0, t1))[0] if steps is None else steps, u)
 
     def _substeps(self, times: Sequence[float]) -> tuple[Iterator[tuple], list[int]]:
         """The substeps of the grid ``times``, set up in one pass: an iterator

@@ -7,6 +7,25 @@ one-sided values at segment boundaries.  ``node_limits`` takes both one-sided
 values at each node of an increasing grid in one merge pass over the switch
 table: a node with no switch at it costs one formula evaluation for both
 sides, the same bits as two ``value`` calls.
+
+Switch tolerances, each with its scale (T is the period, or 1 for an
+unbounded signal) and purpose:
+
+* ``SWITCH_TOL`` = 1e-15, times T: the bracket width at which a PWM
+  comparator root search (``_build_table``) stops bisecting.
+* ``MERGE_TOL`` = 1e-13, times T: root candidates closer than this merge
+  into one switch (``_filter_jumps``), and a switch this close to an end of
+  ``(t0, t1)`` lies outside the open interval (``switching_times``,
+  ``grid_switches``).  Times (t1 - t0): where a theta substep grid is merged
+  with the switches of ``(t0, t1)``, a time this close to the one before it
+  is dropped (``ThetaPropagator._grid``).
+* ``SNAP_TOL`` = 1e-9, times T: a time this close to a switch counts as at
+  the switch for one-sided values (``_switch_at``, behind ``value`` and
+  ``node_limits``).
+* ``JUMP_TOL`` = 1e-9, absolute: a root candidate is a switch only if the
+  value changes by more than this across it (``_filter_jumps``).
+* ``PwmSingle._SIN_TIE`` = 3e-15, absolute: a sine value below this is the
+  comparator tie ``sin = 0``, resolved to the 0 branch.
 """
 
 from __future__ import annotations
@@ -26,10 +45,11 @@ TWO_PI = 2.0 * math.pi
 # phase offsets of the three-phase sources, index 1..3
 PHASE_SHIFTS = {1: 0.0, 2: -2.0 * math.pi / 3.0, 3: -4.0 * math.pi / 3.0}
 
-# absolute tolerance (relative to the period) for locating switching instants
+# the switch tolerances; see the module docstring
 SWITCH_TOL = 1e-15
-# two times closer than this (relative to the period) count as the same switch
 MERGE_TOL = 1e-13
+SNAP_TOL = 1e-9
+JUMP_TOL = 1e-9
 
 
 class Side(Enum):
@@ -91,8 +111,8 @@ def _cached_table(sig: Signal) -> _SwitchTable:
 
 def _switch_at(table: tuple[float, ...], i: int, t: float, scale: float) -> int | None:
     """Index of the switch at ``t``, given ``i = bisect_left(table, t)``: ``table[i]``,
-    or else ``table[i - 1]``, if within 1e-9*``scale`` of ``t``; or None."""
-    tol = 1e-9 * scale
+    or else ``table[i - 1]``, if within ``SNAP_TOL * scale`` of ``t``; or None."""
+    tol = SNAP_TOL * scale
     if i < len(table) and abs(table[i] - t) <= tol:
         return i
     if i > 0 and abs(table[i - 1] - t) <= tol:
@@ -213,7 +233,7 @@ class Signal:
     def _nearest_switch(self, t: float) -> tuple[float, float, float] | None:
         """(previous switch or 0, the switch at t, next switch or T), or None.
 
-        A switch within 1e-9*T of ``t`` counts as the switch at ``t``; the one
+        A switch within ``SNAP_TOL * T`` of ``t`` counts as the switch at ``t``; the one
         at or after ``t`` wins a tie with the one before it (``_switch_at``).
         """
         table = self._switch_table().floats
@@ -284,7 +304,7 @@ def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
     for i, c in enumerate(merged):
         left_mid = 0.5 * (fences[i] + c)
         right_mid = 0.5 * (c + fences[i + 2])
-        if abs(sig._formula(left_mid) - sig._formula(right_mid)) > 1e-9:
+        if abs(sig._formula(left_mid) - sig._formula(right_mid)) > JUMP_TOL:
             kept.append(c)
     return np.array(kept)
 
@@ -301,9 +321,6 @@ class SineWave(Signal):
 
     def _formula(self, t: float) -> float:
         return math.sin(TWO_PI * t / self.period)
-
-    def values(self, ts):
-        return np.sin(TWO_PI * np.asarray(ts) / self.period)
 
     def bound(self) -> float:
         return 1.0
@@ -326,9 +343,6 @@ class ThreePhaseSine(Signal):
     def _formula(self, t: float) -> float:
         return math.sin(TWO_PI * t / self.period + PHASE_SHIFTS[self.phase_index])
 
-    def values(self, ts):
-        return np.sin(TWO_PI * np.asarray(ts) / self.period + PHASE_SHIFTS[self.phase_index])
-
     def bound(self) -> float:
         return 1.0
 
@@ -344,9 +358,6 @@ class StepWave(Signal):
 
     def _formula(self, t: float) -> float:
         return 1.0 if t < 0.5 * self.period else -1.0
-
-    def values(self, ts):
-        return np.where(np.asarray(ts) < 0.5 * self.period, 1.0, -1.0)
 
     def _switch_table(self):
         return _cached_table(self)
@@ -371,9 +382,6 @@ class Constant(Signal):
     def _formula(self, t: float) -> float:
         return self.value_
 
-    def values(self, ts):
-        return np.full(np.asarray(ts).shape, self.value_)
-
     def bound(self) -> float:
         return abs(self.value_)
 
@@ -389,9 +397,6 @@ class Zero(Signal):
 
     def _formula(self, t: float) -> float:
         return 0.0
-
-    def values(self, ts):
-        return np.zeros(np.asarray(ts).shape)
 
     def bound(self) -> float:
         return 0.0
@@ -433,14 +438,6 @@ class PwmSingle(Signal):
         if self._sawtooth(t) - abs(sv) < 0.0:
             return math.copysign(1.0, sv) if sv != 0.0 else 0.0
         return 0.0
-
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        x = (self.m / self.period) * ts
-        saw = x - np.floor(x)
-        sv = np.sin(TWO_PI * ts / self.period)
-        sv = np.where(np.abs(sv) < self._SIN_TIE, 0.0, sv)
-        return np.where(saw - np.abs(sv) < 0.0, np.sign(sv), 0.0)
 
     def _switch_table(self):
         return _cached_table(self)
@@ -493,13 +490,6 @@ class ThreePhasePwm(Signal):
     def _formula(self, t: float) -> float:
         return 1.0 if self._comparator(t) >= 0.0 else -1.0
 
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        x = (self.m / self.period) * ts
-        carrier = 2.0 * (x - np.floor(x)) - 1.0
-        arg = np.sin(TWO_PI * ts / self.period + PHASE_SHIFTS[self.phase_index]) - carrier
-        return np.where(arg >= 0.0, 1.0, -1.0)
-
     def _switch_table(self):
         return _cached_table(self)
 
@@ -540,9 +530,6 @@ class Difference(Signal):
 
     def _formula(self, t: float) -> float:
         return self.a._formula(t) - self.b._formula(t)
-
-    def values(self, ts):
-        return self.a.values(ts) - self.b.values(ts)
 
     def value(self, t, side=Side.POINTWISE):
         self._check_domain(t)

@@ -176,6 +176,25 @@ class TestStudy:
     def test_unknown_preset(self):
         assert main(["study", "run", "--preset", "fig99"]) == 1
 
+    def test_one_pool_for_all_series(self, tmp_path, monkeypatch):
+        # every series of a study runs on one thread pool, with the bits of a serial study
+        pools = []
+
+        class CountingPool(cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        bodies = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"study{threads}.csv"
+            assert main(["study", "run", "--preset", "fig4-right", "--n-list", "5,10,20",
+                         "--threads", threads, "--out", str(out)]) == 0
+            bodies.append([ln for ln in body_without_timestamp(read_lines(out)) if not ln.startswith("# manifest")])
+        assert len(pools) == 1
+        assert bodies[0] == bodies[1]
+
 
 class TestBoundEval:
     def test_lemma_degenerate_example(self, capsys):
@@ -236,6 +255,20 @@ class TestUsageErrors:
         out = tmp_path / "o.csv"
         assert main(["run", "--fine", "cn:substeps=x", "--k", "1", "--out", str(out)]) == 1
         assert "substeps must be an integer, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--jump-threshold", "nan", "--kmax", "3"],
+        ["--jump-threshold", "0"],
+        ["--atol", "0"],
+        ["--rtol", "nan"],
+        ["--k", "2", "--atol", "0"],
+        ["--k", "2", "--rtol", "-1"],
+    ])
+    def test_bad_tolerances(self, flags, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_parser_is_reused(self, capsys):

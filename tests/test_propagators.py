@@ -38,14 +38,14 @@ class TestThetaStep:
     def test_backward_euler_closed_form(self):
         m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Zero())
         be = ThetaPropagator(m.ivp(), theta=1.0)
-        out = be.propagate(0.0, 0.002, np.array([1.0]))
-        assert out[0] == pytest.approx(1.0 / 1.02, rel=1e-15)
+        out = be.propagate(0.0, 0.002, 1.0)
+        assert out == pytest.approx(1.0 / 1.02, rel=1e-15)
 
     def test_crank_nicolson_closed_form(self):
         m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Zero())
         cn = ThetaPropagator(m.ivp(), theta=0.5)
-        out = cn.propagate(0.0, 0.002, np.array([1.0]))
-        assert out[0] == pytest.approx(0.99 / 1.01, rel=1e-15)
+        out = cn.propagate(0.0, 0.002, 1.0)
+        assert out == pytest.approx(0.99 / 1.01, rel=1e-15)
 
     def test_determinism(self, sine_ivp):
         be = ThetaPropagator(sine_ivp, theta=1.0, substeps=7)
@@ -60,19 +60,27 @@ class TestThetaStep:
         for theta in (1.0, 0.5):
             prop = ThetaPropagator(sine_ivp, theta=theta)
             for _ in range(20):
-                u, v = rng.uniform(-5, 5, 2)
-                gu = prop.propagate(0.004, 0.006, np.array([u]))
-                gv = prop.propagate(0.004, 0.006, np.array([v]))
-                assert abs(gu[0] - gv[0]) <= abs(u - v)
+                u, v = rng.uniform(-5, 5, 2).tolist()
+                gu = prop.propagate(0.004, 0.006, u)
+                gv = prop.propagate(0.004, 0.006, v)
+                assert abs(gu - gv) <= abs(u - v)
 
-    def test_state_must_be_scalar(self, sine_model):
-        # a float or a one-element array is a state; more elements are a caller's mistake
-        for prop in (ThetaPropagator(sine_model.ivp()), ExactLinearPropagator(sine_model)):
-            want = prop.propagate(0.0, 0.001, 1.0)
-            assert np.array_equal(prop.propagate(0.0, 0.001, np.array([1.0])), want)
-            assert np.array_equal(prop.propagate(0.0, 0.001, np.array([[1.0]])), want)
-            with pytest.raises(ValueError, match="scalar state"):
-                prop.propagate(0.0, 0.001, np.array([1.0, 2.0]))
+    def test_state_must_be_scalar(self, pwm10_model):
+        # a float or a one-element array is a state, and the result is a float,
+        # cold or planned; more elements are a caller's mistake
+        for prop in (
+            ThetaPropagator(pwm10_model.ivp(), theta=0.5, substeps=3, discontinuity_aligned=True),
+            ExactLinearPropagator(pwm10_model),
+        ):
+            want = prop.propagate(0.0013, 0.007, 1.0)
+            assert type(want) is float
+            for scope in (contextlib.nullcontext, lambda: planned([prop], [0.0, 0.0013, 0.007, T])):
+                with scope():
+                    for u in (1.0, np.array([1.0]), np.array([[1.0]])):
+                        got = prop.propagate(0.0013, 0.007, u)
+                        assert type(got) is float and got.hex() == want.hex()
+                    with pytest.raises(ValueError, match="scalar state"):
+                        prop.propagate(0.0013, 0.007, np.array([1.0, 2.0]))
 
     def test_degenerate_interval_rejected(self, sine_ivp):
         be = ThetaPropagator(sine_ivp, theta=1.0)
@@ -84,14 +92,14 @@ class TestThetaStep:
         m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=step_signal)
         cn = ThetaPropagator(m.ivp(), theta=0.5)
         h = 0.001
-        got = cn.propagate(0.01 - h, 0.01, np.array([0.2]))
+        got = cn.propagate(0.01 - h, 0.01, 0.2)
         a = A_RATE
         want = (0.2 * (1 - a * h / 2) + h * 0.01 * 1.0) / (1 + a * h / 2)
-        assert got[0] == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14)
         # and a step starting at the jump must see the post-jump value
-        got2 = cn.propagate(0.01, 0.01 + h, np.array([0.2]))
+        got2 = cn.propagate(0.01, 0.01 + h, 0.2)
         want2 = (0.2 * (1 - a * h / 2) + h * 0.01 * (-1.0)) / (1 + a * h / 2)
-        assert got2[0] == pytest.approx(want2, rel=1e-14)
+        assert got2 == pytest.approx(want2, rel=1e-14)
 
 
 class TestSubstepRefinement:
@@ -100,7 +108,7 @@ class TestSubstepRefinement:
         errs, ns = [], [64, 128, 256, 512]
         for n in ns:
             be = ThetaPropagator(pwm10_model.ivp(), theta=1.0, substeps=n, discontinuity_aligned=True)
-            errs.append(abs(be.propagate(0.0, T, np.array([0.0]))[0] - exact))
+            errs.append(abs(be.propagate(0.0, T, 0.0) - exact))
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope >= 0.9
 
@@ -109,7 +117,7 @@ class TestSubstepRefinement:
         errs, ns = [], [16, 32, 64, 128]
         for n in ns:
             cn = ThetaPropagator(sine_model.ivp(), theta=0.5, substeps=n)
-            errs.append(abs(cn.propagate(0.0, T, np.array([0.0]))[0] - exact))
+            errs.append(abs(cn.propagate(0.0, T, 0.0) - exact))
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
 
@@ -166,7 +174,7 @@ def reference_sweep(prop, t0, t1, u0):
         num = u[0] + h * ((1.0 - th) * (a00 * u[0] + p_s[0]) + th * p_e[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.array([np.float64(num) / np.float64(1.0 - h * th * a00)])
-    return u
+    return u.item()
 
 
 class TestScalarSweepReference:
@@ -182,11 +190,11 @@ class TestScalarSweepReference:
                 # N=20 divides m=400, so every sync point lands on a PWM switch
                 for n_int in (20, 13):
                     times = np.linspace(0.0, T, n_int + 1)
-                    u = want = np.array([0.25])
+                    u = want = 0.25
                     for n in range(n_int):
                         u = prop.propagate(times[n], times[n + 1], u)
                         want = reference_sweep(prop, times[n], times[n + 1], want)
-                        assert np.array_equal(u, want), (substeps, aligned, n_int, n)
+                        assert u == want, (substeps, aligned, n_int, n)
 
     def test_signed_zero_state(self):
         # a -0.0 input product must become +0.0 as in the matrix product, or
@@ -195,17 +203,17 @@ class TestScalarSweepReference:
         for theta in (1.0, 0.5):
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = prop.propagate(0.0, T, ivp.u0)
-            assert got.tobytes() == reference_sweep(prop, 0.0, T, ivp.u0).tobytes()
+            assert got.hex() == reference_sweep(prop, 0.0, T, ivp.u0).hex()
 
 
 PLAN_INPUTS = ["pwm:m=400", "pwm3:m=400", "step", "sine", "diff:pwm:m=400-sine", "const:v=1"]
 
 
 def _chain(prop, times, u=0.25):
-    out = [np.array([u])]
+    out = [u]
     for t0, t1 in zip(times, times[1:]):
         out.append(prop.propagate(t0, t1, out[-1]))
-    return np.vstack(out)
+    return np.array(out)
 
 
 class TestPlannedPropagate:
@@ -262,7 +270,7 @@ class TestPlannedPropagate:
         warm, cold = (ThetaPropagator(model.ivp(), theta=0.5, substeps=3) for _ in range(2))
         with planned([warm], [0.0, T / 2, past]):
             assert warm._plans == {}
-            assert warm.propagate(0.0, T / 2, 0.25).tobytes() == cold.propagate(0.0, T / 2, 0.25).tobytes()
+            assert warm.propagate(0.0, T / 2, 0.25).hex() == cold.propagate(0.0, T / 2, 0.25).hex()
             with pytest.raises(ValueError, match="outside signal domain"):
                 warm.propagate(T / 2, past, 0.25)
 
@@ -344,7 +352,7 @@ class TestNearSwitchGrids:
             out = []
             for t0, t1 in zip(times, times[1:]):
                 try:
-                    out.append(prop.propagate(t0, t1, 0.25).tobytes())
+                    out.append(prop.propagate(t0, t1, 0.25).hex())
                 except ValueError as exc:
                     out.append(repr(exc))
             return out
@@ -376,18 +384,21 @@ class TestNearSwitchGrids:
         t1 = min(t0 + 37 * h, T)
         ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig).ivp()
         prop = ThetaPropagator(ivp, theta=theta, substeps=37)
-        assert prop.propagate(t0, t1, 0.25).tobytes() == reference_sweep(prop, t0, t1, 0.25).tobytes()
+        assert prop.propagate(t0, t1, 0.25).hex() == reference_sweep(prop, t0, t1, 0.25).hex()
 
     @given(near_switch_grids())
     @settings(max_examples=100, deadline=None)
     def test_closed_form_trajectory_equals_cold_chain(self, sig_times):
-        # set up from the switch-to-switch table, against one cold set-up per interval
+        # both trajectories, set up from the switch-to-switch table outside a
+        # run, against one cold set-up per interval
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
         want = [model.u0]
         for t0, t1 in zip(times, times[1:]):
             want.append(models._advance(models._segments(model.decay_rate, model.R_res, sig, t0, t1), want[-1]))
-        assert models.closed_form_trajectory(model.ivp(), times).tobytes() == np.array(want).tobytes()
+        want = np.array(want).tobytes()
+        assert models.closed_form_trajectory(model.ivp(), times).tobytes() == want
+        assert models.exact_trajectory(model, times).tobytes() == want
 
     def test_closed_form_trajectory_slices_the_switch_table(self, monkeypatch):
         # after the first call has built the table, a call sets up only the end
