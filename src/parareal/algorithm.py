@@ -14,9 +14,9 @@ the corrected coarse sweep is sequential.
 
 A run keeps its states as Python floats.  It plans the intervals of the
 propagators that evaluate each interval more than once (the coarse one, and an
-exact fine one, whose plans the reference reuses; inside ``run_study`` these
-draw on segment data the study's runs share) and drops the plans when it
-returns; a theta fine propagator stays cold.
+exact fine one, whose plans the reference reuses) and drops the plans when it
+returns; a theta fine propagator stays cold.  ``models`` describes the set-up
+kept per process, per study and per run.
 """
 
 from __future__ import annotations

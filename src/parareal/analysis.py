@@ -3,10 +3,8 @@
 A study sweeps the interval count N at a fixed iteration count k, records the
 error of the k-th iterate against the exact reference under several metrics
 and fits the observed order as the negative log-log slope versus N.  The runs
-of a sweep share the exact solver's set-up of the input segments that end at
-a sync point, which the nested grids of a sweep over N have in common, while
-``run_study`` runs (``propagators.shared_segments``); the segments between
-two input switches come from a table built once per process and problem.
+of a study share the exact solver's end segments for as long as it runs
+(``models`` describes the three set-up lifetimes).
 """
 
 from __future__ import annotations
@@ -14,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algorithm import FixedIterations, PararealConfig, iterate, make_config
-from .models import LinearScalarModel, exact_linear_propagate
-from .propagators import Propagator, parse_propagator, shared_segments
+from .models import LinearScalarModel, _study_segments, exact_linear_propagate
+from .propagators import Propagator, parse_propagator
 from .signals import Difference, Signal, StepWave
 
 ERROR_FLOOR = 1e-13
@@ -166,8 +164,11 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
     and the study continues.  Each point has the bits of the same run made alone.
     """
 
+    segments: dict = {}  # the study's end segments (``models._study_segments``)
+
     def one(n: int) -> StudyPoint:
         t_end = spec.model.t_end
+        token = _study_segments.set(segments)
         try:
             run = iterate(spec.config(n))
             return StudyPoint(
@@ -180,12 +181,10 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
         except Exception as exc:  # noqa: BLE001 - per-point failures are data
             return StudyPoint(n=n, dt=t_end / n, err_max=math.nan, err_final=math.nan,
                               err_first_active=math.nan, failure=f"{type(exc).__name__}: {exc}")
+        finally:
+            _study_segments.reset(token)
 
-    with shared_segments():
-        if executor is None:
-            results = [one(n) for n in spec.n_list]
-        else:
-            results = list(executor.map(one, spec.n_list))
+    results = [one(n) for n in spec.n_list] if executor is None else list(executor.map(one, spec.n_list))
 
     pts = [
         (p.n, p.metric(spec.error_metric))
@@ -285,9 +284,7 @@ def eval_bound(params: BoundParams, which: str) -> float:
         second = params.c3 * dt ** ((l + 1) * (k + 1))
         return params.c1**k * (first + second) * _growth(params)
     if which == "reduced-linf":
-        first = params.c4 * params.c_p * dt ** ((l + 1) * k + 1)
-        second = params.c3 * dt ** ((l + 1) * (k + 1))
-        return params.c1**k * (first + second) * _growth(params)
+        return eval_bound(replace(params, p=math.inf), "reduced-lp")
     if which == "lemma":
         q = _holder_conjugate(params.p)
         inv_q = 0.0 if math.isinf(q) else 1.0 / q

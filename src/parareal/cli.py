@@ -176,6 +176,10 @@ def _build_run_config(r: dict) -> PararealConfig:
 
 def _cmd_run(args, config) -> int:
     r = _resolve(args, config)
+    if r["k"] is not None:
+        for key in ("jump_threshold", "kmax"):
+            if getattr(args, key) is not None or key in config:
+                raise UsageError(f"--{key.replace('_', '-')} has no effect with --k (a fixed iteration count)")
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)

@@ -5,14 +5,24 @@ model, an RL circuit driven by a current source, admits an exact per-segment
 solution which serves as the fine propagator and as the reference in every
 convergence experiment.  The closed form is split into the segment data of an
 interval (``_segments``, which depends only on the input and the times) and
-its application to a state (``_advance``), so a run can keep the former per
-interval (``_grid_plans``).  The segments between two switches of the input
-do not depend on the sync grid: each process sets them up once per decay
-rate, gain and input (``_switch_steps``), and a run's plans slice that table;
-only an interval's end segments, bounded by a sync point, are set up per run,
-or per study, whose runs share them.  The closed-form trajectories
-(``exact_trajectory``, ``closed_form_trajectory``) set a grid up the same way
-outside a run, and chain the run's plans inside one.
+its application to a state (``_advance``).
+
+The set-up that changes no result is kept for one of three lifetimes:
+
+* per process: each signal's switch table and, per decay rate, gain and
+  input, the segment data between two switches (``_switch_steps``), which
+  no sync grid changes;
+* per study: the segment data at an interval's ends, bounded by a sync
+  point, which the nested grids of a sweep over N have in common.
+  ``analysis.run_study`` makes one memo per study and sets it
+  (``_study_segments``) around each of its runs, on any thread;
+* per run: the plans of a run's propagators (``propagators.planned``): a
+  theta propagator's substeps, or each interval's segment data, drawn from
+  the other two (``_grid_plans``).
+
+The closed-form trajectories (``exact_trajectory``,
+``closed_form_trajectory``) set a grid up the same way outside a run, and
+chain the run's plans inside one.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -154,17 +165,24 @@ def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...]
         return _step_table(a, gain, sig)
 
 
-def _grid_plans(a: float, gain: float, sig: Signal, times: list[float], memo: dict) -> list[tuple]:
+# the end segments of the running study (``analysis.run_study``), or None:
+# ``{(decay, gain, signal): {(s, e): segment data}}``
+_study_segments: ContextVar[dict | None] = ContextVar("study_segments", default=None)
+
+
+def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[tuple]:
     """``tuple(_segments(a, gain, sig, t0, t1))`` of each interval of the sync grid ``times``.
 
     The grid is split against the switch table in one pass
     (``Signal.grid_switches``); an interval's switches are a run of that
     table, so its segments between two switches are a slice of
     ``_switch_steps``.  Only its end segments, bounded by a sync point, are
-    set up here, by the call ``_segments`` makes, and kept in ``memo`` by
-    their ends.
+    set up here, by the call ``_segments`` makes, and kept by their ends for
+    the running study, if any.
     """
     switches, steps = _switch_steps(a, gain, sig)
+    study = _study_segments.get()
+    memo = {} if study is None else study.setdefault((a, gain, sig), {})
 
     def end(s: float, e: float) -> tuple:
         return memo.get((s, e)) or memo.setdefault((s, e), _segment_step(a, gain, sig.segment_form(s, e), s, e))
@@ -219,7 +237,7 @@ def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=Non
     ts = np.asarray(times, dtype=float).tolist()
     if plans is None:
         try:
-            plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, gain, sig, ts, {})))
+            plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, gain, sig, ts)))
         except Exception:  # noqa: BLE001 - not swallowed: the cold path below raises it again
             pass
     out = [float(phi)]

@@ -15,18 +15,14 @@ calls on an interval run only the recurrence, with the same bits; a cold call
 runs the same set-up on its own two-point grid.  A theta set-up looks up the
 input at an interval's ends with ``Signal.value`` and at the interior nodes of
 its substep grid, each the end of one substep and the start of the next, once
-per node with ``Signal.node_limits``.  The exact solver's segments
-between two input switches come from a table each process builds once per
-problem (``models._switch_steps``); inside ``shared_segments`` (a study,
-``analysis.run_study``) the runs planned on any thread also share the end
-segments of their intervals, bounded by sync points, which the nested grids
-of a sweep over N have in common.
+per node with ``Signal.node_limits``.  The exact solver's plans draw on
+set-up kept per process and per study; ``models`` describes the three
+lifetimes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -198,26 +194,6 @@ class ThetaPropagator(Propagator):
         return u
 
 
-_SHARED: dict = {}  # {(decay, gain, signal): {(s, e): end segment data}}; global, as studies use pool threads
-_SHARED_LOCK = threading.Lock()
-_shared_depth = 0  # open ``shared_segments`` blocks
-
-
-@contextmanager
-def shared_segments():
-    """Share the exact solver's end segments among runs planned on any thread until the last block exits."""
-    global _shared_depth
-    with _SHARED_LOCK:
-        _shared_depth += 1
-    try:
-        yield
-    finally:
-        with _SHARED_LOCK:
-            _shared_depth -= 1
-            if not _shared_depth:
-                _SHARED.clear()
-
-
 def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[tuple]:
     """A theta propagator's plans over ``times``: its one-pass set-up, split per interval."""
     steps, counts = prop._substeps(times)
@@ -225,11 +201,8 @@ def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[tuple]:
 
 
 def _exact_plans(model: LinearScalarModel, times: list[float]) -> list[tuple]:
-    """The exact solver's plans over ``times``, with end segments from the shared memo inside ``shared_segments``."""
-    key = (model.decay_rate, model.R_res, model.signal)
-    with _SHARED_LOCK:
-        memo = _SHARED.setdefault(key, {}) if _shared_depth else {}
-    return _grid_plans(*key, times, memo)
+    """The exact solver's plans over ``times`` (``models._grid_plans``)."""
+    return _grid_plans(model.decay_rate, model.R_res, model.signal, times)
 
 
 @contextmanager

@@ -289,6 +289,25 @@ def _quarter_points(period: float, lo: float, hi: float) -> list[float]:
     return out
 
 
+def _scan_teeth(sig: Signal, tooth) -> np.ndarray:
+    """The switch table of a comparator PWM with ``sig.m`` carrier teeth per period.
+
+    ``tooth(ta, h)`` gives the comparator on the tooth ``[ta, ta + h]``.  Its
+    roots are bracketed between the tooth's ends and the quarter points inside
+    it; the tooth ends themselves are candidates too.
+    """
+    h = sig.period / sig.m
+    tol = SWITCH_TOL * sig.period
+    cands: list[float] = [j * h for j in range(1, sig.m)]
+    for j in range(sig.m):
+        ta, tb = j * h, (j + 1) * h
+        g = tooth(ta, h)
+        pts = [ta] + _quarter_points(sig.period, ta, tb) + [tb]
+        for lo, hi in zip(pts, pts[1:]):
+            cands.extend(_scan_roots(g, lo, hi, tol))
+    return _filter_jumps(sig, cands)
+
+
 def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
     """Keep candidates where the pointwise value actually changes."""
     if not candidates:
@@ -443,19 +462,12 @@ class PwmSingle(Signal):
         return _cached_table(self)
 
     def _build_table(self) -> np.ndarray:
-        h = self.period / self.m
-        tol = SWITCH_TOL * self.period
-        cands: list[float] = [j * h for j in range(1, self.m)]
-        for j in range(self.m):
-            ta, tb = j * h, (j + 1) * h
+        period = self.period
 
-            def g(t, ta=ta):
-                return (t - ta) / h - abs(math.sin(TWO_PI * t / self.period))
+        def tooth(ta: float, h: float):
+            return lambda t: (t - ta) / h - abs(math.sin(TWO_PI * t / period))
 
-            pts = [ta] + _quarter_points(self.period, ta, tb) + [tb]
-            for lo, hi in zip(pts, pts[1:]):
-                cands.extend(_scan_roots(g, lo, hi, tol))
-        return _filter_jumps(self, cands)
+        return _scan_teeth(self, tooth)
 
     def bound(self) -> float:
         return 1.0
@@ -494,21 +506,13 @@ class ThreePhasePwm(Signal):
         return _cached_table(self)
 
     def _build_table(self) -> np.ndarray:
-        h = self.period / self.m
-        tol = SWITCH_TOL * self.period
-        shift = PHASE_SHIFTS[self.phase_index]
-        cands: list[float] = [j * h for j in range(1, self.m)]
-        for j in range(self.m):
-            ta, tb = j * h, (j + 1) * h
+        period, shift = self.period, PHASE_SHIFTS[self.phase_index]
 
-            # carrier parameterized within the tooth so it does not wrap at tb
-            def g(t, ta=ta):
-                return math.sin(TWO_PI * t / self.period + shift) - (2.0 * (t - ta) / h - 1.0)
+        # carrier parameterized within the tooth so it does not wrap at its end
+        def tooth(ta: float, h: float):
+            return lambda t: math.sin(TWO_PI * t / period + shift) - (2.0 * (t - ta) / h - 1.0)
 
-            pts = [ta] + _quarter_points(self.period, ta, tb) + [tb]
-            for lo, hi in zip(pts, pts[1:]):
-                cands.extend(_scan_roots(g, lo, hi, tol))
-        return _filter_jumps(self, cands)
+        return _scan_teeth(self, tooth)
 
     def bound(self) -> float:
         return 1.0

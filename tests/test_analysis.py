@@ -27,7 +27,7 @@ from parareal import (
     parse_signal,
     run_study,
 )
-from parareal import models, propagators
+from parareal import models
 from parareal.cli import PRESETS
 
 T = 0.02
@@ -112,6 +112,23 @@ class TestEvalBound:
             bigger_n = dict(base)
             bigger_n["n"] = base["n"] + 1
             assert eval_bound(BoundParams(**bigger_n), "reduced-linf") >= v
+
+    def test_reduced_linf_is_reduced_lp_at_p_inf(self):
+        # the literal L^inf right-hand side (exponent (l+1)k + 1), bit for bit,
+        # whatever p the parameters carry
+        rng = np.random.default_rng(13)
+        for _ in range(20000):
+            k, l = int(rng.integers(0, 3)), int(rng.integers(0, 5))
+            p = BoundParams(
+                c1=rng.uniform(0, 3), c2=rng.uniform(0, 3), c3=rng.uniform(0, 3), c4=rng.uniform(0, 3),
+                c_p=rng.uniform(0, 3), l=l, p=float(rng.choice([1.5, 2.0, 7.0, math.inf])),
+                dt=10 ** rng.uniform(-6, 0), n=int(rng.integers(k + 1, 60)), k=k,
+            )
+            first = p.c4 * p.c_p * p.dt ** ((l + 1) * k + 1)
+            second = p.c3 * p.dt ** ((l + 1) * (k + 1))
+            want = p.c1**k * (first + second) * ((1.0 + p.c2 * p.dt) ** (p.n - k - 1) / math.factorial(k + 1)
+                                                 * math.prod(range(p.n - k, p.n + 1)))
+            assert eval_bound(p, "reduced-linf").hex() == want.hex(), p
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -219,9 +236,10 @@ class TestRunStudy:
         import parareal.analysis as analysis
 
         real_iterate = analysis.iterate
+        memos = []
 
         def flaky(cfg, executor=None):
-            assert propagators._shared_depth == 1  # the runs see the study's shared segments
+            memos.append(models._study_segments.get())  # the runs see the study's end segments
             if cfg.n_intervals == 10:
                 raise RuntimeError("synthetic blow-up")
             return real_iterate(cfg, executor)
@@ -234,11 +252,15 @@ class TestRunStudy:
         assert len(failed) == 1 and failed[0].n == 10
         assert failed[0].failure == "RuntimeError: synthetic blow-up"
         assert not math.isnan(study.fitted_order)  # remaining points still fitted
-        assert_no_shared_segments()
+        assert isinstance(memos[0], dict) and all(m is memos[0] for m in memos)
+        assert_no_study_segments()
 
 
-def assert_no_shared_segments():
-    assert not propagators._SHARED and propagators._shared_depth == 0
+def assert_no_study_segments(pool=None):
+    """No study's end-segment memo is left set, here or on any of the pool's threads."""
+    assert models._study_segments.get() is None
+    if pool is not None:
+        assert set(pool.map(lambda _: models._study_segments.get(), range(8))) == {None}
 
 
 def _run_bits(run):
@@ -278,7 +300,7 @@ class TestStudyOracle:
             runs.clear()
             with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
                 study = run_study(spec, pool)
-            assert_no_shared_segments()
+                assert_no_study_segments(pool)
             assert [p.n for p in study.results] == list(spec.n_list)
             for point in study.results:
                 alone = real_iterate(spec.config(point.n))
@@ -289,9 +311,11 @@ class TestStudyOracle:
                 want = [alone.error(spec.k, metric) for metric in ("max", "final", "first_active")]
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_overlapping_studies_on_threads(self, pwm400_model):
-        # studies that open and close their shared scope while others run keep
-        # their bits, and the last one to finish drops every memo
+    def test_overlapping_studies_on_threads(self, pwm400_model, monkeypatch):
+        # studies that start and end while others run keep their bits, each
+        # study's runs share one memo of their own, and none is left set
+        import parareal.analysis as analysis
+
         specs = [StudySpec(model=pwm400_model, variant="reduced", reduced_input=parse_signal(red, T), k=2,
                            n_list=(5, 10, 20, 40)) for red in ("sine", "step")] * 4
 
@@ -299,12 +323,24 @@ class TestStudyOracle:
             return np.array([[p.err_max, p.err_final, p.err_first_active] for p in study.results]).tobytes()
 
         want = [bits(run_study(spec)) for spec in specs]
+        real_iterate = analysis.iterate
+        memos = []
+
+        def capture(cfg, executor=None):
+            memos.append(models._study_segments.get())
+            return real_iterate(cfg, executor)
+
+        monkeypatch.setattr(analysis, "iterate", capture)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = [bits(study) for study in pool.map(run_study, specs, timeout=120)]
+                assert_no_study_segments(pool)
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        assert_no_shared_segments()
+        runs_per_memo = {}
+        for memo in memos:
+            runs_per_memo[id(memo)] = runs_per_memo.get(id(memo), 0) + 1
+        assert sorted(runs_per_memo.values()) == [4] * len(specs)

@@ -114,3 +114,43 @@ def test_perfbench_tracer_sees_a_theta_fine_run():
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["fine"] == 5 and counts["value"] > 0 and counts["substeps"] > 0, counts
+
+
+TRACED_STUDY = """
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import tracer
+from parareal import analysis, cli, models
+from parareal.analysis import StudySpec
+from parareal.models import parse_model
+
+t = tracer.Tracer()
+tracer.install(t)
+model = parse_model("rl:R=0.01,L=0.001,input=pwm:m=400")
+models._switch_steps(model.decay_rate, model.R_res, model.signal)  # the per-process table, untraced
+e = cli.PRESETS["fig3-left"][0]
+spec = StudySpec(model=model, variant=e["variant"], coarse_scheme=e["scheme"], k=e["k"], fit_min_n=e["fit_min_n"])
+pool = ThreadPoolExecutor(int(sys.argv[1])) if sys.argv[1] != "1" else None
+counts = []
+for _ in range(2):
+    t.start()
+    analysis.run_study(spec, pool)
+    counts.append(t.stop().counts.get("models.segments", 0))
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_study_sets_up_its_own_end_segments(threads):
+    # study-presets' self-check needs segment set-ups in every operation: a
+    # study shares its end segments among its runs, not with the next study,
+    # so a second identical study sets them up again (2 per sync point of the
+    # finest grid, N = 320)
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", TRACED_STUDY, str(threads)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [640, 640]

@@ -271,6 +271,13 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--jump-threshold", "1e-12"], ["--kmax", "3"]])
+    def test_flags_a_fixed_iteration_count_ignores(self, flags, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--k", "2", "--N", "10", *flags, "--threads", "1", "--out", str(out)]) == 1
+        assert f"{flags[0]} has no effect with --k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parser_is_reused(self, capsys):
         # one argparse tree per process; a failed parse leaves it usable
         assert main(["run", "--frobnicate", "1"]) == 1
@@ -296,6 +303,17 @@ class TestConfigFile:
         # N came from the config file: sync points 0..6 per recorded iterate
         ns = {int(ln.split(",")[1]) for ln in data}
         assert max(ns) == 6
+
+    @pytest.mark.parametrize("line, flag", [("jump_threshold=1e-12", "--jump-threshold"), ("kmax=3", "--kmax")])
+    @pytest.mark.parametrize("k_from_config", [False, True])
+    def test_keys_a_fixed_iteration_count_ignores(self, line, flag, k_from_config, tmp_path, capsys):
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text(f"{line}\nthreads=1\n" + ("k=2\n" if k_from_config else ""))
+        out = tmp_path / "o.csv"
+        k_flag = [] if k_from_config else ["--k", "2"]
+        assert main(["--config", str(cfg), "run", *k_flag, "--N", "10", "--out", str(out)]) == 1
+        assert f"{flag} has no effect with --k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

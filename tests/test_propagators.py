@@ -21,12 +21,22 @@ from parareal import (
     parse_propagator,
     parse_signal,
 )
-from parareal import models, propagators
-from parareal.propagators import planned, shared_segments
+from parareal import models
+from parareal.propagators import planned
 from parareal.signals import MERGE_TOL
 
 T = 0.02
 A_RATE = 10.0
+
+
+@contextlib.contextmanager
+def study_scope():
+    """One study's end-segment memo, set as ``run_study`` sets it around each of its runs."""
+    token = models._study_segments.set({})
+    try:
+        yield
+    finally:
+        models._study_segments.reset(token)
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +322,7 @@ class TestNearSwitchGrids:
     @settings(max_examples=100, deadline=None)
     def test_study_planned_exact_equals_cold_call(self, sig_times):
         # after a uniform run has built the input's switch-to-switch table and,
-        # inside a study, filled the shared end-segment memo; then outside one
+        # inside a study, filled the study's end-segment memo; then outside one
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
 
@@ -321,7 +331,7 @@ class TestNearSwitchGrids:
 
         cold = make()
         want = np.vstack([cold.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]).tobytes()
-        for scope in (shared_segments, contextlib.nullcontext):
+        for scope in (study_scope, contextlib.nullcontext):
             with scope():
                 with planned([make()], [n * T / 20 for n in range(21)]):
                     pass
@@ -425,7 +435,7 @@ class TestNearSwitchGrids:
         # tables have the same ends; inside a study and outside one
         times = [n * T / 8 for n in range(9)]
         problems = [(0.01, "sine"), (0.01, "const:v=1"), (0.01, "pwm:m=400"), (0.02, "pwm:m=400")]
-        for scope in (shared_segments, contextlib.nullcontext):
+        for scope in (study_scope, contextlib.nullcontext):
             models._step_table.cache_clear()
             with scope():
                 for r_res, spec in problems:
@@ -440,19 +450,34 @@ class TestNearSwitchGrids:
         # but the sync point between them differs
         sw = pwm400_model.signal.switching_times(0.0, T).tolist()
         grids = [[0.0, 0.5 * (sw[10] + sw[11]), T], [0.0, 0.25 * sw[10] + 0.75 * sw[11], T]]
-        with shared_segments():
+        with study_scope():
             for times in grids:
                 warm, cold = (parse_propagator("exact", pwm400_model.ivp(), pwm400_model) for _ in range(2))
                 with planned([warm], times):
                     assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), times
 
-    def test_shared_memo_is_dropped_on_error(self, pwm400_model):
-        with pytest.raises(RuntimeError, match="inside"):
-            with shared_segments():
-                with planned([ExactLinearPropagator(pwm400_model)], [0.0, T / 2, T]):
-                    assert propagators._SHARED
-                    raise RuntimeError("inside")
-        assert not propagators._SHARED and propagators._shared_depth == 0
+    def test_shared_memo_is_dropped_on_error(self, pwm400_model, monkeypatch):
+        # a run that fills the study's memo and then raises past the study's
+        # per-point handler: the memo is unset when ``run_study`` unwinds
+        import parareal.analysis as analysis
+
+        class Abort(BaseException):
+            pass
+
+        memos = []
+
+        def failing(cfg, executor=None):
+            with planned([ExactLinearPropagator(pwm400_model)], [0.0, T / 2, T]):
+                memos.append(models._study_segments.get())
+                assert memos[-1][(pwm400_model.decay_rate, pwm400_model.R_res, pwm400_model.signal)]
+                raise Abort
+
+        monkeypatch.setattr(analysis, "iterate", failing)
+        for _ in range(2):
+            with pytest.raises(Abort):
+                analysis.run_study(analysis.StudySpec(model=pwm400_model, n_list=(5, 10)))
+            assert models._study_segments.get() is None
+        assert memos[0] is not memos[1]  # each study starts a memo of its own
 
 
 class TestParsePropagator:

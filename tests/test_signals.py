@@ -354,6 +354,33 @@ class TestSwitchTableCache:
         assert all(f is floats[0] for f in floats)
 
 
+def straight_line_table(sig):
+    # the per-class tooth scan the shared one replaced, written out once per kind
+    h, period = sig.period / sig.m, sig.period
+    cands = [j * h for j in range(1, sig.m)]
+    for j in range(sig.m):
+        ta, tb = j * h, (j + 1) * h
+        if isinstance(sig, PwmSingle):
+            def g(t, ta=ta):
+                return (t - ta) / h - abs(math.sin(2 * math.pi * t / period))
+        else:
+            shift = signals.PHASE_SHIFTS[sig.phase_index]
+
+            def g(t, ta=ta):
+                return math.sin(2 * math.pi * t / period + shift) - (2.0 * (t - ta) / h - 1.0)
+        pts = [ta] + signals._quarter_points(period, ta, tb) + [tb]
+        for lo, hi in zip(pts, pts[1:]):
+            cands.extend(signals._scan_roots(g, lo, hi, signals.SWITCH_TOL * period))
+    return tuple(signals._filter_jumps(sig, cands).tolist())
+
+
+@pytest.mark.parametrize("m", [1, 7, 400])
+def test_tooth_scan_tables_equal_the_straight_line_scan(m):
+    sigs = [PwmSingle(m=m, period=T)] + [ThreePhasePwm(m=m, period=T, phase_index=i) for i in (1, 2, 3)]
+    for sig in sigs:
+        assert tuple(sig._build_table().tolist()) == straight_line_table(sig), sig
+
+
 class TestThreePhase:
     @given(st.floats(min_value=0.0, max_value=T, allow_nan=False), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60)
