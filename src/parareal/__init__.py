@@ -27,7 +27,6 @@ from .analysis import (
     OrderFit,
     OrderProbe,
     StudySpec,
-    best_fit_constant,
     defect_ode_solution,
     defect_scaling_study,
     eval_bound,
@@ -94,7 +93,6 @@ __all__ = [
     "ThreePhaseSine",
     "UnsupportedSignalError",
     "Zero",
-    "best_fit_constant",
     "defect_ode_solution",
     "defect_scaling_study",
     "eval_bound",

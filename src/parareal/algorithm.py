@@ -12,6 +12,10 @@ integrates the smoothed-input problem while F keeps the original input.  The
 N fine propagations of an iteration are independent and may run concurrently;
 the corrected coarse sweep is sequential.
 
+A run stops after exactly k sweeps (``FixedIterations``) or once the largest
+jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
+errors are always measured against the exact solution (``reference_trajectory``).
+
 A run keeps its states as Python floats.  It plans the intervals of the
 propagators that evaluate each interval more than once (the coarse one, and an
 exact fine one, whose plans the reference reuses) and drops the plans when it
@@ -48,16 +52,19 @@ def _check_tolerances(atol: float, rtol: float) -> None:
 
 @dataclass(frozen=True)
 class Termination:
-    """Stop when the largest mixed-tolerance jump norm drops below the threshold."""
+    """Stop when the largest mixed-tolerance jump norm drops below the threshold, or after ``k_max`` sweeps."""
 
     atol: float = 1.5e-5
     rtol: float = 1.5e-5
     jump_threshold: float = 1.0
+    k_max: int = 20
 
     def __post_init__(self):
         _check_tolerances(self.atol, self.rtol)
         if not 0 < self.jump_threshold < math.inf:
             raise ValueError(f"jump_threshold must be a positive finite number, got {self.jump_threshold!r}")
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,33 +90,20 @@ class PararealConfig:
     ``variant`` is "original" (coarse solves the same problem as fine) or
     "reduced" (coarse solves the smoothed-input problem).  Either way the
     coarse propagator's IVP must be the fine IVP with at most its input
-    signal replaced, which ``validate`` checks; "original" also requires the
-    same input signal.
-
-    ``reference`` is "exact" (errors are measured against the fine problem's
-    exact solution, see ``reference_trajectory``) or "none" (no errors).
+    signal replaced; "original" also requires the same input signal.
     """
 
     n_intervals: int
     fine: Propagator
     coarse: Propagator
     termination: Termination | FixedIterations = field(default_factory=Termination)
-    k_max: int = 20
     variant: str = "original"
-    reference: str = "exact"  # "exact" | "none"
 
     def __post_init__(self):
         if self.n_intervals < 1:
             raise ValueError("n_intervals must be >= 1")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
         if self.variant not in ("original", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.reference not in ("exact", "none"):
-            raise ValueError(f"unknown reference {self.reference!r}")
-        self.validate()
-
-    def validate(self) -> None:
         fi, ci = self.fine.ivp, self.coarse.ivp
         if replace(ci, signal=fi.signal) != fi:
             raise ValueError("fine and coarse propagators integrate different problems")
@@ -122,12 +116,6 @@ class PararealConfig:
         round an ulp past ``T``, outside the input's domain."""
         t_end = self.fine.ivp.t_end
         return np.array([n * t_end / self.n_intervals for n in range(self.n_intervals)] + [t_end])
-
-    @property
-    def max_iterations(self) -> int:
-        if isinstance(self.termination, FixedIterations):
-            return self.termination.k
-        return self.k_max
 
 
 def jump_norm(u: float, v: float, atol: float, rtol: float) -> float:
@@ -156,7 +144,7 @@ class PararealRun:
     iterates: list[np.ndarray]
     fine_arrivals: list[np.ndarray]
     jumps: list[np.ndarray]
-    errors_vs_reference: list[np.ndarray] | None
+    errors_vs_reference: list[np.ndarray]
     iterations_used: int
     converged: bool
 
@@ -165,8 +153,6 @@ class PararealRun:
 
     def error(self, k: int, metric: str = "max") -> float:
         """Error of iterate k vs the reference: 'max', 'final' or 'first_active'."""
-        if self.errors_vs_reference is None:
-            raise ValueError("run has no reference trajectory")
         errs = self.errors_vs_reference[k]
         if metric == "max":
             return float(np.max(errs))
@@ -186,7 +172,12 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
         try:
             u = cfg.coarse.propagate(times[n - 1], times[n], u)
         except Exception as exc:
-            relabelled = type(exc)(f"coarse guess failed on interval {n}: {exc}")
+            try:
+                relabelled = type(exc)(f"coarse guess failed on interval {n}: {exc}")
+            except Exception:  # noqa: BLE001 - a type not built from one message: raise the original as it is
+                relabelled = None
+            if relabelled is None:
+                raise
             if isinstance(exc, NonFiniteStateError):
                 relabelled.k, relabelled.n = 0, n
             raise relabelled from exc
@@ -196,8 +187,8 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
     return np.array(guess)[:, None]
 
 
-def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
-    """The fine problem's exact solution at the sync points, or None without a reference.
+def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
+    """The fine problem's exact solution at the sync points, the reference of a run's errors.
 
     Every problem with decay rate ``a > 0``, whatever its fine propagator, is
     solved in closed form: an exact fine propagator's own model by
@@ -207,8 +198,6 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray | None:
     the fine propagator with 10x the substeps stands in; an exact fine
     propagator has no stand-in and raises ``UnsupportedSignalError``.
     """
-    if cfg.reference == "none":
-        return None
     times = cfg.times
     fine = cfg.fine
     if isinstance(fine, ExactLinearPropagator):
@@ -251,7 +240,8 @@ def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
 
 
 def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRun:
-    """Run the iteration until the jump criterion or the iteration cap.
+    """Run the update sweeps ``cfg.termination`` asks for: exactly ``k``, or
+    until the jump criterion or ``k_max``.
 
     Raises ``NonFiniteStateError`` if a state stops being finite, with ``k``
     and ``n`` set, also where a propagator raised it (fine sweep, correction).
@@ -265,6 +255,7 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     rtol = term.rtol
     fixed = isinstance(term, FixedIterations)
     threshold = 1.0 if fixed else term.jump_threshold
+    k_cap = term.k if fixed else term.k_max
 
     with planned(_planned_propagators(cfg), ts):
         guess = initial_guess(cfg)
@@ -276,7 +267,7 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         u0 = current[0]
         converged = False
         k = 0
-        while k < cfg.max_iterations:
+        while k < k_cap:
             try:
                 arrivals = _fine_sweep(cfg, ts, current, executor)
             except NonFiniteStateError as exc:
@@ -311,10 +302,8 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         if fixed:
             converged = float(np.max(jumps_hist[-1])) < threshold
 
-        errors = None
         ref = reference_trajectory(cfg)
-        if ref is not None:
-            errors = [np.max(np.abs(it - ref), axis=1) for it in iterates]
+        errors = [np.max(np.abs(it - ref), axis=1) for it in iterates]
 
     return PararealRun(
         times=times,
@@ -335,7 +324,6 @@ def make_config(
     fine: str = "exact",
     reduced_input: Signal | None = None,
     termination: Termination | FixedIterations | None = None,
-    k_max: int = 20,
 ) -> PararealConfig:
     """The run of ``model`` on ``n_intervals`` sync intervals.
 
@@ -352,6 +340,5 @@ def make_config(
         fine=parse_propagator(fine, ivp, model),
         coarse=parse_propagator(coarse, coarse_ivp, model),
         termination=termination or Termination(),
-        k_max=k_max,
         variant="original" if reduced_input is None else "reduced",
     )

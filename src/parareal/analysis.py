@@ -2,8 +2,9 @@
 
 A study sweeps the interval count N at a fixed iteration count k, records the
 error of the k-th iterate against the exact reference under several metrics
-and fits the observed order as the negative log-log slope versus N.  The runs
-of a study share the exact solver's end segments for as long as it runs
+and fits the observed order as the negative log-log slope versus N, over the
+points above ``ERROR_FLOOR``, the double-precision floor.  The runs of a
+study share the exact solver's end segments for as long as it runs
 (``models`` describes the three set-up lifetimes).
 """
 
@@ -55,18 +56,6 @@ def fit_order(points: list[tuple[float, float]], floor: float = ERROR_FLOOR, min
     return OrderFit(order=float(-slope), window=window, residual=residual)
 
 
-def best_fit_constant(points: list[tuple[float, float]], exponent: float, floor: float = ERROR_FLOOR) -> float:
-    """Best multiplier C for a FIXED power law ``error ~ C * N**(-exponent)``.
-
-    Useful for overlaying a theoretical slope on measured data.
-    """
-    usable = [(n, e) for n, e in points if e > floor]
-    if not usable:
-        return math.nan
-    logs = [math.log(e) + exponent * math.log(n) for n, e in usable]
-    return math.exp(sum(logs) / len(logs))
-
-
 # ---------------------------------------------------------------------------
 # convergence studies
 
@@ -94,7 +83,6 @@ class StudySpec:
     k: int = 1
     n_list: tuple[int, ...] = DEFAULT_N_LIST
     error_metric: str = "max"
-    fit_floor: float = ERROR_FLOOR
     fit_min_n: int | None = None  # fit only points with N >= this
 
     def __post_init__(self):
@@ -191,9 +179,9 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
         for p in results
         if p.failure is None and (spec.fit_min_n is None or p.n >= spec.fit_min_n)
     ]
-    floor_hit = any(e <= spec.fit_floor for _, e in pts)
+    floor_hit = any(e <= ERROR_FLOOR for _, e in pts)
     try:
-        fit = fit_order(pts, floor=spec.fit_floor)
+        fit = fit_order(pts)
         order, residual = fit.order, fit.residual
         window = [pts[i][0] for i in fit.window]
     except InsufficientPointsError:

@@ -166,11 +166,11 @@ def _build_run_config(r: dict) -> PararealConfig:
         term = FixedIterations(int(r["k"]), atol=float(r["atol"]), rtol=float(r["rtol"]))
     else:
         term = Termination(
-            atol=float(r["atol"]), rtol=float(r["rtol"]), jump_threshold=float(r["jump_threshold"])
+            atol=float(r["atol"]), rtol=float(r["rtol"]), jump_threshold=float(r["jump_threshold"]),
+            k_max=int(r["kmax"]),
         )
     return make_config(
-        model, int(r["N"]), coarse=r["coarse"], fine=r["fine"], reduced_input=reduced,
-        termination=term, k_max=int(r["kmax"]),
+        model, int(r["N"]), coarse=r["coarse"], fine=r["fine"], reduced_input=reduced, termination=term,
     )
 
 
@@ -193,8 +193,7 @@ def _cmd_run(args, config) -> int:
             if 1 <= k <= run.iterations_used and n >= 1:
                 arrival = _fmt(run.fine_arrivals[k - 1][n, 0])
                 jump = _fmt(run.jumps[k - 1][n])
-            err = _fmt(float(errs[k][n])) if errs is not None else ""
-            lines.append(f"{k},{n},{_fmt(t)},{_fmt(it[n, 0])},{arrival},{jump},{err}")
+            lines.append(f"{k},{n},{_fmt(t)},{_fmt(it[n, 0])},{arrival},{jump},{_fmt(float(errs[k][n]))}")
     max_jump = run.max_jump(run.iterations_used - 1) if run.jumps else math.nan
     summary = (
         f"iterations_used={run.iterations_used},converged={str(run.converged).lower()},"
@@ -204,7 +203,7 @@ def _cmd_run(args, config) -> int:
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.out not in (None, "-"):
         print(summary)
-    if args.svg and errs is not None:
+    if args.svg:
         series = [
             (f"k={k}", list(range(1, cfg.n_intervals + 1)), [float(e) for e in errs[k][1:]])
             for k in range(len(run.iterates))

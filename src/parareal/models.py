@@ -130,18 +130,22 @@ def _segment_step(a: float, gain: float, form: SegmentForm, t0: float, t1: float
     return decay, steady, particular(t0), particular(t1)
 
 
+def _segment(a: float, gain: float, sig: Signal, s: float, e: float) -> tuple:
+    """``_segment_step`` of the continuity segment ``(s, e)`` of the input;
+    ``UnsupportedSignalError`` where it has no closed form there."""
+    form = sig.segment_form(s, e)
+    if form is None:
+        raise UnsupportedSignalError(f"signal {sig!r} has no constant-plus-sinusoid form on ({s}, {e})")
+    return _segment_step(a, gain, form, s, e)
+
+
 def _segments(a: float, gain: float, sig: Signal, t0: float, t1: float):
-    """The segment data of ``(t0, t1)``, one ``_segment_step`` per continuity segment, lazily."""
+    """The segment data of ``(t0, t1)``, one ``_segment`` per continuity segment, lazily."""
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
     pts = [t0] + [float(s) for s in sig.switching_times(t0, t1)] + [t1]
     for s, e in zip(pts, pts[1:]):
-        form = sig.segment_form(s, e)
-        if form is None:
-            raise UnsupportedSignalError(
-                f"signal {sig!r} has no constant-plus-sinusoid form on ({s}, {e})"
-            )
-        yield _segment_step(a, gain, form, s, e)
+        yield _segment(a, gain, sig, s, e)
 
 
 # serializes table lookups so that concurrent first lookups build a table once
@@ -151,7 +155,7 @@ _STEPS_LOCK = threading.Lock()
 @lru_cache(maxsize=64)
 def _step_table(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple]:
     table = sig._switch_table().floats
-    return table, tuple(_segment_step(a, gain, sig.segment_form(s, e), s, e) for s, e in zip(table, table[1:]))
+    return table, tuple(_segment(a, gain, sig, s, e) for s, e in zip(table, table[1:]))
 
 
 def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple]:
@@ -159,7 +163,7 @@ def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...]
     ``_segment_step`` of ``(switches[j], switches[j + 1])``.
 
     Built once per ``(a, gain, sig)`` and process, under a lock; a build that
-    fails (a segment with no closed form) is not kept.
+    fails (``UnsupportedSignalError``: a segment with no closed form) is not kept.
     """
     with _STEPS_LOCK:
         return _step_table(a, gain, sig)
@@ -177,15 +181,15 @@ def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[
     (``Signal.grid_switches``); an interval's switches are a run of that
     table, so its segments between two switches are a slice of
     ``_switch_steps``.  Only its end segments, bounded by a sync point, are
-    set up here, by the call ``_segments`` makes, and kept by their ends for
-    the running study, if any.
+    set up here (``_segment``, which raises ``UnsupportedSignalError``), and
+    kept by their ends for the running study, if any.
     """
     switches, steps = _switch_steps(a, gain, sig)
     study = _study_segments.get()
     memo = {} if study is None else study.setdefault((a, gain, sig), {})
 
     def end(s: float, e: float) -> tuple:
-        return memo.get((s, e)) or memo.setdefault((s, e), _segment_step(a, gain, sig.segment_form(s, e), s, e))
+        return memo.get((s, e)) or memo.setdefault((s, e), _segment(a, gain, sig, s, e))
 
     plans = []
     for t0, t1, inner in zip(times, times[1:], sig.grid_switches(times)):
@@ -238,7 +242,7 @@ def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=Non
     if plans is None:
         try:
             plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, gain, sig, ts)))
-        except Exception:  # noqa: BLE001 - not swallowed: the cold path below raises it again
+        except ValueError:  # not swallowed: the cold path below raises it again
             pass
     out = [float(phi)]
     for t0, t1 in zip(ts, ts[1:]):

@@ -213,8 +213,9 @@ def planned(props, times: list[float]):
     substeps (``_substeps``), or the exact solver's segments
     (``models._grid_plans``), set up for the whole grid in one pass.  A
     planned ``propagate`` call runs only the state recurrence, the same code
-    and bits as a cold call.  If the set-up fails anywhere, the propagator is
-    left unplanned: its cold calls raise the same error in their place in the
+    and bits as a cold call.  If the set-up fails anywhere with a
+    ``ValueError`` (an input with no closed form, a point outside its
+    domain), the propagator is left unplanned: its cold calls raise the same error in their place in the
     run.  Propagators of other types are skipped, and so is a holder that
     already has plans.  Plans are dropped when the block ends, also on an
     error.
@@ -230,7 +231,7 @@ def planned(props, times: list[float]):
         if holder._plans is None:
             try:
                 plans = dict(zip(zip(times, times[1:]), setup(holder, times)))
-            except Exception:  # noqa: BLE001 - not swallowed: the cold calls raise it again, in their place in the run
+            except ValueError:  # not swallowed: the cold calls raise it again, in their place in the run
                 plans = {}
             object.__setattr__(holder, "_plans", plans)
             holders.append(holder)

@@ -207,10 +207,6 @@ class Signal:
                 rights.append(value(t, right))
         return lefts, rights
 
-    def bound(self) -> float:
-        """An upper bound for ``|value|`` on the whole period."""
-        raise NotImplementedError
-
     def segment_form(self, tl: float, tr: float) -> SegmentForm | None:
         """Closed form on a switch-free interval, or None if unsupported."""
         raise NotImplementedError
@@ -341,9 +337,6 @@ class SineWave(Signal):
     def _formula(self, t: float) -> float:
         return math.sin(TWO_PI * t / self.period)
 
-    def bound(self) -> float:
-        return 1.0
-
     def segment_form(self, tl, tr):
         return SegmentForm(0.0, 1.0, TWO_PI / self.period, 0.0)
 
@@ -361,9 +354,6 @@ class ThreePhaseSine(Signal):
 
     def _formula(self, t: float) -> float:
         return math.sin(TWO_PI * t / self.period + PHASE_SHIFTS[self.phase_index])
-
-    def bound(self) -> float:
-        return 1.0
 
     def segment_form(self, tl, tr):
         return SegmentForm(0.0, 1.0, TWO_PI / self.period, PHASE_SHIFTS[self.phase_index])
@@ -384,9 +374,6 @@ class StepWave(Signal):
     def _build_table(self) -> np.ndarray:
         return np.array([0.5 * self.period])
 
-    def bound(self) -> float:
-        return 1.0
-
     def segment_form(self, tl, tr):
         return SegmentForm(self._formula(0.5 * (tl + tr)))
 
@@ -401,9 +388,6 @@ class Constant(Signal):
     def _formula(self, t: float) -> float:
         return self.value_
 
-    def bound(self) -> float:
-        return abs(self.value_)
-
     def segment_form(self, tl, tr):
         return SegmentForm(self.value_)
 
@@ -415,9 +399,6 @@ class Zero(Signal):
     period: float = math.inf
 
     def _formula(self, t: float) -> float:
-        return 0.0
-
-    def bound(self) -> float:
         return 0.0
 
     def segment_form(self, tl, tr):
@@ -469,9 +450,6 @@ class PwmSingle(Signal):
 
         return _scan_teeth(self, tooth)
 
-    def bound(self) -> float:
-        return 1.0
-
     def segment_form(self, tl, tr):
         return SegmentForm(self._formula(0.5 * (tl + tr)))
 
@@ -514,9 +492,6 @@ class ThreePhasePwm(Signal):
 
         return _scan_teeth(self, tooth)
 
-    def bound(self) -> float:
-        return 1.0
-
     def segment_form(self, tl, tr):
         return SegmentForm(self._formula(0.5 * (tl + tr)))
 
@@ -552,9 +527,6 @@ class Difference(Signal):
     def _build_table(self) -> np.ndarray:
         cands = list(self.a._switch_table().floats) + list(self.b._switch_table().floats)
         return _filter_jumps(self, cands)
-
-    def bound(self) -> float:
-        return self.a.bound() + self.b.bound()
 
     def segment_form(self, tl, tr):
         fa = self.a.segment_form(tl, tr)

@@ -17,7 +17,6 @@ from parareal import (
     StudySpec,
     ThetaPropagator,
     Zero,
-    best_fit_constant,
     defect_ode_solution,
     defect_scaling_study,
     eval_bound,
@@ -54,10 +53,6 @@ class TestFitOrder:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):
             fit_order([(5, 1e-3), (10, 1e-14), (20, 1e-15)], floor=1e-13)
-
-    def test_best_fit_constant(self):
-        pts = [(n, 0.42 * n**-2.0) for n in (10, 20, 40)]
-        assert best_fit_constant(pts, 2.0) == pytest.approx(0.42, rel=1e-12)
 
 
 class TestEvalBound:

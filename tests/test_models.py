@@ -94,6 +94,20 @@ class TestExactPropagate:
         with pytest.raises(UnsupportedSignalError):
             exact_linear_propagate(m, 0.0, 0.001, 0.0)
 
+    @pytest.mark.parametrize("spec", ["diff:sine-sine3:phase=2", "diff:diff:sine-sine3:phase=2-pwm:m=10"])
+    def test_unsupported_segment_fails_every_set_up(self, spec):
+        from parareal import models, parse_signal
+
+        sig = parse_signal(spec, period=T)
+        args = (A_RATE, 0.01, sig)
+        with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+            models._grid_plans(*args, [0.0, 0.005, 0.01, T])
+        if sig._switch_table().floats:
+            with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+                models._switch_steps(*args)
+        else:  # no switch: the table has no segment to set up
+            assert models._switch_steps(*args) == ((), ())
+
     def test_trajectory_endpoints(self, pwm400_model):
         ts = np.array([0.0, 0.005, 0.01, 0.02])
         traj = exact_trajectory(pwm400_model, ts)

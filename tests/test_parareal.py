@@ -108,6 +108,36 @@ class TestInitialGuess:
         assert times[-1] == T
         assert all(t == n * T / n_int for n, t in enumerate(times[:-1]))
 
+    @staticmethod
+    def _failing_coarse_config(model, exc):
+        class FailsOnInterval3(ThetaPropagator):
+            def propagate(self, t0, t1, u0):
+                if t0 == 2 * T / 5:  # T_2, the start of interval 3
+                    raise exc
+                return super().propagate(t0, t1, u0)
+
+        return PararealConfig(n_intervals=5, fine=ExactLinearPropagator(model), coarse=FailsOnInterval3(model.ivp()))
+
+    def test_coarse_failure_is_relabelled_with_its_interval(self, pwm10_model):
+        from parareal import NonFiniteStateError
+
+        with pytest.raises(ValueError, match="^coarse guess failed on interval 3: bad input$"):
+            initial_guess(self._failing_coarse_config(pwm10_model, ValueError("bad input")))
+        with pytest.raises(NonFiniteStateError, match="^coarse guess failed on interval 3: pole$") as info:
+            initial_guess(self._failing_coarse_config(pwm10_model, NonFiniteStateError("pole")))
+        assert (info.value.k, info.value.n) == (0, 3)
+
+    def test_coarse_failure_not_built_from_a_message_is_raised_as_is(self, pwm10_model):
+        class DomainFault(Exception):
+            def __init__(self, t, why):
+                super().__init__(f"t={t}: {why}")
+                self.t, self.why = t, why
+
+        fault = DomainFault(2 * T / 5, "outside the table")
+        with pytest.raises(DomainFault) as info:
+            initial_guess(self._failing_coarse_config(pwm10_model, fault))
+        assert info.value is fault and info.value.why == "outside the table"
+
 
 class TestIterate:
     def test_grid_that_rounds_past_t_end_completes(self, pwm400_model):
@@ -180,13 +210,20 @@ class TestIterate:
     def test_jump_termination(self, pwm400_model, sine_signal):
         cfg = make_config(
             pwm400_model, 20, reduced_input=sine_signal,
-            termination=Termination(atol=1.5e-5, rtol=1.5e-5, jump_threshold=1.0),
-            k_max=10,
+            termination=Termination(atol=1.5e-5, rtol=1.5e-5, jump_threshold=1.0, k_max=10),
         )
         run = iterate(cfg)
         assert run.converged
         assert run.iterations_used < 10
         assert run.max_jump(run.iterations_used - 1) < 1.0
+
+    def test_iteration_cap_stops_an_unconverged_run(self, pwm400_model, sine_signal):
+        cfg = make_config(
+            pwm400_model, 20, reduced_input=sine_signal, termination=Termination(jump_threshold=1e-300, k_max=3),
+        )
+        run = iterate(cfg)
+        assert run.iterations_used == 3 and len(run.iterates) == 4
+        assert not run.converged
 
     def test_non_finite_state_reports_location(self, pwm10_model):
         class Exploder:
@@ -396,10 +433,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PararealConfig(n_intervals=0, fine=fine, coarse=fine)
 
-    def test_unknown_reference(self, pwm10_model):
-        fine = ExactLinearPropagator(pwm10_model)
-        with pytest.raises(ValueError, match="reference"):
-            PararealConfig(n_intervals=4, fine=fine, coarse=fine, reference="bogus")
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_bad_iteration_cap(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            Termination(k_max=k_max)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_jump_threshold(self, threshold):

@@ -408,7 +408,6 @@ class TestDifference:
 
     def test_bounded_by_two(self):
         d = Difference(PwmSingle(m=400, period=T), SineWave(T))
-        assert d.bound() == 2.0
         ts = np.linspace(0.0, T, 200_001)
         assert np.max(np.abs(d.values(ts))) <= 2.0
 
