@@ -148,6 +148,10 @@ def _cmd_model_reference(args, config) -> int:
     return 0
 
 
+_THREADS_HELP = ("thread pool size (0, the default: the hardware default; 1: serial); a run's fine sweep "
+                 "sends it at most one block of intervals per CPU, a study one task per point")
+
+
 def _pool(r: dict):
     """The executor a subcommand's runs share, as a context: none for ``--threads 1``,
     else a thread pool (``--threads 0``: the hardware default)."""
@@ -362,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--atol", float), ("--rtol", float), ("--jump-threshold", float),
         ("--threads", int),
     ]:
-        p_run.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
+        p_run.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"),
+                           help=_THREADS_HELP if flag == "--threads" else None)
     p_run.add_argument("--out")
     p_run.add_argument("--svg")
     p_run.set_defaults(func=_cmd_run)
@@ -375,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--reduced-input", str), ("--k", int), ("--n-list", str), ("--metric", str),
         ("--threads", int),
     ]:
-        p_srun.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
+        p_srun.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"),
+                            help=_THREADS_HELP if flag == "--threads" else None)
     p_srun.add_argument("--out")
     p_srun.add_argument("--svg")
     p_srun.set_defaults(func=_cmd_study_run)

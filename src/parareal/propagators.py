@@ -13,11 +13,11 @@ segments) and the state recurrence over it.  ``planned`` sets up the whole
 sync grid once for the duration of a run, in one pass, so the run's repeated
 calls on an interval run only the recurrence, with the same bits; a cold call
 runs the same set-up on its own two-point grid.  A theta set-up looks up the
-input at an interval's ends with ``Signal.value`` and at the interior nodes of
-its substep grid, each the end of one substep and the start of the next, once
-per node with ``Signal.node_limits``.  The exact solver's plans draw on
-set-up kept per process and per study; ``models`` describes the three
-lifetimes.
+input at the two ends of its grid with ``Signal.value`` and at every node
+between them, each the end of one substep and the start of the next (a sync
+point too), once per node with ``Signal.node_limits``.  The exact solver's
+plans draw on set-up kept per process and per study; ``models`` describes
+the three lifetimes.
 """
 
 from __future__ import annotations
@@ -147,36 +147,26 @@ class ThetaPropagator(Propagator):
         with ``a = -decay``.  The sum starting at +0.0 turns a -0.0 product
         into +0.0, as the 1x1 product ``[[gain]] @ [input]`` does.
         """
-        grids, starts, ends, counts = [], [], [], []
+        nodes, counts = [], []
         for t0, t1 in zip(times, times[1:]):
             if not t0 < t1:
                 raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
             grid = self._grid(t0, t1)
-            grids.append(grid)
-            starts += grid[:-1]
-            ends += grid[1:]
+            nodes += grid[1:] if nodes else grid
             counts.append(len(grid) - 1)
         ivp = self.ivp
         a = -ivp.decay
         th = self.theta
         gain, value = ivp.gain, ivp.signal.value
-        right, left = Side.RIGHT_LIMIT, Side.LEFT_LIMIT
-        if len(starts) == len(grids):  # no interior node
-            p_s = [0.0 + gain * value(s, right) for s in starts]
-            th_p_e = [th * (0.0 + gain * value(e, left)) for e in ends]
-        else:
-            # an interior node starts one substep and ends the one before it:
-            # both of its limits come from one ``node_limits`` pass
-            rights, lefts = [], []
-            for grid in grids:
-                rights.append(value(grid[0], right))
-                inner_lefts, inner_rights = ivp.signal.node_limits(grid[1:-1])
-                rights += inner_rights
-                lefts += inner_lefts
-                lefts.append(value(grid[-1], left))
-            p_s = [0.0 + gain * v for v in rights]
-            th_p_e = [th * (0.0 + gain * v) for v in lefts]
-        hs = [e - s for s, e in zip(starts, ends)]
+        # a node between the two ends starts one substep and ends the one
+        # before it: both of its limits come from one ``node_limits`` pass
+        first = value(nodes[0], Side.RIGHT_LIMIT)
+        lefts, rights = ivp.signal.node_limits(nodes[1:-1])
+        last = value(nodes[-1], Side.LEFT_LIMIT)
+        p_s = [0.0 + gain * v for v in [first] + rights]
+        th_p_e = [th * (0.0 + gain * v) for v in lefts + [last]]
+        ends = nodes[1:]
+        hs = [e - s for s, e in zip(nodes, ends)]
         return zip(hs, p_s, th_p_e, [1.0 - h * th * a for h in hs], ends), counts
 
     def _sweep(self, steps, u: float) -> float:

@@ -264,12 +264,21 @@ def _bisect(g, lo: float, hi: float, tol: float) -> float:
 
 
 def _scan_roots(g, lo: float, hi: float, tol: float, samples: int = 33) -> list[float]:
-    ts = np.linspace(lo, hi, samples)
-    gs = np.array([g(t) for t in ts])
-    sgn = np.sign(gs)
+    """Roots of ``g`` on ``[lo, hi]``, bisected between neighbouring samples of
+    strictly opposite sign, in plain floats.
+
+    The samples are ``i*step + lo`` with ``step = (hi - lo)/(samples - 1)`` and
+    the last one ``hi``: the bits of ``np.linspace(lo, hi, samples)``.  A zero
+    or NaN sample brackets nothing, as ``np.sign(a)*np.sign(b) < 0``.
+    """
+    step = (hi - lo) / (samples - 1)
+    ts = [i * step + lo for i in range(samples - 1)] + [hi]
+    gs = [g(t) for t in ts]
     roots = []
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        roots.append(_bisect(g, ts[i], ts[i + 1], tol))
+    for i in range(samples - 1):
+        a, b = gs[i], gs[i + 1]
+        if (a < 0.0 < b) or (b < 0.0 < a):
+            roots.append(_bisect(g, ts[i], ts[i + 1], tol))
     return roots
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,7 +31,7 @@ from parareal import (
     parse_signal,
     reduced_ivp,
 )
-from parareal import models
+from parareal import algorithm, models
 from parareal.algorithm import reference_trajectory
 
 T = 0.02
@@ -186,6 +187,61 @@ class TestIterate:
             assert np.array_equal(a, b)
         for a, b in zip(serial.jumps, parallel.jumps):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_int", [1, 2, 3, 13, 320])
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_pool_blocks_match_serial_bitwise(self, pwm400_model, sine_signal, monkeypatch, workers, n_int):
+        # one block per CPU, with as many CPUs as workers: N below the block
+        # count, and N that the blocks do not divide
+        monkeypatch.setattr(algorithm, "_cpus", lambda: workers)
+        submits = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args[1:])
+                return super().submit(*args, **kwargs)
+
+        cfg = make_config(pwm400_model, n_int, reduced_input=sine_signal, termination=FixedIterations(2))
+        serial = iterate(cfg)
+        with CountingPool(max_workers=workers) as pool:
+            pooled = iterate(cfg, executor=pool)
+        blocks = min(workers, n_int)
+        assert len(submits) == 2 * blocks
+        assert [n for lo, hi in submits[:blocks] for n in range(lo, hi)] == list(range(1, n_int + 1))
+        sizes = [hi - lo for lo, hi in submits[:blocks]]
+        assert max(sizes) - min(sizes) <= 1
+        for name in ("iterates", "fine_arrivals", "jumps"):
+            for a, b in zip(getattr(serial, name), getattr(pooled, name), strict=True):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_two_failing_blocks_report_the_lowest_interval(self, pwm10_model, monkeypatch):
+        # intervals 3 and 8 fail, in the first and second of two blocks; the
+        # second block fails first, yet the error is interval 3's
+        from parareal import NonFiniteStateError
+
+        monkeypatch.setattr(algorithm, "_cpus", lambda: 2)
+        times = make_config(pwm10_model, 10).times.tolist()
+        later_failed = threading.Event()
+
+        class TwoPoles(ExactLinearPropagator):
+            def propagate(self, t0, t1, u0):
+                if t0 == times[7]:
+                    later_failed.set()
+                    raise NonFiniteStateError("pole 8")
+                if t0 == times[2]:
+                    later_failed.wait(timeout=30)
+                    raise NonFiniteStateError("pole 3")
+                return super().propagate(t0, t1, u0)
+
+        cfg = PararealConfig(
+            n_intervals=10, fine=TwoPoles(pwm10_model), coarse=ThetaPropagator(pwm10_model.ivp()),
+            termination=FixedIterations(2),
+        )
+        with ThreadPoolExecutor(2) as pool:
+            with pytest.raises(NonFiniteStateError, match="^pole 3$") as info:
+                iterate(cfg, pool)
+        assert later_failed.is_set()
+        assert (info.value.k, info.value.n) == (0, 3)
 
     def test_reduced_with_original_input_matches_original_bitwise(self, pwm10_model):
         term = FixedIterations(2)

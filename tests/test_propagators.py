@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ class TestPlannedPropagate:
             assert warm.propagate(0.0, T / 2, 0.25).hex() == cold.propagate(0.0, T / 2, 0.25).hex()
             with pytest.raises(ValueError, match="outside signal domain"):
                 warm.propagate(T / 2, past, 0.25)
+
+    @pytest.mark.parametrize("times, bad", [
+        ([-0.002, -0.001, T / 2], -0.002),  # every node of the first interval lies before 0
+        ([T / 2, 0.021, 0.022], 0.021),  # the first node past T is a sync point
+        ([0.0, 0.04], np.linspace(0.0, 0.04, 4)[2].item()),  # an interior node past T
+    ])
+    def test_theta_set_up_reports_the_first_node_outside_the_domain(self, times, bad):
+        # the nodes are looked up in increasing order, so the error names the
+        # first one outside the input's domain
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        prop = ThetaPropagator(model.ivp(), theta=0.5, substeps=3)
+        with pytest.raises(ValueError, match=re.escape(f"t={bad} outside signal domain")):
+            prop._substeps(times)
 
     def test_plans_are_dropped_on_error(self, sine_model):
         prop = ThetaPropagator(sine_model.ivp())

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parareal import (
@@ -354,8 +354,49 @@ class TestSwitchTableCache:
         assert all(f is floats[0] for f in floats)
 
 
+def numpy_scan_roots(g, lo, hi, tol, samples=33):
+    # the numpy root scan that the float one in ``signals._scan_roots`` replaced
+    ts = np.linspace(lo, hi, samples)
+    gs = np.array([g(t) for t in ts])
+    sgn = np.sign(gs)
+    roots = []
+    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        roots.append(signals._bisect(g, ts[i], ts[i + 1], tol))
+    return roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(1e-9, 10.0),
+    samples=st.integers(2, 40),
+    picks=st.lists(st.tuples(st.integers(0, 39), st.floats(0.0, 1.0)), min_size=1, max_size=3),
+)
+@example(lo=-1.901, width=7.838, samples=21, picks=[(39, 1.0)])  # a root at hi, where 20*step + lo != hi
+def test_root_scan_equals_the_numpy_scan(lo, width, samples, picks):
+    # roots between samples, on a sample (frac 0 or 1; such a root brackets
+    # nothing) and in the last bracket, whose right end is ``hi`` itself
+    hi = lo + width
+    grid = np.linspace(lo, hi, samples).tolist()
+    roots = []
+    for i, frac in picks:
+        i = min(i, samples - 2)
+        roots.append(grid[i + 1] if frac == 1.0 else grid[i] + frac * (grid[i + 1] - grid[i]))
+
+    def g(t):
+        out = 1.0
+        for r in roots:
+            out *= t - r
+        return out
+
+    tol = signals.SWITCH_TOL * width
+    got = signals._scan_roots(g, lo, hi, tol, samples)
+    assert np.array(got, dtype=float).tobytes() == np.array(numpy_scan_roots(g, lo, hi, tol, samples), dtype=float).tobytes()
+
+
 def straight_line_table(sig):
-    # the per-class tooth scan the shared one replaced, written out once per kind
+    # the per-class tooth scan the shared one replaced, written out once per
+    # kind, on the numpy root scan
     h, period = sig.period / sig.m, sig.period
     cands = [j * h for j in range(1, sig.m)]
     for j in range(sig.m):
@@ -370,15 +411,18 @@ def straight_line_table(sig):
                 return math.sin(2 * math.pi * t / period + shift) - (2.0 * (t - ta) / h - 1.0)
         pts = [ta] + signals._quarter_points(period, ta, tb) + [tb]
         for lo, hi in zip(pts, pts[1:]):
-            cands.extend(signals._scan_roots(g, lo, hi, signals.SWITCH_TOL * period))
-    return tuple(signals._filter_jumps(sig, cands).tolist())
+            cands.extend(numpy_scan_roots(g, lo, hi, signals.SWITCH_TOL * period))
+    return signals._filter_jumps(sig, cands)
 
 
-@pytest.mark.parametrize("m", [1, 7, 400])
+@pytest.mark.parametrize("m", [1, 7, 37, 400])
 def test_tooth_scan_tables_equal_the_straight_line_scan(m):
-    sigs = [PwmSingle(m=m, period=T)] + [ThreePhasePwm(m=m, period=T, phase_index=i) for i in (1, 2, 3)]
-    for sig in sigs:
-        assert tuple(sig._build_table().tolist()) == straight_line_table(sig), sig
+    for period in (T, 1.0, 3.7):
+        sigs = [PwmSingle(m=m, period=period)] + [ThreePhasePwm(m=m, period=period, phase_index=i) for i in (1, 2, 3)]
+        for sig in sigs:
+            table = sig._build_table()
+            assert table.size > 0
+            assert table.tobytes() == straight_line_table(sig).tobytes(), sig
 
 
 class TestThreePhase:
