@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: one theta step, one costly fine call, a refined one, one input lookup.
+"""Layer micro-benchmarks: one theta step, one costly fine call, one input lookup.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -7,7 +7,9 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 Every case warms the signal's switch table first, so the timings are of the
 steady state that a parareal run spends its time in.  The checked-in
 ``BENCH_theta.json`` merges alternating runs against two source trees; each
-entry's name carries the tree and the pair, e.g. ``[parent-1]``.
+entry's name carries the tree and the pair, e.g. ``[parent-1]``.  Its
+``test_fine_cn_5000_aligned_interval`` entries are history: they timed a
+reference that is now always the closed form.
 """
 
 import numpy as np
@@ -41,14 +43,6 @@ def test_fine_cn_500_aligned_interval(benchmark, pwm):
     # one fine call of a costly-fine run: a cold sweep over one sync interval of T/20
     model = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=pwm)
     fine = parse_propagator("cn:substeps=500,aligned=1", model.ivp(), model)
-    out = benchmark(fine.propagate, 0.0, T / 20, U0)
-    assert np.isfinite(out).all()
-
-
-def test_fine_cn_5000_aligned_interval(benchmark, pwm):
-    # the refined reference of a costly-fine run: one sync interval of T/20
-    model = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=pwm)
-    fine = parse_propagator("cn:substeps=5000,aligned=1", model.ivp(), model)
     out = benchmark(fine.propagate, 0.0, T / 20, U0)
     assert np.isfinite(out).all()
 

@@ -14,7 +14,8 @@ the corrected coarse sweep is sequential.
 
 A run stops after exactly k sweeps (``FixedIterations``) or once the largest
 jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
-errors are always measured against the exact solution (``reference_trajectory``).
+errors are always measured against the exact solution in closed form
+(``reference_trajectory``); a problem without one fails there.
 
 A run keeps its states as Python floats.  It plans the intervals of the
 propagators that evaluate each interval more than once (the coarse one, and an
@@ -37,7 +38,6 @@ from .propagators import (
     ExactLinearPropagator,
     NonFiniteStateError,
     Propagator,
-    ThetaPropagator,
     parse_propagator,
     planned,
     scalar_state,
@@ -191,27 +191,17 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
 def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     """The fine problem's exact solution at the sync points, the reference of a run's errors.
 
-    Every problem with decay rate ``a > 0``, whatever its fine propagator, is
-    solved in closed form: an exact fine propagator's own model by
-    ``exact_trajectory``, which chains the interval plans the run has built,
-    any other by ``closed_form_trajectory``.  Where no closed form exists
-    (``a <= 0``, an input segment that is neither constant nor sinusoidal)
-    the fine propagator with 10x the substeps stands in; an exact fine
-    propagator has no stand-in and raises ``UnsupportedSignalError``.
+    Whatever the fine propagator, the reference is the closed form: an exact
+    fine propagator's own model by ``exact_trajectory``, which chains the
+    interval plans the run has built, any other problem by
+    ``closed_form_trajectory``.  A problem with no closed form (decay rate
+    ``<= 0``, or an input segment that is neither constant nor sinusoidal,
+    neither of which a parsed model has) raises there.
     """
-    times = cfg.times
     fine = cfg.fine
     if isinstance(fine, ExactLinearPropagator):
-        return exact_trajectory(fine.model, times)[:, None]
-    ivp = fine.ivp
-    exact = closed_form_trajectory(ivp, times)
-    if exact is not None:
-        return exact[:, None]
-    refined = replace(fine, substeps=10 * fine.substeps) if isinstance(fine, ThetaPropagator) else fine
-    out = [float(ivp.u0)]
-    for n in range(1, len(times)):
-        out.append(refined.propagate(times[n - 1], times[n], out[-1]))
-    return np.array(out)[:, None]
+        return exact_trajectory(fine.model, cfg.times)[:, None]
+    return closed_form_trajectory(fine.ivp, cfg.times)[:, None]
 
 
 def _cpus() -> int:

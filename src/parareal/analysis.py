@@ -88,6 +88,10 @@ class StudySpec:
     def __post_init__(self):
         if self.variant not in ("original", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.k < 1 or any(n < 1 for n in self.n_list):
+            raise ValueError(f"need k >= 1 and every N >= 1, got k={self.k!r}, n_list={self.n_list!r}")
+        if self.error_metric not in ("max", "final", "first_active"):
+            raise ValueError(f"unknown error metric {self.error_metric!r}; known: max, final, first_active")
         if self.variant == "reduced" and self.reduced_input is None:
             raise ValueError("reduced variant needs a reduced_input signal")
         parse_propagator(self.coarse_scheme, self.model.ivp(), self.model)  # a bad spec raises ValueError

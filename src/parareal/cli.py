@@ -258,7 +258,7 @@ def _cmd_study_run(args, config) -> int:
             dict(
                 variant=r["variant"],
                 scheme=r["coarse"],
-                k=int(r["k"] or 1),
+                k=1 if r["k"] is None else int(r["k"]),
                 reduced=r["reduced_input"] if r["variant"] == "reduced" else None,
                 label="study",
             )

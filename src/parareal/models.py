@@ -2,10 +2,11 @@
 
 The input ``w`` is a pure-time signal that may be discontinuous (PWM).  The
 model, an RL circuit driven by a current source, admits an exact per-segment
-solution which serves as the fine propagator and as the reference in every
-convergence experiment.  The closed form is split into the segment data of an
-interval (``_segments``, which depends only on the input and the times) and
-its application to a state (``_advance``).
+solution which serves as the fine propagator and as the reference of every
+run: every parseable input is constant or sinusoidal between two switches
+(``Signal.segment_form``).  The closed form is split into the segment data
+of an interval (``_segments``, which depends only on the input and the
+times) and its application to a state (``_advance``).
 
 The set-up that changes no result is kept for one of three lifetimes:
 
@@ -259,20 +260,18 @@ def exact_trajectory(model: LinearScalarModel, times: np.ndarray) -> np.ndarray:
     return _trajectory(model.decay_rate, model.R_res, model.signal, times, model.u0, model._plans)
 
 
-def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray | None:
-    """Exact solution of the IVP at ``times`` (from ``times[0]``), or None.
+def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray:
+    """Exact solution of the IVP at ``times`` (from ``times[0]``).
 
-    The closed form needs a decay rate ``ivp.decay > 0``; for a model's
-    ``ivp()`` this equals ``exact_trajectory`` bitwise.  A zero or negative
-    decay rate, or an input with a segment that is neither constant nor
-    sinusoidal, returns None.
+    For a model's ``ivp()`` this equals ``exact_trajectory`` bitwise.  The
+    closed form needs a decay rate ``ivp.decay > 0`` (``ValueError``
+    otherwise), and a constant-plus-sinusoid form on every continuity segment
+    of the input (``UnsupportedSignalError`` otherwise); every model that
+    ``parse_model`` builds has both.
     """
     if not ivp.decay > 0.0:
-        return None
-    try:
-        return _trajectory(ivp.decay, ivp.gain, ivp.signal, times, ivp.u0)
-    except UnsupportedSignalError:
-        return None
+        raise ValueError(f"the closed form needs a decay rate > 0, got {ivp.decay!r}")
+    return _trajectory(ivp.decay, ivp.gain, ivp.signal, times, ivp.u0)
 
 
 def parse_model(spec: str, default_period: float = 0.02) -> LinearScalarModel:

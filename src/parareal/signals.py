@@ -208,7 +208,7 @@ class Signal:
         return lefts, rights
 
     def segment_form(self, tl: float, tr: float) -> SegmentForm | None:
-        """Closed form on a switch-free interval, or None if unsupported."""
+        """Closed form on a switch-free interval; None only for sinusoids of two frequencies (``Difference``)."""
         raise NotImplementedError
 
     # -- helpers -------------------------------------------------------------
@@ -550,7 +550,12 @@ class Difference(Signal):
             return SegmentForm(fa.const - fb.const, -fb.amp, fb.omega, fb.phase)
         if fa.omega == fb.omega and fa.phase == fb.phase:
             return SegmentForm(fa.const - fb.const, fa.amp - fb.amp, fa.omega, fa.phase)
-        return None
+        if fa.omega != fb.omega:
+            return None
+        # one frequency, two phases: the difference of the phasors is one sinusoid
+        c = fa.amp * math.cos(fa.phase) - fb.amp * math.cos(fb.phase)
+        s = fa.amp * math.sin(fa.phase) - fb.amp * math.sin(fb.phase)
+        return SegmentForm(fa.const - fb.const, math.hypot(c, s), fa.omega, math.atan2(s, c))
 
 
 # ---------------------------------------------------------------------------

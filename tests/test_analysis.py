@@ -208,6 +208,17 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="unknown variant"):
             StudySpec(model=pwm10_model, variant="classic")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(k=0), r"need k >= 1 and every N >= 1, got k=0,"),
+        (dict(k=-2), r"need k >= 1 and every N >= 1, got k=-2,"),
+        (dict(n_list=(0, 5, 10)), r"got k=1, n_list=\(0, 5, 10\)"),
+        (dict(n_list=(-5, 5)), r"got k=1, n_list=\(-5, 5\)"),
+        (dict(error_metric="bogus"), "unknown error metric 'bogus'"),
+    ])
+    def test_bad_settings_are_rejected(self, pwm10_model, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            StudySpec(model=pwm10_model, **kwargs)
+
     def test_n_list_must_increase(self, pwm10_model):
         with pytest.raises(ValueError):
             StudySpec(model=pwm10_model, n_list=(10, 5))

@@ -114,6 +114,15 @@ class TestRun:
         assert last[0] == "1" and last[1] == "4"
         assert float(last[5]) >= 0.0  # jump column populated for k >= 1
 
+    def test_exact_fine_on_two_phases_of_one_sinusoid(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--fine", "exact", "--model", "rl:input=diff:sine-sine3:phase=2",
+                     "--N", "20", "--k", "2", "--threads", "1", "--out", str(out)]) == 0
+        lines = read_lines(out)
+        assert lines[2].split(",")[-1] == "err_vs_ref"
+        errs = [float(ln.split(",")[-1]) for ln in lines[3:] if not ln.startswith("#")]
+        assert len(errs) == 3 * 21 and all(math.isfinite(e) for e in errs)
+
 
 class TestStudy:
     def test_preset_with_overridden_n_list(self, tmp_path):
@@ -251,6 +260,19 @@ class TestUsageErrors:
         assert "--threads must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "need k >= 1 and every N >= 1, got k=0,"),
+        (["--k", "-2"], "need k >= 1 and every N >= 1, got k=-2,"),
+        (["--metric", "bogus"], "unknown error metric 'bogus'"),
+        (["--n-list", "0,5,10"], "need k >= 1 and every N >= 1, got k=1, n_list=(0, 5, 10)"),
+    ])
+    def test_bad_study_settings_fail_before_any_run(self, flags, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: pytest.fail("a study ran"))
+        out = tmp_path / "o.csv"
+        assert main(["study", "run", *flags, "--threads", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_non_integer_substeps(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["run", "--fine", "cn:substeps=x", "--k", "1", "--out", str(out)]) == 1
@@ -313,6 +335,14 @@ class TestConfigFile:
         k_flag = [] if k_from_config else ["--k", "2"]
         assert main(["--config", str(cfg), "run", *k_flag, "--N", "10", "--out", str(out)]) == 1
         assert f"{flag} has no effect with --k" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_iterations_from_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "k0.cfg"
+        cfg.write_text("k=0\nthreads=1\n")
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(cfg), "study", "run", "--n-list", "5,10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need k >= 1 and every N >= 1, got k=0,")
         assert not out.exists()
 
     def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from parareal import (
     PwmSingle,
     SineWave,
     StepWave,
-    ThreePhaseSine,
     UnsupportedSignalError,
     Zero,
     exact_linear_propagate,
@@ -88,17 +87,19 @@ class TestExactPropagate:
             assert scaled - base == pytest.approx(alpha * (one - base), abs=1e-14)
 
     def test_unsupported_segment(self):
-        # sinusoids with different phases cannot be merged into one closed form
-        bad = Difference(SineWave(T), ThreePhaseSine(T, phase_index=2))
+        # sinusoids of different frequencies cannot be merged into one closed form
+        bad = Difference(SineWave(T), SineWave(2 * T))
         m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=bad)
         with pytest.raises(UnsupportedSignalError):
             exact_linear_propagate(m, 0.0, 0.001, 0.0)
 
-    @pytest.mark.parametrize("spec", ["diff:sine-sine3:phase=2", "diff:diff:sine-sine3:phase=2-pwm:m=10"])
-    def test_unsupported_segment_fails_every_set_up(self, spec):
-        from parareal import models, parse_signal
+    @pytest.mark.parametrize("sig", [
+        Difference(SineWave(T), SineWave(2 * T)),
+        Difference(Difference(SineWave(T), SineWave(2 * T)), PwmSingle(m=10, period=T)),
+    ], ids=["two-frequencies", "nested-with-pwm"])
+    def test_unsupported_segment_fails_every_set_up(self, sig):
+        from parareal import models
 
-        sig = parse_signal(spec, period=T)
         args = (A_RATE, 0.01, sig)
         with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
             models._grid_plans(*args, [0.0, 0.005, 0.01, T])

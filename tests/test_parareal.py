@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parareal import (
+    Difference,
     ExactLinearPropagator,
     FixedIterations,
     LinearScalarModel,
@@ -462,7 +463,8 @@ class TestPlannedRunOracle:
         assert coarse._plans is None and fine.model._plans is None
 
     def test_plans_are_dropped_when_a_run_fails(self):
-        model = _model("diff:sine-sine3:phase=2")
+        # sinusoids of different frequencies: no closed form on any interval
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(2 * T)))
         cfg = make_config(model, 5, termination=FixedIterations(1))
         with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
             iterate(cfg)
@@ -522,7 +524,7 @@ def _same_bits(a, b):
 
 
 class TestReferenceTrajectory:
-    """The reference is the closed form wherever one exists, else a 10x-refined fine solve."""
+    """The reference is the closed form, whatever the fine propagator; a problem without one fails."""
 
     @pytest.mark.parametrize("input_spec", REFERENCE_INPUTS)
     @pytest.mark.parametrize("n", [5, 13, 320])
@@ -541,31 +543,33 @@ class TestReferenceTrajectory:
         cfg = PararealConfig(n_intervals=n, fine=fine, coarse=ThetaPropagator(fine.ivp), variant="original")
         assert _same_bits(reference_trajectory(cfg)[:, 0], exact_trajectory(model, cfg.times))
 
-    @staticmethod
-    def _refined_loop(fine, times):
-        refined = ThetaPropagator(
-            fine.ivp, theta=fine.theta, substeps=10 * fine.substeps,
-            discontinuity_aligned=fine.discontinuity_aligned,
-        )
-        out = [fine.ivp.u0]
-        for n in range(1, len(times)):
-            out.append(refined.propagate(times[n - 1], times[n], out[-1]))
-        return np.vstack(out)
-
-    def _assert_falls_back(self, fine, n=5):
-        cfg = PararealConfig(n_intervals=n, fine=fine, coarse=ThetaPropagator(fine.ivp), variant="original")
-        ref = reference_trajectory(cfg)
-        assert _same_bits(ref, self._refined_loop(fine, cfg.times))
-        assert np.all(np.isfinite(ref))
-
-    def test_zero_decay_rate_falls_back(self):
+    def test_zero_decay_rate_raises(self):
         # a = 0 has no decaying closed form (the segment step divides by a)
         ivp = SplitIvp(decay=-0.0, gain=0.01, signal=PwmSingle(m=400, period=T), u0=0.0, t_end=T)
-        self._assert_falls_back(ThetaPropagator(ivp, theta=0.5, substeps=7, discontinuity_aligned=True))
+        fine = ThetaPropagator(ivp, theta=0.5, substeps=7, discontinuity_aligned=True)
+        cfg = PararealConfig(n_intervals=5, fine=fine, coarse=ThetaPropagator(ivp), variant="original")
+        with pytest.raises(ValueError, match=r"decay rate > 0, got -0\.0"):
+            reference_trajectory(cfg)
 
-    def test_input_without_closed_form_falls_back(self):
+    def test_input_without_closed_form_raises(self):
+        # the run itself completes on a theta fine propagator; its reference fails
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(2 * T)))
+        fine = parse_propagator("cn:substeps=7,aligned=1", model.ivp(), model)
+        cfg = PararealConfig(n_intervals=5, fine=fine, coarse=ThetaPropagator(fine.ivp), variant="original",
+                             termination=FixedIterations(1))
+        for compute in (reference_trajectory, iterate):
+            with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+                compute(cfg)
+
+    def test_same_frequency_sinusoids_run_exact(self):
+        # an exact fine run on a difference of two phases of one sinusoid
+        # against one aligned Crank-Nicolson solve over [0, T]
         model = _model("diff:sine-sine3:phase=2")
-        self._assert_falls_back(parse_propagator("cn:substeps=7,aligned=1", model.ivp(), model))
+        run = iterate(make_config(model, 20, termination=FixedIterations(2)))
+        cn = parse_propagator("cn:substeps=20000,aligned=1", model.ivp(), model).propagate(0.0, T, model.u0)
+        scale = float(np.max(np.abs(run.iterates[2])))
+        assert abs(float(run.iterates[2][-1, 0]) - cn) <= 1e-6 * scale
+        assert run.error(2) <= 1e-6 * scale
 
 
 class TestPickling:

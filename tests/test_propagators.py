@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parareal import (
+    Difference,
     ExactLinearPropagator,
     LinearScalarModel,
     NonFiniteStateError,
     PwmSingle,
     Side,
+    SineWave,
     SplitIvp,
     ThetaPropagator,
     UnsupportedSignalError,
@@ -265,9 +267,9 @@ class TestPlannedPropagate:
             self._assert_planned_equals_cold(lambda: parse_propagator("exact", model.ivp(), model), times)
 
     def test_failed_set_up_leaves_the_interval_unplanned(self):
-        # diff:sine-sine3 has no closed form on any interval: nothing is
-        # planned, and the call fails as a cold one does
-        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("diff:sine-sine3:phase=2", T))
+        # sinusoids of different frequencies have no closed form on any
+        # interval: nothing is planned, and the call fails as a cold one does
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(2 * T)))
         prop = parse_propagator("exact", model.ivp(), model)
         with planned([prop], [0.0, T / 2, T]):
             assert prop.model._plans == {}
@@ -437,9 +439,13 @@ class TestNearSwitchGrids:
         assert 0 < len(calls) <= 2 * 20
 
     def test_closed_form_trajectory_without_a_closed_form(self):
-        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("diff:sine-sine3:phase=2", T))
-        assert models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T]) is None
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(2 * T)))
+        with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+            models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T])
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        for decay in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="decay rate > 0"):
+                models.closed_form_trajectory(SplitIvp(decay, 0.01, model.signal, 0.0, T), [0.0, T / 2, T])
         with pytest.raises(ValueError, match="need t0 < t1"):
             models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T / 2, T])
 

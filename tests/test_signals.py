@@ -456,6 +456,67 @@ class TestDifference:
         assert np.max(np.abs(d.values(ts))) <= 2.0
 
 
+# every kind of parseable signal, each three-phase one at each phase
+BASE_SPECS = (
+    "pwm:m=10", "pwm3:m=10,phase=1", "pwm3:m=10,phase=2", "pwm3:m=10,phase=3", "step", "sine",
+    "sine3:phase=1", "sine3:phase=2", "sine3:phase=3", "const:v=0.5", "zero",
+)
+DIFF_SPECS = tuple(f"diff:{a}-{b}" for a in BASE_SPECS for b in BASE_SPECS) + (
+    "diff:diff:sine-sine3:phase=2-pwm:m=10",
+)
+
+
+def _segments(sig):
+    pts = [0.0] + sig.switching_times(0.0, sig.period).tolist() + [sig.period]
+    return list(zip(pts, pts[1:]))
+
+
+def _form_before_phasors(sig, tl, tr):
+    """``segment_form`` as it was before a difference of two phases of one
+    sinusoid had a closed form: None there."""
+    if not isinstance(sig, Difference):
+        return sig.segment_form(tl, tr)
+    fa, fb = _form_before_phasors(sig.a, tl, tr), _form_before_phasors(sig.b, tl, tr)
+    if fa is None or fb is None:
+        return None
+    if fa.amp == 0.0 and fb.amp == 0.0:
+        return signals.SegmentForm(fa.const - fb.const)
+    if fb.amp == 0.0:
+        return signals.SegmentForm(fa.const - fb.const, fa.amp, fa.omega, fa.phase)
+    if fa.amp == 0.0:
+        return signals.SegmentForm(fa.const - fb.const, -fb.amp, fb.omega, fb.phase)
+    if fa.omega == fb.omega and fa.phase == fb.phase:
+        return signals.SegmentForm(fa.const - fb.const, fa.amp - fb.amp, fa.omega, fa.phase)
+    return None
+
+
+def _bits(form):
+    return [float(x).hex() for x in (form.const, form.amp, form.omega, form.phase)]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("spec", BASE_SPECS + DIFF_SPECS)
+    def test_every_parseable_signal_has_a_closed_form(self, spec):
+        sig = parse_signal(spec, period=T)
+        for tl, tr in _segments(sig):
+            form = sig.segment_form(tl, tr)
+            assert form is not None, (tl, tr)
+            mid = 0.5 * (tl + tr)
+            want = sig._formula(mid)
+            assert abs(form.const + form.amp * math.sin(form.omega * mid + form.phase) - want) <= 1e-12
+
+    @pytest.mark.parametrize("spec", DIFF_SPECS)
+    def test_forms_that_existed_keep_their_bits(self, spec):
+        sig = parse_signal(spec, period=T)
+        for tl, tr in _segments(sig):
+            old = _form_before_phasors(sig, tl, tr)
+            if old is not None:
+                assert _bits(sig.segment_form(tl, tr)) == _bits(old)
+
+    def test_sinusoids_of_different_frequencies_have_none(self):
+        assert Difference(SineWave(T), SineWave(2 * T)).segment_form(0.0, T) is None
+
+
 class TestParse:
     @pytest.mark.parametrize(
         "spec,kind",
