@@ -27,7 +27,6 @@ kept per process, per study and per run.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 
@@ -204,46 +203,23 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     return closed_form_trajectory(fine.ivp, cfg.times)[:, None]
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float], executor: Executor | None) -> list[float]:
+def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> list[float]:
     """All N fine propagations of one iteration, as floats in index order; entry 0 is u0.
 
-    On an executor the intervals go out as one contiguous block per CPU
-    (``_cpus``, at most N), each a serial run of the same ``propagate``
-    calls: a call costs a few microseconds, less than handing it to a
-    worker.  The blocks are joined in index order, so the first failure
-    raised is the lowest failing interval's, as in a serial sweep.
+    They run in the calling thread, in index order, so the first failure
+    raised is the lowest failing interval's.  Threads would not make them
+    faster: under the interpreter lock, threads of pure-Python ``propagate``
+    calls only take turns holding it.
     """
     fine = cfg.fine
-
-    def block(lo: int, hi: int) -> list[float]:
-        out = []
-        for n in range(lo, hi):
-            try:
-                out.append(fine.propagate(times[n - 1], times[n], state[n - 1]))
-            except NonFiniteStateError as exc:
-                exc.n = n
-                raise
-        return out
-
-    N = cfg.n_intervals
-    if executor is None:
-        return [state[0]] + block(1, N + 1)
-    blocks = min(_cpus(), N)
-    bounds = [1 + N * b // blocks for b in range(blocks + 1)]
-    futures = [executor.submit(block, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    arrivals = [state[0]]
-    try:
-        for future in futures:
-            arrivals += future.result()
-    finally:
-        for future in futures:  # after a failure, the blocks not yet started
-            future.cancel()
-    return arrivals
+    out = [state[0]]
+    for n in range(1, cfg.n_intervals + 1):
+        try:
+            out.append(fine.propagate(times[n - 1], times[n], state[n - 1]))
+        except NonFiniteStateError as exc:
+            exc.n = n
+            raise
+    return out
 
 
 def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
@@ -262,6 +238,9 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
 
     Raises ``NonFiniteStateError`` if a state stops being finite, with ``k``
     and ``n`` set, also where a propagator raised it (fine sweep, correction).
+
+    ``executor`` is accepted and given no work: the fine sweep runs in the
+    calling thread (``_fine_sweep``), bit for bit the run without one.
     """
     times = cfg.times
     ts = times.tolist()
@@ -286,7 +265,7 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         k = 0
         while k < k_cap:
             try:
-                arrivals = _fine_sweep(cfg, ts, current, executor)
+                arrivals = _fine_sweep(cfg, ts, current)
             except NonFiniteStateError as exc:
                 exc.k = k
                 raise

@@ -148,8 +148,8 @@ def _cmd_model_reference(args, config) -> int:
     return 0
 
 
-_THREADS_HELP = ("thread pool size (0, the default: the hardware default; 1: serial); a run's fine sweep "
-                 "sends it at most one block of intervals per CPU, a study one task per point")
+_THREADS_HELP = ("thread pool size (0, the default: the hardware default; 1: serial); a study sends it one "
+                 "task per point; a run gives it no work, its fine sweep runs in the calling thread")
 
 
 def _pool(r: dict):
@@ -159,6 +159,13 @@ def _pool(r: dict):
     if threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: hardware default), got {threads}")
     return contextlib.nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads or None)
+
+
+def _reject_ignored(args, config: dict, keys: tuple[str, ...], reason: str) -> None:
+    """A usage error for each of ``keys`` given as a flag or a config key where ``reason`` makes it do nothing."""
+    for key in keys:
+        if getattr(args, key) is not None or key in config:
+            raise UsageError(f"--{key.replace('_', '-')} has no effect with {reason}")
 
 
 def _build_run_config(r: dict) -> PararealConfig:
@@ -181,9 +188,7 @@ def _build_run_config(r: dict) -> PararealConfig:
 def _cmd_run(args, config) -> int:
     r = _resolve(args, config)
     if r["k"] is not None:
-        for key in ("jump_threshold", "kmax"):
-            if getattr(args, key) is not None or key in config:
-                raise UsageError(f"--{key.replace('_', '-')} has no effect with --k (a fixed iteration count)")
+        _reject_ignored(args, config, ("jump_threshold", "kmax"), "--k (a fixed iteration count)")
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)
@@ -252,6 +257,7 @@ def _cmd_study_run(args, config) -> int:
     if r["preset"]:
         if r["preset"] not in PRESETS:
             raise UsageError(f"unknown preset {r['preset']!r}; known: {sorted(PRESETS)}")
+        _reject_ignored(args, config, ("k", "coarse", "variant", "reduced_input"), "--preset (its series set it)")
         entries = PRESETS[r["preset"]]
     else:
         entries = [

@@ -3,10 +3,12 @@
 Every signal is defined on one period ``[0, T]`` and knows where it is
 discontinuous.  Integrators and the exact linear solver rely on
 ``switching_times`` to segment the time axis and on ``Side`` hints to take
-one-sided values at segment boundaries.  ``node_limits`` takes both one-sided
-values at each node of an increasing grid in one merge pass over the switch
-table: a node with no switch at it costs one formula evaluation for both
-sides, the same bits as two ``value`` calls.
+one-sided values at segment boundaries.  A signal with switches is constant
+between them: its one-sided values are the constants of its switch-to-switch
+segments, each ``_formula`` at the segment's midpoint, set up once per signal
+with its switch table.  ``node_limits`` takes both one-sided values at each
+node of an increasing grid in one merge pass over the switch table; ``value``
+takes one side of one node the same way.
 
 Switch tolerances, each with its scale (T is the period, or 1 for an
 unbounded signal) and purpose:
@@ -20,8 +22,7 @@ unbounded signal) and purpose:
   with the switches of ``(t0, t1)``, a time this close to the one before it
   is dropped (``ThetaPropagator._grid``).
 * ``SNAP_TOL`` = 1e-9, times T: a time this close to a switch counts as at
-  the switch for one-sided values (``_switch_at``, behind ``value`` and
-  ``node_limits``).
+  the switch for one-sided values (``node_limits``, behind ``value``).
 * ``JUMP_TOL`` = 1e-9, absolute: a root candidate is a switch only if the
   value changes by more than this across it (``_filter_jumps``).
 * ``PwmSingle._SIN_TIE`` = 3e-15, absolute: a sine value below this is the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -74,7 +75,7 @@ class _SwitchTable(NamedTuple):
     """A signal's switching instants in (0, period), strictly increasing.
 
     ``times`` serves the range queries of ``switching_times``; ``floats`` holds
-    the same values as a tuple for ``bisect`` in one-sided evaluation.
+    the same values as a tuple for one-sided evaluation (``node_limits``).
     """
 
     times: np.ndarray
@@ -83,8 +84,9 @@ class _SwitchTable(NamedTuple):
 
 _NO_SWITCHES = _SwitchTable(np.empty(0), ())
 
-# serializes cache lookups so that concurrent first lookups build a table once;
-# reentrant because a Difference builds its table from its operands' tables
+# serializes cache lookups so that concurrent first lookups build an entry
+# once; reentrant because a Difference builds its table from its operands'
+# tables, and segment constants are built from the table
 _TABLE_LOCK = threading.RLock()
 
 
@@ -94,30 +96,37 @@ def _table_cache(sig: Signal) -> _SwitchTable:
     return _SwitchTable(times, tuple(times.tolist()))
 
 
-def _cached_table(sig: Signal) -> _SwitchTable:
-    """The switch table shared by all signals equal to ``sig``.
+@lru_cache(maxsize=64)
+def _constants_cache(sig: Signal) -> tuple[float, ...]:
+    fences = [0.0, *_cached_table(sig).floats, sig.period]
+    return tuple(sig._formula(0.5 * (lo + hi)) for lo, hi in zip(fences, fences[1:]))
+
+
+def _cached(sig: Signal, attr: str, cache):
+    """``cache(sig)``, shared by all signals equal to ``sig``.
 
     The first lookup on an instance goes through the cache under the lock and
-    keeps the entry on the instance, so later lookups skip hashing the signal
-    and taking the lock.
+    keeps the entry on the instance as ``attr``, so later lookups skip hashing
+    the signal and taking the lock.
     """
-    table = sig.__dict__.get("_table")
-    if table is None:
+    entry = sig.__dict__.get(attr)
+    if entry is None:
         with _TABLE_LOCK:
-            table = _table_cache(sig)
-        object.__setattr__(sig, "_table", table)
-    return table
+            entry = cache(sig)
+        object.__setattr__(sig, attr, entry)
+    return entry
 
 
-def _switch_at(table: tuple[float, ...], i: int, t: float, scale: float) -> int | None:
-    """Index of the switch at ``t``, given ``i = bisect_left(table, t)``: ``table[i]``,
-    or else ``table[i - 1]``, if within ``SNAP_TOL * scale`` of ``t``; or None."""
-    tol = SNAP_TOL * scale
-    if i < len(table) and abs(table[i] - t) <= tol:
-        return i
-    if i > 0 and abs(table[i - 1] - t) <= tol:
-        return i - 1
-    return None
+def _cached_table(sig: Signal) -> _SwitchTable:
+    """The switch table of ``sig`` (``_build_table``), built on its first lookup."""
+    return _cached(sig, "_table", _table_cache)
+
+
+def _cached_constants(sig: Signal) -> tuple[float, ...]:
+    """The constant of each switch-to-switch segment of ``sig``, 0 and T the
+    outer fences: ``_formula`` at the segment's midpoint, built on the first
+    one-sided lookup, so that a table build does not pay for it."""
+    return _cached(sig, "_constants", _constants_cache)
 
 
 class Signal:
@@ -170,41 +179,59 @@ class Signal:
     # -- evaluation ----------------------------------------------------------
 
     def value(self, t: float, side: Side = Side.POINTWISE) -> float:
-        """Signal value at ``t``; ``side`` resolves jumps one-sidedly."""
+        """Signal value at ``t``: ``_formula(t)``, or with a ``side`` the
+        one-sided value that ``node_limits`` takes at a node ``t``."""
+        if side is not Side.POINTWISE and self._switch_table().floats:
+            lefts, rights = self.node_limits([t])
+            return lefts[0] if side is Side.LEFT_LIMIT else rights[0]
         if not 0.0 <= t <= self.period:  # the check's call only where it may raise
             self._check_domain(t)
-        if side is not Side.POINTWISE:
-            near = self._nearest_switch(t)
-            if near is not None:
-                lo, sw, hi = near
-                return self._formula(0.5 * (lo + sw) if side is Side.LEFT_LIMIT else 0.5 * (sw + hi))
         return self._formula(t)
 
     def node_limits(self, ts: list[float]) -> tuple[list[float], list[float]]:
         """``([value(t, LEFT_LIMIT) ...], [value(t, RIGHT_LIMIT) ...])`` over the increasing times ``ts``.
 
-        One merge pass over the switch table: a node with no switch at it
-        (``_nearest_switch``) takes one ``_formula(t)`` for both sides, a node
-        with one goes through ``value`` per side.
+        A signal with no switches takes ``_formula(t)`` for both sides.  One
+        with switches is constant between them (``Difference``, whose segments
+        need not be, overrides this), and the pass walks its switch table
+        once: a node within ``SNAP_TOL * T`` of a switch takes the constants
+        of the segments on the switch's two sides (the switch at or after the
+        node wins a tie with the one before it), any other node its own
+        segment's constant for both.  So at a point off the switches, such as
+        a comparator tie or an end of the domain, both sides are the limits,
+        not ``_formula``'s point value there.  The values are only as right as
+        the table: a switch missing from it merges two segments into one
+        constant, for a theta step as for ``segment_form``.
         """
         self._check_nodes(ts)
         table = self._switch_table().floats
-        scale = self._tol_scale()
-        formula, value = self._formula, self.value
-        left, right = Side.LEFT_LIMIT, Side.RIGHT_LIMIT
+        if not table:
+            lefts = [self._formula(t) for t in ts]
+            return lefts, lefts[:]
+        consts = _cached_constants(self)
+        tol = SNAP_TOL * self._tol_scale()
         lefts, rights = [], []
+        left, right = lefts.append, rights.append
         n = len(table)
+        # t's segment is i: t lies after the switch ``prev`` = table[i - 1] and
+        # at or before ``nxt`` = table[i]; the fences past the ends are infinite
         i = bisect_left(table, ts[0]) if ts else 0
+        prev = table[i - 1] if i else -math.inf
+        nxt = table[i] if i < n else math.inf
         for t in ts:
-            while i < n and table[i] < t:
+            while nxt < t:
                 i += 1
-            if _switch_at(table, i, t, scale) is None:
-                v = formula(t)
-                lefts.append(v)
-                rights.append(v)
+                prev, nxt = nxt, table[i] if i < n else math.inf
+            if nxt - t <= tol:
+                left(consts[i])
+                right(consts[i + 1])
+            elif t - prev <= tol:
+                left(consts[i - 1])
+                right(consts[i])
             else:
-                lefts.append(value(t, left))
-                rights.append(value(t, right))
+                c = consts[i]
+                left(c)
+                right(c)
         return lefts, rights
 
     def segment_form(self, tl: float, tr: float) -> SegmentForm | None:
@@ -225,22 +252,6 @@ class Signal:
         if ts and (ts[0] < 0.0 or ts[-1] > self.period):
             for t in ts:
                 self._check_domain(t)
-
-    def _nearest_switch(self, t: float) -> tuple[float, float, float] | None:
-        """(previous switch or 0, the switch at t, next switch or T), or None.
-
-        A switch within ``SNAP_TOL * T`` of ``t`` counts as the switch at ``t``; the one
-        at or after ``t`` wins a tie with the one before it (``_switch_at``).
-        """
-        table = self._switch_table().floats
-        if not table:
-            return None
-        j = _switch_at(table, bisect_left(table, t), t, self._tol_scale())
-        if j is None:
-            return None
-        lo = table[j - 1] if j > 0 else 0.0
-        hi = table[j + 1] if j + 1 < len(table) else float(self.period)
-        return lo, table[j], hi
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +275,18 @@ def _bisect(g, lo: float, hi: float, tol: float) -> float:
 
 
 def _scan_roots(g, lo: float, hi: float, tol: float, samples: int = 33) -> list[float]:
-    """Roots of ``g`` on ``[lo, hi]``, bisected between neighbouring samples of
-    strictly opposite sign, in plain floats.
+    """Root candidates of ``g`` on ``[lo, hi]``, in plain floats: every zero
+    sample, and a root bisected between each two neighbouring samples of
+    strictly opposite sign.
 
     The samples are ``i*step + lo`` with ``step = (hi - lo)/(samples - 1)`` and
-    the last one ``hi``: the bits of ``np.linspace(lo, hi, samples)``.  A zero
-    or NaN sample brackets nothing, as ``np.sign(a)*np.sign(b) < 0``.
+    the last one ``hi``: the bits of ``np.linspace(lo, hi, samples)``.  A NaN
+    sample brackets nothing.
     """
     step = (hi - lo) / (samples - 1)
     ts = [i * step + lo for i in range(samples - 1)] + [hi]
     gs = [g(t) for t in ts]
-    roots = []
+    roots = [t for t, v in zip(ts, gs) if v == 0.0] if 0.0 in gs else []
     for i in range(samples - 1):
         a, b = gs[i], gs[i + 1]
         if (a < 0.0 < b) or (b < 0.0 < a):
@@ -299,7 +311,8 @@ def _scan_teeth(sig: Signal, tooth) -> np.ndarray:
 
     ``tooth(ta, h)`` gives the comparator on the tooth ``[ta, ta + h]``.  Its
     roots are bracketed between the tooth's ends and the quarter points inside
-    it; the tooth ends themselves are candidates too.
+    it (``_scan_roots``, whose zero samples include these bracket ends); the
+    tooth ends themselves are candidates too.
     """
     h = sig.period / sig.m
     tol = SWITCH_TOL * sig.period
@@ -314,10 +327,11 @@ def _scan_teeth(sig: Signal, tooth) -> np.ndarray:
 
 
 def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
-    """Keep candidates where the pointwise value actually changes."""
-    if not candidates:
-        return np.empty(0)
+    """The candidates inside ``(0, T)`` where the pointwise value actually changes."""
     cand = sorted(candidates)
+    cand = cand[bisect_right(cand, 0.0) : bisect_left(cand, sig.period)]
+    if not cand:
+        return np.empty(0)
     merged = [cand[0]]
     tol = MERGE_TOL * sig._tol_scale()
     for c in cand[1:]:

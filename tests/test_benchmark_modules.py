@@ -1,8 +1,8 @@
 """The layer micro-benchmarks in ``benchmarks/`` and the repo benchmark in
 ``perfbench/`` sit outside ``testpaths``, so a public name they import or
 rebind could disappear, or a case could break, unnoticed; this imports each
-micro-benchmark, runs each of its cases once, and installs the perfbench
-tracer."""
+micro-benchmark, runs each of its cases once, installs the perfbench tracer,
+and runs the benchmark's traced self-check on each of its workloads."""
 
 import importlib.util
 import json
@@ -154,3 +154,30 @@ def test_each_study_sets_up_its_own_end_segments(threads):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [640, 640]
+
+
+SELF_CHECK = """
+import sys
+from pathlib import Path
+
+import run
+
+run.RUN_DIR = Path(sys.argv[1])  # its trace and CSV files, outside the checkout
+run.SETUP_REPEATS = 1  # set-up is timed, not checked
+sys.exit(run.main(["--workload", sys.argv[2], "--seed", "1", "--seconds", "0", "--trace", "1"]))
+"""
+
+
+@pytest.mark.parametrize("workload", ["cli-run", "costly-fine", "study-presets"])
+def test_perfbench_self_check_passes(tmp_path, workload):
+    # the benchmark's traced run of each workload, one operation long: it is
+    # correct only if every operation passes its output check and every
+    # counter of ``run.EXERCISED`` reads above 0
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", SELF_CHECK, str(tmp_path), workload], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    failures = [line for line in proc.stdout.splitlines() if line.startswith("self-check failed")]
+    assert report["correct"] and report["failed"] == 0, failures + proc.stderr.splitlines()[-5:]

@@ -300,6 +300,15 @@ class TestUsageErrors:
         assert f"{flags[0]} has no effect with --k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--k", "3"], ["--coarse", "be"], ["--variant", "original"],
+                                       ["--reduced-input", "step"]])
+    def test_flags_a_preset_ignores(self, flags, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["study", "run", "--preset", "fig5", *flags, "--n-list", "10,20", "--threads", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert f"{flags[0]} has no effect with --preset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parser_is_reused(self, capsys):
         # one argparse tree per process; a failed parse leaves it usable
         assert main(["run", "--frobnicate", "1"]) == 1
@@ -335,6 +344,18 @@ class TestConfigFile:
         k_flag = [] if k_from_config else ["--k", "2"]
         assert main(["--config", str(cfg), "run", *k_flag, "--N", "10", "--out", str(out)]) == 1
         assert f"{flag} has no effect with --k" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, flag", [("k=3", "--k"), ("coarse=be", "--coarse"), ("variant=reduced", "--variant"),
+                                            ("reduced_input=step", "--reduced-input")])
+    @pytest.mark.parametrize("preset_from_config", [False, True])
+    def test_keys_a_preset_ignores(self, line, flag, preset_from_config, tmp_path, capsys):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(f"{line}\nthreads=1\n" + ("preset=fig5\n" if preset_from_config else ""))
+        out = tmp_path / "o.csv"
+        preset_flag = [] if preset_from_config else ["--preset", "fig5"]
+        assert main(["--config", str(cfg), "study", "run", *preset_flag, "--n-list", "10,20", "--out", str(out)]) == 1
+        assert f"{flag} has no effect with --preset" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_iterations_from_the_file(self, tmp_path, capsys):

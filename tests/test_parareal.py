@@ -32,7 +32,7 @@ from parareal import (
     parse_signal,
     reduced_ivp,
 )
-from parareal import algorithm, models
+from parareal import models
 from parareal.algorithm import reference_trajectory
 
 T = 0.02
@@ -191,10 +191,9 @@ class TestIterate:
 
     @pytest.mark.parametrize("n_int", [1, 2, 3, 13, 320])
     @pytest.mark.parametrize("workers", [1, 2, 7])
-    def test_pool_blocks_match_serial_bitwise(self, pwm400_model, sine_signal, monkeypatch, workers, n_int):
-        # one block per CPU, with as many CPUs as workers: N below the block
-        # count, and N that the blocks do not divide
-        monkeypatch.setattr(algorithm, "_cpus", lambda: workers)
+    def test_pool_gets_no_work_and_matches_serial_bitwise(self, pwm400_model, sine_signal, workers, n_int):
+        # whatever the pool size and N, including N below it and N it does
+        # not divide, the fine sweep runs in the calling thread
         submits = []
 
         class CountingPool(ThreadPoolExecutor):
@@ -206,32 +205,23 @@ class TestIterate:
         serial = iterate(cfg)
         with CountingPool(max_workers=workers) as pool:
             pooled = iterate(cfg, executor=pool)
-        blocks = min(workers, n_int)
-        assert len(submits) == 2 * blocks
-        assert [n for lo, hi in submits[:blocks] for n in range(lo, hi)] == list(range(1, n_int + 1))
-        sizes = [hi - lo for lo, hi in submits[:blocks]]
-        assert max(sizes) - min(sizes) <= 1
+        assert submits == []
         for name in ("iterates", "fine_arrivals", "jumps"):
             for a, b in zip(getattr(serial, name), getattr(pooled, name), strict=True):
                 assert a.tobytes() == b.tobytes(), name
 
-    def test_two_failing_blocks_report_the_lowest_interval(self, pwm10_model, monkeypatch):
-        # intervals 3 and 8 fail, in the first and second of two blocks; the
-        # second block fails first, yet the error is interval 3's
+    def test_two_failing_intervals_report_the_lowest(self, pwm10_model):
+        # intervals 3 and 8 would fail; the sweep stops at 3 and never calls 8
         from parareal import NonFiniteStateError
 
-        monkeypatch.setattr(algorithm, "_cpus", lambda: 2)
         times = make_config(pwm10_model, 10).times.tolist()
-        later_failed = threading.Event()
+        calls = []
 
         class TwoPoles(ExactLinearPropagator):
             def propagate(self, t0, t1, u0):
-                if t0 == times[7]:
-                    later_failed.set()
-                    raise NonFiniteStateError("pole 8")
-                if t0 == times[2]:
-                    later_failed.wait(timeout=30)
-                    raise NonFiniteStateError("pole 3")
+                calls.append(t0)
+                if t0 in (times[2], times[7]):
+                    raise NonFiniteStateError(f"pole {times.index(t0) + 1}")
                 return super().propagate(t0, t1, u0)
 
         cfg = PararealConfig(
@@ -241,8 +231,37 @@ class TestIterate:
         with ThreadPoolExecutor(2) as pool:
             with pytest.raises(NonFiniteStateError, match="^pole 3$") as info:
                 iterate(cfg, pool)
-        assert later_failed.is_set()
+        assert times[7] not in calls
         assert (info.value.k, info.value.n) == (0, 3)
+
+    def test_the_fine_sweep_runs_in_the_calling_thread(self, pwm400_model):
+        # nothing goes to the pool, every fine call runs in the caller, and
+        # the bits are serial
+        fine_threads = set()
+
+        class Recording(ThetaPropagator):
+            def propagate(self, t0, t1, u):
+                fine_threads.add(threading.get_ident())
+                return super().propagate(t0, t1, u)
+
+        class CountingPool(ThreadPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                CountingPool.submits += 1
+                return super().submit(*args, **kwargs)
+
+        fine = Recording(pwm400_model.ivp(), theta=0.5, substeps=20, discontinuity_aligned=True)
+        cfg = PararealConfig(n_intervals=8, fine=fine, coarse=ThetaPropagator(pwm400_model.ivp()),
+                             termination=FixedIterations(2))
+        serial = iterate(cfg)
+        with CountingPool(max_workers=4) as pool:
+            pooled = iterate(cfg, executor=pool)
+        assert CountingPool.submits == 0
+        assert fine_threads == {threading.get_ident()}
+        for name in ("iterates", "fine_arrivals", "jumps"):
+            for a, b in zip(getattr(serial, name), getattr(pooled, name), strict=True):
+                assert a.tobytes() == b.tobytes(), name
 
     def test_reduced_with_original_input_matches_original_bitwise(self, pwm10_model):
         term = FixedIterations(2)

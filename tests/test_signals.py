@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from parareal import (
     Constant,
     Difference,
+    LinearScalarModel,
     PwmSingle,
     Side,
     SineWave,
     StepWave,
+    ThetaPropagator,
     ThreePhasePwm,
     ThreePhaseSine,
     Zero,
+    parse_propagator,
     parse_signal,
 )
 from parareal import signals
@@ -199,7 +202,10 @@ def searchsorted_one_sided(sig, t, side):
         cand.append(table[i - 1])
     hits = [s for s in cand if abs(s - t) <= tol]
     if not hits:
-        return sig._formula(t)
+        # off the switches, both sides are the value inside t's segment
+        lo = float(table[i - 1] if i > 0 else 0.0)
+        hi = float(table[i] if i < table.size else sig.period)
+        return sig._formula(0.5 * (lo + hi))
     sw = hits[0]
     j = np.searchsorted(table, sw)
     lo = float(table[j - 1] if j > 0 else 0.0)
@@ -355,11 +361,12 @@ class TestSwitchTableCache:
 
 
 def numpy_scan_roots(g, lo, hi, tol, samples=33):
-    # the numpy root scan that the float one in ``signals._scan_roots`` replaced
+    # the numpy root scan that the float one in ``signals._scan_roots``
+    # replaced, with the zero samples as roots too
     ts = np.linspace(lo, hi, samples)
     gs = np.array([g(t) for t in ts])
     sgn = np.sign(gs)
-    roots = []
+    roots = ts[gs == 0.0].tolist()
     for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
         roots.append(signals._bisect(g, ts[i], ts[i + 1], tol))
     return roots
@@ -374,8 +381,8 @@ def numpy_scan_roots(g, lo, hi, tol, samples=33):
 )
 @example(lo=-1.901, width=7.838, samples=21, picks=[(39, 1.0)])  # a root at hi, where 20*step + lo != hi
 def test_root_scan_equals_the_numpy_scan(lo, width, samples, picks):
-    # roots between samples, on a sample (frac 0 or 1; such a root brackets
-    # nothing) and in the last bracket, whose right end is ``hi`` itself
+    # roots between samples, on a sample (frac 0 or 1; a zero sample is a
+    # root of its own) and in the last bracket, whose right end is ``hi`` itself
     hi = lo + width
     grid = np.linspace(lo, hi, samples).tolist()
     roots = []
@@ -425,7 +432,90 @@ def test_tooth_scan_tables_equal_the_straight_line_scan(m):
             assert table.tobytes() == straight_line_table(sig).tobytes(), sig
 
 
+# comparator inputs whose roots land on a scan sample or a bracket end
+# (T/12, 7T/12 for pwm:m=6), with neighbours and the paper's m=400
+COMPLETE_SPECS = (
+    [f"pwm:m={m}" for m in (*range(1, 9), 13, 18, 400)]
+    + [f"pwm3:m={m},phase={p}" for m in (1, 2, 3, 4, 5, 7, 9, 400) for p in (1, 2, 3)]
+    + ["step"]
+)
+
+
+@pytest.mark.parametrize("period", [T, 1.0, 3.7])
+@pytest.mark.parametrize("spec", COMPLETE_SPECS)
+def test_segment_constants_equal_the_formula_off_the_switches(spec, period):
+    # a complete table: on dense nodes away from every switch, both one-sided
+    # values are the segment's constant, and that is the pointwise formula
+    sig = parse_signal(spec, period)
+    table = sig.switching_times(0.0, period).tolist()
+    tol = 1e-9 * period
+    ts = [(i + 0.5 ** 0.5) * period / 4001 for i in range(4001)]
+    ts = [t for t in ts if min((abs(t - s) for s in table), default=math.inf) > tol]
+    lefts, rights = sig.node_limits(ts)
+    want = [sig._formula(t) for t in ts]
+    assert lefts == want
+    assert rights == want
+
+
+# inputs whose tables missed switches when a comparator root landed on a scan sample
+REPAIRED_SPECS = ["pwm:m=6", "pwm:m=18", "pwm:m=30", "pwm:m=54", "pwm3:m=9,phase=3"]
+
+
+@pytest.mark.parametrize("spec", REPAIRED_SPECS)
+def test_exact_agrees_with_a_table_free_quadrature(spec):
+    # u(T) = gain * integral of exp(-a (T - s)) w(s) ds from u(0) = 0, by the
+    # midpoint value of _formula on each of M uniform cells times the cell's
+    # exact exponential weight: no switch table is read.  Only a cell holding
+    # a switch errs, by at most 2 * gain * T/M; a switch missing from the
+    # table moved exact by a relative 0.6 to 27 on these inputs
+    cells = 100_000
+    model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+    ivp = model.ivp()
+    s = np.linspace(0.0, T, cells + 1)
+    weights = np.diff(np.exp(-ivp.decay * (T - s))) / ivp.decay
+    w = np.array([model.signal._formula(0.5 * (lo + hi)) for lo, hi in zip(s[:-1].tolist(), s[1:].tolist())])
+    oracle = ivp.gain * float(weights @ w)
+    changes = int(np.count_nonzero(w[1:] != w[:-1]))
+    exact = parse_propagator("exact", ivp, model).propagate(0.0, T, 0.0)
+    assert abs(exact - oracle) <= 2.0 * ivp.gain * (T / cells) * (changes + 2)
+
+
+@pytest.mark.parametrize("spec", REPAIRED_SPECS)
+def test_exact_agrees_with_aligned_crank_nicolson(spec):
+    # both read the same table and segment constants, so this checks the
+    # propagators against each other; the quadrature above checks the table
+    model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+    exact = parse_propagator("exact", model.ivp(), model).propagate(0.0, T, 0.0)
+    cn = parse_propagator("cn:substeps=20000,aligned=1", model.ivp(), model).propagate(0.0, T, 0.0)
+    assert abs(cn - exact) <= 1e-9 * abs(exact)
+
+
 class TestThreePhase:
+    @pytest.mark.parametrize("phase", [1, 2, 3])
+    def test_one_sided_values_at_the_domain_end_are_limits(self, phase):
+        # the comparator's point value at T is +1; the input is -1 on the
+        # last carrier segment, and so are both limits there
+        sig = ThreePhasePwm(m=400, period=T, phase_index=phase)
+        assert sig._formula(T) == 1.0
+        assert sig.value(T, Side.LEFT_LIMIT) == sig.value(T, Side.RIGHT_LIMIT) == -1.0
+        assert sig.node_limits([T]) == ([-1.0], [-1.0])
+        # so a backward Euler step onto T takes -1 as its input
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig).ivp()
+        t0, u = T - T / 40, 1e-6
+        h = T - t0
+        want = (u + h * (1.0 * (0.0 + ivp.gain * -1.0))) / (1.0 - h * 1.0 * -ivp.decay)
+        assert ThetaPropagator(ivp, theta=1.0).propagate(t0, T, u) == want
+
+    def test_one_sided_values_at_an_isolated_tie_are_limits(self):
+        # phase 1 ties at 3T/4 (sin = -1 meets the carrier's -1): the point
+        # value is +1 and both limits are -1; 3T/4 is no switch
+        sig = ThreePhasePwm(m=400, period=T, phase_index=1)
+        t = 0.75 * T
+        assert sig._formula(t) == 1.0
+        assert sig.switching_times(t - 1e-6 * T, t + 1e-6 * T).size == 0
+        assert sig.value(t, Side.LEFT_LIMIT) == sig.value(t, Side.RIGHT_LIMIT) == -1.0
+        assert sig.node_limits([t]) == ([-1.0], [-1.0])
+
     @given(st.floats(min_value=0.0, max_value=T, allow_nan=False), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60)
     def test_values_are_plus_minus_one(self, t, phase):
