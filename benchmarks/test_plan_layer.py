@@ -1,8 +1,7 @@
-"""Layer micro-benchmarks: exact propagation, the plans of one run, the fine
-sweep, the corrected coarse sweep, one ``iterate``, one ``run_study`` and one
-pass of every preset study, the layers that interval plans, the exact
-solver's per-process table of switch-to-switch segments and a study's shared
-end segments move.
+"""Layer micro-benchmarks: exact propagation, the plans of one run, the exact
+plans of one study's grids, the fine sweep, the corrected coarse sweep, one
+``iterate``, one ``run_study`` and one pass of every preset study, the layers
+that interval plans and the exact solver's per-process tables move.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -13,7 +12,10 @@ do after its plans are built; the plans are built before the timed calls.  A
 source tree without ``planned`` runs those cases cold, which is how its runs
 make the same calls.  The "plan one run" cases time building and dropping
 the plans of one propagator over a sync grid, outside a study, after one
-untimed warm-up build.  ``iterate`` and ``run_study`` build their plans
+untimed warm-up build; the "one study's grids" case sets up the exact plans
+of a study's seven grids as its runs do, and a source tree that keeps a
+study's end segments in a memo gets a fresh memo for each timed call, as
+``run_study`` makes one.  ``iterate`` and ``run_study`` build their plans
 inside the timed call.  Every case warms the input's switch table first.  The
 checked-in ``BENCH_plan.json`` and ``BENCH_study.json`` merge alternating runs
 against two source trees; each entry's name carries the tree and the pair,
@@ -36,7 +38,7 @@ from parareal import (
     parse_signal,
     run_study,
 )
-from parareal import algorithm, propagators
+from parareal import algorithm, models, propagators
 from parareal.cli import PRESETS
 
 T = 0.02
@@ -96,6 +98,25 @@ def test_plan_one_run_n320(benchmark, model, role):
         assert len(getattr(prop, "model", prop)._plans) == N_PLAN
 
 
+def test_grid_plans_one_study(benchmark, model):
+    # the exact plans of the seven grids of one study, N = 5 ... 320
+    args = (model.decay_rate, model.R_res, model.signal)
+    grids = [sync_times(n) for n in (5, 10, 20, 40, 80, 160, 320)]
+    memo = getattr(models, "_study_segments", None)
+
+    def one_study():
+        token = None if memo is None else memo.set({})
+        try:
+            return [models._grid_plans(*args, times) for times in grids]
+        finally:
+            if token is not None:
+                memo.reset(token)
+
+    one_study()
+    plans = benchmark(one_study)
+    assert [len(p) for p in plans] == [5, 10, 20, 40, 80, 160, 320]
+
+
 def test_fine_sweep_n80(benchmark, model):
     # the N exact fine calls of one iteration, serial, on float states
     cfg = make_config(model, N_RUN)
@@ -123,6 +144,29 @@ def test_corrected_coarse_sweep_n80(benchmark, model):
     with planned([coarse], times):
         new = benchmark(sweep)
     assert np.isfinite(new).all()
+
+
+def test_planned_be_correction_sweep_n320(benchmark, model):
+    # one correction of a run at N=320: the N jump norms of the fine arrivals
+    # and the 2N planned backward-Euler calls, on float states
+    cfg = make_config(model, N_PLAN)
+    coarse, term = cfg.coarse, cfg.termination
+    times = cfg.times.tolist()
+    state = [0.0] + [1e-5 * n for n in range(1, N_PLAN + 1)]
+    arrivals = [0.0] + [1.001e-5 * n for n in range(1, N_PLAN + 1)]
+
+    def sweep():
+        jumps = [algorithm.jump_norm(arrivals[n], state[n], term.atol, term.rtol) for n in range(1, N_PLAN + 1)]
+        new = [0.0]
+        for n in range(1, N_PLAN + 1):
+            g_old = coarse.propagate(times[n - 1], times[n], state[n - 1])
+            g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
+            new.append(arrivals[n] + g_new - g_old)
+        return jumps, new
+
+    with planned([coarse], times):
+        jumps, new = benchmark(sweep)
+    assert np.isfinite(jumps).all() and np.isfinite(new).all()
 
 
 def test_iterate_n80_k1_original(benchmark, model):

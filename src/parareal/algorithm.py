@@ -9,8 +9,8 @@ The update at iteration k+1 on the uniform grid ``T_n = n*T/N`` (``T_N = T``) is
 
 where F is the fine and G the coarse propagator; in the reduced variant G
 integrates the smoothed-input problem while F keeps the original input.  The
-N fine propagations of an iteration are independent and may run concurrently;
-the corrected coarse sweep is sequential.
+N fine propagations of an iteration are independent of each other and run in
+the calling thread; the corrected coarse sweep is sequential.
 
 A run stops after exactly k sweeps (``FixedIterations``) or once the largest
 jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
@@ -21,7 +21,7 @@ A run keeps its states as Python floats.  It plans the intervals of the
 propagators that evaluate each interval more than once (the coarse one, and an
 exact fine one, whose plans the reference reuses) and drops the plans when it
 returns; a theta fine propagator stays cold.  ``models`` describes the set-up
-kept per process, per study and per run.
+kept per process and per run.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ def jump_norm(u: float, v: float, atol: float, rtol: float) -> float:
     A state may also be a one-element array (``scalar_state``).
     """
     _check_tolerances(atol, rtol)
-    u, v = scalar_state(u), scalar_state(v)
+    u = u if type(u) is float else scalar_state(u)
+    v = v if type(v) is float else scalar_state(v)
     scaled = abs(u - v) / (atol + rtol * abs(v))
     return math.sqrt(scaled * scaled)
 

@@ -3,9 +3,9 @@
 A study sweeps the interval count N at a fixed iteration count k, records the
 error of the k-th iterate against the exact reference under several metrics
 and fits the observed order as the negative log-log slope versus N, over the
-points above ``ERROR_FLOOR``, the double-precision floor.  The runs of a
-study share the exact solver's end segments for as long as it runs
-(``models`` describes the three set-up lifetimes).
+points above ``ERROR_FLOOR``, the double-precision floor.  A study keeps no
+set-up of its own: its runs draw on the set-up kept per process, and each run
+sets up its own plans (``models`` describes the two set-up lifetimes).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithm import FixedIterations, PararealConfig, iterate, make_config
-from .models import LinearScalarModel, _study_segments, exact_linear_propagate
+from .models import LinearScalarModel, exact_linear_propagate
 from .propagators import Propagator, parse_propagator
 from .signals import Difference, Signal, StepWave
 
@@ -153,14 +153,13 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
 
     Each run performs exactly k update sweeps (no early stopping).  Propagator
     failures are recorded on the affected point as ``"ExceptionType: message"``
-    and the study continues.  Each point has the bits of the same run made alone.
+    and the study continues.  Each point has the bits of the same run made
+    alone: a study shares no set-up among its runs beyond the per-process
+    tables (``models``).
     """
-
-    segments: dict = {}  # the study's end segments (``models._study_segments``)
 
     def one(n: int) -> StudyPoint:
         t_end = spec.model.t_end
-        token = _study_segments.set(segments)
         try:
             run = iterate(spec.config(n))
             return StudyPoint(
@@ -173,8 +172,6 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
         except Exception as exc:  # noqa: BLE001 - per-point failures are data
             return StudyPoint(n=n, dt=t_end / n, err_max=math.nan, err_final=math.nan,
                               err_first_active=math.nan, failure=f"{type(exc).__name__}: {exc}")
-        finally:
-            _study_segments.reset(token)
 
     results = [one(n) for n in spec.n_list] if executor is None else list(executor.map(one, spec.n_list))
 

@@ -8,18 +8,16 @@ run: every parseable input is constant or sinusoidal between two switches
 of an interval (``_segments``, which depends only on the input and the
 times) and its application to a state (``_advance``).
 
-The set-up that changes no result is kept for one of three lifetimes:
+The set-up that changes no result is kept for one of two lifetimes:
 
 * per process: each signal's switch table and, per decay rate, gain and
-  input, the segment data between two switches (``_switch_steps``), which
-  no sync grid changes;
-* per study: the segment data at an interval's ends, bounded by a sync
-  point, which the nested grids of a sweep over N have in common.
-  ``analysis.run_study`` makes one memo per study and sets it
-  (``_study_segments``) around each of its runs, on any thread;
+  input, the form of each segment between two fences of the table (0 and T
+  the outer ones) and the segment data between two switches
+  (``_switch_steps``), which no sync grid changes;
 * per run: the plans of a run's propagators (``propagators.planned``): a
-  theta propagator's substeps, or each interval's segment data, drawn from
-  the other two (``_grid_plans``).
+  theta propagator's substeps, or each interval's segment data, sliced from
+  the per-process table between two switches and set up from its forms at
+  the interval's ends, which a sync point bounds (``_grid_plans``).
 
 The closed-form trajectories (``exact_trajectory``,
 ``closed_form_trajectory``) set a grid up the same way outside a run, and
@@ -30,8 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
-from contextvars import ContextVar
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -131,22 +128,22 @@ def _segment_step(a: float, gain: float, form: SegmentForm, t0: float, t1: float
     return decay, steady, particular(t0), particular(t1)
 
 
-def _segment(a: float, gain: float, sig: Signal, s: float, e: float) -> tuple:
-    """``_segment_step`` of the continuity segment ``(s, e)`` of the input;
+def _form(sig: Signal, s: float, e: float) -> SegmentForm:
+    """``sig.segment_form(s, e)`` of the continuity segment ``(s, e)`` of the input;
     ``UnsupportedSignalError`` where it has no closed form there."""
     form = sig.segment_form(s, e)
     if form is None:
         raise UnsupportedSignalError(f"signal {sig!r} has no constant-plus-sinusoid form on ({s}, {e})")
-    return _segment_step(a, gain, form, s, e)
+    return form
 
 
 def _segments(a: float, gain: float, sig: Signal, t0: float, t1: float):
-    """The segment data of ``(t0, t1)``, one ``_segment`` per continuity segment, lazily."""
+    """The segment data of ``(t0, t1)``, one ``_segment_step`` per continuity segment, lazily."""
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
     pts = [t0] + [float(s) for s in sig.switching_times(t0, t1)] + [t1]
     for s, e in zip(pts, pts[1:]):
-        yield _segment(a, gain, sig, s, e)
+        yield _segment_step(a, gain, _form(sig, s, e), s, e)
 
 
 # serializes table lookups so that concurrent first lookups build a table once
@@ -154,25 +151,25 @@ _STEPS_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=64)
-def _step_table(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple]:
+def _step_table(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple, tuple]:
     table = sig._switch_table().floats
-    return table, tuple(_segment(a, gain, sig, s, e) for s, e in zip(table, table[1:]))
+    fences = (0.0, *table, sig.period)
+    forms = tuple(_form(sig, s, e) for s, e in zip(fences, fences[1:]))
+    steps = tuple(_segment_step(a, gain, *args) for args in zip(forms[1:-1], table, table[1:]))
+    return table, steps, forms
 
 
-def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple]:
-    """``(switches, steps)``: the input's switch table and, at ``steps[j]``, the
-    ``_segment_step`` of ``(switches[j], switches[j + 1])``.
+def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple, tuple]:
+    """``(switches, steps, forms)``: the input's switch table; at ``steps[j]``,
+    the ``_segment_step`` of ``(switches[j], switches[j + 1])``; and at
+    ``forms[j]``, the ``SegmentForm`` of the segment that ends at
+    ``switches[j]`` (``forms[-1]``: the one that ends at T).
 
     Built once per ``(a, gain, sig)`` and process, under a lock; a build that
     fails (``UnsupportedSignalError``: a segment with no closed form) is not kept.
     """
     with _STEPS_LOCK:
         return _step_table(a, gain, sig)
-
-
-# the end segments of the running study (``analysis.run_study``), or None:
-# ``{(decay, gain, signal): {(s, e): segment data}}``
-_study_segments: ContextVar[dict | None] = ContextVar("study_segments", default=None)
 
 
 def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[tuple]:
@@ -182,21 +179,18 @@ def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[
     (``Signal.grid_switches``); an interval's switches are a run of that
     table, so its segments between two switches are a slice of
     ``_switch_steps``.  Only its end segments, bounded by a sync point, are
-    set up here (``_segment``, which raises ``UnsupportedSignalError``), and
-    kept by their ends for the running study, if any.
+    set up here, each with the form of the table segment that holds its
+    midpoint, where ``segment_form`` evaluates the input.
     """
-    switches, steps = _switch_steps(a, gain, sig)
-    study = _study_segments.get()
-    memo = {} if study is None else study.setdefault((a, gain, sig), {})
+    switches, steps, forms = _switch_steps(a, gain, sig)
 
     def end(s: float, e: float) -> tuple:
-        return memo.get((s, e)) or memo.setdefault((s, e), _segment(a, gain, sig, s, e))
+        return _segment_step(a, gain, forms[bisect_right(switches, 0.5 * (s + e))], s, e)
 
     plans = []
-    for t0, t1, inner in zip(times, times[1:], sig.grid_switches(times)):
-        if inner:
-            i = bisect_left(switches, inner[0])
-            plans.append((end(t0, inner[0]), *steps[i : i + len(inner) - 1], end(inner[-1], t1)))
+    for t0, t1, i, j in zip(times, times[1:], *sig.grid_switches(times)):
+        if i < j:
+            plans.append((end(t0, switches[i]), *steps[i : j - 1], end(switches[j - 1], t1)))
         else:
             plans.append((end(t0, t1),))
     return plans
@@ -212,12 +206,6 @@ def _advance(segments, phi: float) -> float:
     return phi
 
 
-def _interval(plans, a: float, gain: float, sig: Signal, t0: float, t1: float):
-    """The segment data of ``(t0, t1)``: its plan if ``plans`` holds one, else set up now."""
-    segments = plans.get((t0, t1)) if plans else None
-    return _segments(a, gain, sig, t0, t1) if segments is None else segments
-
-
 def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0: float) -> float:
     """Exact solution of the scalar linear model at ``t1`` starting from ``phi0``.
 
@@ -227,7 +215,11 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
     planned the model's intervals (``propagators.planned``), a planned
     interval reuses its segment data; the result is the same bits.
     """
-    return _advance(_interval(model._plans, model.decay_rate, model.R_res, model.signal, t0, t1), phi0)
+    plans = model._plans
+    segments = plans.get((t0, t1)) if plans else None
+    if segments is None:
+        segments = _segments(model.decay_rate, model.R_res, model.signal, t0, t1)
+    return _advance(segments, phi0)
 
 
 def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=None) -> np.ndarray:
@@ -247,7 +239,8 @@ def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=Non
             pass
     out = [float(phi)]
     for t0, t1 in zip(ts, ts[1:]):
-        out.append(_advance(_interval(plans, a, gain, sig, t0, t1), out[-1]))
+        segments = plans.get((t0, t1)) if plans else None
+        out.append(_advance(_segments(a, gain, sig, t0, t1) if segments is None else segments, out[-1]))
     return np.array(out)
 
 

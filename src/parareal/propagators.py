@@ -16,8 +16,8 @@ runs the same set-up on its own two-point grid.  A theta set-up looks up the
 input at the two ends of its grid with ``Signal.value`` and at every node
 between them, each the end of one substep and the start of the next (a sync
 point too), once per node with ``Signal.node_limits``.  The exact solver's
-plans draw on set-up kept per process and per study; ``models`` describes
-the three lifetimes.
+plans draw on set-up kept per process; ``models`` describes the two
+lifetimes.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class ExactLinearPropagator(Propagator):
         return self.model.ivp()
 
     def propagate(self, t0, t1, u):
-        return exact_linear_propagate(self.model, t0, t1, scalar_state(u))
+        return exact_linear_propagate(self.model, t0, t1, u if type(u) is float else scalar_state(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +117,8 @@ class ThetaPropagator(Propagator):
             raise ValueError("theta must lie in [0, 1]")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
+        object.__setattr__(self, "_a", -self.ivp.decay)
+        object.__setattr__(self, "_c", 1.0 - self.theta)
 
     def _grid(self, t0: float, t1: float) -> list[float]:
         if self.substeps == 1 and not self.discontinuity_aligned:
@@ -132,10 +134,20 @@ class ThetaPropagator(Propagator):
         return grid.tolist()
 
     def propagate(self, t0, t1, u):
-        u = scalar_state(u)
+        """The substeps of ``(t0, t1)``, planned or set up now, applied to the state in plain
+        floats: ``num = u + h*((1-theta)*(a*u + p_s) + theta*p_e)``, then ``u = num / den``."""
+        u = u if type(u) is float else scalar_state(u)
         plans = self._plans
         steps = plans.get((t0, t1)) if plans else None
-        return self._sweep(self._substeps((t0, t1))[0] if steps is None else steps, u)
+        a, c = self._a, self._c
+        for h, p_s, th_p_e, den, e in self._substeps((t0, t1))[0] if steps is None else steps:
+            if h <= 0.0:
+                raise ValueError("degenerate substep")
+            num = u + h * (c * (a * u + p_s) + th_p_e)
+            u = num / den if den != 0.0 else math.inf  # den == 0: the implicit solve's pole
+            if not math.isfinite(u):
+                raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
+        return u
 
     def _substeps(self, times: Sequence[float]) -> tuple[Iterator[tuple], list[int]]:
         """The substeps of the grid ``times``, set up in one pass: an iterator
@@ -155,7 +167,7 @@ class ThetaPropagator(Propagator):
             nodes += grid[1:] if nodes else grid
             counts.append(len(grid) - 1)
         ivp = self.ivp
-        a = -ivp.decay
+        a = self._a
         th = self.theta
         gain, value = ivp.gain, ivp.signal.value
         # a node between the two ends starts one substep and ends the one
@@ -168,20 +180,6 @@ class ThetaPropagator(Propagator):
         ends = nodes[1:]
         hs = [e - s for s, e in zip(nodes, ends)]
         return zip(hs, p_s, th_p_e, [1.0 - h * th * a for h in hs], ends), counts
-
-    def _sweep(self, steps, u: float) -> float:
-        """Apply substeps to the state in plain floats: ``num = u +
-        h*((1-theta)*(a*u + p_s) + theta*p_e)``, then ``u = num / den``."""
-        a = -self.ivp.decay
-        c = 1.0 - self.theta
-        for h, p_s, th_p_e, den, e in steps:
-            if h <= 0.0:
-                raise ValueError("degenerate substep")
-            num = u + h * (c * (a * u + p_s) + th_p_e)
-            u = num / den if den != 0.0 else math.inf  # den == 0: the implicit solve's pole
-            if not math.isfinite(u):
-                raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
-        return u
 
 
 def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[tuple]:

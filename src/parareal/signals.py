@@ -163,18 +163,18 @@ class Signal:
         tol = MERGE_TOL * self._tol_scale()
         return out[(out > t0 + tol) & (out < t1 - tol)]
 
-    def grid_switches(self, times: list[float]) -> list[list[float]]:
-        """``switching_times(t0, t1)`` of each interval of the strictly increasing grid ``times``,
+    def grid_switches(self, times: list[float]) -> tuple[list[int], list[int]]:
+        """``(lo, hi)``: ``switching_times(t0, t1)`` of interval ``n`` of the strictly
+        increasing grid ``times`` is the slice ``lo[n]:hi[n]`` of the switch table,
         in one pass: the switches ``s`` with ``t0 + tol < s < t1 - tol``."""
         grid = np.array(times)
         if not np.all(grid[1:] > grid[:-1]):
             raise ValueError("need a strictly increasing grid")
+        self.switching_times(times[0], times[-1])  # checks the grid's ends
+        table = self._switch_table().times
         tol = MERGE_TOL * self._tol_scale()
-        switches = self.switching_times(times[0], times[-1])
-        lo = np.searchsorted(switches, grid[:-1] + tol, side="right").tolist()
-        hi = np.searchsorted(switches, grid[1:] - tol, side="left").tolist()
-        switches = switches.tolist()
-        return [switches[i:j] for i, j in zip(lo, hi)]
+        lo = np.searchsorted(table, grid[:-1] + tol, side="right").tolist()
+        return lo, np.searchsorted(table, grid[1:] - tol, side="left").tolist()
 
     # -- evaluation ----------------------------------------------------------
 

@@ -242,10 +242,8 @@ class TestRunStudy:
         import parareal.analysis as analysis
 
         real_iterate = analysis.iterate
-        memos = []
 
         def flaky(cfg, executor=None):
-            memos.append(models._study_segments.get())  # the runs see the study's end segments
             if cfg.n_intervals == 10:
                 raise RuntimeError("synthetic blow-up")
             return real_iterate(cfg, executor)
@@ -258,15 +256,6 @@ class TestRunStudy:
         assert len(failed) == 1 and failed[0].n == 10
         assert failed[0].failure == "RuntimeError: synthetic blow-up"
         assert not math.isnan(study.fitted_order)  # remaining points still fitted
-        assert isinstance(memos[0], dict) and all(m is memos[0] for m in memos)
-        assert_no_study_segments()
-
-
-def assert_no_study_segments(pool=None):
-    """No study's end-segment memo is left set, here or on any of the pool's threads."""
-    assert models._study_segments.get() is None
-    if pool is not None:
-        assert set(pool.map(lambda _: models._study_segments.get(), range(8))) == {None}
 
 
 def _run_bits(run):
@@ -306,7 +295,6 @@ class TestStudyOracle:
             runs.clear()
             with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
                 study = run_study(spec, pool)
-                assert_no_study_segments(pool)
             assert [p.n for p in study.results] == list(spec.n_list)
             for point in study.results:
                 alone = real_iterate(spec.config(point.n))
@@ -317,11 +305,8 @@ class TestStudyOracle:
                 want = [alone.error(spec.k, metric) for metric in ("max", "final", "first_active")]
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_overlapping_studies_on_threads(self, pwm400_model, monkeypatch):
-        # studies that start and end while others run keep their bits, each
-        # study's runs share one memo of their own, and none is left set
-        import parareal.analysis as analysis
-
+    def test_overlapping_studies_on_threads(self, pwm400_model):
+        # studies that start and end while others run keep their bits
         specs = [StudySpec(model=pwm400_model, variant="reduced", reduced_input=parse_signal(red, T), k=2,
                            n_list=(5, 10, 20, 40)) for red in ("sine", "step")] * 4
 
@@ -329,24 +314,11 @@ class TestStudyOracle:
             return np.array([[p.err_max, p.err_final, p.err_first_active] for p in study.results]).tobytes()
 
         want = [bits(run_study(spec)) for spec in specs]
-        real_iterate = analysis.iterate
-        memos = []
-
-        def capture(cfg, executor=None):
-            memos.append(models._study_segments.get())
-            return real_iterate(cfg, executor)
-
-        monkeypatch.setattr(analysis, "iterate", capture)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = [bits(study) for study in pool.map(run_study, specs, timeout=120)]
-                assert_no_study_segments(pool)
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        runs_per_memo = {}
-        for memo in memos:
-            runs_per_memo[id(memo)] = runs_per_memo.get(id(memo), 0) + 1
-        assert sorted(runs_per_memo.values()) == [4] * len(specs)

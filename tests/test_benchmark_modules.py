@@ -144,16 +144,16 @@ print(json.dumps(counts))
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_each_study_sets_up_its_own_end_segments(threads):
-    # study-presets' self-check needs segment set-ups in every operation: a
-    # study shares its end segments among its runs, not with the next study,
-    # so a second identical study sets them up again (2 per sync point of the
-    # finest grid, N = 320)
+    # study-presets' self-check needs segment set-ups in every operation: each
+    # run sets up the end segments of its own grid, whatever ran before it,
+    # so a second identical study sets them up again (about 2 per interval of
+    # each of the seven grids, N = 5 ... 320)
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", TRACED_STUDY, str(threads)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [640, 640]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [1270, 1270]
 
 
 SELF_CHECK = """

@@ -103,11 +103,13 @@ class TestExactPropagate:
         args = (A_RATE, 0.01, sig)
         with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
             models._grid_plans(*args, [0.0, 0.005, 0.01, T])
-        if sig._switch_table().floats:
-            with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
-                models._switch_steps(*args)
-        else:  # no switch: the table has no segment to set up
-            assert models._switch_steps(*args) == ((), ())
+        # with or without a switch, the table sets up the form of each segment
+        # between two of its fences, 0 and T the outer ones: a switch-free
+        # input's table has one form and no segment between two switches
+        with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
+            models._switch_steps(*args)
+        sine = SineWave(T)
+        assert models._switch_steps(A_RATE, 0.01, sine) == ((), (), (sine.segment_form(0.0, T),))
 
     def test_trajectory_endpoints(self, pwm400_model):
         ts = np.array([0.0, 0.005, 0.01, 0.02])

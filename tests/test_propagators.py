@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parareal import (
@@ -30,16 +30,6 @@ from parareal.signals import MERGE_TOL
 
 T = 0.02
 A_RATE = 10.0
-
-
-@contextlib.contextmanager
-def study_scope():
-    """One study's end-segment memo, set as ``run_study`` sets it around each of its runs."""
-    token = models._study_segments.set({})
-    try:
-        yield
-    finally:
-        models._study_segments.reset(token)
 
 
 @pytest.fixture(scope="module")
@@ -309,21 +299,33 @@ class TestPlannedPropagate:
 
 
 NEAR_SWITCH_INPUTS = ["pwm:m=400", "pwm3:m=400", "step", "diff:pwm:m=400-sine"]
+# every kind of segment form: constant between switches (PWM of both kinds,
+# the step), sinusoidal with no switch, and sinusoidal between switches
+PLANNED_SEGMENT_INPUTS = [
+    "pwm:m=400", "pwm3:m=400,phase=1", "pwm3:m=400,phase=2", "pwm3:m=400,phase=3", "step", "sine",
+    "const:v=1", "diff:pwm:m=10-sine", "diff:sine-sine3:phase=2",
+]
 
 
 @st.composite
-def near_switch_grids(draw):
+def near_switch_grids(draw, specs=NEAR_SWITCH_INPUTS):
     """An input and a sync grid on ``[0, T]`` some of whose points sit within
-    ``MERGE_TOL*T`` or ``1e-9*T`` of a switch, on either side."""
-    sig = parse_signal(draw(st.sampled_from(NEAR_SWITCH_INPUTS)), T)
-    table = sig.switching_times(0.0, T).tolist()
+    ``MERGE_TOL*T`` or ``1e-9*T`` of a switch, on either side; on an input
+    with no switch, of a uniform grid's point."""
+    sig = parse_signal(draw(st.sampled_from(specs)), T)
     n_int = draw(st.integers(1, 40))
     points = {n * T / n_int for n in range(n_int + 1)}
+    table = sig.switching_times(0.0, T).tolist() or sorted(points)[1:-1] or [T / 2]
     for _ in range(draw(st.integers(1, 6))):
         sw = table[draw(st.integers(0, len(table) - 1))]
         reach = draw(st.sampled_from([MERGE_TOL, 1e-9])) * T
         points.add(sw + draw(st.floats(-reach, reach)))
     return sig, sorted(points)
+
+
+def segment_bits(plan):
+    """An interval's segment data, each float as its hex string (None stays None)."""
+    return [tuple(None if x is None else x.hex() for x in segment) for segment in plan]
 
 
 class TestNearSwitchGrids:
@@ -332,13 +334,29 @@ class TestNearSwitchGrids:
     def test_one_pass_split_equals_switching_times(self, sig_times):
         sig, times = sig_times
         want = [sig.switching_times(t0, t1).tolist() for t0, t1 in zip(times, times[1:])]
-        assert sig.grid_switches(times) == want
+        table = sig._switch_table().floats
+        assert [list(table[i:j]) for i, j in zip(*sig.grid_switches(times))] == want
+
+    @given(near_switch_grids(PLANNED_SEGMENT_INPUTS))
+    # a sync point 1.4e-15 before the step's switch: the interval it starts
+    # holds no switch, and the one it ends takes the form before the switch
+    @example((parse_signal("step", T), [0.0, 0.009999999999998599, 0.01, 0.02]))
+    @settings(max_examples=200, deadline=None)
+    def test_planned_intervals_equal_cold_segments(self, sig_times):
+        # every plan, end segments set up from the per-process forms and the
+        # rest sliced from the per-process table, against the cold set-up of
+        # each interval on its own
+        sig, times = sig_times
+        args = (A_RATE, 0.01, sig)
+        got = models._grid_plans(*args, times)
+        assert len(got) == len(times) - 1
+        for plan, t0, t1 in zip(got, times, times[1:]):
+            assert segment_bits(plan) == segment_bits(models._segments(*args, t0, t1)), (t0, t1)
 
     @given(near_switch_grids())
     @settings(max_examples=100, deadline=None)
-    def test_study_planned_exact_equals_cold_call(self, sig_times):
-        # after a uniform run has built the input's switch-to-switch table and,
-        # inside a study, filled the study's end-segment memo; then outside one
+    def test_planned_exact_equals_cold_call(self, sig_times):
+        # after a uniform run has built the input's switch-to-switch table
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
 
@@ -347,15 +365,13 @@ class TestNearSwitchGrids:
 
         cold = make()
         want = np.vstack([cold.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]).tobytes()
-        for scope in (study_scope, contextlib.nullcontext):
-            with scope():
-                with planned([make()], [n * T / 20 for n in range(21)]):
-                    pass
-                warm = make()
-                with planned([warm], times):
-                    assert len(warm.model._plans) == len(times) - 1
-                    got = [warm.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
-            assert np.vstack(got).tobytes() == want, scope
+        with planned([make()], [n * T / 20 for n in range(21)]):
+            pass
+        warm = make()
+        with planned([warm], times):
+            assert len(warm.model._plans) == len(times) - 1
+            got = [warm.propagate(t0, t1, 0.25) for t0, t1 in zip(times, times[1:])]
+        assert np.vstack(got).tobytes() == want
 
     @given(
         near_switch_grids(),
@@ -449,55 +465,29 @@ class TestNearSwitchGrids:
         with pytest.raises(ValueError, match="need t0 < t1"):
             models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T / 2, T])
 
-    def test_shared_memo_is_per_problem(self):
+    def test_plans_are_per_problem(self):
         # two inputs with the same segment ends (no switches) on one circuit,
         # and two PWM circuits that differ only in R, whose switch-to-switch
-        # tables have the same ends; inside a study and outside one
+        # tables have the same ends
         times = [n * T / 8 for n in range(9)]
         problems = [(0.01, "sine"), (0.01, "const:v=1"), (0.01, "pwm:m=400"), (0.02, "pwm:m=400")]
-        for scope in (study_scope, contextlib.nullcontext):
-            models._step_table.cache_clear()
-            with scope():
-                for r_res, spec in problems:
-                    model = LinearScalarModel(R_res=r_res, L_ind=0.001, signal=parse_signal(spec, T))
-                    warm, cold = (parse_propagator("exact", model.ivp(), model) for _ in range(2))
-                    with planned([warm], times):
-                        assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), (r_res, spec)
+        models._step_table.cache_clear()
+        for r_res, spec in problems:
+            model = LinearScalarModel(R_res=r_res, L_ind=0.001, signal=parse_signal(spec, T))
+            warm, cold = (parse_propagator("exact", model.ivp(), model) for _ in range(2))
+            with planned([warm], times):
+                assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), (r_res, spec)
 
-    def test_shared_end_segments_are_keyed_by_both_ends(self, pwm400_model):
+    def test_end_segments_between_the_same_switches(self, pwm400_model):
         # in both grids the first interval's right end segment starts at the
         # same switch and the second interval's left one ends at the next,
         # but the sync point between them differs
         sw = pwm400_model.signal.switching_times(0.0, T).tolist()
         grids = [[0.0, 0.5 * (sw[10] + sw[11]), T], [0.0, 0.25 * sw[10] + 0.75 * sw[11], T]]
-        with study_scope():
-            for times in grids:
-                warm, cold = (parse_propagator("exact", pwm400_model.ivp(), pwm400_model) for _ in range(2))
-                with planned([warm], times):
-                    assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), times
-
-    def test_shared_memo_is_dropped_on_error(self, pwm400_model, monkeypatch):
-        # a run that fills the study's memo and then raises past the study's
-        # per-point handler: the memo is unset when ``run_study`` unwinds
-        import parareal.analysis as analysis
-
-        class Abort(BaseException):
-            pass
-
-        memos = []
-
-        def failing(cfg, executor=None):
-            with planned([ExactLinearPropagator(pwm400_model)], [0.0, T / 2, T]):
-                memos.append(models._study_segments.get())
-                assert memos[-1][(pwm400_model.decay_rate, pwm400_model.R_res, pwm400_model.signal)]
-                raise Abort
-
-        monkeypatch.setattr(analysis, "iterate", failing)
-        for _ in range(2):
-            with pytest.raises(Abort):
-                analysis.run_study(analysis.StudySpec(model=pwm400_model, n_list=(5, 10)))
-            assert models._study_segments.get() is None
-        assert memos[0] is not memos[1]  # each study starts a memo of its own
+        for times in grids:
+            warm, cold = (parse_propagator("exact", pwm400_model.ivp(), pwm400_model) for _ in range(2))
+            with planned([warm], times):
+                assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), times
 
 
 class TestParsePropagator:
