@@ -1,20 +1,25 @@
 """Layer micro-benchmarks of a ``parareal run`` process: a cold switch-table
-build, one ``iterate`` on a default thread pool, and a whole fresh process.
+build, one ``iterate`` on a default thread pool, a fresh import of the CLI and a
+whole fresh process.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_cli_layer.py --benchmark-json BENCH_cli.json
 
-The three cases are the costs of the cli-run workload of ``perfbench``:
+The four cases are the costs of the cli-run workload of ``perfbench``:
 
 * ``test_pwm400_table_build``: the switch table of ``pwm:m=400`` built from
   nothing (``_build_table``, which no cache sits in front of);
 * ``test_iterate_n320_k2_default_pool``: the run of ``parareal run --variant
   reduced --reduced-input sine --N 320 --k 2``, on a ``ThreadPoolExecutor()``
   opened and shut inside the timed call as the CLI does, with a warm table;
+* ``test_cli_import_process``: a fresh interpreter that only runs ``import
+  parareal.cli`` (start-up, numpy and the modules a ``run`` loads);
 * ``test_cli_run_process``: that command as one fresh interpreter (import,
-  argparse, table build, run and CSV), on the source tree this module
-  imports ``parareal`` from.
+  argparse, table build, run, CSV and exit).
+
+Both process cases run on the source tree this module imports ``parareal``
+from.
 
 The checked-in ``BENCH_cli.json`` merges alternating runs against two source
 trees; each entry's name carries the tree and the pair, e.g. ``[parent-1]``.
@@ -61,12 +66,21 @@ def test_iterate_n320_k2_default_pool(benchmark, run_config):
     assert run.iterations_used == 2 and np.isfinite(run.iterates[-1]).all()
 
 
-def test_cli_run_process(benchmark, tmp_path):
-    src = Path(parareal.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = tmp_path / "run.csv"
-    cmd = [sys.executable, "-c", "from parareal.cli import entry; entry()", *RUN_ARGS, "--out", str(out)]
-    proc = benchmark.pedantic(subprocess.run, args=(cmd,), kwargs=dict(env=env, capture_output=True, timeout=120),
+def _process(benchmark, code, *args):
+    """One fresh interpreter running ``code`` on ``args``, 15 rounds after a warm-up."""
+    env = {**os.environ, "PYTHONPATH": str(Path(parareal.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-c", code, *args]
+    return benchmark.pedantic(subprocess.run, args=(cmd,), kwargs=dict(env=env, capture_output=True, timeout=120),
                               rounds=15, warmup_rounds=1)
+
+
+def test_cli_import_process(benchmark):
+    proc = _process(benchmark, "import parareal.cli")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_run_process(benchmark, tmp_path):
+    out = tmp_path / "run.csv"
+    proc = _process(benchmark, "from parareal.cli import entry; entry()", *RUN_ARGS, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()

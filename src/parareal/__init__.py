@@ -19,21 +19,6 @@ from .algorithm import (
     make_config,
     reference_trajectory,
 )
-from .analysis import (
-    BoundParams,
-    ConvergenceStudy,
-    DefectStudy,
-    InsufficientPointsError,
-    OrderFit,
-    OrderProbe,
-    StudySpec,
-    defect_ode_solution,
-    defect_scaling_study,
-    eval_bound,
-    fit_order,
-    local_order_probe,
-    run_study,
-)
 from .models import (
     LinearScalarModel,
     SplitIvp,
@@ -63,6 +48,27 @@ from .signals import (
     Zero,
     parse_signal,
 )
+
+# ``analysis`` (studies, order fits, bounds) is imported on first use of one of
+# its names (PEP 562), so a process that only runs parareal never compiles it.
+_ANALYSIS_NAMES = frozenset({
+    "BoundParams", "ConvergenceStudy", "DefectStudy", "InsufficientPointsError", "OrderFit", "OrderProbe",
+    "StudySpec", "defect_ode_solution", "defect_scaling_study", "eval_bound", "fit_order",
+    "local_order_probe", "run_study",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ANALYSIS_NAMES)
+
 
 __all__ = [
     "BoundParams",

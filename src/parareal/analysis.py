@@ -121,7 +121,8 @@ class StudyPoint:
     err_max: float
     err_final: float
     err_first_active: float
-    failure: str | None = None
+    failure: str | None = None  # "ExceptionType: message"
+    failure_type: type[Exception] | None = None
 
     def metric(self, name: str) -> float:
         return {"max": self.err_max, "final": self.err_final, "first_active": self.err_first_active}[name]
@@ -153,9 +154,9 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
 
     Each run performs exactly k update sweeps (no early stopping).  Propagator
     failures are recorded on the affected point as ``"ExceptionType: message"``
-    and the study continues.  Each point has the bits of the same run made
-    alone: a study shares no set-up among its runs beyond the per-process
-    tables (``models``).
+    with the exception's class as ``failure_type``, and the study continues.
+    Each point has the bits of the same run made alone: a study shares no set-up
+    among its runs beyond the per-process tables (``models``).
     """
 
     def one(n: int) -> StudyPoint:
@@ -171,7 +172,8 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
             )
         except Exception as exc:  # noqa: BLE001 - per-point failures are data
             return StudyPoint(n=n, dt=t_end / n, err_max=math.nan, err_final=math.nan,
-                              err_first_active=math.nan, failure=f"{type(exc).__name__}: {exc}")
+                              err_first_active=math.nan, failure=f"{type(exc).__name__}: {exc}",
+                              failure_type=type(exc))
 
     results = [one(n) for n in spec.n_list] if executor is None else list(executor.map(one, spec.n_list))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -24,11 +25,9 @@ import numpy as np
 
 from . import __version__
 from .algorithm import FixedIterations, PararealConfig, Termination, iterate, make_config
-from .analysis import BoundParams, StudySpec, eval_bound, run_study
 from .models import exact_trajectory, parse_model
 from .propagators import NonFiniteStateError
 from .signals import parse_signal
-from .svgplot import log_log_svg
 
 HARD_DEFAULTS = {
     "period": 0.02,
@@ -128,6 +127,8 @@ def _cmd_signal_dump(args, config) -> int:
     lines.extend(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals))
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.svg:
+        from .svgplot import log_log_svg
+
         svg = log_log_svg([("signal", ts[ts > 0], np.abs(vals[ts > 0]) + 1e-12)], title=args.signal)
         _write_text(args.svg, svg)
     return 0
@@ -213,6 +214,8 @@ def _cmd_run(args, config) -> int:
     if args.out not in (None, "-"):
         print(summary)
     if args.svg:
+        from .svgplot import log_log_svg
+
         series = [
             (f"k={k}", list(range(1, cfg.n_intervals + 1)), [float(e) for e in errs[k][1:]])
             for k in range(len(run.iterates))
@@ -248,6 +251,8 @@ PRESETS = {
 
 
 def _cmd_study_run(args, config) -> int:
+    from .analysis import StudySpec, run_study
+
     r = _resolve(args, config)
     model = parse_model(r["model"])
     n_list = None
@@ -315,6 +320,8 @@ def _cmd_study_run(args, config) -> int:
         for label, study in studies:
             print(f"{label}: fitted_order={study.fitted_order:.3f} (metric={study.spec.error_metric})")
     if args.svg:
+        from .svgplot import log_log_svg
+
         series = [
             (label, [p.n for p in st.results], [p.metric(st.spec.error_metric) for p in st.results])
             for label, st in studies
@@ -324,6 +331,8 @@ def _cmd_study_run(args, config) -> int:
 
 
 def _cmd_bound_eval(args, config) -> int:
+    from .analysis import BoundParams, eval_bound
+
     params = BoundParams(
         c1=args.C1, c2=args.C2, c3=args.C3, c4=args.C4, c_p=args.Cp,
         l=args.l, p=args.p, dt=args.dT, n=args.n, k=args.k,
@@ -437,7 +446,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The console script: exit with ``main()``'s code on ``sys.argv``.
+
+    Every object still alive dies with the process, so ``gc.freeze`` first takes
+    them out of the interpreter's final collections.  Atexit handlers, thread
+    joins and stream flushes still run.  ``main()`` never freezes: in-process
+    callers keep a normal collector.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

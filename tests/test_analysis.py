@@ -255,6 +255,8 @@ class TestRunStudy:
         failed = [p for p in study.results if p.failure is not None]
         assert len(failed) == 1 and failed[0].n == 10
         assert failed[0].failure == "RuntimeError: synthetic blow-up"
+        assert failed[0].failure_type is RuntimeError
+        assert all(p.failure_type is None for p in study.results if p.failure is None)
         assert not math.isnan(study.fitted_order)  # remaining points still fitted
 
 

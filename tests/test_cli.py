@@ -221,17 +221,80 @@ class TestBoundEval:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def python(*args, timeout=120):
+    """A fresh interpreter on ``args`` that imports ``parareal`` from this source tree."""
+    src = str(Path(parareal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(parareal.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "parareal.cli", "bound", "eval", "--which", "lemma",
-             "--Cp", "2", "--p", "1", "--dT", "0.001"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python("-m", "parareal.cli", "bound", "eval", "--which", "lemma", "--Cp", "2", "--p", "1",
+                      "--dT", "0.001", timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "2"
+
+
+LEAN_RUN = """
+import sys
+from parareal.cli import main
+assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", sys.argv[1]]) == 0
+loaded = sorted(m for m in ("parareal.analysis", "parareal.svgplot") if m in sys.modules)
+assert not loaded, loaded
+import parareal
+assert len(parareal.__all__) == 46
+missing = [name for name in parareal.__all__ if getattr(parareal, name, None) is None]
+assert not missing, missing
+assert set(parareal.__all__) <= set(dir(parareal))
+star = {}
+exec("from parareal import *", star)
+assert set(star) - {"__builtins__"} == set(parareal.__all__), sorted(star)
+"""
+
+
+class TestProcessCost:
+    """A CLI process loads only what its subcommand runs and exits without a final collection."""
+
+    def test_run_loads_no_analysis_or_svgplot(self, tmp_path):
+        proc = python("-c", LEAN_RUN, str(tmp_path / "run.csv"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_main_never_freezes(self, tmp_path):
+        import gc
+
+        before = gc.get_freeze_count()
+        assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", str(tmp_path / "o.csv")]) == 0
+        assert main(["run", "--frobnicate"]) == 1
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, ["run", "--N", "8", "--k", "1", "--threads", "1", "--out", "{out}"]),
+        (1, ["run", "--k", "1", "--threads", "-1", "--out", "{out}"]),
+        (2, ["run", "--model", "rl:R=1e300,L=1e-300,input=pwm:m=10", "--N", "4", "--k", "1", "--out", "{out}"]),
+    ])
+    def test_entry_process_matches_main(self, code, argv, tmp_path, capsys):
+        def written(out):
+            return body_without_timestamp(read_lines(out)) if out.exists() else None
+
+        out = tmp_path / "main.csv"
+        assert main([a.format(out=out) for a in argv]) == code
+        captured = capsys.readouterr()
+        in_process = (captured.out, captured.err, written(out))
+        out = tmp_path / "entry.csv"
+        proc = python("-c", "from parareal.cli import entry; entry()", *[a.format(out=out) for a in argv])
+        assert proc.returncode == code
+        assert (proc.stdout, proc.stderr, written(out)) == in_process
+        assert (in_process[2] is not None) == (code == 0)
+
+    def test_entry_freezes_and_atexit_handlers_still_run(self):
+        script = ("import atexit, gc, sys\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                  "from parareal.cli import entry\n"
+                  "entry()\n")
+        proc = python("-c", script, "bound", "eval", "--which", "smooth")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "frozen True\n"
 
 
 class TestUsageErrors:
@@ -267,7 +330,8 @@ class TestUsageErrors:
         (["--n-list", "0,5,10"], "need k >= 1 and every N >= 1, got k=1, n_list=(0, 5, 10)"),
     ])
     def test_bad_study_settings_fail_before_any_run(self, flags, message, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: pytest.fail("a study ran"))
+        # the study subcommand looks run_study up in analysis when it runs
+        monkeypatch.setattr("parareal.analysis.run_study", lambda *args, **kwargs: pytest.fail("a study ran"))
         out = tmp_path / "o.csv"
         assert main(["study", "run", *flags, "--threads", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
