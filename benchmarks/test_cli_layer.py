@@ -1,12 +1,12 @@
-"""Layer micro-benchmarks of a ``parareal run`` process: a cold switch-table
-build, one ``iterate`` on a default thread pool, a fresh import of the CLI and a
-whole fresh process.
+"""Layer micro-benchmarks of the CLI: a cold switch-table build, one ``iterate``
+on a default thread pool, a fresh import of the CLI and a whole fresh ``parareal
+run`` process, and the five study presets through ``main`` in process.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_cli_layer.py --benchmark-json BENCH_cli.json
 
-The four cases are the costs of the cli-run workload of ``perfbench``:
+The first four cases are the costs of the cli-run workload of ``perfbench``:
 
 * ``test_pwm400_table_build``: the switch table of ``pwm:m=400`` built from
   nothing (``_build_table``, which no cache sits in front of);
@@ -17,6 +17,11 @@ The four cases are the costs of the cli-run workload of ``perfbench``:
   parareal.cli`` (start-up, numpy and the modules a ``run`` loads);
 * ``test_cli_run_process``: that command as one fresh interpreter (import,
   argparse, table build, run, CSV and exit).
+
+``test_study_run_presets_in_process`` runs ``parareal study run --preset P
+--out FILE`` for each of the five presets through ``cli.main``, at the
+default settings, 15 rounds after a warm-up (so with warm switch tables): the
+study layer of the CLI, which no ``perfbench`` workload runs.
 
 Both process cases run on the source tree this module imports ``parareal``
 from.
@@ -36,6 +41,7 @@ import pytest
 
 import parareal
 from parareal import FixedIterations, LinearScalarModel, PwmSingle, SineWave, iterate, make_config
+from parareal.cli import PRESETS, main
 
 T = 0.02
 R_RES = 0.01
@@ -84,3 +90,10 @@ def test_cli_run_process(benchmark, tmp_path):
     proc = _process(benchmark, "from parareal.cli import entry; entry()", *RUN_ARGS, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
+
+
+def test_study_run_presets_in_process(benchmark, tmp_path):
+    def presets():
+        return [main(["study", "run", "--preset", name, "--out", str(tmp_path / f"{name}.csv")]) for name in PRESETS]
+
+    assert benchmark.pedantic(presets, rounds=15, warmup_rounds=1) == [0] * len(PRESETS)

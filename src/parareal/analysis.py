@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,8 +148,8 @@ class ConvergenceStudy:
         return out
 
 
-def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceStudy:
-    """Run the sweep; the per-N runs are independent and may run concurrently.
+def run_study(spec: StudySpec) -> ConvergenceStudy:
+    """Run the sweep: one run per N, in ``n_list`` order, in the calling thread.
 
     Each run performs exactly k update sweeps (no early stopping).  Propagator
     failures are recorded on the affected point as ``"ExceptionType: message"``
@@ -175,7 +174,7 @@ def run_study(spec: StudySpec, executor: Executor | None = None) -> ConvergenceS
                               err_first_active=math.nan, failure=f"{type(exc).__name__}: {exc}",
                               failure_type=type(exc))
 
-    results = [one(n) for n in spec.n_list] if executor is None else list(executor.map(one, spec.n_list))
+    results = [one(n) for n in spec.n_list]
 
     pts = [
         (p.n, p.metric(spec.error_metric))
@@ -308,8 +307,11 @@ def defect_scaling_study(
     Both problems are solved exactly from a common state at ``t_start`` over
     each window length in the ladder; the log-log slope of the defect is
     fitted.  For bounded inputs the defect is bounded by a constant times the
-    window length, i.e. a slope of at most one is guaranteed, and the slope
-    observed for generic surrogates is close to one.
+    window length, so a slope of one is guaranteed as the window shrinks.  A
+    window inside one tooth of a PWM input shows a slope of one where the two
+    inputs differ at ``t_start``, and of two where their difference starts at
+    0 (the sine surrogate at t = 0); a ladder across switches need show no
+    power law.
     """
     if dt_ladder is None:
         dt_ladder = [model.t_end / 2**j for j in range(6, 13)]

@@ -44,7 +44,7 @@ HARD_DEFAULTS = {
     "atol": 1.5e-5,
     "rtol": 1.5e-5,
     "jump_threshold": 1.0,
-    "threads": 0,  # 0 = hardware default
+    "threads": 0,  # run only; 0 = hardware default
     "metric": "max",
     "n_list": None,
     "preset": None,
@@ -149,13 +149,13 @@ def _cmd_model_reference(args, config) -> int:
     return 0
 
 
-_THREADS_HELP = ("thread pool size (0, the default: the hardware default; 1: serial); a study sends it one "
-                 "task per point; a run gives it no work, its fine sweep runs in the calling thread")
+_THREADS_HELP = ("size of the thread pool the run opens (0, the default: the hardware default; 1: no pool); "
+                 "the pool gets no work, the fine sweep runs in the calling thread")
 
 
 def _pool(r: dict):
-    """The executor a subcommand's runs share, as a context: none for ``--threads 1``,
-    else a thread pool (``--threads 0``: the hardware default)."""
+    """The executor of ``run``, the one subcommand with ``--threads``, as a context: none
+    for ``--threads 1``, else a thread pool (``--threads 0``: the hardware default)."""
     threads = int(r["threads"])
     if threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: hardware default), got {threads}")
@@ -292,8 +292,7 @@ def _cmd_study_run(args, config) -> int:
             kwargs["n_list"] = n_list
         specs.append((e["label"], StudySpec(**kwargs)))
 
-    with _pool(r) as executor:
-        studies = [(label, run_study(spec, executor=executor)) for label, spec in specs]
+    studies = [(label, run_study(spec)) for label, spec in specs]
 
     # each series records the spec it ran; the run-wide flags it overrides are dropped
     series = [
@@ -340,7 +339,7 @@ def _cmd_bound_eval(args, config) -> int:
     value = eval_bound(params, args.which)
     print(_fmt(value))
     if args.out not in (None, "-") and args.out:
-        lines = _manifest_lines("bound eval", vars(args))
+        lines = _manifest_lines("bound eval", {"which": args.which, **vars(params)})
         lines.append("value")
         lines.append(_fmt(value))
         _write_text(args.out, "\n".join(lines) + "\n")
@@ -393,10 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, typ in [
         ("--preset", str), ("--model", str), ("--variant", str), ("--coarse", str),
         ("--reduced-input", str), ("--k", int), ("--n-list", str), ("--metric", str),
-        ("--threads", int),
     ]:
-        p_srun.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"),
-                            help=_THREADS_HELP if flag == "--threads" else None)
+        p_srun.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
     p_srun.add_argument("--out")
     p_srun.add_argument("--svg")
     p_srun.set_defaults(func=_cmd_study_run)

@@ -1,6 +1,6 @@
-import contextlib
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -172,6 +172,34 @@ class TestDefectStudy:
             assert full - red == pytest.approx(via_ode, abs=1e-11)
 
 
+def _pairwise_slopes(study):
+    pts = list(zip(study.dts, study.defects))
+    return [math.log(b / a) / math.log(db / da) for (da, a), (db, b) in zip(pts, pts[1:])]
+
+
+class TestSineSurrogateDefect:
+    """Criterion 5's window, dT = T/64 ... T/4096 on ``pwm:m=400``, spans two regimes."""
+
+    def test_inside_the_first_tooth_from_zero_the_defect_is_quadratic(self, pwm400_model, sine_signal):
+        # the PWM is 0 until its first switch after T/400, so for dT <= T/512 the
+        # defect is the integral of the sine alone, which grows as dT**2
+        assert pwm400_model.signal.switching_times(0.0, T / 512).size == 0
+        slopes = _pairwise_slopes(defect_scaling_study(pwm400_model, sine_signal))
+        assert slopes[-3:] == pytest.approx([2.0] * 3, abs=0.01)
+
+    def test_inside_a_tooth_where_the_inputs_differ_the_defect_is_linear(self, pwm400_model, sine_signal):
+        t0 = 0.3 * T
+        assert pwm400_model.signal.switching_times(t0, t0 + T / 512).size == 0
+        assert abs(pwm400_model.signal.value(t0) - sine_signal.value(t0)) > 0.01
+        slopes = _pairwise_slopes(defect_scaling_study(pwm400_model, sine_signal, t_start=t0))
+        assert slopes[-3:] == pytest.approx([1.0] * 3, abs=0.05)
+
+    @pytest.mark.parametrize("start", [1 / 8, 0.3, 0.37])
+    def test_no_power_law_across_teeth(self, pwm400_model, sine_signal, start):
+        study = defect_scaling_study(pwm400_model, sine_signal, t_start=start * T)
+        assert abs(study.slope) < 0.2
+
+
 class TestRunStudy:
     def test_exact_coarse_reports_floor(self, pwm10_model):
         spec = StudySpec(model=pwm10_model, variant="original", coarse_scheme="exact",
@@ -243,10 +271,10 @@ class TestRunStudy:
 
         real_iterate = analysis.iterate
 
-        def flaky(cfg, executor=None):
+        def flaky(cfg):
             if cfg.n_intervals == 10:
                 raise RuntimeError("synthetic blow-up")
-            return real_iterate(cfg, executor)
+            return real_iterate(cfg)
 
         monkeypatch.setattr(analysis, "iterate", flaky)
         spec = StudySpec(model=pwm10_model, variant="reduced", reduced_input=sine_signal,
@@ -259,6 +287,21 @@ class TestRunStudy:
         assert all(p.failure_type is None for p in study.results if p.failure is None)
         assert not math.isnan(study.fitted_order)  # remaining points still fitted
 
+    def test_points_run_in_order_in_the_calling_thread(self, pwm10_model, monkeypatch):
+        import parareal.analysis as analysis
+
+        real_iterate = analysis.iterate
+        calls = []
+
+        def record(cfg):
+            calls.append((cfg.n_intervals, threading.get_ident()))
+            return real_iterate(cfg)
+
+        monkeypatch.setattr(analysis, "iterate", record)
+        spec = StudySpec(model=pwm10_model, k=1, n_list=(5, 10, 20, 40))
+        assert [p.n for p in run_study(spec).results] == [5, 10, 20, 40]
+        assert calls == [(n, threading.get_ident()) for n in (5, 10, 20, 40)]
+
 
 def _run_bits(run):
     return [np.asarray(a).tobytes() for a in run.iterates + run.fine_arrivals + run.jumps + run.errors_vs_reference]
@@ -267,12 +310,11 @@ def _run_bits(run):
 class TestStudyOracle:
     """Each point of a study has the bits of the same run made outside any study."""
 
-    @pytest.mark.parametrize("threads", [None, 2])
-    def test_preset_points_equal_runs_outside_a_study(self, pwm400_model, monkeypatch, threads):
+    def test_preset_points_equal_runs_outside_a_study(self, pwm400_model, monkeypatch):
         # the first point builds the input's table of switch-to-switch segments;
-        # every later one slices a table built on another grid.  Serially, the
-        # run made alone is also checked against the same run made with no
-        # plans at all, every call cold
+        # every later one slices a table built on another grid.  The run made
+        # alone is also checked against the same run made with no plans at all,
+        # every call cold
         import parareal.algorithm as algorithm
         import parareal.analysis as analysis
 
@@ -285,8 +327,8 @@ class TestStudyOracle:
                 m.setattr(algorithm, "_planned_propagators", lambda cfg: [])
                 return real_iterate(cfg)
 
-        def capture(cfg, executor=None):
-            runs[cfg.n_intervals] = run = real_iterate(cfg, executor)
+        def capture(cfg):
+            runs[cfg.n_intervals] = run = real_iterate(cfg)
             return run
 
         monkeypatch.setattr(analysis, "iterate", capture)
@@ -295,14 +337,12 @@ class TestStudyOracle:
             spec = StudySpec(model=pwm400_model, variant=e["variant"], coarse_scheme=e["scheme"],
                              reduced_input=reduced, k=e["k"])
             runs.clear()
-            with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
-                study = run_study(spec, pool)
+            study = run_study(spec)
             assert [p.n for p in study.results] == list(spec.n_list)
             for point in study.results:
                 alone = real_iterate(spec.config(point.n))
                 assert point.failure is None and _run_bits(runs[point.n]) == _run_bits(alone), (e["label"], point.n)
-                if threads is None:
-                    assert _run_bits(alone) == _run_bits(cold_iterate(spec.config(point.n))), (e["label"], point.n)
+                assert _run_bits(alone) == _run_bits(cold_iterate(spec.config(point.n))), (e["label"], point.n)
                 got = [point.err_max, point.err_final, point.err_first_active]
                 want = [alone.error(spec.k, metric) for metric in ("max", "final", "first_active")]
                 assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -118,8 +118,6 @@ def test_perfbench_tracer_sees_a_theta_fine_run():
 
 TRACED_STUDY = """
 import json
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import tracer
 from parareal import analysis, cli, models
@@ -132,26 +130,24 @@ model = parse_model("rl:R=0.01,L=0.001,input=pwm:m=400")
 models._switch_steps(model.decay_rate, model.R_res, model.signal)  # the per-process table, untraced
 e = cli.PRESETS["fig3-left"][0]
 spec = StudySpec(model=model, variant=e["variant"], coarse_scheme=e["scheme"], k=e["k"], fit_min_n=e["fit_min_n"])
-pool = ThreadPoolExecutor(int(sys.argv[1])) if sys.argv[1] != "1" else None
 counts = []
 for _ in range(2):
     t.start()
-    analysis.run_study(spec, pool)
+    analysis.run_study(spec)
     counts.append(t.stop().counts.get("models.segments", 0))
 print(json.dumps(counts))
 """
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_each_study_sets_up_its_own_end_segments(threads):
+def test_each_study_sets_up_its_own_end_segments():
     # study-presets' self-check needs segment set-ups in every operation: each
     # run sets up the end segments of its own grid, whatever ran before it,
     # so a second identical study sets them up again (about 2 per interval of
     # each of the seven grids, N = 5 ... 320)
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", TRACED_STUDY, str(threads)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", TRACED_STUDY], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [1270, 1270]
 

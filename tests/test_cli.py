@@ -128,8 +128,7 @@ class TestStudy:
     def test_preset_with_overridden_n_list(self, tmp_path):
         out = tmp_path / "study.csv"
         code = main([
-            "study", "run", "--preset", "fig4-left", "--n-list", "5,10,20",
-            "--threads", "1", "--out", str(out),
+            "study", "run", "--preset", "fig4-left", "--n-list", "5,10,20", "--out", str(out),
         ])
         assert code == 0
         lines = read_lines(out)
@@ -141,8 +140,7 @@ class TestStudy:
 
     def test_manifest_records_each_series_spec(self, tmp_path):
         out = tmp_path / "fig5.csv"
-        assert main(["study", "run", "--preset", "fig5", "--n-list", "10,20",
-                     "--threads", "1", "--out", str(out)]) == 0
+        assert main(["study", "run", "--preset", "fig5", "--n-list", "10,20", "--out", str(out)]) == 0
         manifest = read_lines(out)[0]
         series = json.loads(manifest.split(" ", 3)[3])["series"]
         assert [(s["variant"], s["coarse"], s["k"], s["reduced_input"]) for s in series] == [
@@ -151,13 +149,14 @@ class TestStudy:
         assert "original" not in manifest
 
     def test_manifest_records_only_the_keys_a_study_reads(self, tmp_path):
+        # ``threads`` is a key of ``run``: a study ignores it
         cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("fine=cn:substeps=3\n")
+        cfg.write_text("fine=cn:substeps=3\nthreads=1\n")
         out = tmp_path / "fig5.csv"
         assert main(["--config", str(cfg), "study", "run", "--preset", "fig5", "--n-list", "10,20",
-                     "--threads", "1", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
-        assert not {"fine", "N", "kmax", "atol", "rtol", "jump_threshold", "seed", "which"} & set(manifest)
+        assert not {"fine", "N", "kmax", "atol", "rtol", "jump_threshold", "threads", "seed", "which"} & set(manifest)
         assert manifest["preset"] == "fig5" and manifest["metric"] == "max"
 
     def test_coarse_parameters_are_not_dropped(self, tmp_path):
@@ -166,8 +165,7 @@ class TestStudy:
         rows = {}
         for coarse in ("be", "be:substeps=4"):
             out = tmp_path / "study.csv"
-            assert main(["study", "run", "--coarse", coarse, "--n-list", "5,10", "--threads", "1",
-                         "--out", str(out)]) == 0
+            assert main(["study", "run", "--coarse", coarse, "--n-list", "5,10", "--out", str(out)]) == 0
             lines = read_lines(out)
             assert json.loads(lines[0].split(" ", 3)[3])["series"][0]["coarse"] == coarse
             rows[coarse] = [ln for ln in lines[3:] if not ln.startswith("#")]
@@ -177,7 +175,7 @@ class TestStudy:
         # N*T/N exceeds T for N = 57 and 114; those points used to fail on their last interval
         out = tmp_path / "study.csv"
         assert main(["study", "run", "--variant", "reduced", "--reduced-input", "sine", "--coarse", "exact",
-                     "--k", "2", "--n-list", "5,57,114", "--threads", "1", "--out", str(out)]) == 0
+                     "--k", "2", "--n-list", "5,57,114", "--out", str(out)]) == 0
         data = [ln.split(",") for ln in read_lines(out)[3:] if not ln.startswith("#")]
         assert [row[0] for row in data] == ["5", "57", "114"]
         assert all(math.isfinite(float(v)) for row in data for v in (row[2], row[3], row[7]))
@@ -185,24 +183,27 @@ class TestStudy:
     def test_unknown_preset(self):
         assert main(["study", "run", "--preset", "fig99"]) == 1
 
-    def test_one_pool_for_all_series(self, tmp_path, monkeypatch):
-        # every series of a study runs on one thread pool, with the bits of a serial study
-        pools = []
+    def test_no_pool_and_the_bits_of_a_serial_study(self, tmp_path, monkeypatch):
+        # a study runs its points in the calling thread: it opens no pool, and
+        # its rows are those of the library's serial ``run_study``
+        from parareal.analysis import StudySpec, run_study
 
-        class CountingPool(cli.ThreadPoolExecutor):
+        class NoPool(cli.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+                pytest.fail("a study opened a pool")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
-        bodies = []
-        for threads in ("2", "1"):
-            out = tmp_path / f"study{threads}.csv"
-            assert main(["study", "run", "--preset", "fig4-right", "--n-list", "5,10,20",
-                         "--threads", threads, "--out", str(out)]) == 0
-            bodies.append([ln for ln in body_without_timestamp(read_lines(out)) if not ln.startswith("# manifest")])
-        assert len(pools) == 1
-        assert bodies[0] == bodies[1]
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", NoPool)
+        out = tmp_path / "study.csv"
+        assert main(["study", "run", "--preset", "fig4-right", "--n-list", "5,10,20", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in read_lines(out)[3:] if not ln.startswith("#")]
+        model = cli.parse_model(cli.HARD_DEFAULTS["model"])
+        want = []
+        for e in cli.PRESETS["fig4-right"]:
+            spec = StudySpec(model=model, variant=e["variant"], coarse_scheme=e["scheme"], k=e["k"],
+                             reduced_input=cli.parse_signal(e["reduced"], period=model.t_end), n_list=(5, 10, 20))
+            want += [[str(p.n), cli._fmt(p.err_max), cli._fmt(p.err_final), e["label"], cli._fmt(p.err_first_active)]
+                     for p in run_study(spec).results]
+        assert [[r[0], r[2], r[3], r[5], r[7]] for r in rows] == want
 
 
 class TestBoundEval:
@@ -219,6 +220,17 @@ class TestBoundEval:
         got = float(capsys.readouterr().out.strip())
         want = (1e-6 + 1e-8) / math.factorial(2) * 2
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_manifest_records_only_the_bound_and_its_parameters(self, tmp_path):
+        manifests = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["bound", "eval", "--which", "reduced-linf", "--n", "20", "--out", str(out)]) == 0
+            manifests.append(read_lines(out)[0])
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0].split(" ", 3)[3])
+        assert set(manifest) == {"command", "version", "which", "c1", "c2", "c3", "c4", "c_p", "l", "p", "dt", "n", "k"}
+        assert manifest["which"] == "reduced-linf" and manifest["n"] == "20" and manifest["p"] == "inf"
 
 
 def python(*args, timeout=120):
@@ -316,11 +328,17 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
-    @pytest.mark.parametrize("command", [["run", "--k", "1"], ["study", "run", "--n-list", "4,8"]])
-    def test_negative_threads(self, command, tmp_path, capsys):
+    def test_negative_threads(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        assert main([*command, "--threads", "-1", "--out", str(out)]) == 1
+        assert main(["run", "--k", "1", "--threads", "-1", "--out", str(out)]) == 1
         assert "--threads must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_study_takes_no_threads_flag(self, threads, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["study", "run", "--n-list", "4,8", "--threads", threads, "--out", str(out)]) == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -333,7 +351,7 @@ class TestUsageErrors:
         # the study subcommand looks run_study up in analysis when it runs
         monkeypatch.setattr("parareal.analysis.run_study", lambda *args, **kwargs: pytest.fail("a study ran"))
         out = tmp_path / "o.csv"
-        assert main(["study", "run", *flags, "--threads", "1", "--out", str(out)]) == 1
+        assert main(["study", "run", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
@@ -368,7 +386,7 @@ class TestUsageErrors:
                                        ["--reduced-input", "step"]])
     def test_flags_a_preset_ignores(self, flags, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        argv = ["study", "run", "--preset", "fig5", *flags, "--n-list", "10,20", "--threads", "1", "--out", str(out)]
+        argv = ["study", "run", "--preset", "fig5", *flags, "--n-list", "10,20", "--out", str(out)]
         assert main(argv) == 1
         assert f"{flags[0]} has no effect with --preset" in capsys.readouterr().err
         assert not out.exists()
