@@ -44,8 +44,6 @@ from .signals import (
     SineWave,
     StepWave,
     ThreePhasePwm,
-    ThreePhaseSine,
-    Zero,
     parse_signal,
 )
 
@@ -96,9 +94,7 @@ __all__ = [
     "Termination",
     "ThetaPropagator",
     "ThreePhasePwm",
-    "ThreePhaseSine",
     "UnsupportedSignalError",
-    "Zero",
     "defect_ode_solution",
     "defect_scaling_study",
     "eval_bound",

@@ -105,6 +105,8 @@ class PararealConfig:
         if self.variant not in ("original", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
         fi, ci = self.fine.ivp, self.coarse.ivp
+        if not math.isfinite(fi.t_end):
+            raise ValueError(f"the horizon must be finite, got {fi.t_end}")
         if replace(ci, signal=fi.signal) != fi:
             raise ValueError("fine and coarse propagators integrate different problems")
         if self.variant == "original" and ci != fi:

@@ -282,6 +282,15 @@ def eval_bound(params: BoundParams, which: str) -> float:
     raise ValueError(f"unknown bound {which!r}")
 
 
+def _ladder_slope(dts: list[float], errs: list[float], floor: float) -> tuple[float, bool]:
+    """``(slope, floor_hit)`` of ``errs`` over the ladder ``dts``, fitted above ``floor``; NaN under two points."""
+    try:
+        fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
+    except InsufficientPointsError:
+        return math.nan, True
+    return -fit.order, len(fit.window) < len(dts)
+
+
 # ---------------------------------------------------------------------------
 # one-interval defect between the full and the reduced problem
 
@@ -322,11 +331,7 @@ def defect_scaling_study(
         full = exact_linear_propagate(model, t_start, t_start + dt, u0)
         red = exact_linear_propagate(reduced_model, t_start, t_start + dt, u0)
         defects.append(abs(full - red))
-    try:
-        fit = fit_order(list(zip(dt_ladder, defects)), floor=floor, min_points=2)
-    except InsufficientPointsError:
-        return DefectStudy(list(dt_ladder), defects, math.nan, True)
-    return DefectStudy(list(dt_ladder), defects, -fit.order, len(fit.window) < len(dt_ladder))
+    return DefectStudy(list(dt_ladder), defects, *_ladder_slope(dt_ladder, defects, floor))
 
 
 def defect_ode_solution(model: LinearScalarModel, reduced_input: Signal, t0: float, t1: float) -> float:
@@ -381,8 +386,5 @@ def local_order_probe(
         ua = prop.propagate(t_start, t_start + dt, u0)
         dts.append(dt)
         errs.append(abs(ue - ua))
-    try:
-        fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
-    except InsufficientPointsError:
-        return OrderProbe(math.nan, dts, errs, True)
-    return OrderProbe(-fit.order, dts, errs, len(fit.window) < len(dts))
+    slope, floor_hit = _ladder_slope(dts, errs, floor)
+    return OrderProbe(slope, dts, errs, floor_hit)

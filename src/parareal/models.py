@@ -90,8 +90,10 @@ class LinearScalarModel:
     _plans = None
 
     def __post_init__(self):
-        if not (self.R_res > 0 and self.L_ind > 0):
-            raise ValueError("R_res and L_ind must be positive")
+        if not (0 < self.R_res < math.inf and 0 < self.L_ind < math.inf):
+            raise ValueError(f"R_res and L_ind must be positive and finite, got R={self.R_res}, L={self.L_ind}")
+        if self.decay_rate == 0.0:
+            raise ValueError(f"decay rate R/L = {self.R_res}/{self.L_ind} underflows to 0")
 
     @property
     def decay_rate(self) -> float:

@@ -1,5 +1,8 @@
 """Excitation waveforms with exactly known switching structure.
 
+There is one class per waveform, and each checks its parameters on
+construction (``Signal.__post_init__``).
+
 Every signal is defined on one period ``[0, T]`` and knows where it is
 discontinuous.  Integrators and the exact linear solver rely on
 ``switching_times`` to segment the time axis and on ``Side`` hints to take
@@ -133,6 +136,17 @@ class Signal:
     """Base class; concrete signals are small frozen dataclasses."""
 
     period: float
+
+    _unbounded = False  # whether the period may be inf: a domain without end
+
+    def __post_init__(self):
+        # the one parameter check: m and phase_index where a signal has them, then the period
+        if getattr(self, "m", 1) < 1:
+            raise ValueError(f"pulse count m must be >= 1, got {self.m}")
+        if getattr(self, "phase_index", 1) not in PHASE_SHIFTS:
+            raise ValueError(f"phase_index must be 1..3, got {self.phase_index}")
+        if not (self.period > 0 and (self._unbounded or self.period < math.inf)):
+            raise ValueError(f"period must be positive{'' if self._unbounded else ' and finite'}, got {self.period}")
 
     # -- pointwise formula -------------------------------------------------
 
@@ -348,32 +362,26 @@ def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# concrete signals
+# concrete signals, one class per waveform
+
+
+class _Switched(Signal):
+    """A signal with switches (``_build_table``); on a segment between two it is
+    constant, ``_formula`` at the midpoint (``Difference`` has its own form)."""
+
+    def _switch_table(self):
+        return _cached_table(self)
+
+    def segment_form(self, tl, tr):
+        return SegmentForm(self._formula(0.5 * (tl + tr)))
 
 
 @dataclass(frozen=True)
 class SineWave(Signal):
-    """``sin(2*pi*t/T)``."""
-
-    period: float
-
-    def _formula(self, t: float) -> float:
-        return math.sin(TWO_PI * t / self.period)
-
-    def segment_form(self, tl, tr):
-        return SegmentForm(0.0, 1.0, TWO_PI / self.period, 0.0)
-
-
-@dataclass(frozen=True)
-class ThreePhaseSine(Signal):
-    """One phase of the three-phase unit sine, phase index 1..3."""
+    """``sin(2*pi*t/T + PHASE_SHIFTS[phase_index])``; phase 1, the default, is ``sin(2*pi*t/T)``."""
 
     period: float
     phase_index: int = 1
-
-    def __post_init__(self):
-        if self.phase_index not in PHASE_SHIFTS:
-            raise ValueError(f"phase_index must be 1..3, got {self.phase_index}")
 
     def _formula(self, t: float) -> float:
         return math.sin(TWO_PI * t / self.period + PHASE_SHIFTS[self.phase_index])
@@ -383,7 +391,7 @@ class ThreePhaseSine(Signal):
 
 
 @dataclass(frozen=True)
-class StepWave(Signal):
+class StepWave(_Switched):
     """+1 on [0, T/2), -1 on [T/2, T]."""
 
     period: float
@@ -391,22 +399,18 @@ class StepWave(Signal):
     def _formula(self, t: float) -> float:
         return 1.0 if t < 0.5 * self.period else -1.0
 
-    def _switch_table(self):
-        return _cached_table(self)
-
     def _build_table(self) -> np.ndarray:
         return np.array([0.5 * self.period])
-
-    def segment_form(self, tl, tr):
-        return SegmentForm(self._formula(0.5 * (tl + tr)))
 
 
 @dataclass(frozen=True)
 class Constant(Signal):
-    """Constant value; unbounded domain by default."""
+    """Constant value; unbounded domain by default.  ``zero`` parses to ``Constant(0.0)``."""
 
     value_: float
     period: float = math.inf
+
+    _unbounded = True
 
     def _formula(self, t: float) -> float:
         return self.value_
@@ -416,20 +420,7 @@ class Constant(Signal):
 
 
 @dataclass(frozen=True)
-class Zero(Signal):
-    """Identically zero."""
-
-    period: float = math.inf
-
-    def _formula(self, t: float) -> float:
-        return 0.0
-
-    def segment_form(self, tl, tr):
-        return SegmentForm(0.0)
-
-
-@dataclass(frozen=True)
-class PwmSingle(Signal):
+class PwmSingle(_Switched):
     """Natural-sampled single-phase PWM with m pulses per period.
 
     Value is ``sign(sin(2*pi*t/T))`` while the sawtooth ``s_m(t)`` lies below
@@ -439,12 +430,6 @@ class PwmSingle(Signal):
 
     m: int
     period: float
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"pulse count m must be >= 1, got {self.m}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
 
     # comparator ties resolve to the zero branch; a sine value at roundoff
     # scale is the tie "sin = 0" evaluated in floating point
@@ -462,9 +447,6 @@ class PwmSingle(Signal):
             return math.copysign(1.0, sv) if sv != 0.0 else 0.0
         return 0.0
 
-    def _switch_table(self):
-        return _cached_table(self)
-
     def _build_table(self) -> np.ndarray:
         period = self.period
 
@@ -473,12 +455,9 @@ class PwmSingle(Signal):
 
         return _scan_teeth(self, tooth)
 
-    def segment_form(self, tl, tr):
-        return SegmentForm(self._formula(0.5 * (tl + tr)))
-
 
 @dataclass(frozen=True)
-class ThreePhasePwm(Signal):
+class ThreePhasePwm(_Switched):
     """Bipolar trailing-edge PWM against a sawtooth carrier, values {-1, +1}.
 
     Comparator is ``sin(2*pi*t/T + phi_s) - b_m(t)`` with carrier
@@ -489,12 +468,6 @@ class ThreePhasePwm(Signal):
     period: float
     phase_index: int = 1
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"pulse count m must be >= 1, got {self.m}")
-        if self.phase_index not in PHASE_SHIFTS:
-            raise ValueError(f"phase_index must be 1..3, got {self.phase_index}")
-
     def _comparator(self, t: float) -> float:
         x = (self.m / self.period) * t
         carrier = 2.0 * (x - math.floor(x)) - 1.0
@@ -502,9 +475,6 @@ class ThreePhasePwm(Signal):
 
     def _formula(self, t: float) -> float:
         return 1.0 if self._comparator(t) >= 0.0 else -1.0
-
-    def _switch_table(self):
-        return _cached_table(self)
 
     def _build_table(self) -> np.ndarray:
         period, shift = self.period, PHASE_SHIFTS[self.phase_index]
@@ -515,16 +485,15 @@ class ThreePhasePwm(Signal):
 
         return _scan_teeth(self, tooth)
 
-    def segment_form(self, tl, tr):
-        return SegmentForm(self._formula(0.5 * (tl + tr)))
-
 
 @dataclass(frozen=True)
-class Difference(Signal):
+class Difference(_Switched):
     """Pointwise difference ``a(t) - b(t)``."""
 
     a: Signal
     b: Signal
+
+    _unbounded = True  # the period is the operands', each already checked
 
     @property
     def period(self) -> float:  # type: ignore[override]
@@ -543,9 +512,6 @@ class Difference(Signal):
         la, ra = self.a.node_limits(ts)
         lb, rb = self.b.node_limits(ts)
         return [x - y for x, y in zip(la, lb)], [x - y for x, y in zip(ra, rb)]
-
-    def _switch_table(self):
-        return _cached_table(self)
 
     def _build_table(self) -> np.ndarray:
         cands = list(self.a._switch_table().floats) + list(self.b._switch_table().floats)
@@ -634,9 +600,9 @@ def parse_signal(spec: str, period: float = 0.02) -> Signal:
         "sine": ({}, lambda kv: SineWave(period=period)),
         "pwm3": ({"m": None, "phase": "1"},
                  lambda kv: ThreePhasePwm(m=int(kv["m"]), period=period, phase_index=int(kv["phase"]))),
-        "sine3": ({"phase": "1"}, lambda kv: ThreePhaseSine(period=period, phase_index=int(kv["phase"]))),
+        "sine3": ({"phase": "1"}, lambda kv: SineWave(period=period, phase_index=int(kv["phase"]))),
         "const": ({"v": "1.0"}, lambda kv: Constant(value_=float(kv["v"]), period=period)),
-        "zero": ({}, lambda kv: Zero(period=period)),
+        "zero": ({}, lambda kv: Constant(value_=0.0, period=period)),
     }
     if head not in kinds:
         raise ValueError(f"unknown signal kind {head!r} in {spec!r}")

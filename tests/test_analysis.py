@@ -16,7 +16,6 @@ from parareal import (
     StepWave,
     StudySpec,
     ThetaPropagator,
-    Zero,
     defect_ode_solution,
     defect_scaling_study,
     eval_bound,
@@ -139,7 +138,7 @@ class TestDefectStudy:
     def test_constant_versus_zero_closed_form(self):
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(1.0))
         ladder = [T / 2**j for j in range(6, 13)]
-        study = defect_scaling_study(model, Zero(), dt_ladder=ladder)
+        study = defect_scaling_study(model, Constant(0.0), dt_ladder=ladder)
         a = model.decay_rate
         for dt, d in zip(study.dts, study.defects):
             assert d == pytest.approx(0.001 * (1 - math.exp(-a * dt)), rel=1e-12)

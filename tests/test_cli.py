@@ -255,7 +255,7 @@ assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", sys.argv[
 loaded = sorted(m for m in ("parareal.analysis", "parareal.svgplot") if m in sys.modules)
 assert not loaded, loaded
 import parareal
-assert len(parareal.__all__) == 46
+assert len(parareal.__all__) == 44
 missing = [name for name in parareal.__all__ if getattr(parareal, name, None) is None]
 assert not missing, missing
 assert set(parareal.__all__) <= set(dir(parareal))
@@ -389,6 +389,23 @@ class TestUsageErrors:
         argv = ["study", "run", "--preset", "fig5", *flags, "--n-list", "10,20", "--out", str(out)]
         assert main(argv) == 1
         assert f"{flags[0]} has no effect with --preset" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, message", [
+        ("rl:T=0,input=sine", "period must be positive and finite, got 0.0"),
+        ("rl:T=-0.02,input=step", "period must be positive and finite, got -0.02"),
+        ("rl:T=nan,input=pwm3:m=9", "period must be positive and finite, got nan"),
+        ("rl:T=inf,input=sine", "period must be positive and finite, got inf"),
+        ("rl:T=inf,input=const", "the horizon must be finite, got inf"),
+        ("rl:R=1,L=inf,input=pwm:m=4", "R_res and L_ind must be positive and finite"),
+        ("rl:R=1e-300,L=1e300,input=sine", "decay rate R/L = 1e-300/1e+300 underflows to 0"),
+    ])
+    def test_degenerate_model_values(self, model, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--model", model, "--N", "4", "--k", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_parser_is_reused(self, capsys):

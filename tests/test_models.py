@@ -12,7 +12,6 @@ from parareal import (
     SineWave,
     StepWave,
     UnsupportedSignalError,
-    Zero,
     exact_linear_propagate,
     exact_trajectory,
     parse_model,
@@ -46,7 +45,7 @@ def brute_force_trajectory(model, t0, t1, phi0, rtol=1e-13):
 
 class TestExactPropagate:
     def test_pure_decay(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Zero())
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0))
         out = exact_linear_propagate(m, 0.0, 0.02, 1.0)
         assert out == pytest.approx(math.exp(-0.2), rel=1e-15)
 
@@ -174,3 +173,13 @@ class TestParseModel:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LinearScalarModel(R_res=-1.0, L_ind=0.001, signal=SineWave(T))
+
+    @pytest.mark.parametrize("R, L, match", [
+        (1.0, math.inf, "positive and finite"),
+        (math.inf, 1.0, "positive and finite"),
+        (math.nan, 1.0, "positive and finite"),
+        (1e-300, 1e300, "underflows to 0"),
+    ])
+    def test_degenerate_parameters(self, R, L, match):
+        with pytest.raises(ValueError, match=match):
+            LinearScalarModel(R_res=R, L_ind=L, signal=SineWave(T))

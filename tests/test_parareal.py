@@ -505,6 +505,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="different problems"):
             PararealConfig(n_intervals=4, fine=ExactLinearPropagator(pwm10_model), coarse=coarse, variant=variant)
 
+    def test_unbounded_horizon(self):
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("const", period=math.inf))
+        with pytest.raises(ValueError, match="horizon must be finite, got inf"):
+            make_config(model, 4)
+
     def test_bad_interval_count(self, pwm10_model):
         fine = ExactLinearPropagator(pwm10_model)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parareal import (
+    Constant,
     Difference,
     ExactLinearPropagator,
     LinearScalarModel,
@@ -18,7 +19,6 @@ from parareal import (
     SplitIvp,
     ThetaPropagator,
     UnsupportedSignalError,
-    Zero,
     exact_linear_propagate,
     local_order_probe,
     parse_propagator,
@@ -39,13 +39,13 @@ def sine_ivp(sine_model):
 
 class TestThetaStep:
     def test_backward_euler_closed_form(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Zero())
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0))
         be = ThetaPropagator(m.ivp(), theta=1.0)
         out = be.propagate(0.0, 0.002, 1.0)
         assert out == pytest.approx(1.0 / 1.02, rel=1e-15)
 
     def test_crank_nicolson_closed_form(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Zero())
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0))
         cn = ThetaPropagator(m.ivp(), theta=0.5)
         out = cn.propagate(0.0, 0.002, 1.0)
         assert out == pytest.approx(0.99 / 1.01, rel=1e-15)
@@ -151,7 +151,7 @@ class TestNonlinearAndVector:
         # the implicit solve's pole, and an explicit step whose growth
         # overflows to inf with no pole in sight
         for theta, rate, substeps in ((1.0, 1.0, 1), (0.0, 1e200, 3)):
-            ivp = SplitIvp(decay=-rate, gain=1.0, signal=Zero(period=1.0), u0=1.0, t_end=1.0)
+            ivp = SplitIvp(decay=-rate, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0, t_end=1.0)
             prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
             with pytest.raises(NonFiniteStateError):
                 prop.propagate(0.0, 1.0, ivp.u0)
@@ -202,7 +202,7 @@ class TestScalarSweepReference:
     def test_signed_zero_state(self):
         # a -0.0 input product must become +0.0 as in the matrix product, or
         # a -0.0 state in a neutral mode keeps its sign; == cannot see this
-        ivp = SplitIvp(decay=-0.0, gain=-1.0, signal=Zero(period=T), u0=-0.0, t_end=T)
+        ivp = SplitIvp(decay=-0.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0, t_end=T)
         for theta in (1.0, 0.5):
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = prop.propagate(0.0, T, ivp.u0)

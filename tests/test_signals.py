@@ -17,8 +17,6 @@ from parareal import (
     StepWave,
     ThetaPropagator,
     ThreePhasePwm,
-    ThreePhaseSine,
-    Zero,
     parse_propagator,
     parse_signal,
 )
@@ -524,7 +522,7 @@ class TestThreePhase:
     def test_sine_phases(self):
         t = 0.004
         for phase, shift in [(1, 0.0), (2, -2 * math.pi / 3), (3, -4 * math.pi / 3)]:
-            sig = ThreePhaseSine(T, phase_index=phase)
+            sig = SineWave(T, phase_index=phase)
             assert sig.value(t) == pytest.approx(math.sin(2 * math.pi * t / T + shift), abs=1e-15)
 
     def test_bad_phase_index(self):
@@ -615,14 +613,71 @@ class TestParse:
             ("step", StepWave),
             ("sine", SineWave),
             ("pwm3:m=400,phase=2", ThreePhasePwm),
-            ("sine3:phase=3", ThreePhaseSine),
-            ("zero", Zero),
+            ("sine3", SineWave),
+            ("sine3:phase=3", SineWave),
+            ("zero", Constant),
             ("const:v=1", Constant),
             ("diff:pwm:m=400-sine", Difference),
         ],
     )
     def test_known_kinds(self, spec, kind):
-        assert isinstance(parse_signal(spec, period=T), kind)
+        assert type(parse_signal(spec, period=T)) is kind
+
+    @pytest.mark.parametrize("spec, want", [
+        ("sine", SineWave(T, phase_index=1)),
+        ("sine3", SineWave(T, phase_index=1)),
+        ("sine3:phase=2", SineWave(T, phase_index=2)),
+        ("zero", Constant(0.0, T)),
+    ])
+    def test_merged_kinds_parse_to_one_class(self, spec, want):
+        assert parse_signal(spec, period=T) == want
+
+    def test_sine_of_each_phase_keeps_the_three_phase_bits(self):
+        # the formula of the former three-phase sine class, phase 1 included
+        ts = np.linspace(0.0, T, 1001).tolist() + [T / 3, 0.75 * T, 5e-324]
+        for k, shift in signals.PHASE_SHIFTS.items():
+            sig = SineWave(T, k)
+            got = sig.values(np.array(ts))
+            want = [math.sin(signals.TWO_PI * t / T + shift) for t in ts]
+            assert [float(v).hex() for v in got] == [v.hex() for v in want]
+            assert _bits(sig.segment_form(0.0, T)) == _bits(signals.SegmentForm(0.0, 1.0, signals.TWO_PI / T, shift))
+
+    def test_zero_is_constant_zero(self):
+        zero, const = parse_signal("zero", period=T), Constant(0.0, T)
+        ts = np.linspace(0.0, T, 101)
+        assert [v.hex() for v in zero.values(ts)] == [v.hex() for v in const.values(ts)]
+        assert zero.node_limits(ts.tolist()) == const.node_limits(ts.tolist())
+        assert zero.segment_form(0.0, T) == const.segment_form(0.0, T) == signals.SegmentForm(0.0)
+
+    # every kind with the payload it needs; the periodic ones take no inf period
+    PERIODIC = ("pwm:m=4", "pwm3:m=4,phase=2", "step", "sine", "sine3:phase=3", "diff:pwm:m=4-sine")
+    UNBOUNDED = ("const:v=1", "zero")
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("spec", PERIODIC + UNBOUNDED)
+    def test_every_kind_rejects_a_bad_period(self, spec, period):
+        with pytest.raises(ValueError, match="period must be positive|cannot parse difference"):
+            parse_signal(spec, period=period)
+
+    @pytest.mark.parametrize("spec", PERIODIC)
+    def test_periodic_kinds_reject_an_infinite_period(self, spec):
+        with pytest.raises(ValueError, match="period must be positive and finite|cannot parse difference"):
+            parse_signal(spec, period=math.inf)
+
+    @pytest.mark.parametrize("spec", UNBOUNDED)
+    def test_constants_keep_the_unbounded_period(self, spec):
+        assert parse_signal(spec, period=math.inf).period == math.inf
+
+    @pytest.mark.parametrize("make", [
+        lambda: PwmSingle(m=4, period=math.inf),
+        lambda: ThreePhasePwm(m=4, period=math.inf),
+        lambda: SineWave(T, phase_index=0),
+        lambda: StepWave(-T),
+        lambda: Constant(1.0, math.nan),
+    ])
+    def test_constructors_check_their_parameters(self, make):
+        with pytest.raises(ValueError, match="must be"):
+            make()
 
     def test_parsed_params(self):
         sig = parse_signal("pwm3:m=128,phase=2", period=T)
