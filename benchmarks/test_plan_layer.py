@@ -12,8 +12,10 @@ do after its plans are built; the plans are built before the timed calls.  A
 source tree without ``planned`` runs those cases cold, which is how its runs
 make the same calls.  The "plan one run" cases time building and dropping
 the plans of one propagator over a sync grid, outside a study, after one
-untimed warm-up build; the "one study's grids" case sets up the exact plans
-of a study's seven grids as its runs do, and a source tree that keeps a
+untimed warm-up build; the "theta plans" cases time the one-pass set-up of a
+backward-Euler propagator's plans alone (``propagators._theta_plans``), on the
+PWM input and on its sine reduction; the "one study's grids" case sets up the
+exact plans of a study's seven grids as its runs do, and a source tree that keeps a
 study's end segments in a memo gets a fresh memo for each timed call, as
 ``run_study`` makes one.  ``iterate`` and ``run_study`` build their plans
 inside the timed call.  Every case warms the input's switch table first.  The
@@ -33,6 +35,7 @@ from parareal import (
     PwmSingle,
     SineWave,
     StudySpec,
+    ThetaPropagator,
     iterate,
     make_config,
     parse_signal,
@@ -96,6 +99,21 @@ def test_plan_one_run_n320(benchmark, model, role):
     benchmark(plan_once, prop, times)
     with planned([prop], times):
         assert len(getattr(prop, "model", prop)._plans) == N_PLAN
+
+
+@pytest.mark.parametrize("spec", ["pwm:m=400", "sine"])
+def test_theta_plans_be_n320(benchmark, spec):
+    # the one-pass set-up of a backward-Euler coarse propagator's plans over
+    # N=320 intervals, one substep each: the coarse set-up of the largest
+    # study-presets points and of cli-run, on the full and the reduced input
+    sig = parse_signal(spec, T)
+    sig.switching_times(0.0, T)
+    coarse = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=sig).ivp()
+    prop = ThetaPropagator(coarse, theta=1.0)
+    times = sync_times(N_PLAN)
+    propagators._theta_plans(prop, times)
+    plans = benchmark(propagators._theta_plans, prop, times)
+    assert len(plans) == N_PLAN and all(len(plan) == 1 for plan in plans)
 
 
 def test_grid_plans_one_study(benchmark, model):

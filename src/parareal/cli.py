@@ -119,6 +119,8 @@ def _fmt(x: float) -> str:
 def _cmd_signal_dump(args, config) -> int:
     r = _resolve(args, config)
     sig = parse_signal(args.signal, period=float(r["period"]))
+    if not math.isfinite(sig.period):
+        raise UsageError(f"the period must be finite, got {sig.period}")
     n = int(r["samples"])
     ts = np.linspace(0.0, sig.period, n)
     vals = sig.values(ts)
@@ -137,6 +139,8 @@ def _cmd_signal_dump(args, config) -> int:
 def _cmd_model_reference(args, config) -> int:
     r = _resolve(args, config)
     model = parse_model(r["model"] if args.model is None else args.model)
+    if not math.isfinite(model.t_end):
+        raise UsageError(f"the horizon must be finite, got {model.t_end}")
     npts = int(r["grid"])
     uniform = np.linspace(0.0, model.t_end, npts + 1)
     switches = model.signal.switching_times(0.0, model.t_end)
@@ -196,14 +200,18 @@ def _cmd_run(args, config) -> int:
 
     lines = _manifest_lines("run", r)
     lines.append("k,n,T_n,U,fine_arrival,jump,err_vs_ref")
+    # the rows read plain floats, each array converted once
+    times = run.times.tolist()
     errs = run.errors_vs_reference
-    for k, it in enumerate(run.iterates):
-        for n, t in enumerate(run.times):
+    for k, (it, err) in enumerate(zip(run.iterates, errs)):
+        swept = 1 <= k <= run.iterations_used  # iterate k follows fine sweep k - 1
+        arrivals = run.fine_arrivals[k - 1][:, 0].tolist() if swept else None
+        jumps = run.jumps[k - 1].tolist() if swept else None
+        for n, (t, u, e) in enumerate(zip(times, it[:, 0].tolist(), err.tolist())):
             arrival = jump = ""
-            if 1 <= k <= run.iterations_used and n >= 1:
-                arrival = _fmt(run.fine_arrivals[k - 1][n, 0])
-                jump = _fmt(run.jumps[k - 1][n])
-            lines.append(f"{k},{n},{_fmt(t)},{_fmt(it[n, 0])},{arrival},{jump},{_fmt(float(errs[k][n]))}")
+            if swept and n >= 1:
+                arrival, jump = _fmt(arrivals[n]), _fmt(jumps[n])
+            lines.append(f"{k},{n},{_fmt(t)},{_fmt(u)},{arrival},{jump},{_fmt(e)}")
     max_jump = run.max_jump(run.iterations_used - 1) if run.jumps else math.nan
     summary = (
         f"iterations_used={run.iterations_used},converged={str(run.converged).lower()},"

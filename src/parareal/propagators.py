@@ -13,11 +13,15 @@ segments) and the state recurrence over it.  ``planned`` sets up the whole
 sync grid once for the duration of a run, in one pass, so the run's repeated
 calls on an interval run only the recurrence, with the same bits; a cold call
 runs the same set-up on its own two-point grid.  A theta set-up looks up the
-input at the two ends of its grid with ``Signal.value`` and at every node
-between them, each the end of one substep and the start of the next (a sync
-point too), once per node with ``Signal.node_limits``.  The exact solver's
-plans draw on set-up kept per process; ``models`` describes the two
-lifetimes.
+input at the two ends of its grid with ``Signal.value``; the rest of it is
+whole-array work.  The nodes of the grid form one array, the nodes between
+the ends (each the end of one substep and the start of the next, a sync
+point too) take both one-sided input values in one array lookup
+(``Signal._limits_array``), and the step sizes, input terms and denominators
+are array expressions with the IEEE operations of the per-substep formulas
+in their order, each converted once to a float list for the recurrence.  The
+exact solver's plans draw on set-up kept per process; ``models`` describes
+the two lifetimes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -120,7 +124,7 @@ class ThetaPropagator(Propagator):
         object.__setattr__(self, "_a", -self.ivp.decay)
         object.__setattr__(self, "_c", 1.0 - self.theta)
 
-    def _grid(self, t0: float, t1: float) -> list[float]:
+    def _grid(self, t0: float, t1: float) -> list[float] | np.ndarray:
         if self.substeps == 1 and not self.discontinuity_aligned:
             return [float(t0), float(t1)]  # what np.linspace(t0, t1, 2) holds
         grid = np.linspace(t0, t1, self.substeps + 1)
@@ -131,7 +135,7 @@ class ThetaPropagator(Propagator):
                 # drop near-duplicates created by roundoff-level coincidences
                 keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL * (t1 - t0)])
                 grid = merged[keep]
-        return grid.tolist()
+        return grid
 
     def propagate(self, t0, t1, u):
         """The substeps of ``(t0, t1)``, planned or set up now, applied to the state in plain
@@ -156,36 +160,44 @@ class ThetaPropagator(Propagator):
 
         This is the state-independent part of the sweep: ``p = 0.0 + gain *
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
-        with ``a = -decay``.  The sum starting at +0.0 turns a -0.0 product
-        into +0.0, as the 1x1 product ``[[gain]] @ [input]`` does.
+        with ``a = -decay``, each an array expression over all substeps.  The
+        sum starting at +0.0 turns a -0.0 product into +0.0, as the 1x1
+        product ``[[gain]] @ [input]`` does.
         """
-        nodes, counts = [], []
+        grids = []
         for t0, t1 in zip(times, times[1:]):
             if not t0 < t1:
                 raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
-            grid = self._grid(t0, t1)
-            nodes += grid[1:] if nodes else grid
-            counts.append(len(grid) - 1)
+            grids.append(self._grid(t0, t1))
+        if len(grids) == 1:
+            x = np.asarray(grids[0])
+        else:  # neighbouring grids share their sync point, kept once
+            nodes = [grids[0][0]]
+            for grid in grids:
+                nodes.extend(grid[1:])
+            x = np.fromiter(nodes, float, len(nodes))
+        nodes = x.tolist()
         ivp = self.ivp
-        a = self._a
         th = self.theta
-        gain, value = ivp.gain, ivp.signal.value
+        gain, signal = ivp.gain, ivp.signal
         # a node between the two ends starts one substep and ends the one
-        # before it: both of its limits come from one ``node_limits`` pass
-        first = value(nodes[0], Side.RIGHT_LIMIT)
-        lefts, rights = ivp.signal.node_limits(nodes[1:-1])
-        last = value(nodes[-1], Side.LEFT_LIMIT)
-        p_s = [0.0 + gain * v for v in [first] + rights]
-        th_p_e = [th * (0.0 + gain * v) for v in lefts + [last]]
-        ends = nodes[1:]
-        hs = [e - s for s, e in zip(nodes, ends)]
-        return zip(hs, p_s, th_p_e, [1.0 - h * th * a for h in hs], ends), counts
+        # before it: both of its limits come from one array lookup
+        first = signal.value(nodes[0], Side.RIGHT_LIMIT)
+        lefts, rights = signal._limits_array(x[1:-1])
+        last = signal.value(nodes[-1], Side.LEFT_LIMIT)
+        p_s = 0.0 + gain * np.concatenate(([first], rights))
+        th_p_e = th * (0.0 + gain * np.concatenate((lefts, [last])))
+        hs = x[1:] - x[:-1]
+        den = 1.0 - hs * th * self._a
+        return zip(hs.tolist(), p_s.tolist(), th_p_e.tolist(), den.tolist(), nodes[1:]), [len(g) - 1 for g in grids]
 
 
-def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[tuple]:
+def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]:
     """A theta propagator's plans over ``times``: its one-pass set-up, split per interval."""
     steps, counts = prop._substeps(times)
-    return [tuple(islice(steps, n)) for n in counts]
+    steps = list(steps)
+    bounds = [0, *accumulate(counts)]
+    return [steps[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def _exact_plans(model: LinearScalarModel, times: list[float]) -> list[tuple]:

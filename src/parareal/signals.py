@@ -11,7 +11,9 @@ between them: its one-sided values are the constants of its switch-to-switch
 segments, each ``_formula`` at the segment's midpoint, set up once per signal
 with its switch table.  ``node_limits`` takes both one-sided values at each
 node of an increasing grid in one merge pass over the switch table; ``value``
-takes one side of one node the same way.
+takes one side of one node the same way.  ``_limits_array`` gives the values
+of ``node_limits`` for an array of nodes in whole-array operations: a
+theta step's set-up uses it for the nodes inside its grid.
 
 Switch tolerances, each with its scale (T is the period, or 1 for an
 unbounded signal) and purpose:
@@ -25,7 +27,8 @@ unbounded signal) and purpose:
   with the switches of ``(t0, t1)``, a time this close to the one before it
   is dropped (``ThetaPropagator._grid``).
 * ``SNAP_TOL`` = 1e-9, times T: a time this close to a switch counts as at
-  the switch for one-sided values (``node_limits``, behind ``value``).
+  the switch for one-sided values (``node_limits``, behind ``value``, and
+  ``_limits_array``).
 * ``JUMP_TOL`` = 1e-9, absolute: a root candidate is a switch only if the
   value changes by more than this across it (``_filter_jumps``).
 * ``PwmSingle._SIN_TIE`` = 3e-15, absolute: a sine value below this is the
@@ -78,14 +81,17 @@ class _SwitchTable(NamedTuple):
     """A signal's switching instants in (0, period), strictly increasing.
 
     ``times`` serves the range queries of ``switching_times``; ``floats`` holds
-    the same values as a tuple for one-sided evaluation (``node_limits``).
+    the same values as a tuple for one-sided evaluation (``node_limits``), and
+    ``fenced`` as an array between -inf and +inf for the array form of it
+    (``_limits_array``).
     """
 
     times: np.ndarray
     floats: tuple[float, ...]
+    fenced: np.ndarray
 
 
-_NO_SWITCHES = _SwitchTable(np.empty(0), ())
+_NO_SWITCHES = _SwitchTable(np.empty(0), (), np.array([-math.inf, math.inf]))
 
 # serializes cache lookups so that concurrent first lookups build an entry
 # once; reentrant because a Difference builds its table from its operands'
@@ -96,13 +102,14 @@ _TABLE_LOCK = threading.RLock()
 @lru_cache(maxsize=64)
 def _table_cache(sig: Signal) -> _SwitchTable:
     times = sig._build_table()  # type: ignore[attr-defined]
-    return _SwitchTable(times, tuple(times.tolist()))
+    return _SwitchTable(times, tuple(times.tolist()), np.concatenate(([-math.inf], times, [math.inf])))
 
 
 @lru_cache(maxsize=64)
-def _constants_cache(sig: Signal) -> tuple[float, ...]:
+def _constants_cache(sig: Signal) -> tuple[tuple[float, ...], np.ndarray]:
     fences = [0.0, *_cached_table(sig).floats, sig.period]
-    return tuple(sig._formula(0.5 * (lo + hi)) for lo, hi in zip(fences, fences[1:]))
+    consts = tuple(sig._formula(0.5 * (lo + hi)) for lo, hi in zip(fences, fences[1:]))
+    return consts, np.array(consts)
 
 
 def _cached(sig: Signal, attr: str, cache):
@@ -125,10 +132,11 @@ def _cached_table(sig: Signal) -> _SwitchTable:
     return _cached(sig, "_table", _table_cache)
 
 
-def _cached_constants(sig: Signal) -> tuple[float, ...]:
+def _cached_constants(sig: Signal) -> tuple[tuple[float, ...], np.ndarray]:
     """The constant of each switch-to-switch segment of ``sig``, 0 and T the
-    outer fences: ``_formula`` at the segment's midpoint, built on the first
-    one-sided lookup, so that a table build does not pay for it."""
+    outer fences, as a tuple and as an array: ``_formula`` at the segment's
+    midpoint, built on the first one-sided lookup, so that a table build does
+    not pay for it."""
     return _cached(sig, "_constants", _constants_cache)
 
 
@@ -222,7 +230,7 @@ class Signal:
         if not table:
             lefts = [self._formula(t) for t in ts]
             return lefts, lefts[:]
-        consts = _cached_constants(self)
+        consts = _cached_constants(self)[0]
         tol = SNAP_TOL * self._tol_scale()
         lefts, rights = [], []
         left, right = lefts.append, rights.append
@@ -247,6 +255,26 @@ class Signal:
                 left(c)
                 right(c)
         return lefts, rights
+
+    def _limits_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``node_limits`` of the increasing times ``ts`` as two arrays, the same
+        values: the node's segment is one ``searchsorted`` against the switch
+        table, and its two neighbours come from the table with its infinite
+        fences, in place of the merge pass."""
+        if not len(ts):
+            return ts, ts
+        if ts[0] < 0.0 or ts[-1] > self.period:
+            self._check_nodes(ts.tolist())
+        table = self._switch_table()
+        if not table.floats:
+            lefts = np.fromiter(map(self._formula, ts.tolist()), float, len(ts))
+            return lefts, lefts
+        consts = _cached_constants(self)[1]
+        tol = SNAP_TOL * self._tol_scale()
+        i = table.times.searchsorted(ts)
+        at_next = table.fenced[i + 1] - ts <= tol
+        at_prev = ~at_next & (ts - table.fenced[i] <= tol)
+        return consts[i - at_prev], consts[i + at_next]
 
     def segment_form(self, tl: float, tr: float) -> SegmentForm | None:
         """Closed form on a switch-free interval; None only for sinusoids of two frequencies (``Difference``)."""
@@ -512,6 +540,13 @@ class Difference(_Switched):
         la, ra = self.a.node_limits(ts)
         lb, rb = self.b.node_limits(ts)
         return [x - y for x, y in zip(la, lb)], [x - y for x, y in zip(ra, rb)]
+
+    def _limits_array(self, ts):
+        if len(ts) and (ts[0] < 0.0 or ts[-1] > self.period):
+            self._check_nodes(ts.tolist())
+        la, ra = self.a._limits_array(ts)
+        lb, rb = self.b._limits_array(ts)
+        return la - lb, ra - rb
 
     def _build_table(self) -> np.ndarray:
         cands = list(self.a._switch_table().floats) + list(self.b._switch_table().floats)

@@ -246,6 +246,11 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=message):
             StudySpec(model=pwm10_model, **kwargs)
 
+    def test_unbounded_horizon_is_rejected(self):
+        model = models.parse_model("rl:T=inf,input=const")
+        with pytest.raises(ValueError, match="the horizon must be finite, got inf"):
+            StudySpec(model=model, n_list=(4, 8))
+
     def test_n_list_must_increase(self, pwm10_model):
         with pytest.raises(ValueError):
             StudySpec(model=pwm10_model, n_list=(10, 5))

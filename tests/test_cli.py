@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -406,6 +407,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["study", "run", "--model", "rl:T=inf,input=const", "--n-list", "4,8"], "the horizon must be finite, got inf"),
+        (["model", "reference", "--model", "rl:T=inf,input=const"], "the horizon must be finite, got inf"),
+        (["signal", "dump", "--signal", "zero", "--period", "inf", "--samples", "3"],
+         "the period must be finite, got inf"),
+        (["signal", "dump", "--signal", "diff:zero-const", "--period", "inf"], "the period must be finite, got inf"),
+    ])
+    def test_unbounded_domains(self, argv, message, tmp_path, capsys):
+        # rejected before any sampling or run: no numpy warning, no rows
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_parser_is_reused(self, capsys):

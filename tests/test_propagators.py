@@ -1,3 +1,4 @@
+import bisect
 import contextlib
 import math
 import re
@@ -24,9 +25,9 @@ from parareal import (
     parse_propagator,
     parse_signal,
 )
-from parareal import models
+from parareal import models, propagators
 from parareal.propagators import planned
-from parareal.signals import MERGE_TOL
+from parareal.signals import MERGE_TOL, SNAP_TOL
 
 T = 0.02
 A_RATE = 10.0
@@ -488,6 +489,223 @@ class TestNearSwitchGrids:
             warm, cold = (parse_propagator("exact", pwm400_model.ivp(), pwm400_model) for _ in range(2))
             with planned([warm], times):
                 assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes(), times
+
+
+# -- a frozen copy of the list-based theta set-up, the oracle of the array one --
+
+
+def frozen_limits(sig, ts):
+    """``Signal.node_limits`` as a per-node merge walk over the switch table,
+    with each segment's constant ``_formula`` at its midpoint."""
+    if ts and (ts[0] < 0.0 or ts[-1] > sig.period):
+        for t in ts:
+            if t < 0.0 or t > sig.period:
+                raise ValueError(f"t={t} outside signal domain [0, {sig.period}]")
+    if isinstance(sig, Difference):
+        la, ra = frozen_limits(sig.a, ts)
+        lb, rb = frozen_limits(sig.b, ts)
+        return [x - y for x, y in zip(la, lb)], [x - y for x, y in zip(ra, rb)]
+    table = sig._switch_table().floats
+    if not table:
+        lefts = [sig._formula(t) for t in ts]
+        return lefts, lefts[:]
+    fences = [0.0, *table, sig.period]
+    consts = [sig._formula(0.5 * (lo + hi)) for lo, hi in zip(fences, fences[1:])]
+    tol = 1e-9 * (sig.period if math.isfinite(sig.period) else 1.0)
+    lefts, rights = [], []
+    n = len(table)
+    i = bisect.bisect_left(table, ts[0]) if ts else 0
+    prev = table[i - 1] if i else -math.inf
+    nxt = table[i] if i < n else math.inf
+    for t in ts:
+        while nxt < t:
+            i += 1
+            prev, nxt = nxt, table[i] if i < n else math.inf
+        if nxt - t <= tol:
+            lefts.append(consts[i])
+            rights.append(consts[i + 1])
+        elif t - prev <= tol:
+            lefts.append(consts[i - 1])
+            rights.append(consts[i])
+        else:
+            lefts.append(consts[i])
+            rights.append(consts[i])
+    return lefts, rights
+
+
+def snap_edges(sw, tol):
+    """Around the switch ``sw``: the first float below the snap window, its
+    lowest float, ``sw``, its highest float and the first float above it."""
+    lo, hi = sw - tol, sw + tol  # each within a few ulps of its edge
+    while sw - lo > tol:
+        lo = math.nextafter(lo, math.inf)
+    while sw - math.nextafter(lo, -math.inf) <= tol:
+        lo = math.nextafter(lo, -math.inf)
+    while hi - sw > tol:
+        hi = math.nextafter(hi, -math.inf)
+    while math.nextafter(hi, math.inf) - sw <= tol:
+        hi = math.nextafter(hi, math.inf)
+    return [math.nextafter(lo, -math.inf), lo, sw, hi, math.nextafter(hi, math.inf)]
+
+
+def frozen_grid(prop, t0, t1):
+    if prop.substeps == 1 and not prop.discontinuity_aligned:
+        return [float(t0), float(t1)]
+    grid = np.linspace(t0, t1, prop.substeps + 1)
+    if prop.discontinuity_aligned:
+        switches = prop.ivp.signal.switching_times(t0, t1)
+        if switches.size:
+            merged = np.union1d(grid, switches)
+            keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL * (t1 - t0)])
+            grid = merged[keep]
+    return grid.tolist()
+
+
+def frozen_substeps(prop, times):
+    """The list of ``(h, p_s, theta*p_e, den, end)`` of the grid ``times``, and each interval's count."""
+    nodes, counts = [], []
+    for t0, t1 in zip(times, times[1:]):
+        if not t0 < t1:
+            raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
+        grid = frozen_grid(prop, t0, t1)
+        nodes += grid[1:] if nodes else grid
+        counts.append(len(grid) - 1)
+    sig, gain, th, a = prop.ivp.signal, prop.ivp.gain, prop.theta, -prop.ivp.decay
+    first = frozen_limits(sig, nodes[:1])[1][0]
+    lefts, rights = frozen_limits(sig, nodes[1:-1])
+    last = frozen_limits(sig, nodes[-1:])[0][0]
+    p_s = [0.0 + gain * v for v in [first] + rights]
+    th_p_e = [th * (0.0 + gain * v) for v in lefts + [last]]
+    ends = nodes[1:]
+    hs = [e - s for s, e in zip(nodes, ends)]
+    return list(zip(hs, p_s, th_p_e, [1.0 - h * th * a for h in hs], ends)), counts
+
+
+def frozen_propagate(prop, t0, t1, u):
+    a, c = -prop.ivp.decay, 1.0 - prop.theta
+    for h, p_s, th_p_e, den, e in frozen_substeps(prop, (t0, t1))[0]:
+        if h <= 0.0:
+            raise ValueError("degenerate substep")
+        num = u + h * (c * (a * u + p_s) + th_p_e)
+        u = num / den if den != 0.0 else math.inf
+        if not math.isfinite(u):
+            raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
+    return u
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: the bytes of its float results, or its exception's type and message."""
+    try:
+        out = fn(*args)
+    except (ValueError, NonFiniteStateError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, float):
+        return out.hex()
+    steps, counts = out
+    steps = list(steps)
+    assert all(type(x) is float for step in steps for x in step)
+    return np.array(steps).tobytes(), counts
+
+
+ORACLE_INPUTS = ["pwm:m=6", "pwm:m=400", "pwm3:m=400,phase=2", "step", "diff:pwm:m=400-sine", "sine", "const:v=1"]
+ORACLE_SCHEMES = ["be", "cn", "be:substeps=7", "cn:substeps=500,aligned=1"]
+
+
+def _theta(spec, scheme):
+    model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+    return parse_propagator(scheme, model.ivp(), model)
+
+
+class TestArraySetUpOracle:
+    """The array set-up of a theta call, and of a run's plans, against the frozen list-based one, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ORACLE_SCHEMES)
+    @pytest.mark.parametrize("spec", ORACLE_INPUTS)
+    def test_uniform_grids(self, spec, scheme):
+        prop = _theta(spec, scheme)
+        for n_int in (1, 5, 20, 320):
+            times = [n * T / n_int for n in range(n_int)] + [T]
+            # one run's plans in one set-up, and each interval's cold set-up on its own
+            assert outcome(prop._substeps, times) == outcome(frozen_substeps, prop, times), n_int
+            for t0, t1 in zip(times[:21], times[1:21]):
+                assert outcome(prop._substeps, (t0, t1)) == outcome(frozen_substeps, prop, (t0, t1)), (n_int, t0)
+
+    @given(near_switch_grids(ORACLE_INPUTS), st.sampled_from(ORACLE_SCHEMES))
+    @settings(max_examples=100, deadline=None)
+    def test_grids_near_switches(self, sig_times, scheme):
+        sig, times = sig_times
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
+        prop = parse_propagator(scheme, model.ivp(), model)
+        assert outcome(prop._substeps, times) == outcome(frozen_substeps, prop, times)
+        for t0, t1 in zip(times, times[1:]):
+            assert outcome(prop.propagate, t0, t1, 0.25) == outcome(frozen_propagate, prop, t0, t1, 0.25)
+
+    def test_snap_window_edges(self):
+        # at each of a few switches, the last floats on either side that snap
+        # to it and the first ones that do not, as one sorted grid
+        tol = SNAP_TOL * T
+        for spec in ("pwm:m=400", "pwm3:m=400,phase=2", "step", "diff:pwm:m=400-sine"):
+            sig = parse_signal(spec, T)
+            ts = sorted({t for sw in sig.switching_times(0.0, T).tolist()[:3] for t in snap_edges(sw, tol)})
+            lefts, rights = sig._limits_array(np.array(ts))
+            want = frozen_limits(sig, ts)
+            assert (lefts.tobytes(), rights.tobytes()) == (np.array(want[0]).tobytes(), np.array(want[1]).tobytes())
+            assert want[0] != want[1]  # some nodes snap
+            times = [0.0, *ts, T]
+            for scheme in ("be", "cn:substeps=3"):
+                prop = _theta(spec, scheme)
+                assert outcome(prop._substeps, times) == outcome(frozen_substeps, prop, times), (spec, scheme)
+
+    def test_signed_zero_input_terms(self):
+        # a -0.0 input product becomes +0.0 in both input terms
+        ivp = SplitIvp(decay=-0.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0, t_end=T)
+        for theta in (0.0, 0.5, 1.0):
+            prop = ThetaPropagator(ivp, theta=theta, substeps=3)
+            got = outcome(prop._substeps, [0.0, T / 2, T])
+            assert got == outcome(frozen_substeps, prop, [0.0, T / 2, T])
+            assert outcome(prop.propagate, 0.0, T, -0.0) == outcome(frozen_propagate, prop, 0.0, T, -0.0)
+
+    def test_plans_split_the_set_up(self):
+        prop = _theta("pwm:m=400", "be:substeps=7")
+        times = [n * T / 20 for n in range(21)]
+        steps, counts = frozen_substeps(prop, times)
+        assert counts == [7] * 20
+        got = propagators._theta_plans(prop, times)
+        want = [np.array(steps[7 * n : 7 * n + 7]).tobytes() for n in range(20)]
+        assert [np.array(plan).tobytes() for plan in got] == want
+
+    @pytest.mark.parametrize("spec", ORACLE_INPUTS)
+    @pytest.mark.parametrize("times", [
+        [-0.002, -0.001, T / 2],
+        [T / 2, 0.021, 0.022],
+        [0.0, 0.04],
+        [0.0, T / 2, 0.03],
+    ])
+    def test_first_node_outside_the_domain(self, spec, times):
+        for scheme in ("cn:substeps=3", "be"):
+            prop = _theta(spec, scheme)
+            got = outcome(prop._substeps, times)
+            assert got == outcome(frozen_substeps, prop, times)
+            assert got[0] is ValueError and "outside signal domain" in got[1]
+
+    def test_degenerate_substep(self):
+        # seven substeps across an interval two ulps wide: some have h = 0
+        t0 = T / 2
+        t1 = math.nextafter(math.nextafter(t0, 1.0), 1.0)
+        for spec in ORACLE_INPUTS:
+            prop = _theta(spec, "be:substeps=7")
+            got = outcome(prop.propagate, t0, t1, 0.25)
+            assert got == (ValueError, "degenerate substep") == outcome(frozen_propagate, prop, t0, t1, 0.25)
+
+    def test_pole_and_overflow(self):
+        # a growing mode stepped onto the implicit solve's pole, and an
+        # explicit step whose growth overflows
+        for theta, rate, substeps in ((1.0, 1.0, 1), (0.0, 1e200, 3), (0.5, 2.0, 1)):
+            ivp = SplitIvp(decay=-rate, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0, t_end=1.0)
+            prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
+            got = outcome(prop.propagate, 0.0, 1.0, 1.0)
+            assert got == outcome(frozen_propagate, prop, 0.0, 1.0, 1.0)
+            assert got[0] is NonFiniteStateError and got[1].startswith("non-finite state after step ending at t=")
 
 
 class TestParsePropagator:

@@ -294,6 +294,9 @@ class TestOneSidedLookup:
         want_r = [sig.value(t, Side.RIGHT_LIMIT) for t in ts]
         assert np.array(lefts).tobytes() == np.array(want_l).tobytes()
         assert np.array(rights).tobytes() == np.array(want_r).tobytes()
+        # and the array form a theta set-up uses
+        got_l, got_r = sig._limits_array(np.array(ts, dtype=float))
+        assert (got_l.tobytes(), got_r.tobytes()) == (np.array(lefts).tobytes(), np.array(rights).tobytes())
 
     def test_node_limits_at_the_snap_tolerance_edge(self):
         # the last node after a switch that still snaps to it, and the next float
