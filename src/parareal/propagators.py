@@ -17,17 +17,23 @@ input at the two ends of its grid with ``Signal.value``; the rest of it is
 whole-array work.  The nodes of the grid form one array, the nodes between
 the ends (each the end of one substep and the start of the next, a sync
 point too) take both one-sided input values in one array lookup
-(``Signal._limits_array``), and the step sizes, input terms and denominators
-are array expressions with the IEEE operations of the per-substep formulas
-in their order, each converted once to a float list for the recurrence.  The
-exact solver's plans draw on set-up kept per process; ``models`` describes
-the two lifetimes.
+(``Signal._limits_array``), and the four float columns of a plan (step size,
+start input term, theta times the end input term, denominator) are array
+expressions with the IEEE operations of the per-substep formulas in their
+order.  Array reductions prove the set-up clean: every step size positive,
+and, for a growing mode only, no zero denominator.  The recurrence over a
+clean set-up runs without per-step checks and tests the final state once.
+A failure, an unclean set-up or a final state that is not finite, is
+located by running the interval again through the checked loop, which
+raises at the same step and with the same message as a check at every
+step.  The exact solver's plans draw on set-up kept per process; ``models``
+describes the two lifetimes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -119,6 +125,8 @@ class ThetaPropagator(Propagator):
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
+        if not isinstance(self.substeps, (int, np.integer)) or isinstance(self.substeps, bool):
+            raise ValueError(f"substeps must be an integer, got {self.substeps!r}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         object.__setattr__(self, "_a", -self.ivp.decay)
@@ -131,20 +139,44 @@ class ThetaPropagator(Propagator):
         if self.discontinuity_aligned:
             switches = self.ivp.signal.switching_times(t0, t1)
             if switches.size:
-                merged = np.union1d(grid, switches)
-                # drop near-duplicates created by roundoff-level coincidences
-                keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL * (t1 - t0)])
-                grid = merged[keep]
+                # the union of two sorted arrays: an exact duplicate has a
+                # zero difference, so the drop of near-duplicates created by
+                # roundoff-level coincidences removes it too
+                merged = np.concatenate((grid, switches))
+                merged.sort()
+                grid = merged[np.concatenate(([True], merged[1:] - merged[:-1] > MERGE_TOL * (t1 - t0)))]
         return grid
 
     def propagate(self, t0, t1, u):
         """The substeps of ``(t0, t1)``, planned or set up now, applied to the state in plain
-        floats: ``num = u + h*((1-theta)*(a*u + p_s) + theta*p_e)``, then ``u = num / den``."""
-        u = u if type(u) is float else scalar_state(u)
+        floats: ``u = (u + h*((1-theta)*(a*u + p_s) + theta*p_e)) / den``.
+
+        Over a clean set-up the recurrence runs without per-step checks.
+        That is sound because a non-finite state never becomes finite again:
+        a sum with an infinite or NaN operand is not finite, so the numerator
+        is not, and neither is its quotient by a nonzero denominator (inf/inf
+        and NaN/x are NaN), whatever ``a``, theta and the input terms are.  So
+        a finite final state means every step's state was finite, and a
+        non-finite one is located by ``_checked``.
+        """
+        u0 = u = u if type(u) is float else scalar_state(u)
         plans = self._plans
-        steps = plans.get((t0, t1)) if plans else None
+        plan = plans.get((t0, t1)) if plans else None
+        if plan is None:
+            columns, _, clean = self._substeps((t0, t1))
+            if not clean:
+                return self._checked(t0, t1, u, zip(*columns))
         a, c = self._a, self._c
-        for h, p_s, th_p_e, den, e in self._substeps((t0, t1))[0] if steps is None else steps:
+        for h, p_s, th_p_e, den in plan or zip(*columns):
+            u = (u + h * (c * (a * u + p_s) + th_p_e)) / den
+        return u if math.isfinite(u) else self._checked(t0, t1, u0, plan or zip(*columns))
+
+    def _checked(self, t0: float, t1: float, u: float, steps: Iterable[tuple]) -> float:
+        """The recurrence of ``propagate`` from ``u`` with a check at every step: raise at the
+        first substep that is degenerate or leaves a non-finite state, naming its end time
+        from the interval's ``_grid``."""
+        a, c = self._a, self._c
+        for (h, p_s, th_p_e, den), e in zip(steps, np.asarray(self._grid(t0, t1))[1:].tolist()):
             if h <= 0.0:
                 raise ValueError("degenerate substep")
             num = u + h * (c * (a * u + p_s) + th_p_e)
@@ -153,10 +185,12 @@ class ThetaPropagator(Propagator):
                 raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
         return u
 
-    def _substeps(self, times: Sequence[float]) -> tuple[Iterator[tuple], list[int]]:
-        """The substeps of the grid ``times``, set up in one pass: an iterator
-        of ``(h, p_s, theta*p_e, den, end)`` over all of them, in order, and
-        the number of substeps of each interval.
+    def _substeps(self, times: Sequence[float]) -> tuple[tuple[list[float], ...], list[int], bool]:
+        """The substeps of the grid ``times``, set up in one pass: four float
+        columns ``(h, p_s, theta*p_e, den)`` over all of them, in order, the
+        number of substeps of each interval, and whether the set-up is clean
+        (every ``h > 0``, no ``den == 0``), the condition of ``propagate``'s
+        check-free recurrence.
 
         This is the state-independent part of the sweep: ``p = 0.0 + gain *
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
@@ -176,26 +210,35 @@ class ThetaPropagator(Propagator):
             for grid in grids:
                 nodes.extend(grid[1:])
             x = np.fromiter(nodes, float, len(nodes))
-        nodes = x.tolist()
         ivp = self.ivp
         th = self.theta
         gain, signal = ivp.gain, ivp.signal
         # a node between the two ends starts one substep and ends the one
         # before it: both of its limits come from one array lookup
-        first = signal.value(nodes[0], Side.RIGHT_LIMIT)
+        first = signal.value(x.item(0), Side.RIGHT_LIMIT)
         lefts, rights = signal._limits_array(x[1:-1])
-        last = signal.value(nodes[-1], Side.LEFT_LIMIT)
-        p_s = 0.0 + gain * np.concatenate(([first], rights))
-        th_p_e = th * (0.0 + gain * np.concatenate((lefts, [last])))
+        last = signal.value(x.item(-1), Side.LEFT_LIMIT)
         hs = x[1:] - x[:-1]
         den = 1.0 - hs * th * self._a
-        return zip(hs.tolist(), p_s.tolist(), th_p_e.tolist(), den.tolist(), nodes[1:]), [len(g) - 1 for g in grids]
+        # with every h > 0, a decaying or neutral mode (a <= 0) has den >= 1
+        # or NaN: only a growing one can meet the implicit solve's pole
+        clean = bool(hs.min() > 0.0) and (self._a <= 0.0 or bool(den.all()))
+        # the input terms at the substeps' starts, then at their ends
+        p = 0.0 + gain * np.concatenate(([first], rights, lefts, [last]))
+        n = len(hs)
+        columns = hs.tolist(), p[:n].tolist(), (th * p[n:]).tolist(), den.tolist()
+        return columns, [len(g) - 1 for g in grids], clean
 
 
 def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]:
-    """A theta propagator's plans over ``times``: its one-pass set-up, split per interval."""
-    steps, counts = prop._substeps(times)
-    steps = list(steps)
+    """A theta propagator's plans over ``times``: its one-pass set-up, split per interval.
+
+    An unclean set-up raises ``ValueError``, so that ``planned`` leaves the
+    propagator unplanned and each cold call locates its own fault."""
+    columns, counts, clean = prop._substeps(times)
+    if not clean:
+        raise ValueError("a degenerate substep or a pole in the set-up")
+    steps = list(zip(*columns))
     bounds = [0, *accumulate(counts)]
     return [steps[i:j] for i, j in zip(bounds, bounds[1:])]
 
@@ -215,8 +258,9 @@ def planned(props, times: list[float]):
     planned ``propagate`` call runs only the state recurrence, the same code
     and bits as a cold call.  If the set-up fails anywhere with a
     ``ValueError`` (an input with no closed form, a point outside its
-    domain), the propagator is left unplanned: its cold calls raise the same error in their place in the
-    run.  Propagators of other types are skipped, and so is a holder that
+    domain, a theta set-up that is not clean), the propagator is left
+    unplanned: its cold calls raise the error in their place in the run.
+    Propagators of other types are skipped, and so is a holder that
     already has plans.  Plans are dropped when the block ends, also on an
     error.
     """

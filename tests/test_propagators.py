@@ -14,6 +14,7 @@ from parareal import (
     ExactLinearPropagator,
     LinearScalarModel,
     NonFiniteStateError,
+    PararealConfig,
     PwmSingle,
     Side,
     SineWave,
@@ -21,6 +22,7 @@ from parareal import (
     ThetaPropagator,
     UnsupportedSignalError,
     exact_linear_propagate,
+    iterate,
     local_order_probe,
     parse_propagator,
     parse_signal,
@@ -90,6 +92,16 @@ class TestThetaStep:
         be = ThetaPropagator(sine_ivp, theta=1.0)
         with pytest.raises(ValueError):
             be.propagate(0.01, 0.01, np.array([0.0]))
+
+    @pytest.mark.parametrize("substeps", [2.5, 3.0, "3", None, True])
+    def test_non_integer_substeps_rejected(self, sine_ivp, substeps):
+        # at construction, in the words of ``parse_propagator``, not at the first call
+        with pytest.raises(ValueError, match=re.escape(f"substeps must be an integer, got {substeps!r}")):
+            ThetaPropagator(sine_ivp, substeps=substeps)
+
+    def test_numpy_integer_substeps(self, sine_ivp):
+        want = ThetaPropagator(sine_ivp, substeps=3).propagate(0.001, 0.013, 0.123)
+        assert ThetaPropagator(sine_ivp, substeps=np.int64(3)).propagate(0.001, 0.013, 0.123).hex() == want.hex()
 
     def test_step_input_restarts_at_jump(self, step_signal):
         # a CN step ending exactly at the jump must see the pre-jump value
@@ -593,6 +605,23 @@ def frozen_propagate(prop, t0, t1, u):
     return u
 
 
+def frozen_columns(prop, times):
+    """``frozen_substeps`` in the form of ``_substeps``: its first four columns
+    ``(h, p_s, theta*p_e, den)``, each interval's count, and whether every
+    ``h > 0`` and no ``den == 0``."""
+    steps, counts = frozen_substeps(prop, times)
+    hs, p_s, th_p_e, dens = (list(col) for col in zip(*[step[:4] for step in steps]))
+    return (hs, p_s, th_p_e, dens), counts, all(h > 0.0 for h in hs) and all(den != 0.0 for den in dens)
+
+
+def assert_ends(prop, times):
+    """The frozen set-up's end column is each interval's ``_grid`` without its start."""
+    steps, counts = frozen_substeps(prop, times)
+    ends = [np.asarray(prop._grid(t0, t1))[1:].tolist() for t0, t1 in zip(times, times[1:])]
+    assert [len(e) for e in ends] == counts
+    assert np.array([step[4] for step in steps]).tobytes() == np.array([e for es in ends for e in es]).tobytes()
+
+
 def outcome(fn, *args):
     """What ``fn(*args)`` gives: the bytes of its float results, or its exception's type and message."""
     try:
@@ -601,10 +630,9 @@ def outcome(fn, *args):
         return type(exc), str(exc)
     if isinstance(out, float):
         return out.hex()
-    steps, counts = out
-    steps = list(steps)
-    assert all(type(x) is float for step in steps for x in step)
-    return np.array(steps).tobytes(), counts
+    columns, counts, clean = out
+    assert len(columns) == 4 and all(type(x) is float for col in columns for x in col)
+    return np.array(columns).tobytes(), counts, clean
 
 
 ORACLE_INPUTS = ["pwm:m=6", "pwm:m=400", "pwm3:m=400,phase=2", "step", "diff:pwm:m=400-sine", "sine", "const:v=1"]
@@ -626,9 +654,10 @@ class TestArraySetUpOracle:
         for n_int in (1, 5, 20, 320):
             times = [n * T / n_int for n in range(n_int)] + [T]
             # one run's plans in one set-up, and each interval's cold set-up on its own
-            assert outcome(prop._substeps, times) == outcome(frozen_substeps, prop, times), n_int
+            assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times), n_int
+            assert_ends(prop, times)
             for t0, t1 in zip(times[:21], times[1:21]):
-                assert outcome(prop._substeps, (t0, t1)) == outcome(frozen_substeps, prop, (t0, t1)), (n_int, t0)
+                assert outcome(prop._substeps, (t0, t1)) == outcome(frozen_columns, prop, (t0, t1)), (n_int, t0)
 
     @given(near_switch_grids(ORACLE_INPUTS), st.sampled_from(ORACLE_SCHEMES))
     @settings(max_examples=100, deadline=None)
@@ -636,7 +665,8 @@ class TestArraySetUpOracle:
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
         prop = parse_propagator(scheme, model.ivp(), model)
-        assert outcome(prop._substeps, times) == outcome(frozen_substeps, prop, times)
+        assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times)
+        assert_ends(prop, times)
         for t0, t1 in zip(times, times[1:]):
             assert outcome(prop.propagate, t0, t1, 0.25) == outcome(frozen_propagate, prop, t0, t1, 0.25)
 
@@ -654,7 +684,7 @@ class TestArraySetUpOracle:
             times = [0.0, *ts, T]
             for scheme in ("be", "cn:substeps=3"):
                 prop = _theta(spec, scheme)
-                assert outcome(prop._substeps, times) == outcome(frozen_substeps, prop, times), (spec, scheme)
+                assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times), (spec, scheme)
 
     def test_signed_zero_input_terms(self):
         # a -0.0 input product becomes +0.0 in both input terms
@@ -662,7 +692,7 @@ class TestArraySetUpOracle:
         for theta in (0.0, 0.5, 1.0):
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = outcome(prop._substeps, [0.0, T / 2, T])
-            assert got == outcome(frozen_substeps, prop, [0.0, T / 2, T])
+            assert got == outcome(frozen_columns, prop, [0.0, T / 2, T])
             assert outcome(prop.propagate, 0.0, T, -0.0) == outcome(frozen_propagate, prop, 0.0, T, -0.0)
 
     def test_plans_split_the_set_up(self):
@@ -671,7 +701,7 @@ class TestArraySetUpOracle:
         steps, counts = frozen_substeps(prop, times)
         assert counts == [7] * 20
         got = propagators._theta_plans(prop, times)
-        want = [np.array(steps[7 * n : 7 * n + 7]).tobytes() for n in range(20)]
+        want = [np.array([step[:4] for step in steps[7 * n : 7 * n + 7]]).tobytes() for n in range(20)]
         assert [np.array(plan).tobytes() for plan in got] == want
 
     @pytest.mark.parametrize("spec", ORACLE_INPUTS)
@@ -685,7 +715,7 @@ class TestArraySetUpOracle:
         for scheme in ("cn:substeps=3", "be"):
             prop = _theta(spec, scheme)
             got = outcome(prop._substeps, times)
-            assert got == outcome(frozen_substeps, prop, times)
+            assert got == outcome(frozen_columns, prop, times)
             assert got[0] is ValueError and "outside signal domain" in got[1]
 
     def test_degenerate_substep(self):
@@ -706,6 +736,112 @@ class TestArraySetUpOracle:
             got = outcome(prop.propagate, 0.0, 1.0, 1.0)
             assert got == outcome(frozen_propagate, prop, 0.0, 1.0, 1.0)
             assert got[0] is NonFiniteStateError and got[1].startswith("non-finite state after step ending at t=")
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestCheckFreeRecurrence:
+    """``propagate`` runs a clean set-up without per-step checks and locates a
+    failure with the checked loop: the same result or error as ``frozen_propagate``."""
+
+    @given(
+        u=st.sampled_from(NON_FINITE),
+        theta=st.sampled_from([0.0, 0.5, 1.0]),
+        a=st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf),
+        h=st.floats(min_value=0.0, exclude_min=True),
+        p_s=st.floats(),
+        th_p_e=st.floats(),
+        den=st.floats().filter(lambda den: den != 0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_non_finite_state_stays_non_finite(self, u, theta, a, h, p_s, th_p_e, den):
+        # the one step of the recurrence, in the operand order of ``propagate``
+        c = 1.0 - theta
+        assert not math.isfinite((u + h * (c * (a * u + p_s) + th_p_e)) / den)
+        # the same step as the plan of (0, 1): the final state is not finite,
+        # and the checked loop names the step
+        ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0), u0=0.0, t_end=1.0)
+        prop = ThetaPropagator(ivp, theta=theta)
+        object.__setattr__(prop, "_plans", {(0.0, 1.0): [(h, p_s, th_p_e, den)]})
+        with pytest.raises(NonFiniteStateError, match=re.escape("non-finite state after step ending at t=1.0")):
+            prop.propagate(0.0, 1.0, u)
+
+    @given(
+        h=st.floats(min_value=0.0, exclude_min=True),
+        theta=st.floats(0.0, 1.0),
+        a=st.floats(max_value=0.0),
+    )
+    @example(h=math.inf, theta=0.0, a=0.0)
+    @example(h=5e-324, theta=0.5, a=-math.inf)
+    def test_a_decaying_mode_has_no_pole(self, h, theta, a):
+        # why ``_substeps`` tests the denominators of a growing mode only
+        assert 1.0 - h * theta * a != 0.0
+
+    @pytest.mark.parametrize("substeps, first", [(3, NonFiniteStateError), (7, ValueError)])
+    def test_non_finite_and_degenerate_steps_in_either_order(self, substeps, first):
+        # substeps across an interval two ulps wide, some with h = 0, of an
+        # explicit step whose growth overflows at the first step with h > 0:
+        # three substeps run one step before the degenerate one, seven start
+        # with a degenerate one
+        t0 = T / 2
+        t1 = math.nextafter(math.nextafter(t0, 1.0), 1.0)
+        ivp = SplitIvp(decay=-1e10, gain=1.0, signal=Constant(0.0, T), u0=0.0, t_end=T)
+        prop = ThetaPropagator(ivp, theta=0.0, substeps=substeps)
+        (hs, *_), _, clean = prop._substeps((t0, t1))
+        assert not clean and (hs[0] > 0.0) == (first is NonFiniteStateError) and 0.0 in hs
+        times = [0.0, t0, t1, T]
+        for u in (1e300, 0.25, math.nan, -math.inf):
+            want = outcome(frozen_propagate, prop, t0, t1, u)
+            assert want[0] is (ValueError if u == 0.25 else first), u
+            assert outcome(prop.propagate, t0, t1, u) == want, u
+            # the unclean grid leaves the propagator unplanned: the call is a cold one
+            with planned([prop], times):
+                assert prop._plans == {}
+                assert outcome(prop.propagate, t0, t1, u) == want, u
+
+    @pytest.mark.parametrize("scheme", ORACLE_SCHEMES)
+    @pytest.mark.parametrize("spec", ["pwm:m=400", "sine"])
+    def test_non_finite_incoming_state(self, spec, scheme):
+        prop = _theta(spec, scheme)
+        times = [n * T / 20 for n in range(20)] + [T]
+        for u in NON_FINITE:
+            want = outcome(frozen_propagate, prop, times[3], times[4], u)
+            assert want[0] is NonFiniteStateError
+            assert outcome(prop.propagate, times[3], times[4], u) == want
+            assert outcome(prop.propagate, times[3], times[4], np.array([u])) == want
+            with planned([prop], times):
+                assert len(prop._plans) == 20
+                assert outcome(prop.propagate, times[3], times[4], u) == want
+
+    @pytest.mark.parametrize("decay, t_end, n_intervals, substeps, want", [
+        # backward Euler onto the implicit solve's pole: den = 1 - (1/4)*4 = 0
+        (-4.0, 1.0, 4, 1, (NonFiniteStateError, "non-finite state after step ending at t=0.25")),
+        # seven substeps across a horizon two subnormals long, the first with h = 0
+        (1.0, 1e-323, 1, 7, (ValueError, "degenerate substep")),
+    ])
+    def test_iterate_with_an_unclean_coarse_set_up(self, monkeypatch, decay, t_end, n_intervals, substeps, want):
+        ivp = SplitIvp(decay=decay, gain=1.0, signal=Constant(0.0), u0=1.0, t_end=t_end)
+        coarse = ThetaPropagator(ivp, substeps=substeps)
+        cfg = PararealConfig(n_intervals=n_intervals, fine=ThetaPropagator(ivp, theta=0.5), coarse=coarse)
+        t1 = cfg.times[1].item()
+        assert outcome(frozen_propagate, coarse, 0.0, t1, 1.0) == want
+        seen = []
+        cold_propagate = ThetaPropagator.propagate
+
+        def spy(self, t0, t1, u):
+            seen.append(self._plans)
+            return cold_propagate(self, t0, t1, u)
+
+        monkeypatch.setattr(ThetaPropagator, "propagate", spy)
+        with pytest.raises(want[0]) as info:
+            iterate(cfg)
+        # the coarse propagator stays unplanned, and its first cold call
+        # raises, relabelled by the initial guess
+        assert seen == [{}]
+        assert str(info.value) == f"coarse guess failed on interval 1: {want[1]}"
+        if want[0] is NonFiniteStateError:
+            assert (info.value.k, info.value.n) == (0, 1)
 
 
 class TestParsePropagator:
