@@ -182,7 +182,7 @@ def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[
     table, so its segments between two switches are a slice of
     ``_switch_steps``.  Only its end segments, bounded by a sync point, are
     set up here, each with the form of the table segment that holds its
-    midpoint, where ``segment_form`` evaluates the input.
+    midpoint.
     """
     switches, steps, forms = _switch_steps(a, gain, sig)
 

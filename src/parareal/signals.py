@@ -7,13 +7,14 @@ Every signal is defined on one period ``[0, T]`` and knows where it is
 discontinuous.  Integrators and the exact linear solver rely on
 ``switching_times`` to segment the time axis and on ``Side`` hints to take
 one-sided values at segment boundaries.  A signal with switches is constant
-between them: its one-sided values are the constants of its switch-to-switch
-segments, each ``_formula`` at the segment's midpoint, set up once per signal
-with its switch table.  ``node_limits`` takes both one-sided values at each
-node of an increasing grid in one merge pass over the switch table; ``value``
-takes one side of one node the same way.  ``_limits_array`` gives the values
-of ``node_limits`` for an array of nodes in whole-array operations: a
-theta step's set-up uses it for the nodes inside its grid.
+between them: its one-sided values and its closed forms are the constants
+of its switch-to-switch segments (``_cached_constants``), each ``_formula``
+at the segment's midpoint, set up once per signal with its switch table.
+They have two readers, one per call shape: ``value`` takes one side of one
+node with one ``bisect`` on the switch table, and ``_limits_array`` both
+sides of an array of nodes in whole-array operations (a theta step's set-up
+uses it for the nodes inside its grid).  ``segment_form`` reads the constant
+of the table segment that holds its interval's midpoint.
 
 Switch tolerances, each with its scale (T is the period, or 1 for an
 unbounded signal) and purpose:
@@ -27,8 +28,7 @@ unbounded signal) and purpose:
   with the switches of ``(t0, t1)``, a time this close to the one before it
   is dropped (``ThetaPropagator._grid``).
 * ``SNAP_TOL`` = 1e-9, times T: a time this close to a switch counts as at
-  the switch for one-sided values (``node_limits``, behind ``value``, and
-  ``_limits_array``).
+  the switch for one-sided values (``value`` and ``_limits_array``).
 * ``JUMP_TOL`` = 1e-9, absolute: a root candidate is a switch only if the
   value changes by more than this across it (``_filter_jumps``).
 * ``PwmSingle._SIN_TIE`` = 3e-15, absolute: a sine value below this is the
@@ -81,9 +81,9 @@ class _SwitchTable(NamedTuple):
     """A signal's switching instants in (0, period), strictly increasing.
 
     ``times`` serves the range queries of ``switching_times``; ``floats`` holds
-    the same values as a tuple for one-sided evaluation (``node_limits``), and
-    ``fenced`` as an array between -inf and +inf for the array form of it
-    (``_limits_array``).
+    the same values as a tuple for the scalar lookups of a segment constant
+    (``value``, ``segment_form``), and ``fenced`` as an array between -inf and
+    +inf for the array form of it (``_limits_array``).
     """
 
     times: np.ndarray
@@ -135,8 +135,9 @@ def _cached_table(sig: Signal) -> _SwitchTable:
 def _cached_constants(sig: Signal) -> tuple[tuple[float, ...], np.ndarray]:
     """The constant of each switch-to-switch segment of ``sig``, 0 and T the
     outer fences, as a tuple and as an array: ``_formula`` at the segment's
-    midpoint, built on the first one-sided lookup, so that a table build does
-    not pay for it."""
+    midpoint, built on the first one-sided value or segment form, so that a
+    table build does not pay for it.  Every value of ``sig`` between two
+    switches is read from here."""
     return _cached(sig, "_constants", _constants_cache)
 
 
@@ -201,66 +202,38 @@ class Signal:
     # -- evaluation ----------------------------------------------------------
 
     def value(self, t: float, side: Side = Side.POINTWISE) -> float:
-        """Signal value at ``t``: ``_formula(t)``, or with a ``side`` the
-        one-sided value that ``node_limits`` takes at a node ``t``."""
-        if side is not Side.POINTWISE and self._switch_table().floats:
-            lefts, rights = self.node_limits([t])
-            return lefts[0] if side is Side.LEFT_LIMIT else rights[0]
-        if not 0.0 <= t <= self.period:  # the check's call only where it may raise
-            self._check_domain(t)
-        return self._formula(t)
-
-    def node_limits(self, ts: list[float]) -> tuple[list[float], list[float]]:
-        """``([value(t, LEFT_LIMIT) ...], [value(t, RIGHT_LIMIT) ...])`` over the increasing times ``ts``.
+        """Signal value at ``t``: ``_formula(t)``, or with a ``side`` the one-sided value.
 
         A signal with no switches takes ``_formula(t)`` for both sides.  One
         with switches is constant between them (``Difference``, whose segments
-        need not be, overrides this), and the pass walks its switch table
-        once: a node within ``SNAP_TOL * T`` of a switch takes the constants
-        of the segments on the switch's two sides (the switch at or after the
-        node wins a tie with the one before it), any other node its own
-        segment's constant for both.  So at a point off the switches, such as
-        a comparator tie or an end of the domain, both sides are the limits,
-        not ``_formula``'s point value there.  The values are only as right as
-        the table: a switch missing from it merges two segments into one
-        constant, for a theta step as for ``segment_form``.
+        need not be, overrides this), and a side reads its segment constants
+        (``_cached_constants``): within ``SNAP_TOL * T`` of a switch, the
+        constant on that side of it (the switch at or after ``t`` wins a tie
+        with the one before it), and otherwise ``t``'s own segment's constant.
+        So at a point off the switches, such as a comparator tie or an end of
+        the domain, both sides are the limits, not ``_formula``'s point value
+        there.  The values are only as right as the table: a switch missing
+        from it merges two segments into one constant, for a theta step as
+        for ``segment_form``.
         """
-        self._check_nodes(ts)
-        table = self._switch_table().floats
-        if not table:
-            lefts = [self._formula(t) for t in ts]
-            return lefts, lefts[:]
-        consts = _cached_constants(self)[0]
+        if not 0.0 <= t <= self.period:  # the check's call only where it may raise
+            self._check_domain(t)
+        if side is Side.POINTWISE or not (table := self._switch_table().floats):
+            return self._formula(t)
         tol = SNAP_TOL * self._tol_scale()
-        lefts, rights = [], []
-        left, right = lefts.append, rights.append
-        n = len(table)
-        # t's segment is i: t lies after the switch ``prev`` = table[i - 1] and
-        # at or before ``nxt`` = table[i]; the fences past the ends are infinite
-        i = bisect_left(table, ts[0]) if ts else 0
-        prev = table[i - 1] if i else -math.inf
-        nxt = table[i] if i < n else math.inf
-        for t in ts:
-            while nxt < t:
-                i += 1
-                prev, nxt = nxt, table[i] if i < n else math.inf
-            if nxt - t <= tol:
-                left(consts[i])
-                right(consts[i + 1])
-            elif t - prev <= tol:
-                left(consts[i - 1])
-                right(consts[i])
-            else:
-                c = consts[i]
-                left(c)
-                right(c)
-        return lefts, rights
+        # t's segment is i: t lies after table[i - 1] and at or before table[i]
+        i = bisect_left(table, t)
+        if i < len(table) and table[i] - t <= tol:
+            i += side is Side.RIGHT_LIMIT
+        elif i and t - table[i - 1] <= tol:
+            i -= side is Side.LEFT_LIMIT
+        return _cached_constants(self)[0][i]
 
     def _limits_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``node_limits`` of the increasing times ``ts`` as two arrays, the same
-        values: the node's segment is one ``searchsorted`` against the switch
-        table, and its two neighbours come from the table with its infinite
-        fences, in place of the merge pass."""
+        """``([value(t, LEFT_LIMIT) ...], [value(t, RIGHT_LIMIT) ...])`` over the
+        increasing times ``ts``, as two arrays: the nodes' segments are one
+        ``searchsorted`` against the switch table, and their two neighbours
+        come from the table with its infinite fences."""
         if not len(ts):
             return ts, ts
         if ts[0] < 0.0 or ts[-1] > self.period:
@@ -394,14 +367,15 @@ def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
 
 
 class _Switched(Signal):
-    """A signal with switches (``_build_table``); on a segment between two it is
-    constant, ``_formula`` at the midpoint (``Difference`` has its own form)."""
+    """A signal with switches (``_build_table``), constant between two: an interval's form is
+    the constant of the table segment that holds its midpoint (``Difference`` has its own)."""
 
     def _switch_table(self):
         return _cached_table(self)
 
     def segment_form(self, tl, tr):
-        return SegmentForm(self._formula(0.5 * (tl + tr)))
+        i = bisect_right(_cached_table(self).floats, 0.5 * (tl + tr))
+        return SegmentForm(_cached_constants(self)[0][i])
 
 
 @dataclass(frozen=True)
@@ -531,15 +505,9 @@ class Difference(_Switched):
         return self.a._formula(t) - self.b._formula(t)
 
     def value(self, t, side=Side.POINTWISE):
+        # per operand: a switch that cancels here is missing from this table
         self._check_domain(t)
         return self.a.value(t, side) - self.b.value(t, side)
-
-    def node_limits(self, ts):
-        # per operand, as ``value``: a switch that cancels here is missing from this table
-        self._check_nodes(ts)
-        la, ra = self.a.node_limits(ts)
-        lb, rb = self.b.node_limits(ts)
-        return [x - y for x, y in zip(la, lb)], [x - y for x, y in zip(ra, rb)]
 
     def _limits_array(self, ts):
         if len(ts) and (ts[0] < 0.0 or ts[-1] > self.period):

@@ -19,6 +19,7 @@ from parareal import (
     Side,
     SineWave,
     SplitIvp,
+    StepWave,
     ThetaPropagator,
     UnsupportedSignalError,
     exact_linear_propagate,
@@ -354,6 +355,9 @@ class TestNearSwitchGrids:
     # a sync point 1.4e-15 before the step's switch: the interval it starts
     # holds no switch, and the one it ends takes the form before the switch
     @example((parse_signal("step", T), [0.0, 0.009999999999998599, 0.01, 0.02]))
+    # an interval one ulp wide that ends at a switch of the table: its rounded
+    # midpoint is the switch, so both set-ups take the segment before it
+    @example((parse_signal("pwm:m=400", T), [0.0, 0.00375, 0.0037500000000000003, T]))
     @settings(max_examples=200, deadline=None)
     def test_planned_intervals_equal_cold_segments(self, sig_times):
         # every plan, end segments set up from the per-process forms and the
@@ -392,6 +396,9 @@ class TestNearSwitchGrids:
         st.sampled_from([1, 7]),
         st.booleans(),
     )
+    # an interval a few ulps wide whose seven substeps collapse to h = 0: the
+    # set-up is not clean, so the propagator runs unplanned
+    @example((StepWave(0.02), [0.0, 0.010000000000001607, 0.010000000000001617, 0.02]), 1.0, 7, False)
     @settings(max_examples=200, deadline=None)
     def test_planned_theta_equals_cold_call(self, sig_times, theta, substeps, aligned):
         # the whole grid set up in one pass against one fresh propagator's
@@ -413,8 +420,10 @@ class TestNearSwitchGrids:
             return out
 
         warm = make()
+        clean = make()._substeps(times)[2]
         with planned([warm], times):
-            assert len(warm._plans) == len(times) - 1
+            # every interval planned where the set-up is clean, none where it is not
+            assert len(warm._plans) == (len(times) - 1 if clean else 0)
             got = chain(warm)
         assert got == chain(make())
 
@@ -507,8 +516,9 @@ class TestNearSwitchGrids:
 
 
 def frozen_limits(sig, ts):
-    """``Signal.node_limits`` as a per-node merge walk over the switch table,
-    with each segment's constant ``_formula`` at its midpoint."""
+    """A frozen copy of the deleted ``node_limits``: both one-sided values of
+    each of the increasing times ``ts`` in one merge walk over the switch
+    table, with each segment's constant ``_formula`` at its midpoint."""
     if ts and (ts[0] < 0.0 or ts[-1] > sig.period):
         for t in ts:
             if t < 0.0 or t > sig.period:

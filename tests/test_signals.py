@@ -21,6 +21,7 @@ from parareal import (
     parse_signal,
 )
 from parareal import signals
+from test_propagators import frozen_limits
 
 T = 0.02
 
@@ -287,18 +288,19 @@ class TestOneSidedLookup:
 
     @given(node_grids())
     @settings(max_examples=400, deadline=None)
-    def test_node_limits_equal_two_value_calls(self, sig_ts):
+    def test_limits_array_equals_value_calls(self, sig_ts):
+        # the array form a theta set-up uses, against two value calls per
+        # node and against the frozen list merge walk
         sig, ts = sig_ts
-        lefts, rights = sig.node_limits(ts)
-        want_l = [sig.value(t, Side.LEFT_LIMIT) for t in ts]
-        want_r = [sig.value(t, Side.RIGHT_LIMIT) for t in ts]
-        assert np.array(lefts).tobytes() == np.array(want_l).tobytes()
-        assert np.array(rights).tobytes() == np.array(want_r).tobytes()
-        # and the array form a theta set-up uses
+        want_l = np.array([sig.value(t, Side.LEFT_LIMIT) for t in ts], dtype=float)
+        want_r = np.array([sig.value(t, Side.RIGHT_LIMIT) for t in ts], dtype=float)
         got_l, got_r = sig._limits_array(np.array(ts, dtype=float))
-        assert (got_l.tobytes(), got_r.tobytes()) == (np.array(lefts).tobytes(), np.array(rights).tobytes())
+        assert (got_l.tobytes(), got_r.tobytes()) == (want_l.tobytes(), want_r.tobytes())
+        frozen_l, frozen_r = frozen_limits(sig, ts)
+        assert (np.array(frozen_l, dtype=float).tobytes(), np.array(frozen_r, dtype=float).tobytes()) == (
+            want_l.tobytes(), want_r.tobytes())
 
-    def test_node_limits_at_the_snap_tolerance_edge(self):
+    def test_limits_at_the_snap_tolerance_edge(self):
         # the last node after a switch that still snaps to it, and the next float
         sig = PwmSingle(m=400, period=T)
         sw = float(sig.switching_times(0.0, T)[100])
@@ -309,20 +311,25 @@ class TestOneSidedLookup:
         while abs(math.nextafter(edge, math.inf) - sw) <= tol:
             edge = math.nextafter(edge, math.inf)
         past = math.nextafter(edge, math.inf)
-        lefts, rights = sig.node_limits([sw, edge, past])
-        assert lefts == [sig.value(t, Side.LEFT_LIMIT) for t in (sw, edge, past)]
-        assert rights == [sig.value(t, Side.RIGHT_LIMIT) for t in (sw, edge, past)]
+        lefts = [sig.value(t, Side.LEFT_LIMIT) for t in (sw, edge, past)]
+        rights = [sig.value(t, Side.RIGHT_LIMIT) for t in (sw, edge, past)]
+        assert [a.tolist() for a in sig._limits_array(np.array([sw, edge, past]))] == [lefts, rights]
         # the switch's two sides at the snapped nodes, one side past the edge
         assert lefts[0] != rights[0] and (lefts[1], rights[1]) == (lefts[0], rights[0])
         assert lefts[2] == rights[2] == rights[0]
 
-    def test_node_limits_outside_the_domain(self):
-        sig = Difference(PwmSingle(m=400, period=T), SineWave(T))
-        assert sig.node_limits([]) == ([], [])
+    def test_limits_outside_the_domain(self):
+        sig, pwm = Difference(PwmSingle(m=400, period=T), SineWave(T)), PwmSingle(m=400, period=T)
+        assert [a.tolist() for a in sig._limits_array(np.empty(0))] == [[], []]
         with pytest.raises(ValueError, match=f"t={T * 1.5} outside"):
-            sig.node_limits([T / 2, T * 1.5, T * 2])
+            sig._limits_array(np.array([T / 2, T * 1.5, T * 2]))
         with pytest.raises(ValueError, match="t=-1.0 outside"):
-            PwmSingle(m=400, period=T).node_limits([-1.0, T / 2])
+            pwm._limits_array(np.array([-1.0, T / 2]))
+        for side in (Side.LEFT_LIMIT, Side.RIGHT_LIMIT):
+            with pytest.raises(ValueError, match=f"t={T * 1.5} outside"):
+                sig.value(T * 1.5, side)
+            with pytest.raises(ValueError, match="t=-1.0 outside"):
+                pwm.value(-1.0, side)
 
 
 class TestSwitchTableCache:
@@ -452,10 +459,10 @@ def test_segment_constants_equal_the_formula_off_the_switches(spec, period):
     tol = 1e-9 * period
     ts = [(i + 0.5 ** 0.5) * period / 4001 for i in range(4001)]
     ts = [t for t in ts if min((abs(t - s) for s in table), default=math.inf) > tol]
-    lefts, rights = sig.node_limits(ts)
     want = [sig._formula(t) for t in ts]
-    assert lefts == want
-    assert rights == want
+    assert [a.tolist() for a in sig._limits_array(np.array(ts))] == [want, want]
+    assert [sig.value(t, Side.LEFT_LIMIT) for t in ts] == want
+    assert [sig.value(t, Side.RIGHT_LIMIT) for t in ts] == want
 
 
 # inputs whose tables missed switches when a comparator root landed on a scan sample
@@ -499,7 +506,7 @@ class TestThreePhase:
         sig = ThreePhasePwm(m=400, period=T, phase_index=phase)
         assert sig._formula(T) == 1.0
         assert sig.value(T, Side.LEFT_LIMIT) == sig.value(T, Side.RIGHT_LIMIT) == -1.0
-        assert sig.node_limits([T]) == ([-1.0], [-1.0])
+        assert [a.tolist() for a in sig._limits_array(np.array([T]))] == [[-1.0], [-1.0]]
         # so a backward Euler step onto T takes -1 as its input
         ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig).ivp()
         t0, u = T - T / 40, 1e-6
@@ -515,7 +522,7 @@ class TestThreePhase:
         assert sig._formula(t) == 1.0
         assert sig.switching_times(t - 1e-6 * T, t + 1e-6 * T).size == 0
         assert sig.value(t, Side.LEFT_LIMIT) == sig.value(t, Side.RIGHT_LIMIT) == -1.0
-        assert sig.node_limits([t]) == ([-1.0], [-1.0])
+        assert [a.tolist() for a in sig._limits_array(np.array([t]))] == [[-1.0], [-1.0]]
 
     @given(st.floats(min_value=0.0, max_value=T, allow_nan=False), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60)
@@ -649,7 +656,9 @@ class TestParse:
         zero, const = parse_signal("zero", period=T), Constant(0.0, T)
         ts = np.linspace(0.0, T, 101)
         assert [v.hex() for v in zero.values(ts)] == [v.hex() for v in const.values(ts)]
-        assert zero.node_limits(ts.tolist()) == const.node_limits(ts.tolist())
+        assert [a.tobytes() for a in zero._limits_array(ts)] == [a.tobytes() for a in const._limits_array(ts)]
+        for side in (Side.LEFT_LIMIT, Side.RIGHT_LIMIT):
+            assert [zero.value(t, side) for t in ts.tolist()] == [const.value(t, side) for t in ts.tolist()]
         assert zero.segment_form(0.0, T) == const.segment_form(0.0, T) == signals.SegmentForm(0.0)
 
     # every kind with the payload it needs; the periodic ones take no inf period
