@@ -50,7 +50,7 @@ from .signals import (
 # ``analysis`` (studies, order fits, bounds) is imported on first use of one of
 # its names (PEP 562), so a process that only runs parareal never compiles it.
 _ANALYSIS_NAMES = frozenset({
-    "BoundParams", "ConvergenceStudy", "DefectStudy", "InsufficientPointsError", "OrderFit", "OrderProbe",
+    "BoundParams", "ConvergenceStudy", "InsufficientPointsError", "OrderFit", "OrderProbe",
     "StudySpec", "defect_ode_solution", "defect_scaling_study", "eval_bound", "fit_order",
     "local_order_probe", "run_study",
 })
@@ -72,7 +72,6 @@ __all__ = [
     "BoundParams",
     "Constant",
     "ConvergenceStudy",
-    "DefectStudy",
     "Difference",
     "ExactLinearPropagator",
     "FixedIterations",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import LinearScalarModel, closed_form_trajectory, exact_trajectory, reduced_ivp
+from .models import LinearScalarModel, _trajectory, reduced_ivp
 from .propagators import (
     ExactLinearPropagator,
     NonFiniteStateError,
@@ -193,17 +193,16 @@ def initial_guess(cfg: PararealConfig) -> np.ndarray:
 def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     """The fine problem's exact solution at the sync points, the reference of a run's errors.
 
-    Whatever the fine propagator, the reference is the closed form: an exact
-    fine propagator's own model by ``exact_trajectory``, which chains the
-    interval plans the run has built, any other problem by
-    ``closed_form_trajectory``.  A problem with no closed form (decay rate
-    ``<= 0``, or an input segment that is neither constant nor sinusoidal,
-    neither of which a parsed model has) raises there.
+    Whatever the fine propagator, it is the closed form of the fine IVP
+    (``closed_form_trajectory``); an exact one's chain reuses the plans the run
+    has built for its model, the one reader of a run's plans outside
+    ``propagate``, with the same bits.  A problem with no closed form (decay
+    rate ``<= 0``, or an input segment that is neither constant nor
+    sinusoidal, neither of which a parsed model has) raises there.
     """
-    fine = cfg.fine
-    if isinstance(fine, ExactLinearPropagator):
-        return exact_trajectory(fine.model, cfg.times)[:, None]
-    return closed_form_trajectory(fine.ivp, cfg.times)[:, None]
+    fine, ivp = cfg.fine, cfg.fine.ivp
+    plans = fine.model._plans if isinstance(fine, ExactLinearPropagator) else None
+    return _trajectory(ivp.decay, ivp.gain, ivp.signal, cfg.times, ivp.u0, plans)[:, None]
 
 
 def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> list[float]:

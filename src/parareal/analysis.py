@@ -6,6 +6,10 @@ and fits the observed order as the negative log-log slope versus N, over the
 points above ``ERROR_FLOOR``, the double-precision floor.  A study keeps no
 set-up of its own: its runs draw on the set-up kept per process, and each run
 sets up its own plans (``models`` describes the two set-up lifetimes).
+
+The dt-ladder measurements, the reduced-input defect (``defect_scaling_study``)
+and a propagator's local truncation order (``local_order_probe``), share one
+loop and one record (``OrderProbe``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .algorithm import FixedIterations, PararealConfig, iterate, make_config
 from .models import LinearScalarModel, exact_linear_propagate
-from .propagators import Propagator, parse_propagator
+from .propagators import ExactLinearPropagator, Propagator, parse_propagator
 from .signals import Difference, Signal, StepWave
 
 ERROR_FLOOR = 1e-13
@@ -284,25 +288,31 @@ def eval_bound(params: BoundParams, which: str) -> float:
     raise ValueError(f"unknown bound {which!r}")
 
 
-def _ladder_slope(dts: list[float], errs: list[float], floor: float) -> tuple[float, bool]:
-    """``(slope, floor_hit)`` of ``errs`` over the ladder ``dts``, fitted above ``floor``; NaN under two points."""
-    try:
-        fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
-    except InsufficientPointsError:
-        return math.nan, True
-    return -fit.order, len(fit.window) < len(dts)
-
-
 # ---------------------------------------------------------------------------
-# one-interval defect between the full and the reduced problem
+# dt ladders: one-interval differences between two propagators
 
 
 @dataclass
-class DefectStudy:
-    dts: list[float]
-    defects: list[float]
+class OrderProbe:
+    """A dt ladder's one-interval differences and their fitted log-log slope."""
+
     slope: float
+    dts: list[float]
+    errors: list[float]
     floor_hit: bool
+
+
+def _ladder(reference: Propagator, approx: Propagator, t_start: float, u_start, dts: list, floor: float) -> OrderProbe:
+    """``|reference - approx|`` over ``(t_start, t_start + dt)`` for each ``dt`` of ``dts``, from ``u_start``
+    (default ``approx``'s initial value), and its slope fitted above ``floor``, NaN under two points."""
+    u0 = approx.ivp.u0 if u_start is None else u_start
+    errs = [abs(reference.propagate(t_start, t_start + dt, u0) - approx.propagate(t_start, t_start + dt, u0))
+            for dt in dts]
+    try:
+        fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
+    except InsufficientPointsError:
+        return OrderProbe(math.nan, list(dts), errs, True)
+    return OrderProbe(-fit.order, list(dts), errs, len(fit.window) < len(dts))
 
 
 def defect_scaling_study(
@@ -311,29 +321,22 @@ def defect_scaling_study(
     dt_ladder: list[float] | None = None,
     t_start: float = 0.0,
     u_start: float | None = None,
-    floor: float = 1e-16,
-) -> DefectStudy:
+) -> OrderProbe:
     """Decay of the one-interval defect between full and reduced dynamics.
 
     Both problems are solved exactly from a common state at ``t_start`` over
-    each window length in the ladder; the log-log slope of the defect is
-    fitted.  For bounded inputs the defect is bounded by a constant times the
-    window length, so a slope of one is guaranteed as the window shrinks.  A
-    window inside one tooth of a PWM input shows a slope of one where the two
-    inputs differ at ``t_start``, and of two where their difference starts at
-    0 (the sine surrogate at t = 0); a ladder across switches need show no
-    power law.
+    each window length in the ladder (default ``T/2**6 ... T/2**12``); the
+    log-log slope of the defect (``errors``) is fitted above 1e-16.  For
+    bounded inputs the defect is bounded by a constant times the window
+    length, so a slope of one is guaranteed as the window shrinks.  A window
+    inside one tooth of a PWM input shows a slope of one where the two inputs
+    differ at ``t_start``, and of two where their difference starts at 0 (the
+    sine surrogate at t = 0); a ladder across switches need show no power law.
     """
     if dt_ladder is None:
         dt_ladder = [model.t_end / 2**j for j in range(6, 13)]
-    reduced_model = model.with_signal(reduced_input)
-    u0 = model.u0 if u_start is None else u_start
-    defects = []
-    for dt in dt_ladder:
-        full = exact_linear_propagate(model, t_start, t_start + dt, u0)
-        red = exact_linear_propagate(reduced_model, t_start, t_start + dt, u0)
-        defects.append(abs(full - red))
-    return DefectStudy(list(dt_ladder), defects, *_ladder_slope(dt_ladder, defects, floor))
+    full, reduced = ExactLinearPropagator(model), ExactLinearPropagator(model.with_signal(reduced_input))
+    return _ladder(full, reduced, t_start, u_start, dt_ladder, 1e-16)
 
 
 def defect_ode_solution(model: LinearScalarModel, reduced_input: Signal, t0: float, t1: float) -> float:
@@ -348,45 +351,20 @@ def defect_ode_solution(model: LinearScalarModel, reduced_input: Signal, t0: flo
     return exact_linear_propagate(diff_model, t0, t1, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# local truncation order of a propagator
-
-
-@dataclass
-class OrderProbe:
-    """Result of a local-truncation-order measurement."""
-
-    slope: float
-    dts: list[float]
-    errors: list[float]
-    floor_hit: bool
-
-
 def local_order_probe(
     prop: Propagator,
     reference: Propagator,
     t_start: float = 0.0,
     u_start: float | None = None,
-    n_points: int = 7,
     dt_max: float | None = None,
-    floor: float = 1e-15,
 ) -> OrderProbe:
     """Fit the decay of the one-step defect against an exact reference.
 
-    Measures ``|reference(t0+dt) - prop(t0+dt)|`` from a common state over a
-    geometric dt ladder; the log-log slope estimates the local truncation
-    order (scheme order + 1) on smooth inputs.  Points at or below ``floor``
-    are flagged and excluded; if fewer than two points remain the slope is NaN.
+    Measures ``|reference(t0+dt) - prop(t0+dt)|`` from a common state over the
+    seven-point halving ladder from ``dt_max`` (default a sixteenth of the
+    span to the horizon); the log-log slope estimates the local truncation
+    order (scheme order + 1) on smooth inputs.  Points at or below 1e-15 are
+    flagged and excluded; if fewer than two points remain the slope is NaN.
     """
-    ivp = prop.ivp
-    u0 = ivp.u0 if u_start is None else u_start
-    span = dt_max if dt_max is not None else (ivp.t_end - t_start) / 16.0
-    dts, errs = [], []
-    for j in range(n_points):
-        dt = span / 2.0**j
-        ue = reference.propagate(t_start, t_start + dt, u0)
-        ua = prop.propagate(t_start, t_start + dt, u0)
-        dts.append(dt)
-        errs.append(abs(ue - ua))
-    slope, floor_hit = _ladder_slope(dts, errs, floor)
-    return OrderProbe(slope, dts, errs, floor_hit)
+    span = dt_max if dt_max is not None else (prop.ivp.t_end - t_start) / 16.0
+    return _ladder(reference, prop, t_start, u_start, [span / 2.0**j for j in range(7)], 1e-15)

@@ -5,8 +5,8 @@ model, an RL circuit driven by a current source, admits an exact per-segment
 solution which serves as the fine propagator and as the reference of every
 run: every parseable input is constant or sinusoidal between two switches
 (``Signal.segment_form``).  The closed form is split into the segment data
-of an interval (``_segments``, which depends only on the input and the
-times) and its application to a state (``_advance``).
+of an interval (``_segments`` cold, ``_grid_plans`` for a grid), which depends
+only on the input and the times, and its application to a state (``_advance``).
 
 The set-up that changes no result is kept for one of two lifetimes:
 
@@ -20,8 +20,9 @@ The set-up that changes no result is kept for one of two lifetimes:
   the interval's ends, which a sync point bounds (``_grid_plans``).
 
 The closed-form trajectories (``exact_trajectory``,
-``closed_form_trajectory``) set a grid up the same way outside a run, and
-chain the run's plans inside one.
+``closed_form_trajectory``) set their grid up the way a run plans it; the one
+chain that reuses a run's plans is the run's reference
+(``algorithm.reference_trajectory``).
 """
 
 from __future__ import annotations
@@ -227,32 +228,28 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
 def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=None) -> np.ndarray:
     """The closed-form chain from ``phi`` at ``times[0]`` over the increasing grid ``times``.
 
-    Each interval's segment data comes from ``plans`` where a run has built
-    them; without, the grid is set up as a run plans it (``_grid_plans``),
-    from the input's cached switch-to-switch table.  Where that set-up fails,
-    the cold per-interval path runs and meets the fault.  Either way the bits
-    are those of the cold path.
+    A grid of two or more points is set up as a run plans it (``_grid_plans``)
+    unless ``plans``, a run's, hold every interval of it; the bits are those
+    of the cold path.  A faulty grid raises as its cold calls would, an input
+    with no closed form from the first table segment that has none.
     """
+    if not a > 0.0:
+        raise ValueError(f"the closed form needs a decay rate > 0, got {a!r}")
     ts = np.asarray(times, dtype=float).tolist()
-    if plans is None:
-        try:
-            plans = dict(zip(zip(ts, ts[1:]), _grid_plans(a, gain, sig, ts)))
-        except ValueError:  # not swallowed: the cold path below raises it again
-            pass
+    if not ts:
+        raise ValueError("need a grid of at least one time")
+    chain = [plans.get(span) for span in zip(ts, ts[1:])] if plans else [None] * (len(ts) - 1)
+    if None in chain:
+        chain = _grid_plans(a, gain, sig, ts)
     out = [float(phi)]
-    for t0, t1 in zip(ts, ts[1:]):
-        segments = plans.get((t0, t1)) if plans else None
-        out.append(_advance(_segments(a, gain, sig, t0, t1) if segments is None else segments, out[-1]))
+    for segments in chain:
+        out.append(_advance(segments, out[-1]))
     return np.array(out)
 
 
 def exact_trajectory(model: LinearScalarModel, times: np.ndarray) -> np.ndarray:
-    """Exact solution from ``model.u0`` at ``times[0]``, sampled at the increasing grid ``times``.
-
-    Inside a run it chains the interval plans the run has built for the
-    model (``propagators.planned``); the result is the same bits.
-    """
-    return _trajectory(model.decay_rate, model.R_res, model.signal, times, model.u0, model._plans)
+    """Exact solution from ``model.u0`` at ``times[0]``, sampled at the increasing grid ``times``."""
+    return _trajectory(model.decay_rate, model.R_res, model.signal, times, model.u0)
 
 
 def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray:
@@ -264,12 +261,10 @@ def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray:
     of the input (``UnsupportedSignalError`` otherwise); every model that
     ``parse_model`` builds has both.
     """
-    if not ivp.decay > 0.0:
-        raise ValueError(f"the closed form needs a decay rate > 0, got {ivp.decay!r}")
     return _trajectory(ivp.decay, ivp.gain, ivp.signal, times, ivp.u0)
 
 
-def parse_model(spec: str, default_period: float = 0.02) -> LinearScalarModel:
+def parse_model(spec: str) -> LinearScalarModel:
     """Build a model from its CLI name, e.g. ``rl:R=0.01,L=0.001,input=pwm:m=400``.
 
     The keys are ``R``, ``L``, ``T`` (the period) and ``input`` (a signal
@@ -279,7 +274,7 @@ def parse_model(spec: str, default_period: float = 0.02) -> LinearScalarModel:
     head, _, body = spec.strip().partition(":")
     if head != "rl":
         raise ValueError(f"unknown model kind {head!r} in {spec!r}")
-    defaults = {"R": "0.01", "L": "0.001", "T": repr(default_period), "input": "pwm:m=400"}
+    defaults = {"R": "0.01", "L": "0.001", "T": "0.02", "input": "pwm:m=400"}
     kv = parse_kv(body, defaults, nested="input")
     return LinearScalarModel(
         R_res=float(kv["R"]),

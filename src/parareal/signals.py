@@ -189,11 +189,16 @@ class Signal:
     def grid_switches(self, times: list[float]) -> tuple[list[int], list[int]]:
         """``(lo, hi)``: ``switching_times(t0, t1)`` of interval ``n`` of the strictly
         increasing grid ``times`` is the slice ``lo[n]:hi[n]`` of the switch table,
-        in one pass: the switches ``s`` with ``t0 + tol < s < t1 - tol``."""
+        in one pass: the switches ``s`` with ``t0 + tol < s < t1 - tol``.  Any other
+        grid raises for its first faulty interval: ``need t0 < t1, got (t0, t1)``
+        where it does not increase, else the domain error of its first node outside."""
         grid = np.array(times)
-        if not np.all(grid[1:] > grid[:-1]):
-            raise ValueError("need a strictly increasing grid")
-        self.switching_times(times[0], times[-1])  # checks the grid's ends
+        n = int(np.append(grid[1:] > grid[:-1], False).argmin())  # the first pair not increasing, else the last node
+        if n:
+            self._check_nodes(grid[: n + 1].tolist())
+        if n < len(times) - 1:
+            raise ValueError(f"need t0 < t1, got ({times[n]}, {times[n + 1]})")
+        self.switching_times(times[0], times[-1])
         table = self._switch_table().times
         tol = MERGE_TOL * self._tol_scale()
         lo = np.searchsorted(table, grid[:-1] + tol, side="right").tolist()

@@ -140,7 +140,7 @@ class TestDefectStudy:
         ladder = [T / 2**j for j in range(6, 13)]
         study = defect_scaling_study(model, Constant(0.0), dt_ladder=ladder)
         a = model.decay_rate
-        for dt, d in zip(study.dts, study.defects):
+        for dt, d in zip(study.dts, study.errors):
             assert d == pytest.approx(0.001 * (1 - math.exp(-a * dt)), rel=1e-12)
         assert study.slope == pytest.approx(1.0, abs=0.05)
 
@@ -150,12 +150,21 @@ class TestDefectStudy:
 
     def test_slopes_come_from_fit_order(self, pwm400_model, sine_model, step_signal):
         study = defect_scaling_study(pwm400_model, step_signal)
-        assert study.slope == -fit_order(list(zip(study.dts, study.defects)), floor=1e-16, min_points=2).order
+        assert study.slope == -fit_order(list(zip(study.dts, study.errors)), floor=1e-16, min_points=2).order
         probe = local_order_probe(
             ThetaPropagator(sine_model.ivp(), theta=0.5), ExactLinearPropagator(sine_model),
             t_start=0.003, u_start=np.array([0.02]), dt_max=T / 32,
         )
         assert probe.slope == -fit_order(list(zip(probe.dts, probe.errors)), floor=1e-15, min_points=2).order
+
+    def test_one_element_state(self, pwm400_model, sine_signal):
+        # the state goes through ``scalar_state``, as in every ``propagate``
+        want = defect_scaling_study(pwm400_model, sine_signal, t_start=0.003, u_start=0.02)
+        got = defect_scaling_study(pwm400_model, sine_signal, t_start=0.003, u_start=np.array([0.02]))
+        assert [type(e) for e in got.errors] == [float] * len(want.errors)
+        assert got.errors == want.errors
+        with pytest.raises(ValueError, match="expected a scalar state"):
+            defect_scaling_study(pwm400_model, sine_signal, u_start=np.array([0.02, 0.03]))
 
     def test_defect_matches_averaged_jacobian_ode(self, pwm400_model, sine_signal):
         # the defect equation driven by the input difference reproduces the
@@ -172,7 +181,7 @@ class TestDefectStudy:
 
 
 def _pairwise_slopes(study):
-    pts = list(zip(study.dts, study.defects))
+    pts = list(zip(study.dts, study.errors))
     return [math.log(b / a) / math.log(db / da) for (da, a), (db, b) in zip(pts, pts[1:])]
 
 

@@ -256,7 +256,7 @@ assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", sys.argv[
 loaded = sorted(m for m in ("parareal.analysis", "parareal.svgplot") if m in sys.modules)
 assert not loaded, loaded
 import parareal
-assert len(parareal.__all__) == 44
+assert len(parareal.__all__) == 43
 missing = [name for name in parareal.__all__ if getattr(parareal, name, None) is None]
 assert not missing, missing
 assert set(parareal.__all__) <= set(dir(parareal))

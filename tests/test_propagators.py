@@ -25,8 +25,10 @@ from parareal import (
     exact_linear_propagate,
     iterate,
     local_order_probe,
+    make_config,
     parse_propagator,
     parse_signal,
+    reference_trajectory,
 )
 from parareal import models, propagators
 from parareal.propagators import planned
@@ -451,6 +453,8 @@ class TestNearSwitchGrids:
         assert prop.propagate(t0, t1, 0.25).hex() == reference_sweep(prop, t0, t1, 0.25).hex()
 
     @given(near_switch_grids())
+    # an interval one ulp wide that ends at a switch of the table
+    @example((parse_signal("pwm:m=400", T), [0.0, 0.00375, 0.0037500000000000003, T]))
     @settings(max_examples=100, deadline=None)
     def test_closed_form_trajectory_equals_cold_chain(self, sig_times):
         # both trajectories, set up from the switch-to-switch table outside a
@@ -486,6 +490,59 @@ class TestNearSwitchGrids:
                 models.closed_form_trajectory(SplitIvp(decay, 0.01, model.signal, 0.0, T), [0.0, T / 2, T])
         with pytest.raises(ValueError, match="need t0 < t1"):
             models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T / 2, T])
+
+    def test_closed_form_trajectory_of_one_point_and_of_none(self):
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T), u0=0.25)
+        assert models.exact_trajectory(model, [0.0]).tolist() == [0.25]
+        assert models.closed_form_trajectory(model.ivp(), [0.0]).tolist() == [0.25]
+        with pytest.raises(ValueError, match="need a grid of at least one time"):
+            models.exact_trajectory(model, [])
+
+    @pytest.mark.parametrize("times", [
+        [0.0, T / 2, T / 4, T],
+        [0.0, T / 2, T / 2, T],
+        [0.0, math.nan, T],
+        [-1e-3, 0.0, T],
+        [0.0, T, 1.5 * T, 2 * T],
+        [0.0, 3 * T, T],
+        [3 * T, T, 2 * T],
+    ])
+    def test_closed_form_trajectory_of_a_faulty_grid_fails_as_the_cold_chain(self, times):
+        # the grid set-up meets the fault the first cold interval set-up meets
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        with pytest.raises(ValueError) as cold:
+            for t0, t1 in zip(times, times[1:]):
+                list(models._segments(model.decay_rate, model.R_res, model.signal, t0, t1))
+        with pytest.raises(ValueError) as exact:
+            models.exact_trajectory(model, times)
+        with pytest.raises(ValueError) as closed:
+            models.closed_form_trajectory(model.ivp(), times)
+        with pytest.raises(ValueError) as split:
+            model.signal.grid_switches(np.array(times))
+        assert str(exact.value) == str(closed.value) == str(split.value) == str(cold.value)
+        if times == [0.0, T / 2, T / 4, T]:
+            assert str(cold.value) == "need t0 < t1, got (0.01, 0.005)"
+
+    def test_an_array_grid_is_planned(self):
+        prop = ExactLinearPropagator(LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T)))
+        times = np.array([n * T / 8 for n in range(9)])
+        with planned([prop], times):
+            assert len(prop.model._plans) == 8
+
+    def test_only_the_reference_reads_a_runs_plans(self):
+        # plans that are not the closed form's, on every interval of a run's
+        # grid: the run's reference chains them, a trajectory does not
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        cfg = make_config(model, 4)
+        fine = cfg.fine.model
+        want = models.exact_trajectory(fine, cfg.times)
+        object.__setattr__(fine, "_plans", {span: ((0.0, 42.0, None, None),) for span in zip(cfg.times, cfg.times[1:])})
+        try:
+            assert reference_trajectory(cfg)[:, 0].tolist() == [0.0] + [42.0] * 4
+            assert models.exact_trajectory(fine, cfg.times).tobytes() == want.tobytes()
+        finally:
+            object.__setattr__(fine, "_plans", None)
+        assert reference_trajectory(cfg)[:, 0].tobytes() == want.tobytes()
 
     def test_plans_are_per_problem(self):
         # two inputs with the same segment ends (no switches) on one circuit,
