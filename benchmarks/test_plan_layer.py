@@ -1,7 +1,8 @@
-"""Layer micro-benchmarks: exact propagation, the plans of one run, the exact
-plans of one study's grids, the fine sweep, the corrected coarse sweep, one
-``iterate``, one ``run_study`` and one pass of every preset study, the layers
-that interval plans and the exact solver's per-process tables move.
+"""Layer micro-benchmarks: exact propagation, a planned coarse call, the plans
+of one run, the exact plans of one study's grids, the fine sweep, the
+corrected coarse sweep, one ``iterate``, one ``run_study``, one preset's
+pass and one pass of every preset study, the layers that interval plans and
+the per-process tables move.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -82,6 +83,15 @@ def test_exact_interval_planned(benchmark, model):
     with planned([fine], times):
         out = benchmark(fine.propagate, times[3], times[4], 0.25)
     assert np.isfinite(out).all()
+
+
+def test_coarse_interval_planned(benchmark, model):
+    # one backward-Euler call across T/320 on a float state, as a run makes it
+    coarse = make_config(model, N_PLAN).coarse
+    times = sync_times(N_PLAN)
+    with planned([coarse], times):
+        out = benchmark(coarse.propagate, times[3], times[4], 0.25)
+    assert np.isfinite(out)
 
 
 def plan_once(prop, times):
@@ -199,6 +209,19 @@ def test_run_study_fig4_right_sine_k2(benchmark, model):
     spec = StudySpec(model=model, variant="reduced", coarse_scheme="be", reduced_input=SineWave(T), k=2)
     study = benchmark(run_study, spec)
     assert all(p.failure is None for p in study.results)
+
+
+def test_preset_pass_fig3_left(benchmark, model):
+    # the series of the fig3-left preset, N = 5 ... 320 each, after a warm-up pass
+    specs = [StudySpec(model=model, variant=e["variant"], coarse_scheme=e["scheme"], k=e["k"],
+                       fit_min_n=e.get("fit_min_n")) for e in PRESETS["fig3-left"]]
+
+    def one_pass():
+        return [run_study(spec) for spec in specs]
+
+    one_pass()
+    studies = benchmark(one_pass)
+    assert all(p.failure is None for s in studies for p in s.results)
 
 
 def test_study_presets_pass(benchmark, model):

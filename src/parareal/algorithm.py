@@ -17,11 +17,13 @@ jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
 errors are always measured against the exact solution in closed form
 (``reference_trajectory``); a problem without one fails there.
 
-A run keeps its states as Python floats.  It plans the intervals of the
-propagators that evaluate each interval more than once (the coarse one, and an
-exact fine one, whose plans the reference reuses) and drops the plans when it
-returns; a theta fine propagator stays cold.  ``models`` describes the set-up
-kept per process and per run.
+A run keeps its states as Python floats.  Its config sets the sync grid up
+once, at construction.  The run plans the intervals of the propagators that
+evaluate each interval more than once (the coarse one, and an exact fine one)
+and drops the plans when it returns; a theta fine propagator stays cold.  Only
+``propagate`` reads the plans.  The reference depends only on the fine problem
+and N, so each process computes it once per pair and keeps it in a bounded
+table.  ``models`` describes the set-up kept per process and per run.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .models import LinearScalarModel, _trajectory, reduced_ivp
+from .models import LinearScalarModel, SplitIvp, closed_form_trajectory, reduced_ivp
 from .propagators import (
     ExactLinearPropagator,
     NonFiniteStateError,
@@ -111,26 +114,33 @@ class PararealConfig:
             raise ValueError("fine and coarse propagators integrate different problems")
         if self.variant == "original" and ci != fi:
             raise ValueError("variant 'original' requires identical inputs for fine and coarse")
+        object.__setattr__(self, "_times", _sync_times(fi.t_end, self.n_intervals))
 
     @property
     def times(self) -> np.ndarray:
         """The sync grid ``T_n = n*T/N``, with ``T_N = T`` exactly: ``N*T/N`` can
-        round an ulp past ``T``, outside the input's domain."""
-        t_end = self.fine.ivp.t_end
-        return np.array([n * t_end / self.n_intervals for n in range(self.n_intervals)] + [t_end])
+        round an ulp past ``T``, outside the input's domain.  A fresh array of
+        the floats set up once, at construction."""
+        return np.array(self._times)
+
+
+def _sync_times(t_end: float, n_intervals: int) -> tuple[float, ...]:
+    """The floats of ``PararealConfig.times``."""
+    return (*(n * t_end / n_intervals for n in range(n_intervals)), t_end)
 
 
 def jump_norm(u: float, v: float, atol: float, rtol: float) -> float:
-    """Mixed-tolerance distance of two scalar states: ``sqrt(x*x)`` with
-    ``x = |u-v| / (atol+rtol*|v|)``, the root mean square of one element.
+    """Mixed-tolerance distance of two scalar states: ``x = |u-v| / (atol+rtol*|v|)``,
+    the root mean square ``sqrt(x*x)`` of one element, which is ``x`` itself;
+    taken as ``x``, it neither overflows nor underflows where ``x*x`` would.
 
     A state may also be a one-element array (``scalar_state``).
     """
-    _check_tolerances(atol, rtol)
+    if not (atol > 0 and rtol >= 0):
+        _check_tolerances(atol, rtol)
     u = u if type(u) is float else scalar_state(u)
     v = v if type(v) is float else scalar_state(v)
-    scaled = abs(u - v) / (atol + rtol * abs(v))
-    return math.sqrt(scaled * scaled)
+    return abs(u - v) / (atol + rtol * abs(v))
 
 
 @dataclass
@@ -168,12 +178,13 @@ class PararealRun:
 
 def initial_guess(cfg: PararealConfig) -> np.ndarray:
     """Sequential coarse sweep from u0: ``U[0][n] = G(T_n, T_{n-1}, U[0][n-1])``."""
-    times = cfg.times.tolist()
+    times = cfg._times
+    propagate = cfg.coarse.propagate
     u = float(cfg.fine.ivp.u0)
     guess = [u]
-    for n in range(1, cfg.n_intervals + 1):
+    for n, t0, t1 in zip(range(1, cfg.n_intervals + 1), times, times[1:]):
         try:
-            u = cfg.coarse.propagate(times[n - 1], times[n], u)
+            u = propagate(t0, t1, u)
         except Exception as exc:
             try:
                 relabelled = type(exc)(f"coarse guess failed on interval {n}: {exc}")
@@ -194,15 +205,23 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     """The fine problem's exact solution at the sync points, the reference of a run's errors.
 
     Whatever the fine propagator, it is the closed form of the fine IVP
-    (``closed_form_trajectory``); an exact one's chain reuses the plans the run
-    has built for its model, the one reader of a run's plans outside
-    ``propagate``, with the same bits.  A problem with no closed form (decay
-    rate ``<= 0``, or an input segment that is neither constant nor
-    sinusoidal, neither of which a parsed model has) raises there.
+    (``closed_form_trajectory``) on the run's sync grid, which only the IVP
+    and N determine.  So it is computed once per pair and process and kept in
+    a bounded table (``_reference``); each call returns a fresh ``(N+1, 1)``
+    array.  A problem with no closed form (decay rate ``<= 0``, or an input
+    segment that is neither constant nor sinusoidal, neither of which a
+    parsed model has) raises here, on every call.
     """
-    fine, ivp = cfg.fine, cfg.fine.ivp
-    plans = fine.model._plans if isinstance(fine, ExactLinearPropagator) else None
-    return _trajectory(ivp.decay, ivp.gain, ivp.signal, cfg.times, ivp.u0, plans)[:, None]
+    ivp = cfg.fine.ivp
+    return _reference(ivp, cfg.n_intervals, math.copysign(1.0, ivp.u0)).copy()
+
+
+@lru_cache(maxsize=64)
+def _reference(ivp: SplitIvp, n_intervals: int, u0_sign: float) -> np.ndarray:
+    # ``u0_sign`` tells the keys of u0 = 0.0 and -0.0 apart, which compare equal
+    ref = closed_form_trajectory(ivp, _sync_times(ivp.t_end, n_intervals))[:, None]
+    ref.flags.writeable = False
+    return ref
 
 
 def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> list[float]:
@@ -213,11 +232,11 @@ def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> 
     faster: under the interpreter lock, threads of pure-Python ``propagate``
     calls only take turns holding it.
     """
-    fine = cfg.fine
+    propagate = cfg.fine.propagate
     out = [state[0]]
-    for n in range(1, cfg.n_intervals + 1):
+    for n, t0, t1, u in zip(range(1, cfg.n_intervals + 1), times, times[1:], state):
         try:
-            out.append(fine.propagate(times[n - 1], times[n], state[n - 1]))
+            out.append(propagate(t0, t1, u))
         except NonFiniteStateError as exc:
             exc.n = n
             raise
@@ -226,7 +245,7 @@ def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> 
 
 def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
     """The propagators worth planning: the coarse one, run 2k+1 times per
-    interval, and an exact fine one, run k times plus once in the reference.
+    interval, and an exact fine one, run k times per interval.
 
     A theta fine one stays cold: it is the costly kind, which converges after
     a sweep or two, so a plan would be built for one use.
@@ -244,10 +263,9 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     ``executor`` is accepted and given no work: the fine sweep runs in the
     calling thread (``_fine_sweep``), bit for bit the run without one.
     """
-    times = cfg.times
-    ts = times.tolist()
+    ts = cfg._times
     N = cfg.n_intervals
-    coarse = cfg.coarse
+    propagate = cfg.coarse.propagate
     term = cfg.termination
     atol = term.atol
     rtol = term.rtol
@@ -274,16 +292,17 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
             for n in range(1, N + 1):
                 if not math.isfinite(arrivals[n]):
                     raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}", k=k, n=n)
-            jumps = np.array([0.0] + [jump_norm(arrivals[n], current[n], atol, rtol) for n in range(1, N + 1)])
+            jumps = np.array([0.0] + [jump_norm(f, u, atol, rtol) for f, u in zip(arrivals[1:], current[1:])])
             arrivals_hist.append(np.array(arrivals)[:, None])
             jumps_hist.append(jumps)
 
             new = [u0]
+            u = u0
             try:
-                for n in range(1, N + 1):
-                    g_old = coarse.propagate(ts[n - 1], ts[n], current[n - 1])
-                    g_new = coarse.propagate(ts[n - 1], ts[n], new[n - 1])
-                    u = arrivals[n] + g_new - g_old
+                for n, t0, t1, f, prev in zip(range(1, N + 1), ts, ts[1:], arrivals[1:], current):
+                    g_old = propagate(t0, t1, prev)
+                    g_new = propagate(t0, t1, u)
+                    u = f + g_new - g_old
                     if not math.isfinite(u):
                         raise NonFiniteStateError(f"non-finite state at iteration {k + 1}, interval {n}")
                     new.append(u)
@@ -304,7 +323,7 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         errors = [np.max(np.abs(it - ref), axis=1) for it in iterates]
 
     return PararealRun(
-        times=times,
+        times=cfg.times,
         iterates=iterates,
         fine_arrivals=arrivals_hist,
         jumps=jumps_hist,

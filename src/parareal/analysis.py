@@ -161,7 +161,8 @@ def run_study(spec: StudySpec) -> ConvergenceStudy:
     failures are recorded on the affected point as ``"ExceptionType: message"``
     with the exception's class as ``failure_type``, and the study continues.
     Each point has the bits of the same run made alone: a study shares no set-up
-    among its runs beyond the per-process tables (``models``).
+    among its runs beyond the per-process tables (``models``), whose references
+    a repeated study, or another series on the same circuit, finds again.
     """
 
     def one(n: int) -> StudyPoint:

@@ -13,16 +13,17 @@ The set-up that changes no result is kept for one of two lifetimes:
 * per process: each signal's switch table and, per decay rate, gain and
   input, the form of each segment between two fences of the table (0 and T
   the outer ones) and the segment data between two switches
-  (``_switch_steps``), which no sync grid changes;
+  (``_switch_steps``), which no sync grid changes; and per fine problem and
+  N, a run's reference (``algorithm.reference_trajectory``);
 * per run: the plans of a run's propagators (``propagators.planned``): a
   theta propagator's substeps, or each interval's segment data, sliced from
   the per-process table between two switches and set up from its forms at
-  the interval's ends, which a sync point bounds (``_grid_plans``).
+  the interval's ends, which a sync point bounds (``_grid_plans``).  Only
+  ``propagate`` reads them.
 
 The closed-form trajectories (``exact_trajectory``,
-``closed_form_trajectory``) set their grid up the way a run plans it; the one
-chain that reuses a run's plans is the run's reference
-(``algorithm.reference_trajectory``).
+``closed_form_trajectory``, and through it a run's reference) set their grid
+up the way a run plans it, on their own.
 """
 
 from __future__ import annotations
@@ -225,24 +226,21 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
     return _advance(segments, phi0)
 
 
-def _trajectory(a: float, gain: float, sig: Signal, times, phi: float, plans=None) -> np.ndarray:
+def _trajectory(a: float, gain: float, sig: Signal, times, phi: float) -> np.ndarray:
     """The closed-form chain from ``phi`` at ``times[0]`` over the increasing grid ``times``.
 
-    A grid of two or more points is set up as a run plans it (``_grid_plans``)
-    unless ``plans``, a run's, hold every interval of it; the bits are those
-    of the cold path.  A faulty grid raises as its cold calls would, an input
-    with no closed form from the first table segment that has none.
+    A grid of two or more points is set up as a run plans it (``_grid_plans``),
+    with the bits of the cold path.  A faulty grid raises as its cold calls
+    would, an input with no closed form from the first table segment that has
+    none.
     """
     if not a > 0.0:
         raise ValueError(f"the closed form needs a decay rate > 0, got {a!r}")
     ts = np.asarray(times, dtype=float).tolist()
     if not ts:
         raise ValueError("need a grid of at least one time")
-    chain = [plans.get(span) for span in zip(ts, ts[1:])] if plans else [None] * (len(ts) - 1)
-    if None in chain:
-        chain = _grid_plans(a, gain, sig, ts)
     out = [float(phi)]
-    for segments in chain:
+    for segments in _grid_plans(a, gain, sig, ts) if len(ts) > 1 else ():
         out.append(_advance(segments, out[-1]))
     return np.array(out)
 

@@ -158,18 +158,26 @@ class ThetaPropagator(Propagator):
         and NaN/x are NaN), whatever ``a``, theta and the input terms are.  So
         a finite final state means every step's state was finite, and a
         non-finite one is located by ``_checked``.
+
+        A planned interval, a run's call, runs its plan and returns before
+        any cold set-up is looked at.
         """
-        u0 = u = u if type(u) is float else scalar_state(u)
+        if type(u) is not float:
+            u = scalar_state(u)
         plans = self._plans
         plan = plans.get((t0, t1)) if plans else None
-        if plan is None:
-            columns, _, clean = self._substeps((t0, t1))
-            if not clean:
-                return self._checked(t0, t1, u, zip(*columns))
         a, c = self._a, self._c
-        for h, p_s, th_p_e, den in plan or zip(*columns):
-            u = (u + h * (c * (a * u + p_s) + th_p_e)) / den
-        return u if math.isfinite(u) else self._checked(t0, t1, u0, plan or zip(*columns))
+        v = u
+        if plan is not None:
+            for h, p_s, th_p_e, den in plan:
+                v = (v + h * (c * (a * v + p_s) + th_p_e)) / den
+            return v if math.isfinite(v) else self._checked(t0, t1, u, plan)
+        columns, _, clean = self._substeps((t0, t1))
+        if not clean:
+            return self._checked(t0, t1, u, zip(*columns))
+        for h, p_s, th_p_e, den in zip(*columns):
+            v = (v + h * (c * (a * v + p_s) + th_p_e)) / den
+        return v if math.isfinite(v) else self._checked(t0, t1, u, zip(*columns))
 
     def _checked(self, t0: float, t1: float, u: float, steps: Iterable[tuple]) -> float:
         """The recurrence of ``propagate`` from ``u`` with a check at every step: raise at the

@@ -143,13 +143,14 @@ def test_each_study_sets_up_its_own_end_segments():
     # study-presets' self-check needs segment set-ups in every operation: each
     # run sets up the end segments of its own grid, whatever ran before it,
     # so a second identical study sets them up again (about 2 per interval of
-    # each of the seven grids, N = 5 ... 320)
+    # each of the seven grids, N = 5 ... 320); the first study also sets up
+    # each run's reference, which the second finds in the per-process table
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", TRACED_STUDY], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [1270, 1270]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [2540, 1270]
 
 
 SELF_CHECK = """

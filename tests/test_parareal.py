@@ -32,7 +32,7 @@ from parareal import (
     parse_signal,
     reduced_ivp,
 )
-from parareal import models
+from parareal import algorithm, models
 from parareal.algorithm import reference_trajectory
 
 T = 0.02
@@ -62,12 +62,27 @@ class TestJumpNorm:
             want = jump_norm(np.array([x]), np.array([y]), 1.5e-5, 1.5e-5)
         assert _same_bits(jump_norm(x, y, 1.5e-5, 1.5e-5), want)
 
+    @pytest.mark.parametrize("u", [1e160, -1e160, 1e300, 1e-300, 5e-324])
+    def test_no_overflow_or_underflow(self, u):
+        # the scaled distance itself: its square overflows to inf, or
+        # underflows to 0, where the distance does not
+        want = abs(u) / 1.5e-5
+        assert 0.0 < want < math.inf
+        assert jump_norm(u, 0.0, 1.5e-5, 1.5e-5) == want
+        assert jump_norm(np.array([u]), np.array([0.0]), 1.5e-5, 1.5e-5) == want
+
+    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+    def test_equals_the_root_of_the_square_where_it_is_representable(self, x, y):
+        scaled = abs(x - y) / (1.5e-5 + 1.5e-5 * abs(y))
+        if 1e-150 < scaled < 1e150:
+            assert _same_bits(jump_norm(x, y, 1.5e-5, 1.5e-5), math.sqrt(scaled * scaled))
+
     def test_tolerance_preconditions(self):
         with pytest.raises(ValueError):
             jump_norm(np.zeros(1), np.zeros(1), 0.0, 1e-5)
         with pytest.raises(ValueError):
             jump_norm(np.zeros(1), np.zeros(1), 1e-5, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need atol > 0 and rtol >= 0, got atol=1e-05, rtol=nan"):
             jump_norm(0.0, 0.0, 1e-5, math.nan)
 
 
@@ -594,6 +609,70 @@ class TestReferenceTrajectory:
         scale = float(np.max(np.abs(run.iterates[2])))
         assert abs(float(run.iterates[2][-1, 0]) - cn) <= 1e-6 * scale
         assert run.error(2) <= 1e-6 * scale
+
+
+class TestReferenceTable:
+    """One reference per fine problem and N per process, bounded, never shared by value."""
+
+    def test_hit_equals_miss_equals_exact_trajectory(self):
+        model = _model("pwm:m=400")
+        cfg = make_config(model, 320)
+        want = exact_trajectory(model, cfg.times)[:, None]
+        algorithm._reference.cache_clear()
+        miss = reference_trajectory(cfg)
+        hit = reference_trajectory(make_config(model, 320))
+        assert algorithm._reference.cache_info()[:2] == (1, 1)  # hits, misses
+        assert _same_bits(miss, want) and _same_bits(hit, want)
+
+    def test_theta_and_exact_fine_share_one_entry(self):
+        model = _model("pwm:m=400")
+        exact_cfg = make_config(model, 20)
+        theta_cfg = make_config(model, 20, fine="cn:substeps=7,aligned=1")
+        algorithm._reference.cache_clear()
+        refs = [reference_trajectory(cfg) for cfg in (exact_cfg, theta_cfg)]
+        assert algorithm._reference.cache_info()[1:4] == (1, 64, 1)  # misses, maxsize, entries
+        assert _same_bits(*refs)
+
+    def test_inputs_with_the_same_segment_ends_get_their_own_references(self):
+        # no switches on either input, so both grids split the same way
+        algorithm._reference.cache_clear()
+        for spec in ("sine", "const:v=1"):
+            model = _model(spec)
+            cfg = make_config(model, 8)
+            assert _same_bits(reference_trajectory(cfg)[:, 0], exact_trajectory(model, cfg.times)), spec
+        assert algorithm._reference.cache_info().currsize == 2
+
+    def test_signed_zero_initial_values_get_their_own_references(self):
+        refs = []
+        for u0 in (0.0, -0.0):
+            model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T), u0=u0)
+            refs.append(reference_trajectory(make_config(model, 4))[0, 0])
+        assert [math.copysign(1.0, u) for u in refs] == [1.0, -1.0]
+
+    def test_mutating_a_reference_or_the_times_changes_no_later_run(self):
+        model = _model("pwm:m=400")
+        cfg = make_config(model, 20, termination=FixedIterations(2))
+        want = iterate(make_config(model, 20, termination=FixedIterations(2)))
+        ref = reference_trajectory(cfg)
+        ref[:] = 42.0
+        times = cfg.times
+        times[:] = 0.0
+        assert cfg.times is not times and cfg.times[-1] == T
+        run = iterate(cfg)
+        assert _same_bits(run.times, want.times)
+        assert all(_same_bits(a, b) for a, b in zip(run.iterates, want.iterates))
+        assert all(_same_bits(a, b) for a, b in zip(run.errors_vs_reference, want.errors_vs_reference))
+        assert _same_bits(reference_trajectory(cfg)[:, 0], exact_trajectory(model, cfg.times))
+
+    def test_the_table_is_bounded(self):
+        model = _model("step")
+        for n in range(1, 71):
+            reference_trajectory(make_config(model, n))
+        assert algorithm._reference.cache_info().currsize <= 64
+        # the oldest entries went first: N = 1 is computed again
+        misses = algorithm._reference.cache_info().misses
+        reference_trajectory(make_config(model, 1))
+        assert algorithm._reference.cache_info().misses == misses + 1
 
 
 class TestPickling:

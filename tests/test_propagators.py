@@ -30,7 +30,7 @@ from parareal import (
     parse_signal,
     reference_trajectory,
 )
-from parareal import models, propagators
+from parareal import algorithm, models, propagators
 from parareal.propagators import planned
 from parareal.signals import MERGE_TOL, SNAP_TOL
 
@@ -271,6 +271,23 @@ class TestPlannedPropagate:
         for n_int in (13, 20):
             times = [n * T / n_int for n in range(n_int + 1)]
             self._assert_planned_equals_cold(lambda: parse_propagator("exact", model.ivp(), model), times)
+
+    @pytest.mark.parametrize("spec", ["pwm:m=400", "sine"])
+    @pytest.mark.parametrize("theta, substeps", [(1.0, 1), (0.5, 7)])
+    def test_a_planned_interval_takes_a_one_element_array_as_its_float(self, spec, theta, substeps):
+        # a one-element array is read as its float and runs the same plan:
+        # the same bits, and the same error for NaN, as a float state
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T)).ivp()
+        prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
+        times = [n * T / 20 for n in range(20)] + [T]
+        with planned([prop], times):
+            assert len(prop._plans) == 20
+            for t0, t1 in zip(times, times[1:]):
+                assert prop.propagate(t0, t1, np.array([0.02])).hex() == prop.propagate(t0, t1, 0.02).hex()
+            nan = outcome(prop.propagate, times[3], times[4], math.nan)
+            assert nan[0] is NonFiniteStateError
+            assert outcome(prop.propagate, times[3], times[4], np.array([math.nan])) == nan
+        assert outcome(prop.propagate, times[3], times[4], math.nan) == nan
 
     def test_failed_set_up_leaves_the_interval_unplanned(self):
         # sinusoids of different frequencies have no closed form on any
@@ -529,19 +546,21 @@ class TestNearSwitchGrids:
         with planned([prop], times):
             assert len(prop.model._plans) == 8
 
-    def test_only_the_reference_reads_a_runs_plans(self):
+    def test_no_trajectory_reads_a_runs_plans(self):
         # plans that are not the closed form's, on every interval of a run's
-        # grid: the run's reference chains them, a trajectory does not
+        # grid: neither the run's reference nor a trajectory chains them
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
         cfg = make_config(model, 4)
         fine = cfg.fine.model
         want = models.exact_trajectory(fine, cfg.times)
+        algorithm._reference.cache_clear()  # a miss: the reference is computed with the plans attached
         object.__setattr__(fine, "_plans", {span: ((0.0, 42.0, None, None),) for span in zip(cfg.times, cfg.times[1:])})
         try:
-            assert reference_trajectory(cfg)[:, 0].tolist() == [0.0] + [42.0] * 4
+            assert reference_trajectory(cfg)[:, 0].tobytes() == want.tobytes()
             assert models.exact_trajectory(fine, cfg.times).tobytes() == want.tobytes()
         finally:
             object.__setattr__(fine, "_plans", None)
+        assert algorithm._reference.cache_info().misses == 1
         assert reference_trajectory(cfg)[:, 0].tobytes() == want.tobytes()
 
     def test_plans_are_per_problem(self):
