@@ -66,8 +66,8 @@ def test_fine_cn_500_aligned_planned_interval(benchmark, pwm):
 
 
 def test_fine_cn_500_aligned_first_call(benchmark, pwm):
-    # the same call on a new input instance: its switch table and segment
-    # constants come from the shared caches, not from the instance
+    # the same call on a new input instance: its switch table, with the
+    # segment constants, comes from the shared cache, not from the instance
     def first_call():
         model = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=PwmSingle(m=400, period=T))
         return parse_propagator("cn:substeps=500,aligned=1", model.ivp(), model).propagate(0.0, T / 20, U0)

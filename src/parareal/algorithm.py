@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .propagators import (
     planned,
     scalar_state,
 )
-from .signals import Signal
+from .signals import Signal, _per_process
 
 
 def _check_tolerances(atol: float, rtol: float) -> None:
@@ -216,7 +215,7 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     return _reference(ivp, cfg.n_intervals, math.copysign(1.0, ivp.u0)).copy()
 
 
-@lru_cache(maxsize=64)
+@_per_process
 def _reference(ivp: SplitIvp, n_intervals: int, u0_sign: float) -> np.ndarray:
     # ``u0_sign`` tells the keys of u0 = 0.0 and -0.0 apart, which compare equal
     ref = closed_form_trajectory(ivp, _sync_times(ivp.t_end, n_intervals))[:, None]

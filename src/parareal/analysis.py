@@ -91,8 +91,6 @@ class StudySpec:
     def __post_init__(self):
         if self.variant not in ("original", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not math.isfinite(self.model.t_end):
-            raise ValueError(f"the horizon must be finite, got {self.model.t_end}")
         if self.k < 1 or any(n < 1 for n in self.n_list):
             raise ValueError(f"need k >= 1 and every N >= 1, got k={self.k!r}, n_list={self.n_list!r}")
         if self.error_metric not in ("max", "final", "first_active"):

@@ -119,8 +119,6 @@ def _fmt(x: float) -> str:
 def _cmd_signal_dump(args, config) -> int:
     r = _resolve(args, config)
     sig = parse_signal(args.signal, period=float(r["period"]))
-    if not math.isfinite(sig.period):
-        raise UsageError(f"the period must be finite, got {sig.period}")
     n = int(r["samples"])
     ts = np.linspace(0.0, sig.period, n)
     vals = sig.values(ts)
@@ -139,8 +137,6 @@ def _cmd_signal_dump(args, config) -> int:
 def _cmd_model_reference(args, config) -> int:
     r = _resolve(args, config)
     model = parse_model(r["model"] if args.model is None else args.model)
-    if not math.isfinite(model.t_end):
-        raise UsageError(f"the horizon must be finite, got {model.t_end}")
     npts = int(r["grid"])
     uniform = np.linspace(0.0, model.t_end, npts + 1)
     switches = model.signal.switching_times(0.0, model.t_end)

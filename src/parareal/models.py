@@ -10,11 +10,13 @@ only on the input and the times, and its application to a state (``_advance``).
 
 The set-up that changes no result is kept for one of two lifetimes:
 
-* per process: each signal's switch table and, per decay rate, gain and
-  input, the form of each segment between two fences of the table (0 and T
-  the outer ones) and the segment data between two switches
-  (``_switch_steps``), which no sync grid changes; and per fine problem and
-  N, a run's reference (``algorithm.reference_trajectory``);
+* per process, in the one table policy of ``signals._per_process`` (up to
+  64 entries each, the least recently used dropped first): each signal's
+  switch table with its segment constants; per decay rate, gain and input,
+  the form of each segment between two fences of the table (0 and T the
+  outer ones) and the segment data between two switches (``_step_table``),
+  which no sync grid changes; and per fine problem and N, a run's reference
+  (``algorithm.reference_trajectory``), so up to 64 arrays of N + 1 floats;
 * per run: the plans of a run's propagators (``propagators.planned``): a
   theta propagator's substeps, or each interval's segment data, sliced from
   the per-process table between two switches and set up from its forms at
@@ -29,14 +31,12 @@ up the way a run plans it, on their own.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .signals import SegmentForm, Signal, parse_kv, parse_signal
+from .signals import SegmentForm, Signal, _per_process, parse_kv, parse_signal
 
 
 class UnsupportedSignalError(ValueError):
@@ -150,30 +150,21 @@ def _segments(a: float, gain: float, sig: Signal, t0: float, t1: float):
         yield _segment_step(a, gain, _form(sig, s, e), s, e)
 
 
-# serializes table lookups so that concurrent first lookups build a table once
-_STEPS_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=64)
+@_per_process
 def _step_table(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple, tuple]:
-    table = sig._switch_table().floats
-    fences = (0.0, *table, sig.period)
-    forms = tuple(_form(sig, s, e) for s, e in zip(fences, fences[1:]))
-    steps = tuple(_segment_step(a, gain, *args) for args in zip(forms[1:-1], table, table[1:]))
-    return table, steps, forms
-
-
-def _switch_steps(a: float, gain: float, sig: Signal) -> tuple[tuple[float, ...], tuple, tuple]:
     """``(switches, steps, forms)``: the input's switch table; at ``steps[j]``,
     the ``_segment_step`` of ``(switches[j], switches[j + 1])``; and at
     ``forms[j]``, the ``SegmentForm`` of the segment that ends at
     ``switches[j]`` (``forms[-1]``: the one that ends at T).
 
-    Built once per ``(a, gain, sig)`` and process, under a lock; a build that
-    fails (``UnsupportedSignalError``: a segment with no closed form) is not kept.
+    Built once per ``(a, gain, sig)`` and process; a build that fails
+    (``UnsupportedSignalError``: a segment with no closed form) is not kept.
     """
-    with _STEPS_LOCK:
-        return _step_table(a, gain, sig)
+    table = sig._switch_table().floats
+    fences = (0.0, *table, sig.period)
+    forms = tuple(_form(sig, s, e) for s, e in zip(fences, fences[1:]))
+    steps = tuple(_segment_step(a, gain, *args) for args in zip(forms[1:-1], table, table[1:]))
+    return table, steps, forms
 
 
 def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[tuple]:
@@ -182,11 +173,11 @@ def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[
     The grid is split against the switch table in one pass
     (``Signal.grid_switches``); an interval's switches are a run of that
     table, so its segments between two switches are a slice of
-    ``_switch_steps``.  Only its end segments, bounded by a sync point, are
+    ``_step_table``.  Only its end segments, bounded by a sync point, are
     set up here, each with the form of the table segment that holds its
     midpoint.
     """
-    switches, steps, forms = _switch_steps(a, gain, sig)
+    switches, steps, forms = _step_table(a, gain, sig)
 
     def end(s: float, e: float) -> tuple:
         return _segment_step(a, gain, forms[bisect_right(switches, 0.5 * (s + e))], s, e)

@@ -8,16 +8,16 @@ discontinuous.  Integrators and the exact linear solver rely on
 ``switching_times`` to segment the time axis and on ``Side`` hints to take
 one-sided values at segment boundaries.  A signal with switches is constant
 between them: its one-sided values and its closed forms are the constants
-of its switch-to-switch segments (``_cached_constants``), each ``_formula``
-at the segment's midpoint, set up once per signal with its switch table.
+of its switch-to-switch segments, each ``_formula`` at the segment's
+midpoint, kept with the switches in one table per signal (``_SwitchTable``).
 They have two readers, one per call shape: ``value`` takes one side of one
 node with one ``bisect`` on the switch table, and ``_limits_array`` both
 sides of an array of nodes in whole-array operations (a theta step's set-up
 uses it for the nodes inside its grid).  ``segment_form`` reads the constant
 of the table segment that holds its interval's midpoint.
 
-Switch tolerances, each with its scale (T is the period, or 1 for an
-unbounded signal) and purpose:
+Switch tolerances, each with its scale (T is the period, finite for every
+signal) and purpose:
 
 * ``SWITCH_TOL`` = 1e-15, times T: the bracket width at which a PWM
   comparator root search (``_build_table``) stops bisecting.
@@ -42,7 +42,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -78,67 +78,64 @@ class SegmentForm:
 
 
 class _SwitchTable(NamedTuple):
-    """A signal's switching instants in (0, period), strictly increasing.
+    """A signal's switching instants in (0, period), strictly increasing, and its segment constants.
 
     ``times`` serves the range queries of ``switching_times``; ``floats`` holds
     the same values as a tuple for the scalar lookups of a segment constant
     (``value``, ``segment_form``), and ``fenced`` as an array between -inf and
-    +inf for the array form of it (``_limits_array``).
+    +inf for the array form of it (``_limits_array``).  ``consts`` (a tuple)
+    and ``const_array`` hold the constant of each segment between two fences,
+    0 and T the outer ones: ``_formula`` at the segment's midpoint.
     """
 
     times: np.ndarray
     floats: tuple[float, ...]
     fenced: np.ndarray
+    consts: tuple[float, ...]
+    const_array: np.ndarray
 
 
-_NO_SWITCHES = _SwitchTable(np.empty(0), (), np.array([-math.inf, math.inf]))
+_NO_SWITCHES = _SwitchTable(np.empty(0), (), np.array([-math.inf, math.inf]), (), np.empty(0))
 
-# serializes cache lookups so that concurrent first lookups build an entry
-# once; reentrant because a Difference builds its table from its operands'
-# tables, and segment constants are built from the table
+# serializes the lookups of every per-process table so that concurrent first
+# lookups build an entry once; reentrant because one table is built from
+# others (a Difference's switch table from its operands', a model's segment
+# steps from its input's table, a run's reference from both)
 _TABLE_LOCK = threading.RLock()
 
 
-@lru_cache(maxsize=64)
+def _per_process(build):
+    """``build`` kept per process: an ``lru_cache`` of up to 64 entries whose lookups hold
+    ``_TABLE_LOCK``, with its ``cache_clear`` and ``cache_info``; a build that raises is not kept."""
+    cached = lru_cache(maxsize=64)(build)
+
+    @wraps(build)
+    def lookup(*key):
+        with _TABLE_LOCK:
+            return cached(*key)
+
+    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
+    return lookup
+
+
+@_per_process
 def _table_cache(sig: Signal) -> _SwitchTable:
     times = sig._build_table()  # type: ignore[attr-defined]
-    return _SwitchTable(times, tuple(times.tolist()), np.concatenate(([-math.inf], times, [math.inf])))
-
-
-@lru_cache(maxsize=64)
-def _constants_cache(sig: Signal) -> tuple[tuple[float, ...], np.ndarray]:
-    fences = [0.0, *_cached_table(sig).floats, sig.period]
+    floats = tuple(times.tolist())
+    fences = [0.0, *floats, sig.period]
     consts = tuple(sig._formula(0.5 * (lo + hi)) for lo, hi in zip(fences, fences[1:]))
-    return consts, np.array(consts)
-
-
-def _cached(sig: Signal, attr: str, cache):
-    """``cache(sig)``, shared by all signals equal to ``sig``.
-
-    The first lookup on an instance goes through the cache under the lock and
-    keeps the entry on the instance as ``attr``, so later lookups skip hashing
-    the signal and taking the lock.
-    """
-    entry = sig.__dict__.get(attr)
-    if entry is None:
-        with _TABLE_LOCK:
-            entry = cache(sig)
-        object.__setattr__(sig, attr, entry)
-    return entry
+    return _SwitchTable(times, floats, np.concatenate(([-math.inf], times, [math.inf])), consts, np.array(consts))
 
 
 def _cached_table(sig: Signal) -> _SwitchTable:
-    """The switch table of ``sig`` (``_build_table``), built on its first lookup."""
-    return _cached(sig, "_table", _table_cache)
-
-
-def _cached_constants(sig: Signal) -> tuple[tuple[float, ...], np.ndarray]:
-    """The constant of each switch-to-switch segment of ``sig``, 0 and T the
-    outer fences, as a tuple and as an array: ``_formula`` at the segment's
-    midpoint, built on the first one-sided value or segment form, so that a
-    table build does not pay for it.  Every value of ``sig`` between two
-    switches is read from here."""
-    return _cached(sig, "_constants", _constants_cache)
+    """The switch table of ``sig`` (``_build_table``), shared by all signals equal to it.  The first
+    lookup on an instance goes through the cache and keeps the table on the instance, so later
+    lookups skip hashing the signal and taking the lock."""
+    table = sig.__dict__.get("_table")
+    if table is None:
+        table = _table_cache(sig)
+        object.__setattr__(sig, "_table", table)
+    return table
 
 
 class Signal:
@@ -146,16 +143,14 @@ class Signal:
 
     period: float
 
-    _unbounded = False  # whether the period may be inf: a domain without end
-
     def __post_init__(self):
         # the one parameter check: m and phase_index where a signal has them, then the period
         if getattr(self, "m", 1) < 1:
             raise ValueError(f"pulse count m must be >= 1, got {self.m}")
         if getattr(self, "phase_index", 1) not in PHASE_SHIFTS:
             raise ValueError(f"phase_index must be 1..3, got {self.phase_index}")
-        if not (self.period > 0 and (self._unbounded or self.period < math.inf)):
-            raise ValueError(f"period must be positive{'' if self._unbounded else ' and finite'}, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     # -- pointwise formula -------------------------------------------------
 
@@ -183,7 +178,7 @@ class Signal:
         i1 = np.searchsorted(table, t1, side="left")
         out = table[i0:i1]
         # guard the open-interval contract against tolerance-level hits
-        tol = MERGE_TOL * self._tol_scale()
+        tol = MERGE_TOL * self.period
         return out[(out > t0 + tol) & (out < t1 - tol)]
 
     def grid_switches(self, times: list[float]) -> tuple[list[int], list[int]]:
@@ -200,7 +195,7 @@ class Signal:
             raise ValueError(f"need t0 < t1, got ({times[n]}, {times[n + 1]})")
         self.switching_times(times[0], times[-1])
         table = self._switch_table().times
-        tol = MERGE_TOL * self._tol_scale()
+        tol = MERGE_TOL * self.period
         lo = np.searchsorted(table, grid[:-1] + tol, side="right").tolist()
         return lo, np.searchsorted(table, grid[1:] - tol, side="left").tolist()
 
@@ -212,7 +207,7 @@ class Signal:
         A signal with no switches takes ``_formula(t)`` for both sides.  One
         with switches is constant between them (``Difference``, whose segments
         need not be, overrides this), and a side reads its segment constants
-        (``_cached_constants``): within ``SNAP_TOL * T`` of a switch, the
+        (``_SwitchTable.consts``): within ``SNAP_TOL * T`` of a switch, the
         constant on that side of it (the switch at or after ``t`` wins a tie
         with the one before it), and otherwise ``t``'s own segment's constant.
         So at a point off the switches, such as a comparator tie or an end of
@@ -223,16 +218,16 @@ class Signal:
         """
         if not 0.0 <= t <= self.period:  # the check's call only where it may raise
             self._check_domain(t)
-        if side is Side.POINTWISE or not (table := self._switch_table().floats):
+        if side is Side.POINTWISE or not (table := self._switch_table()).floats:
             return self._formula(t)
-        tol = SNAP_TOL * self._tol_scale()
-        # t's segment is i: t lies after table[i - 1] and at or before table[i]
-        i = bisect_left(table, t)
-        if i < len(table) and table[i] - t <= tol:
+        switches, tol = table.floats, SNAP_TOL * self.period
+        # t's segment is i: t lies after switches[i - 1] and at or before switches[i]
+        i = bisect_left(switches, t)
+        if i < len(switches) and switches[i] - t <= tol:
             i += side is Side.RIGHT_LIMIT
-        elif i and t - table[i - 1] <= tol:
+        elif i and t - switches[i - 1] <= tol:
             i -= side is Side.LEFT_LIMIT
-        return _cached_constants(self)[0][i]
+        return table.consts[i]
 
     def _limits_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``([value(t, LEFT_LIMIT) ...], [value(t, RIGHT_LIMIT) ...])`` over the
@@ -247,8 +242,8 @@ class Signal:
         if not table.floats:
             lefts = np.fromiter(map(self._formula, ts.tolist()), float, len(ts))
             return lefts, lefts
-        consts = _cached_constants(self)[1]
-        tol = SNAP_TOL * self._tol_scale()
+        consts = table.const_array
+        tol = SNAP_TOL * self.period
         i = table.times.searchsorted(ts)
         at_next = table.fenced[i + 1] - ts <= tol
         at_prev = ~at_next & (ts - table.fenced[i] <= tol)
@@ -259,9 +254,6 @@ class Signal:
         raise NotImplementedError
 
     # -- helpers -------------------------------------------------------------
-
-    def _tol_scale(self) -> float:
-        return self.period if math.isfinite(self.period) else 1.0
 
     def _check_domain(self, t: float) -> None:
         if t < 0.0 or t > self.period:
@@ -353,7 +345,7 @@ def _filter_jumps(sig: Signal, candidates: list[float]) -> np.ndarray:
     if not cand:
         return np.empty(0)
     merged = [cand[0]]
-    tol = MERGE_TOL * sig._tol_scale()
+    tol = MERGE_TOL * sig.period
     for c in cand[1:]:
         if c - merged[-1] > tol:
             merged.append(c)
@@ -379,8 +371,8 @@ class _Switched(Signal):
         return _cached_table(self)
 
     def segment_form(self, tl, tr):
-        i = bisect_right(_cached_table(self).floats, 0.5 * (tl + tr))
-        return SegmentForm(_cached_constants(self)[0][i])
+        table = _cached_table(self)
+        return SegmentForm(table.consts[bisect_right(table.floats, 0.5 * (tl + tr))])
 
 
 @dataclass(frozen=True)
@@ -412,12 +404,10 @@ class StepWave(_Switched):
 
 @dataclass(frozen=True)
 class Constant(Signal):
-    """Constant value; unbounded domain by default.  ``zero`` parses to ``Constant(0.0)``."""
+    """Constant value on ``[0, period]``.  ``zero`` parses to ``Constant(0.0, period)``."""
 
     value_: float
-    period: float = math.inf
-
-    _unbounded = True
+    period: float
 
     def _formula(self, t: float) -> float:
         return self.value_
@@ -499,8 +489,6 @@ class Difference(_Switched):
 
     a: Signal
     b: Signal
-
-    _unbounded = True  # the period is the operands', each already checked
 
     @property
     def period(self) -> float:  # type: ignore[override]
@@ -592,15 +580,16 @@ def parse_signal(spec: str, period: float = 0.02) -> Signal:
     spec = spec.strip()
     head, _, body = spec.partition(":")
     if head == "diff":
-        # try every split of the payload into two parseable sub-specs
+        # try every split of the payload into two parseable sub-specs; the last one's error says why none did
+        error = ""
         for i in range(1, len(body)):
             if body[i] != "-":
                 continue
             try:
                 return Difference(parse_signal(body[:i], period), parse_signal(body[i + 1 :], period))
-            except ValueError:
-                continue
-        raise ValueError(f"cannot parse difference signal {spec!r}")
+            except ValueError as exc:
+                error = f": {exc}"
+        raise ValueError(f"cannot parse difference signal {spec!r}{error}")
     # each kind's keys with their defaults (None: required), and its constructor
     kinds = {
         "pwm": ({"m": None}, lambda kv: PwmSingle(m=int(kv["m"]), period=period)),

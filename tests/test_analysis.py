@@ -136,9 +136,9 @@ class TestDefectStudy:
         assert math.isnan(study.slope)
 
     def test_constant_versus_zero_closed_form(self):
-        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(1.0))
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(1.0, T))
         ladder = [T / 2**j for j in range(6, 13)]
-        study = defect_scaling_study(model, Constant(0.0), dt_ladder=ladder)
+        study = defect_scaling_study(model, Constant(0.0, T), dt_ladder=ladder)
         a = model.decay_rate
         for dt, d in zip(study.dts, study.errors):
             assert d == pytest.approx(0.001 * (1 - math.exp(-a * dt)), rel=1e-12)
@@ -256,9 +256,9 @@ class TestRunStudy:
             StudySpec(model=pwm10_model, **kwargs)
 
     def test_unbounded_horizon_is_rejected(self):
-        model = models.parse_model("rl:T=inf,input=const")
-        with pytest.raises(ValueError, match="the horizon must be finite, got inf"):
-            StudySpec(model=model, n_list=(4, 8))
+        # an infinite horizon is an infinite period, which no signal takes
+        with pytest.raises(ValueError, match="period must be positive and finite, got inf"):
+            models.parse_model("rl:T=inf,input=const")
 
     def test_n_list_must_increase(self, pwm10_model):
         with pytest.raises(ValueError):

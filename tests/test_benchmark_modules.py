@@ -127,7 +127,7 @@ from parareal.models import parse_model
 t = tracer.Tracer()
 tracer.install(t)
 model = parse_model("rl:R=0.01,L=0.001,input=pwm:m=400")
-models._switch_steps(model.decay_rate, model.R_res, model.signal)  # the per-process table, untraced
+models._step_table(model.decay_rate, model.R_res, model.signal)  # the per-process table, untraced
 e = cli.PRESETS["fig3-left"][0]
 spec = StudySpec(model=model, variant=e["variant"], coarse_scheme=e["scheme"], k=e["k"], fit_min_n=e["fit_min_n"])
 counts = []

@@ -397,7 +397,7 @@ class TestUsageErrors:
         ("rl:T=-0.02,input=step", "period must be positive and finite, got -0.02"),
         ("rl:T=nan,input=pwm3:m=9", "period must be positive and finite, got nan"),
         ("rl:T=inf,input=sine", "period must be positive and finite, got inf"),
-        ("rl:T=inf,input=const", "the horizon must be finite, got inf"),
+        ("rl:T=inf,input=const", "period must be positive and finite, got inf"),
         ("rl:R=1,L=inf,input=pwm:m=4", "R_res and L_ind must be positive and finite"),
         ("rl:R=1e-300,L=1e300,input=sine", "decay rate R/L = 1e-300/1e+300 underflows to 0"),
     ])
@@ -410,11 +410,13 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["study", "run", "--model", "rl:T=inf,input=const", "--n-list", "4,8"], "the horizon must be finite, got inf"),
-        (["model", "reference", "--model", "rl:T=inf,input=const"], "the horizon must be finite, got inf"),
+        (["study", "run", "--model", "rl:T=inf,input=const", "--n-list", "4,8"],
+         "period must be positive and finite, got inf"),
+        (["model", "reference", "--model", "rl:T=inf,input=const"], "period must be positive and finite, got inf"),
         (["signal", "dump", "--signal", "zero", "--period", "inf", "--samples", "3"],
-         "the period must be finite, got inf"),
-        (["signal", "dump", "--signal", "diff:zero-const", "--period", "inf"], "the period must be finite, got inf"),
+         "period must be positive and finite, got inf"),
+        (["signal", "dump", "--signal", "diff:zero-const", "--period", "inf"],
+         "cannot parse difference signal 'diff:zero-const': period must be positive and finite, got inf"),
     ])
     def test_unbounded_domains(self, argv, message, tmp_path, capsys):
         # rejected before any sampling or run: no numpy warning, no rows

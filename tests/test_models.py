@@ -45,12 +45,12 @@ def brute_force_trajectory(model, t0, t1, phi0, rtol=1e-13):
 
 class TestExactPropagate:
     def test_pure_decay(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0))
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0, T))
         out = exact_linear_propagate(m, 0.0, 0.02, 1.0)
         assert out == pytest.approx(math.exp(-0.2), rel=1e-15)
 
     def test_constant_input_steady_state(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(1.0))
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(1.0, 10.0))
         out = exact_linear_propagate(m, 0.0, 10.0, 0.0)
         assert out == pytest.approx(0.001, abs=1e-12)
 
@@ -106,9 +106,9 @@ class TestExactPropagate:
         # between two of its fences, 0 and T the outer ones: a switch-free
         # input's table has one form and no segment between two switches
         with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
-            models._switch_steps(*args)
+            models._step_table(*args)
         sine = SineWave(T)
-        assert models._switch_steps(A_RATE, 0.01, sine) == ((), (), (sine.segment_form(0.0, T),))
+        assert models._step_table(A_RATE, 0.01, sine) == ((), (), (sine.segment_form(0.0, T),))
 
     def test_trajectory_endpoints(self, pwm400_model):
         ts = np.array([0.0, 0.005, 0.01, 0.02])

@@ -45,13 +45,13 @@ def sine_ivp(sine_model):
 
 class TestThetaStep:
     def test_backward_euler_closed_form(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0))
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0, T))
         be = ThetaPropagator(m.ivp(), theta=1.0)
         out = be.propagate(0.0, 0.002, 1.0)
         assert out == pytest.approx(1.0 / 1.02, rel=1e-15)
 
     def test_crank_nicolson_closed_form(self):
-        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0))
+        m = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Constant(0.0, T))
         cn = ThetaPropagator(m.ivp(), theta=0.5)
         out = cn.propagate(0.0, 0.002, 1.0)
         assert out == pytest.approx(0.99 / 1.01, rel=1e-15)
@@ -847,7 +847,7 @@ class TestCheckFreeRecurrence:
         assert not math.isfinite((u + h * (c * (a * u + p_s) + th_p_e)) / den)
         # the same step as the plan of (0, 1): the final state is not finite,
         # and the checked loop names the step
-        ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0), u0=0.0, t_end=1.0)
+        ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0, 1.0), u0=0.0, t_end=1.0)
         prop = ThetaPropagator(ivp, theta=theta)
         object.__setattr__(prop, "_plans", {(0.0, 1.0): [(h, p_s, th_p_e, den)]})
         with pytest.raises(NonFiniteStateError, match=re.escape("non-finite state after step ending at t=1.0")):
@@ -907,7 +907,7 @@ class TestCheckFreeRecurrence:
         (1.0, 1e-323, 1, 7, (ValueError, "degenerate substep")),
     ])
     def test_iterate_with_an_unclean_coarse_set_up(self, monkeypatch, decay, t_end, n_intervals, substeps, want):
-        ivp = SplitIvp(decay=decay, gain=1.0, signal=Constant(0.0), u0=1.0, t_end=t_end)
+        ivp = SplitIvp(decay=decay, gain=1.0, signal=Constant(0.0, t_end), u0=1.0, t_end=t_end)
         coarse = ThetaPropagator(ivp, substeps=substeps)
         cfg = PararealConfig(n_intervals=n_intervals, fine=ThetaPropagator(ivp, theta=0.5), coarse=coarse)
         t1 = cfg.times[1].item()

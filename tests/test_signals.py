@@ -14,13 +14,14 @@ from parareal import (
     PwmSingle,
     Side,
     SineWave,
+    SplitIvp,
     StepWave,
     ThetaPropagator,
     ThreePhasePwm,
     parse_propagator,
     parse_signal,
 )
-from parareal import signals
+from parareal import algorithm, models, signals
 from test_propagators import frozen_limits
 
 T = 0.02
@@ -332,26 +333,33 @@ class TestOneSidedLookup:
                 pwm.value(-1.0, side)
 
 
+def _equal_keys(table):
+    # a key of ``table`` on a new input instance, equal to but distinct from every other
+    sig = PwmSingle(m=97, period=T)
+    if table is signals._table_cache:
+        return (sig,)
+    if table is models._step_table:
+        return (10.0, 0.01, sig)
+    return (SplitIvp(decay=10.0, gain=0.01, signal=sig, u0=0.0, t_end=T), 8, 1.0)
+
+
 class TestSwitchTableCache:
-    def test_racing_first_lookups_build_once(self, monkeypatch):
-        builds = []
-        original = PwmSingle._build_table
+    # every per-process table (``signals._per_process``)
+    TABLES = (signals._table_cache, models._step_table, algorithm._reference)
 
-        def counting(self):
-            builds.append(threading.get_ident())
-            return original(self)
+    @pytest.mark.parametrize("table", TABLES, ids=["switch-table", "step-table", "reference"])
+    def test_racing_first_lookups_build_once(self, table):
+        for t in self.TABLES:
+            t.cache_clear()
+        keys = [_equal_keys(table) for _ in range(8)]
+        results = [None] * len(keys)
+        start = threading.Barrier(len(keys))
 
-        monkeypatch.setattr(PwmSingle, "_build_table", counting)
-        signals._table_cache.cache_clear()
-        # equal but distinct instances, so each thread takes the shared-cache path
-        sigs = [PwmSingle(m=97, period=T) for _ in range(8)]
-        start = threading.Barrier(len(sigs))
-
-        def first_lookup(sig):
+        def first_lookup(i):
             start.wait(timeout=30)
-            sig.switching_times(0.0, T)
+            results[i] = table(*keys[i])
 
-        threads = [threading.Thread(target=first_lookup, args=(sig,)) for sig in sigs]
+        threads = [threading.Thread(target=first_lookup, args=(i,)) for i in range(len(keys))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -359,13 +367,14 @@ class TestSwitchTableCache:
                 th.start()
             for th in threads:
                 th.join(timeout=30)
+            info = table.cache_info()
         finally:
             sys.setswitchinterval(interval)
-            signals._table_cache.cache_clear()
+            for t in self.TABLES:
+                t.cache_clear()
         assert not any(th.is_alive() for th in threads)
-        assert len(builds) == 1
-        floats = [sig._switch_table().floats for sig in sigs]
-        assert all(f is floats[0] for f in floats)
+        assert (info.hits, info.misses, info.maxsize) == (7, 1, 64)
+        assert all(r is results[0] for r in results)
 
 
 def numpy_scan_roots(g, lo, hi, tol, samples=33):
@@ -661,24 +670,22 @@ class TestParse:
             assert [zero.value(t, side) for t in ts.tolist()] == [const.value(t, side) for t in ts.tolist()]
         assert zero.segment_form(0.0, T) == const.segment_form(0.0, T) == signals.SegmentForm(0.0)
 
-    # every kind with the payload it needs; the periodic ones take no inf period
-    PERIODIC = ("pwm:m=4", "pwm3:m=4,phase=2", "step", "sine", "sine3:phase=3", "diff:pwm:m=4-sine")
-    UNBOUNDED = ("const:v=1", "zero")
+    # every kind with the payload it needs
+    KINDS = ("pwm:m=4", "pwm3:m=4,phase=2", "step", "sine", "sine3:phase=3", "diff:pwm:m=4-sine", "const:v=1", "zero")
 
-    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("spec", PERIODIC + UNBOUNDED)
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("spec", KINDS)
     def test_every_kind_rejects_a_bad_period(self, spec, period):
-        with pytest.raises(ValueError, match="period must be positive|cannot parse difference"):
+        # a difference's message ends with its operand's
+        with pytest.raises(ValueError, match=f"period must be positive and finite, got {period}$"):
             parse_signal(spec, period=period)
 
-    @pytest.mark.parametrize("spec", PERIODIC)
-    def test_periodic_kinds_reject_an_infinite_period(self, spec):
-        with pytest.raises(ValueError, match="period must be positive and finite|cannot parse difference"):
-            parse_signal(spec, period=math.inf)
-
-    @pytest.mark.parametrize("spec", UNBOUNDED)
-    def test_constants_keep_the_unbounded_period(self, spec):
-        assert parse_signal(spec, period=math.inf).period == math.inf
+    def test_difference_names_the_last_operand_error(self):
+        with pytest.raises(ValueError) as info:
+            parse_signal("diff:zero-const", period=math.inf)
+        assert str(info.value) == "cannot parse difference signal 'diff:zero-const': period must be positive and finite, got inf"
+        with pytest.raises(ValueError, match=r"^cannot parse difference signal 'diff:sine'$"):
+            parse_signal("diff:sine", period=T)
 
     @pytest.mark.parametrize("make", [
         lambda: PwmSingle(m=4, period=math.inf),
