@@ -26,7 +26,6 @@ from .models import (
     exact_linear_propagate,
     exact_trajectory,
     parse_model,
-    reduced_ivp,
 )
 from .propagators import (
     ExactLinearPropagator,
@@ -108,7 +107,6 @@ __all__ = [
     "parse_model",
     "parse_propagator",
     "parse_signal",
-    "reduced_ivp",
     "reference_trajectory",
     "run_study",
     "__version__",

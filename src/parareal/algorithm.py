@@ -15,7 +15,7 @@ the calling thread; the corrected coarse sweep is sequential.
 A run stops after exactly k sweeps (``FixedIterations``) or once the largest
 jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
 errors are always measured against the exact solution in closed form
-(``reference_trajectory``); a problem without one fails there.
+(``reference_trajectory``); an input segment without one fails there.
 
 A run keeps its states as Python floats.  Its config sets the sync grid up
 once, at construction.  The run plans the intervals of the propagators that
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import LinearScalarModel, SplitIvp, closed_form_trajectory, reduced_ivp
+from .models import LinearScalarModel, SplitIvp, closed_form_trajectory
 from .propagators import (
     ExactLinearPropagator,
     NonFiniteStateError,
@@ -107,8 +107,6 @@ class PararealConfig:
         if self.variant not in ("original", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
         fi, ci = self.fine.ivp, self.coarse.ivp
-        if not math.isfinite(fi.t_end):
-            raise ValueError(f"the horizon must be finite, got {fi.t_end}")
         if replace(ci, signal=fi.signal) != fi:
             raise ValueError("fine and coarse propagators integrate different problems")
         if self.variant == "original" and ci != fi:
@@ -207,9 +205,9 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     (``closed_form_trajectory``) on the run's sync grid, which only the IVP
     and N determine.  So it is computed once per pair and process and kept in
     a bounded table (``_reference``); each call returns a fresh ``(N+1, 1)``
-    array.  A problem with no closed form (decay rate ``<= 0``, or an input
-    segment that is neither constant nor sinusoidal, neither of which a
-    parsed model has) raises here, on every call.
+    array.  A problem has a positive decay rate (``SplitIvp``); one with an
+    input segment that is neither constant nor sinusoidal, which no parsed
+    model has, has no closed form and raises here, on every call.
     """
     ivp = cfg.fine.ivp
     return _reference(ivp, cfg.n_intervals, math.copysign(1.0, ivp.u0)).copy()
@@ -350,7 +348,7 @@ def make_config(
     problem (variant "original").  The default termination is ``Termination()``.
     """
     ivp = model.ivp()
-    coarse_ivp = ivp if reduced_input is None else reduced_ivp(ivp, reduced_input)
+    coarse_ivp = ivp if reduced_input is None else replace(ivp, signal=reduced_input)
     return PararealConfig(
         n_intervals=n_intervals,
         fine=parse_propagator(fine, ivp, model),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithm import FixedIterations, PararealConfig, iterate, make_config
 from .models import LinearScalarModel, exact_linear_propagate
-from .propagators import ExactLinearPropagator, Propagator, parse_propagator
+from .propagators import ExactLinearPropagator, Propagator, ThetaPropagator, parse_propagator
 from .signals import Difference, Signal, StepWave
 
 ERROR_FLOOR = 1e-13
@@ -97,12 +97,12 @@ class StudySpec:
             raise ValueError(f"unknown error metric {self.error_metric!r}; known: max, final, first_active")
         if self.variant == "reduced" and self.reduced_input is None:
             raise ValueError("reduced variant needs a reduced_input signal")
-        parse_propagator(self.coarse_scheme, self.model.ivp(), self.model)  # a bad spec raises ValueError
+        coarse = parse_propagator(self.coarse_scheme, self.model.ivp(), self.model)  # a bad spec raises ValueError
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
         if (
             self.variant == "reduced"
-            and self.coarse_scheme.strip().partition(":")[0] == "cn"
+            and isinstance(coarse, ThetaPropagator) and coarse.theta == 0.5
             and isinstance(self.reduced_input, StepWave)
         ):
             self.n_list = tuple(n for n in self.n_list if n % 2 == 0)

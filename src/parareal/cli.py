@@ -136,13 +136,13 @@ def _cmd_signal_dump(args, config) -> int:
 
 def _cmd_model_reference(args, config) -> int:
     r = _resolve(args, config)
-    model = parse_model(r["model"] if args.model is None else args.model)
+    model = parse_model(r["model"])
     npts = int(r["grid"])
     uniform = np.linspace(0.0, model.t_end, npts + 1)
     switches = model.signal.switching_times(0.0, model.t_end)
     ts = np.union1d(uniform, switches)
     phis = exact_trajectory(model, ts)
-    lines = _manifest_lines("model reference", {"model": args.model or r["model"], "grid": npts})
+    lines = _manifest_lines("model reference", {"model": r["model"], "grid": npts})
     lines.append("t,phi")
     lines.extend(f"{_fmt(t)},{_fmt(p)}" for t, p in zip(ts, phis))
     _write_text(args.out, "\n".join(lines) + "\n")

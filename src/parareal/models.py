@@ -4,9 +4,10 @@ The input ``w`` is a pure-time signal that may be discontinuous (PWM).  The
 model, an RL circuit driven by a current source, admits an exact per-segment
 solution which serves as the fine propagator and as the reference of every
 run: every parseable input is constant or sinusoidal between two switches
-(``Signal.segment_form``).  The closed form is split into the segment data
-of an interval (``_segments`` cold, ``_grid_plans`` for a grid), which depends
-only on the input and the times, and its application to a state (``_advance``).
+(``Signal.segment_form``), and every ``SplitIvp`` decays.  The closed form is
+split into the segment data of an interval (``_segments`` cold,
+``_grid_plans`` for a grid), which depends only on the input and the times,
+and its application to a state (``_advance``).
 
 The set-up that changes no result is kept for one of two lifetimes:
 
@@ -47,27 +48,26 @@ class UnsupportedSignalError(ValueError):
 class SplitIvp:
     """IVP ``u' = -decay * u + gain * signal(t)``, ``u(0) = u0`` on ``(0, t_end]``.
 
-    A record of floats and one input signal: the linear state part is split
-    from the pure-time input, which may be discontinuous.  It compares, hashes
-    and pickles by value.
+    A record of floats and one input signal, whose period is the horizon
+    ``t_end``.  Construction, also by ``dataclasses.replace``, raises
+    ``ValueError`` for any other input and for a decay rate not > 0: it holds
+    only a problem a run can solve.  It compares, hashes and pickles by value.
     """
 
     decay: float
     gain: float
     signal: Signal
     u0: float
-    t_end: float
 
+    def __post_init__(self):
+        if not isinstance(self.signal, Signal):
+            raise ValueError(f"expected one input signal, got {self.signal!r}")
+        if not self.decay > 0:  # negated, so that NaN fails too
+            raise ValueError(f"the closed form needs a decay rate > 0, got {self.decay!r}")
 
-def reduced_ivp(ivp: SplitIvp, reduced_input: Signal) -> SplitIvp:
-    """Copy of the IVP with the input replaced by a smooth surrogate.
-
-    The decay rate, gain, initial value and horizon are unchanged; the implied
-    perturbation is ``Difference(ivp.signal, reduced_input)``.
-    """
-    if not isinstance(reduced_input, Signal):
-        raise ValueError(f"expected one reduced input signal, got {reduced_input!r}")
-    return replace(ivp, signal=reduced_input)
+    @property
+    def t_end(self) -> float:
+        return self.signal.period
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ class LinearScalarModel:
         return self.signal.period
 
     def ivp(self) -> SplitIvp:
-        return SplitIvp(decay=self.decay_rate, gain=self.R_res, signal=self.signal, u0=self.u0, t_end=self.t_end)
+        return SplitIvp(decay=self.decay_rate, gain=self.R_res, signal=self.signal, u0=self.u0)
 
     def with_signal(self, signal: Signal) -> "LinearScalarModel":
         return replace(self, signal=signal)
@@ -225,8 +225,6 @@ def _trajectory(a: float, gain: float, sig: Signal, times, phi: float) -> np.nda
     would, an input with no closed form from the first table segment that has
     none.
     """
-    if not a > 0.0:
-        raise ValueError(f"the closed form needs a decay rate > 0, got {a!r}")
     ts = np.asarray(times, dtype=float).tolist()
     if not ts:
         raise ValueError("need a grid of at least one time")
@@ -244,11 +242,10 @@ def exact_trajectory(model: LinearScalarModel, times: np.ndarray) -> np.ndarray:
 def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray:
     """Exact solution of the IVP at ``times`` (from ``times[0]``).
 
-    For a model's ``ivp()`` this equals ``exact_trajectory`` bitwise.  The
-    closed form needs a decay rate ``ivp.decay > 0`` (``ValueError``
-    otherwise), and a constant-plus-sinusoid form on every continuity segment
-    of the input (``UnsupportedSignalError`` otherwise); every model that
-    ``parse_model`` builds has both.
+    For a model's ``ivp()`` this equals ``exact_trajectory`` bitwise.  Besides
+    the IVP's positive decay rate, the closed form needs a constant-plus-sinusoid
+    form on every continuity segment of the input (``UnsupportedSignalError``
+    otherwise), which every model that ``parse_model`` builds has.
     """
     return _trajectory(ivp.decay, ivp.gain, ivp.signal, times, ivp.u0)
 

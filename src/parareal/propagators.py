@@ -20,9 +20,9 @@ point too) take both one-sided input values in one array lookup
 (``Signal._limits_array``), and the four float columns of a plan (step size,
 start input term, theta times the end input term, denominator) are array
 expressions with the IEEE operations of the per-substep formulas in their
-order.  Array reductions prove the set-up clean: every step size positive,
-and, for a growing mode only, no zero denominator.  The recurrence over a
-clean set-up runs without per-step checks and tests the final state once.
+order.  An array reduction proves the set-up clean: every step size
+positive; a ``SplitIvp`` decays, so no denominator is zero.  The recurrence
+over a clean set-up runs without per-step checks and tests the final state once.
 A failure, an unclean set-up or a final state that is not finite, is
 located by running the interval again through the checked loop, which
 raises at the same step and with the same message as a check at every
@@ -82,15 +82,14 @@ class Propagator:
 class ExactLinearPropagator(Propagator):
     """Exact segment-composed solution of a scalar linear model.
 
-    Its plans live on its own model instance, where ``exact_linear_propagate``
-    finds them.
+    Its ``ivp`` is the model's, built once.  Its plans live on its own model
+    instance, where ``exact_linear_propagate`` finds them.
     """
 
     model: LinearScalarModel
 
-    @property
-    def ivp(self) -> SplitIvp:  # type: ignore[override]
-        return self.model.ivp()
+    def __post_init__(self):
+        object.__setattr__(self, "ivp", self.model.ivp())
 
     def propagate(self, t0, t1, u):
         return exact_linear_propagate(self.model, t0, t1, u if type(u) is float else scalar_state(u))
@@ -188,7 +187,7 @@ class ThetaPropagator(Propagator):
             if h <= 0.0:
                 raise ValueError("degenerate substep")
             num = u + h * (c * (a * u + p_s) + th_p_e)
-            u = num / den if den != 0.0 else math.inf  # den == 0: the implicit solve's pole
+            u = num / den
             if not math.isfinite(u):
                 raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
         return u
@@ -197,8 +196,8 @@ class ThetaPropagator(Propagator):
         """The substeps of the grid ``times``, set up in one pass: four float
         columns ``(h, p_s, theta*p_e, den)`` over all of them, in order, the
         number of substeps of each interval, and whether the set-up is clean
-        (every ``h > 0``, no ``den == 0``), the condition of ``propagate``'s
-        check-free recurrence.
+        (every ``h > 0``), the condition of ``propagate``'s check-free
+        recurrence.
 
         This is the state-independent part of the sweep: ``p = 0.0 + gain *
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
@@ -228,9 +227,8 @@ class ThetaPropagator(Propagator):
         last = signal.value(x.item(-1), Side.LEFT_LIMIT)
         hs = x[1:] - x[:-1]
         den = 1.0 - hs * th * self._a
-        # with every h > 0, a decaying or neutral mode (a <= 0) has den >= 1
-        # or NaN: only a growing one can meet the implicit solve's pole
-        clean = bool(hs.min() > 0.0) and (self._a <= 0.0 or bool(den.all()))
+        # with every h > 0, a decaying mode (a < 0) has den >= 1 or NaN: no pole
+        clean = bool(hs.min() > 0.0)
         # the input terms at the substeps' starts, then at their ends
         p = 0.0 + gain * np.concatenate(([first], rights, lefts, [last]))
         n = len(hs)
@@ -245,7 +243,7 @@ def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]
     propagator unplanned and each cold call locates its own fault."""
     columns, counts, clean = prop._substeps(times)
     if not clean:
-        raise ValueError("a degenerate substep or a pole in the set-up")
+        raise ValueError("a degenerate substep in the set-up")
     steps = list(zip(*columns))
     bounds = [0, *accumulate(counts)]
     return [steps[i:j] for i, j in zip(bounds, bounds[1:])]

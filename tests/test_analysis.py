@@ -128,6 +128,19 @@ class TestEvalBound:
         with pytest.raises(ValueError):
             BoundParams(c1=-1.0)
 
+    @pytest.mark.parametrize("check, message", [
+        (lambda model: StudySpec(model=model, variant="reduced"), "^reduced variant needs a reduced_input signal$"),
+        (lambda model: BoundParams(p=0.5), "^p must be >= 1$"),
+        (lambda model: BoundParams(dt=0.0), "^dt must be positive$"),
+        (lambda model: BoundParams(dt=-1e-3), "^dt must be positive$"),
+        (lambda model: eval_bound(BoundParams(c1=0.0), "smooth"), "^smooth bound needs c1 > 0$"),
+        (lambda model: eval_bound(BoundParams(), "rough"), "^unknown bound 'rough'$"),
+    ], ids=["reduced-without-input", "p-below-one", "zero-dt", "negative-dt", "smooth-c1-zero", "unknown-bound"])
+    def test_input_checks(self, pwm10_model, check, message):
+        with pytest.raises(ValueError, match=message) as info:
+            check(pwm10_model)
+        assert type(info.value) is ValueError
+
 
 class TestDefectStudy:
     def test_identical_inputs_hit_floor(self, pwm400_model):

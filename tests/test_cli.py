@@ -256,7 +256,7 @@ assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", sys.argv[
 loaded = sorted(m for m in ("parareal.analysis", "parareal.svgplot") if m in sys.modules)
 assert not loaded, loaded
 import parareal
-assert len(parareal.__all__) == 43
+assert len(parareal.__all__) == 42
 missing = [name for name in parareal.__all__ if getattr(parareal, name, None) is None]
 assert not missing, missing
 assert set(parareal.__all__) <= set(dir(parareal))
@@ -434,6 +434,62 @@ class TestUsageErrors:
         assert main(["bound", "eval", "--which", "lemma", "--Cp", "2", "--p", "1"]) == 0
         assert cli._parser() is parser
         assert capsys.readouterr().out.strip() == "2"
+
+
+class TestSvgOutputs:
+    """``run --svg`` and ``study run --svg`` write a well-formed SVG with one series per iterate or preset series."""
+
+    @staticmethod
+    def series_labels(path):
+        import xml.etree.ElementTree as ET
+
+        text = path.read_text()
+        assert text.startswith("<svg ") and text.endswith("</svg>")
+        root = ET.fromstring(text)  # raises on a malformed document
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.tag == f"{ns}svg"
+        polylines = root.findall(f"{ns}polyline")
+        # each series draws one polyline and one legend label, the texts after the axis labels
+        labels = [t.text for t in root.findall(f"{ns}text")][-len(polylines):]
+        return labels
+
+    def test_run(self, tmp_path):
+        svg = tmp_path / "run.svg"
+        argv = ["run", "--N", "8", "--k", "2", "--threads", "1", "--out", str(tmp_path / "run.csv"), "--svg", str(svg)]
+        assert main(argv) == 0
+        assert self.series_labels(svg) == ["k=0", "k=1", "k=2"]
+
+    def test_study_run(self, tmp_path):
+        svg = tmp_path / "study.svg"
+        argv = ["study", "run", "--preset", "fig3-left", "--n-list", "5,10,20", "--out", str(tmp_path / "s.csv"),
+                "--svg", str(svg)]
+        assert main(argv) == 0
+        assert self.series_labels(svg) == [e["label"] for e in cli.PRESETS["fig3-left"]]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("config, argv, error, check", [
+        # a config line without "=", after a blank and a comment line, which are skipped
+        ("\n# N=6\n  \nN6\n", ["run", "--k", "1", "--threads", "1"], "bad config line 'N6'",
+         lambda path: cli._read_config(path)),
+        (None, ["run", "--variant", "bogus", "--k", "1", "--threads", "1"], "unknown variant 'bogus'",
+         lambda path: cli._build_run_config({**cli.HARD_DEFAULTS, "variant": "bogus"})),
+    ], ids=["config-line-without-equals", "unknown-run-variant"])
+    def test_usage_errors(self, config, argv, error, check, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        assert main((["--config", str(cfg)] if config is not None else []) + argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+        with pytest.raises(cli.UsageError, match=f"^{error}$"):
+            check(str(cfg))
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("\n# N=99\n   \nN=6\n  # threads=7\nthreads=1\n")
+        assert cli._read_config(str(cfg)) == {"N": "6", "threads": "1"}
 
 
 class TestConfigFile:

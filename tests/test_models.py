@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +12,12 @@ from parareal import (
     LinearScalarModel,
     PwmSingle,
     SineWave,
+    SplitIvp,
     StepWave,
     UnsupportedSignalError,
     exact_linear_propagate,
     exact_trajectory,
     parse_model,
-    reduced_ivp,
 )
 
 T = 0.02
@@ -126,28 +128,52 @@ class TestDefectScaling:
         assert study.slope >= 0.9
 
 
+class TestSplitIvp:
+    def test_four_fields_and_the_input_period_as_horizon(self, pwm400_model):
+        ivp = pwm400_model.ivp()
+        assert [f.name for f in dataclasses.fields(SplitIvp)] == ["decay", "gain", "signal", "u0"]
+        assert ivp.t_end == ivp.signal.period == T
+        with pytest.raises(TypeError):
+            SplitIvp(decay=10.0, gain=0.01, signal=SineWave(T), u0=0.0, t_end=T)
+
+    @pytest.mark.parametrize("decay", [0.0, -0.0, -1.0, math.nan, -math.inf])
+    def test_a_decay_rate_not_above_zero_is_rejected(self, decay, pwm400_model):
+        message = re.escape(f"the closed form needs a decay rate > 0, got {decay!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SplitIvp(decay=decay, gain=0.01, signal=SineWave(T), u0=0.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):  # replace checks again
+            dataclasses.replace(pwm400_model.ivp(), decay=decay)
+
+    @pytest.mark.parametrize("signal", [(SineWave(T), SineWave(T)), None, 1.0])
+    def test_an_input_that_is_not_one_signal_is_rejected(self, signal):
+        with pytest.raises(ValueError, match="expected one input signal, got"):
+            SplitIvp(decay=10.0, gain=0.01, signal=signal, u0=0.0)
+
+
 class TestReducedIvp:
+    """A reduced problem is the IVP with its input replaced (``dataclasses.replace``)."""
+
     def test_replaces_input_only(self, pwm400_model, sine_signal):
         ivp = pwm400_model.ivp()
-        red = reduced_ivp(ivp, sine_signal)
+        red = dataclasses.replace(ivp, signal=sine_signal)
         assert red.signal == sine_signal
         assert red.u0 == ivp.u0 and red.t_end == ivp.t_end
         assert red.decay == ivp.decay
 
     def test_step_surrogate(self, pwm400_model, step_signal):
-        red = reduced_ivp(pwm400_model.ivp(), step_signal)
+        red = dataclasses.replace(pwm400_model.ivp(), signal=step_signal)
         assert isinstance(red.signal, StepWave)
 
     def test_identity_reduction_gives_zero_perturbation(self, pwm400_model):
         ivp = pwm400_model.ivp()
-        red = reduced_ivp(ivp, ivp.signal)
+        red = dataclasses.replace(ivp, signal=ivp.signal)
         pert = Difference(ivp.signal, red.signal)
         ts = np.linspace(0.0, T, 20001)
         assert np.all(pert.values(ts) == 0.0)
 
     def test_channel_mismatch(self, pwm400_model):
-        with pytest.raises(ValueError):
-            reduced_ivp(pwm400_model.ivp(), (SineWave(T), SineWave(T)))
+        with pytest.raises(ValueError, match="expected one input signal"):
+            dataclasses.replace(pwm400_model.ivp(), signal=(SineWave(T), SineWave(T)))
 
 
 class TestParseModel:

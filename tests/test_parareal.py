@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import math
 import pickle
@@ -30,7 +31,6 @@ from parareal import (
     make_config,
     parse_propagator,
     parse_signal,
-    reduced_ivp,
 )
 from parareal import algorithm, models
 from parareal.algorithm import reference_trajectory
@@ -283,7 +283,7 @@ class TestIterate:
         red_cfg = PararealConfig(
             n_intervals=10,
             fine=ExactLinearPropagator(pwm10_model),
-            coarse=ThetaPropagator(reduced_ivp(pwm10_model.ivp(), pwm10_model.signal), theta=1.0),
+            coarse=ThetaPropagator(dataclasses.replace(pwm10_model.ivp(), signal=pwm10_model.signal), theta=1.0),
             termination=term,
             variant="reduced",
         )
@@ -358,16 +358,21 @@ class TestIterate:
         assert (info.value.k, info.value.n) == (1, 3)
 
     @pytest.mark.parametrize("threads", [None, 2])
-    def test_fine_sweep_pole_carries_its_location(self, threads):
-        # u' = 4u + w with a step at t=0.75 on three intervals of 0.5: the
-        # aligned BE fine splits interval 2 into substeps of 0.25, where its
-        # implicit solve 1 - h*4 = 0 hits its pole; h = 0.5 elsewhere is finite
+    def test_fine_sweep_overflow_carries_its_location(self, threads):
+        # u' = -1e10 u + w with a step at t=0.75 on three intervals of 0.5 and
+        # a coarse guess of 1e300 past u0 = 1: the aligned explicit fine steps
+        # interval 1 in one step of 0.5 from u0, finite, and splits interval 2
+        # at 0.75, where its first step from 1e300 overflows
         from parareal import NonFiniteStateError, StepWave
 
-        ivp = SplitIvp(decay=-4.0, gain=1.0, signal=StepWave(1.5), u0=1.0, t_end=1.5)
+        class FarGuess(ThetaPropagator):
+            def propagate(self, t0, t1, u):
+                return 1e300
+
+        ivp = SplitIvp(decay=1e10, gain=1.0, signal=StepWave(1.5), u0=1.0)
         cfg = PararealConfig(
-            n_intervals=3, fine=ThetaPropagator(ivp, discontinuity_aligned=True), coarse=ThetaPropagator(ivp),
-            termination=FixedIterations(2),
+            n_intervals=3, fine=ThetaPropagator(ivp, theta=0.0, discontinuity_aligned=True),
+            coarse=FarGuess(ivp), termination=FixedIterations(2),
         )
         with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
             with pytest.raises(NonFiniteStateError, match="step ending at t=0.75") as info:
@@ -395,6 +400,36 @@ class TestIterate:
         )
         with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
             with pytest.raises(NonFiniteStateError, match="^pole$") as info:
+                iterate(cfg, pool)
+        assert (info.value.k, info.value.n) == (1, 3)
+
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_correction_overflow_carries_its_location(self, pwm10_model, threads):
+        # finite fine and coarse values on interval 3 whose corrected sum
+        # f + g_new - g_old overflows: 1e308 + 1e308 is inf
+        from parareal import NonFiniteStateError
+
+        times = make_config(pwm10_model, 10).times.tolist()
+
+        class FarFine(ExactLinearPropagator):
+            def propagate(self, t0, t1, u):
+                return 1e308 if t0 == times[2] else super().propagate(t0, t1, u)
+
+        class FarCoarse(ThetaPropagator):
+            # the guess passes; the correction to iterate 1 gets 1e308 on interval 3
+            def propagate(self, t0, t1, u):
+                calls.append(t0)
+                return 1e308 if len(calls) > 10 and t0 == times[2] else super().propagate(t0, t1, u)
+
+        calls = []
+
+        cfg = PararealConfig(
+            n_intervals=10, fine=FarFine(pwm10_model), coarse=FarCoarse(pwm10_model.ivp()),
+            termination=FixedIterations(2),
+        )
+        with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
+            with pytest.raises(NonFiniteStateError, match="^non-finite state at iteration 1, interval 3$") as info:
                 iterate(cfg, pool)
         assert (info.value.k, info.value.n) == (1, 3)
 
@@ -507,7 +542,7 @@ class TestPlannedRunOracle:
 class TestConfigValidation:
     def test_variant_consistency_enforced(self, pwm10_model, sine_signal):
         fine = ExactLinearPropagator(pwm10_model)
-        coarse = ThetaPropagator(reduced_ivp(pwm10_model.ivp(), sine_signal), theta=1.0)
+        coarse = ThetaPropagator(dataclasses.replace(pwm10_model.ivp(), signal=sine_signal), theta=1.0)
         with pytest.raises(ValueError):
             PararealConfig(n_intervals=4, fine=fine, coarse=coarse, variant="original")
 
@@ -515,15 +550,9 @@ class TestConfigValidation:
     def test_coarse_on_another_circuit_is_rejected(self, pwm10_model, sine_signal, variant):
         other = LinearScalarModel(R_res=2 * pwm10_model.R_res, L_ind=pwm10_model.L_ind, signal=pwm10_model.signal)
         coarse_signal = other.signal if variant == "original" else sine_signal
-        coarse = ThetaPropagator(reduced_ivp(other.ivp(), coarse_signal), theta=1.0)
+        coarse = ThetaPropagator(dataclasses.replace(other.ivp(), signal=coarse_signal), theta=1.0)
         with pytest.raises(ValueError, match="different problems"):
             PararealConfig(n_intervals=4, fine=ExactLinearPropagator(pwm10_model), coarse=coarse, variant=variant)
-
-    def test_unbounded_horizon(self):
-        # no parsed signal has an infinite period; a hand-built IVP can have an infinite horizon
-        ivp = SplitIvp(decay=10.0, gain=0.01, signal=parse_signal("const", period=T), u0=0.0, t_end=math.inf)
-        with pytest.raises(ValueError, match="horizon must be finite, got inf"):
-            PararealConfig(n_intervals=4, fine=ThetaPropagator(ivp, theta=0.5), coarse=ThetaPropagator(ivp))
 
     def test_bad_interval_count(self, pwm10_model):
         fine = ExactLinearPropagator(pwm10_model)
@@ -539,6 +568,19 @@ class TestConfigValidation:
     def test_bad_jump_threshold(self, threshold):
         with pytest.raises(ValueError, match="jump_threshold must be a positive finite number"):
             Termination(jump_threshold=threshold)
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda model: FixedIterations(k=0), "^k must be >= 1$"),
+        (lambda model: PararealConfig(n_intervals=4, fine=ExactLinearPropagator(model),
+                                      coarse=ExactLinearPropagator(model), variant="classic"),
+         "^unknown variant 'classic'$"),
+        (lambda model: iterate(make_config(model, 4, termination=FixedIterations(1))).error(1, "mean"),
+         "^unknown metric 'mean'$"),
+    ], ids=["zero-fixed-iterations", "unknown-variant", "unknown-error-metric"])
+    def test_input_checks(self, pwm10_model, check, message):
+        with pytest.raises(ValueError, match=message) as info:
+            check(pwm10_model)
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("atol, rtol", [(0.0, 1e-5), (-1e-5, 1e-5), (math.nan, 1e-5), (1e-5, -1e-5), (1e-5, math.nan)])
     @pytest.mark.parametrize(
@@ -583,12 +625,10 @@ class TestReferenceTrajectory:
         assert _same_bits(reference_trajectory(cfg)[:, 0], exact_trajectory(model, cfg.times))
 
     def test_zero_decay_rate_raises(self):
-        # a = 0 has no decaying closed form (the segment step divides by a)
-        ivp = SplitIvp(decay=-0.0, gain=0.01, signal=PwmSingle(m=400, period=T), u0=0.0, t_end=T)
-        fine = ThetaPropagator(ivp, theta=0.5, substeps=7, discontinuity_aligned=True)
-        cfg = PararealConfig(n_intervals=5, fine=fine, coarse=ThetaPropagator(ivp), variant="original")
+        # a = 0 has no decaying closed form (the segment step divides by a), so
+        # no problem, and no run with a reference, is built on it
         with pytest.raises(ValueError, match=r"decay rate > 0, got -0\.0"):
-            reference_trajectory(cfg)
+            SplitIvp(decay=-0.0, gain=0.01, signal=PwmSingle(m=400, period=T), u0=0.0)
 
     def test_input_without_closed_form_raises(self):
         # the run itself completes on a theta fine propagator; its reference fails

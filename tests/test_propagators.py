@@ -163,14 +163,12 @@ class TestLocalOrderProbe:
 
 class TestNonlinearAndVector:
     def test_non_finite_detection(self):
-        # (theta, growth rate, substeps): a growing mode stepped exactly onto
-        # the implicit solve's pole, and an explicit step whose growth
-        # overflows to inf with no pole in sight
-        for theta, rate, substeps in ((1.0, 1.0, 1), (0.0, 1e200, 3)):
-            ivp = SplitIvp(decay=-rate, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0, t_end=1.0)
-            prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
-            with pytest.raises(NonFiniteStateError):
-                prop.propagate(0.0, 1.0, ivp.u0)
+        # an explicit step on a fast decaying mode: its growth factor
+        # 1 - h*decay overflows the state to inf in the second substep
+        ivp = SplitIvp(decay=1e200, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0)
+        prop = ThetaPropagator(ivp, theta=0.0, substeps=3)
+        with pytest.raises(NonFiniteStateError):
+            prop.propagate(0.0, 1.0, ivp.u0)
 
 
 def reference_sweep(prop, t0, t1, u0):
@@ -216,13 +214,18 @@ class TestScalarSweepReference:
                         assert u == want, (substeps, aligned, n_int, n)
 
     def test_signed_zero_state(self):
-        # a -0.0 input product must become +0.0 as in the matrix product, or
-        # a -0.0 state in a neutral mode keeps its sign; == cannot see this
-        ivp = SplitIvp(decay=-0.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0, t_end=T)
+        # a -0.0 input product must become +0.0 as in the matrix product; ==
+        # cannot see this.  In a decaying mode a*u turns a zero state of
+        # either sign into +0.0 before the input term is added, so the
+        # state's sign cannot show it either: the set-up's input terms do
+        ivp = SplitIvp(decay=10.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0)
+        p = (np.array([[ivp.gain]]) @ np.array([0.0])).item()
         for theta in (1.0, 0.5):
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = prop.propagate(0.0, T, ivp.u0)
             assert got.hex() == reference_sweep(prop, 0.0, T, ivp.u0).hex()
+            (_, p_s, th_p_e, _), _, _ = prop._substeps((0.0, T))
+            assert [x.hex() for x in p_s + th_p_e] == [p.hex()] * 3 + [(theta * p).hex()] * 3
 
 
 PLAN_INPUTS = ["pwm:m=400", "pwm3:m=400", "step", "sine", "diff:pwm:m=400-sine", "const:v=1"]
@@ -502,9 +505,9 @@ class TestNearSwitchGrids:
         with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
             models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T])
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
-        for decay in (0.0, -1.0, math.nan):
+        for decay in (0.0, -1.0, math.nan):  # no problem without a closed form is built
             with pytest.raises(ValueError, match="decay rate > 0"):
-                models.closed_form_trajectory(SplitIvp(decay, 0.01, model.signal, 0.0, T), [0.0, T / 2, T])
+                SplitIvp(decay, 0.01, model.signal, 0.0)
         with pytest.raises(ValueError, match="need t0 < t1"):
             models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T / 2, T])
 
@@ -685,7 +688,7 @@ def frozen_propagate(prop, t0, t1, u):
         if h <= 0.0:
             raise ValueError("degenerate substep")
         num = u + h * (c * (a * u + p_s) + th_p_e)
-        u = num / den if den != 0.0 else math.inf
+        u = num / den
         if not math.isfinite(u):
             raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
     return u
@@ -694,10 +697,10 @@ def frozen_propagate(prop, t0, t1, u):
 def frozen_columns(prop, times):
     """``frozen_substeps`` in the form of ``_substeps``: its first four columns
     ``(h, p_s, theta*p_e, den)``, each interval's count, and whether every
-    ``h > 0`` and no ``den == 0``."""
+    ``h > 0``."""
     steps, counts = frozen_substeps(prop, times)
     hs, p_s, th_p_e, dens = (list(col) for col in zip(*[step[:4] for step in steps]))
-    return (hs, p_s, th_p_e, dens), counts, all(h > 0.0 for h in hs) and all(den != 0.0 for den in dens)
+    return (hs, p_s, th_p_e, dens), counts, all(h > 0.0 for h in hs)
 
 
 def assert_ends(prop, times):
@@ -774,7 +777,7 @@ class TestArraySetUpOracle:
 
     def test_signed_zero_input_terms(self):
         # a -0.0 input product becomes +0.0 in both input terms
-        ivp = SplitIvp(decay=-0.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0, t_end=T)
+        ivp = SplitIvp(decay=10.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0)
         for theta in (0.0, 0.5, 1.0):
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = outcome(prop._substeps, [0.0, T / 2, T])
@@ -813,11 +816,11 @@ class TestArraySetUpOracle:
             got = outcome(prop.propagate, t0, t1, 0.25)
             assert got == (ValueError, "degenerate substep") == outcome(frozen_propagate, prop, t0, t1, 0.25)
 
-    def test_pole_and_overflow(self):
-        # a growing mode stepped onto the implicit solve's pole, and an
-        # explicit step whose growth overflows
-        for theta, rate, substeps in ((1.0, 1.0, 1), (0.0, 1e200, 3), (0.5, 2.0, 1)):
-            ivp = SplitIvp(decay=-rate, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0, t_end=1.0)
+    def test_overflow(self):
+        # an explicit step whose growth overflows, and an implicit one on an
+        # infinitely fast mode: -inf / inf
+        for theta, rate, substeps in ((0.0, 1e200, 3), (0.5, math.inf, 1)):
+            ivp = SplitIvp(decay=rate, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0)
             prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
             got = outcome(prop.propagate, 0.0, 1.0, 1.0)
             assert got == outcome(frozen_propagate, prop, 0.0, 1.0, 1.0)
@@ -834,7 +837,7 @@ class TestCheckFreeRecurrence:
     @given(
         u=st.sampled_from(NON_FINITE),
         theta=st.sampled_from([0.0, 0.5, 1.0]),
-        a=st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf),
+        a=st.floats(max_value=-5e-324),
         h=st.floats(min_value=0.0, exclude_min=True),
         p_s=st.floats(),
         th_p_e=st.floats(),
@@ -847,7 +850,7 @@ class TestCheckFreeRecurrence:
         assert not math.isfinite((u + h * (c * (a * u + p_s) + th_p_e)) / den)
         # the same step as the plan of (0, 1): the final state is not finite,
         # and the checked loop names the step
-        ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0, 1.0), u0=0.0, t_end=1.0)
+        ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0, 1.0), u0=0.0)
         prop = ThetaPropagator(ivp, theta=theta)
         object.__setattr__(prop, "_plans", {(0.0, 1.0): [(h, p_s, th_p_e, den)]})
         with pytest.raises(NonFiniteStateError, match=re.escape("non-finite state after step ending at t=1.0")):
@@ -861,18 +864,18 @@ class TestCheckFreeRecurrence:
     @example(h=math.inf, theta=0.0, a=0.0)
     @example(h=5e-324, theta=0.5, a=-math.inf)
     def test_a_decaying_mode_has_no_pole(self, h, theta, a):
-        # why ``_substeps`` tests the denominators of a growing mode only
+        # why ``_substeps`` tests no denominator: ``SplitIvp`` holds a decaying mode only
         assert 1.0 - h * theta * a != 0.0
 
     @pytest.mark.parametrize("substeps, first", [(3, NonFiniteStateError), (7, ValueError)])
     def test_non_finite_and_degenerate_steps_in_either_order(self, substeps, first):
         # substeps across an interval two ulps wide, some with h = 0, of an
-        # explicit step whose growth overflows at the first step with h > 0:
-        # three substeps run one step before the degenerate one, seven start
-        # with a degenerate one
+        # explicit step on a fast decaying mode, whose a*u overflows from
+        # u = 1e300 at the first step with h > 0: three substeps run one step
+        # before the degenerate one, seven start with a degenerate one
         t0 = T / 2
         t1 = math.nextafter(math.nextafter(t0, 1.0), 1.0)
-        ivp = SplitIvp(decay=-1e10, gain=1.0, signal=Constant(0.0, T), u0=0.0, t_end=T)
+        ivp = SplitIvp(decay=1e10, gain=1.0, signal=Constant(0.0, T), u0=0.0)
         prop = ThetaPropagator(ivp, theta=0.0, substeps=substeps)
         (hs, *_), _, clean = prop._substeps((t0, t1))
         assert not clean and (hs[0] > 0.0) == (first is NonFiniteStateError) and 0.0 in hs
@@ -900,18 +903,19 @@ class TestCheckFreeRecurrence:
                 assert len(prop._plans) == 20
                 assert outcome(prop.propagate, times[3], times[4], u) == want
 
-    @pytest.mark.parametrize("decay, t_end, n_intervals, substeps, want", [
-        # backward Euler onto the implicit solve's pole: den = 1 - (1/4)*4 = 0
-        (-4.0, 1.0, 4, 1, (NonFiniteStateError, "non-finite state after step ending at t=0.25")),
+    @pytest.mark.parametrize("decay, u0, t_end, n_intervals, theta, substeps, want", [
+        # an explicit step on a fast decaying mode, clean: a*u0 = -1e310 overflows
+        (1e10, 1e300, 1.0, 4, 0.0, 1, (NonFiniteStateError, "non-finite state after step ending at t=0.25")),
         # seven substeps across a horizon two subnormals long, the first with h = 0
-        (1.0, 1e-323, 1, 7, (ValueError, "degenerate substep")),
+        (1.0, 1.0, 1e-323, 1, 1.0, 7, (ValueError, "degenerate substep")),
     ])
-    def test_iterate_with_an_unclean_coarse_set_up(self, monkeypatch, decay, t_end, n_intervals, substeps, want):
-        ivp = SplitIvp(decay=decay, gain=1.0, signal=Constant(0.0, t_end), u0=1.0, t_end=t_end)
-        coarse = ThetaPropagator(ivp, substeps=substeps)
+    def test_iterate_with_a_failing_coarse_set_up(self, monkeypatch, decay, u0, t_end, n_intervals, theta, substeps,
+                                                  want):
+        ivp = SplitIvp(decay=decay, gain=1.0, signal=Constant(0.0, t_end), u0=u0)
+        coarse = ThetaPropagator(ivp, theta=theta, substeps=substeps)
         cfg = PararealConfig(n_intervals=n_intervals, fine=ThetaPropagator(ivp, theta=0.5), coarse=coarse)
         t1 = cfg.times[1].item()
-        assert outcome(frozen_propagate, coarse, 0.0, t1, 1.0) == want
+        assert outcome(frozen_propagate, coarse, 0.0, t1, u0) == want
         seen = []
         cold_propagate = ThetaPropagator.propagate
 
@@ -922,21 +926,35 @@ class TestCheckFreeRecurrence:
         monkeypatch.setattr(ThetaPropagator, "propagate", spy)
         with pytest.raises(want[0]) as info:
             iterate(cfg)
-        # the coarse propagator stays unplanned, and its first cold call
-        # raises, relabelled by the initial guess
-        assert seen == [{}]
+        # an unclean set-up leaves the coarse propagator unplanned, a clean
+        # one plans every interval; either way its first call raises,
+        # relabelled by the initial guess
+        assert [len(plans) for plans in seen] == [0 if want[0] is ValueError else n_intervals]
         assert str(info.value) == f"coarse guess failed on interval 1: {want[1]}"
         if want[0] is NonFiniteStateError:
             assert (info.value.k, info.value.n) == (0, 1)
 
 
 class TestParsePropagator:
+    @pytest.mark.parametrize("check, message", [
+        (lambda ivp: ThetaPropagator(ivp, theta=-0.5), r"^theta must lie in \[0, 1\]$"),
+        (lambda ivp: ThetaPropagator(ivp, theta=1.5), r"^theta must lie in \[0, 1\]$"),
+        (lambda ivp: ThetaPropagator(ivp, substeps=0), "^substeps must be >= 1$"),
+        (lambda ivp: parse_propagator("exact", ivp), "^exact propagator needs a scalar linear model$"),
+    ], ids=["theta-below-zero", "theta-above-one", "zero-substeps", "exact-without-model"])
+    def test_input_checks(self, sine_ivp, check, message):
+        with pytest.raises(ValueError, match=message) as info:
+            check(sine_ivp)
+        assert type(info.value) is ValueError
+
     def test_names(self, sine_model):
         ivp = sine_model.ivp()
         assert parse_propagator("be", ivp, sine_model).theta == 1.0
         assert parse_propagator("cn", ivp, sine_model).theta == 0.5
         assert parse_propagator("be:substeps=4", ivp, sine_model).substeps == 4
-        assert isinstance(parse_propagator("exact", ivp, sine_model), ExactLinearPropagator)
+        exact = parse_propagator("exact", ivp, sine_model)
+        assert isinstance(exact, ExactLinearPropagator)
+        assert exact.ivp is exact.ivp and exact.ivp == ivp  # one record, built at construction
 
     def test_unknown(self, sine_model):
         for spec, match in [

@@ -95,6 +95,13 @@ class TestSwitchingTimes:
         assert len(sw) == 1
         assert sw[0] == pytest.approx(0.01, abs=1e-18)
 
+    @pytest.mark.parametrize("spec", ["pwm:m=10", "step", "sine", "const"])
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.0), (T / 2, T / 2), (T, T), (T / 2, T / 4)])
+    def test_an_empty_or_reversed_interval_is_rejected(self, spec, t0, t1):
+        with pytest.raises(ValueError, match=rf"^need t0 < t1, got \({t0}, {t1}\)$") as info:
+            parse_signal(spec, T).switching_times(t0, t1)
+        assert type(info.value) is ValueError
+
     @staticmethod
     def _drop_tooth_boundaries(ts, m):
         # exact tooth-boundary samples carry the measure-zero comparator-tie
@@ -340,7 +347,7 @@ def _equal_keys(table):
         return (sig,)
     if table is models._step_table:
         return (10.0, 0.01, sig)
-    return (SplitIvp(decay=10.0, gain=0.01, signal=sig, u0=0.0, t_end=T), 8, 1.0)
+    return (SplitIvp(decay=10.0, gain=0.01, signal=sig, u0=0.0), 8, 1.0)
 
 
 class TestSwitchTableCache:
