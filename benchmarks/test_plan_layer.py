@@ -1,8 +1,8 @@
 """Layer micro-benchmarks: exact propagation, a planned coarse call, the plans
-of one run, the exact plans of one study's grids, the fine sweep, the
-corrected coarse sweep, one ``iterate``, one ``run_study``, one preset's
-pass and one pass of every preset study, the layers that interval plans and
-the per-process tables move.
+of one run, one study point's config, the exact plans of one study's grids,
+the fine sweep, the corrected coarse sweep, one ``iterate``, one
+``run_study``, one preset's pass and one pass of every preset study, the
+layers that interval plans and the per-process tables move.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -12,10 +12,11 @@ The planned cases run inside ``propagators.planned``, as the calls of a run
 do after its plans are built; the plans are built before the timed calls.  A
 source tree without ``planned`` runs those cases cold, which is how its runs
 make the same calls.  The "plan one run" cases time building and dropping
-the plans of one propagator over a sync grid, outside a study, after one
-untimed warm-up build; the "theta plans" cases time the one-pass set-up of a
-backward-Euler propagator's plans alone (``propagators._theta_plans``), on the
-PWM input and on its sine reduction; the "one study's grids" case sets up the
+the plans of one propagator over a sync grid (N=5 or N=320), outside a
+study, after one untimed warm-up build; the "study point config" case builds
+the ``PararealConfig`` of one reduced study point; the "theta plans" cases
+time the one-pass set-up of a backward-Euler propagator's plans alone
+(``propagators._theta_plans``), on the PWM input and on its sine reduction; the "one study's grids" case sets up the
 exact plans of a study's seven grids as its runs do, and a source tree that keeps a
 study's end segments in a memo gets a fresh memo for each timed call, as
 ``run_study`` makes one.  ``iterate`` and ``run_study`` build their plans
@@ -109,6 +110,27 @@ def test_plan_one_run_n320(benchmark, model, role):
     benchmark(plan_once, prop, times)
     with planned([prop], times):
         assert len(getattr(prop, "model", prop)._plans) == N_PLAN
+
+
+@pytest.mark.parametrize("role", ["fine", "coarse"])
+def test_plan_one_run_n5(benchmark, model, role):
+    # the fixed cost per run at a study's smallest N: five intervals of about
+    # 160 switches each for the exact fine, five one-substep intervals for the
+    # backward-Euler coarse propagator
+    prop = getattr(make_config(model, 5), role)
+    times = sync_times(5)
+    plan_once(prop, times)
+    benchmark(plan_once, prop, times)
+    with planned([prop], times):
+        assert len(getattr(prop, "model", prop)._plans) == 5
+
+
+def test_study_point_config(benchmark, model):
+    # the config of one study point at N=320 on the sine-reduced series:
+    # propagators, problem check and sync grid
+    spec = StudySpec(model=model, variant="reduced", coarse_scheme="be", reduced_input=SineWave(T), k=1)
+    cfg = benchmark(spec.config, N_PLAN)
+    assert cfg.n_intervals == N_PLAN and cfg.coarse.ivp.signal == SineWave(T)
 
 
 @pytest.mark.parametrize("spec", ["pwm:m=400", "sine"])

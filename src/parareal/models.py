@@ -21,8 +21,10 @@ The set-up that changes no result is kept for one of two lifetimes:
 * per run: the plans of a run's propagators (``propagators.planned``): a
   theta propagator's substeps, or each interval's segment data, sliced from
   the per-process table between two switches and set up from its forms at
-  the interval's ends, which a sync point bounds (``_grid_plans``).  Only
-  ``propagate`` reads them.
+  the interval's ends, which a sync point bounds (``_grid_plans``): by table
+  index where the interval holds a switch, else the form of the table
+  segment that holds the interval's midpoint.  Only ``propagate`` reads
+  them.
 
 The closed-form trajectories (``exact_trajectory``,
 ``closed_form_trajectory``, and through it a run's reference) set their grid
@@ -174,20 +176,21 @@ def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[
     (``Signal.grid_switches``); an interval's switches are a run of that
     table, so its segments between two switches are a slice of
     ``_step_table``.  Only its end segments, bounded by a sync point, are
-    set up here, each with the form of the table segment that holds its
-    midpoint.
+    set up here.  Where the interval holds the switches ``i:j`` of the
+    table, its first end segment ends at switch ``i`` and its last starts
+    at switch ``j - 1``, so they take ``forms[i]`` and ``forms[j]``.  A
+    switch-free interval (``i >= j``: a switch may lie within the tolerance
+    of either end) takes the form of the table segment that holds its
+    midpoint, as ``Signal.segment_form`` does.
     """
     switches, steps, forms = _step_table(a, gain, sig)
-
-    def end(s: float, e: float) -> tuple:
-        return _segment_step(a, gain, forms[bisect_right(switches, 0.5 * (s + e))], s, e)
-
     plans = []
     for t0, t1, i, j in zip(times, times[1:], *sig.grid_switches(times)):
         if i < j:
-            plans.append((end(t0, switches[i]), *steps[i : j - 1], end(switches[j - 1], t1)))
+            plans.append((_segment_step(a, gain, forms[i], t0, switches[i]), *steps[i : j - 1],
+                          _segment_step(a, gain, forms[j], switches[j - 1], t1)))
         else:
-            plans.append((end(t0, t1),))
+            plans.append((_segment_step(a, gain, forms[bisect_right(switches, 0.5 * (t0 + t1))], t0, t1),))
     return plans
 
 

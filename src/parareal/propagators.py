@@ -203,7 +203,9 @@ class ThetaPropagator(Propagator):
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
         with ``a = -decay``, each an array expression over all substeps.  The
         sum starting at +0.0 turns a -0.0 product into +0.0, as the 1x1
-        product ``[[gain]] @ [input]`` does.
+        product ``[[gain]] @ [input]`` does.  Where every interval is one
+        substep and not aligned, each grid is its two ends, so the nodes are
+        ``times`` itself.
         """
         grids = []
         for t0, t1 in zip(times, times[1:]):
@@ -212,6 +214,8 @@ class ThetaPropagator(Propagator):
             grids.append(self._grid(t0, t1))
         if len(grids) == 1:
             x = np.asarray(grids[0])
+        elif self.substeps == 1 and not self.discontinuity_aligned:  # every grid is its two ends
+            x = np.array(times, dtype=float)
         else:  # neighbouring grids share their sync point, kept once
             nodes = [grids[0][0]]
             for grid in grids:
@@ -237,7 +241,8 @@ class ThetaPropagator(Propagator):
 
 
 def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]:
-    """A theta propagator's plans over ``times``: its one-pass set-up, split per interval.
+    """A theta propagator's plans over ``times``: its one-pass set-up, split per interval;
+    with one substep per interval (nodes on the sync grid), each plan is its one step.
 
     An unclean set-up raises ``ValueError``, so that ``planned`` leaves the
     propagator unplanned and each cold call locates its own fault."""
@@ -245,6 +250,8 @@ def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]
     if not clean:
         raise ValueError("a degenerate substep in the set-up")
     steps = list(zip(*columns))
+    if len(steps) == len(counts):  # one substep per interval
+        return [[step] for step in steps]
     bounds = [0, *accumulate(counts)]
     return [steps[i:j] for i, j in zip(bounds, bounds[1:])]
 

@@ -188,7 +188,8 @@ class Signal:
         grid raises for its first faulty interval: ``need t0 < t1, got (t0, t1)``
         where it does not increase, else the domain error of its first node outside."""
         grid = np.array(times)
-        n = int(np.append(grid[1:] > grid[:-1], False).argmin())  # the first pair not increasing, else the last node
+        up = grid[1:] > grid[:-1]
+        n = len(times) - 1 if up.all() else int(up.argmin())  # the first pair not increasing, else the last node
         if n:
             self._check_nodes(grid[: n + 1].tolist())
         if n < len(times) - 1:

@@ -21,6 +21,7 @@ from parareal import (
     PwmSingle,
     SineWave,
     SplitIvp,
+    StudySpec,
     Termination,
     ThetaPropagator,
     UnsupportedSignalError,
@@ -34,6 +35,7 @@ from parareal import (
 )
 from parareal import algorithm, models
 from parareal.algorithm import reference_trajectory
+from parareal.cli import PRESETS
 
 T = 0.02
 
@@ -434,6 +436,47 @@ class TestIterate:
         assert (info.value.k, info.value.n) == (1, 3)
 
 
+def _scripted_run(cfg, k_iters):
+    """A line-by-line transcription of the coarse-sweep initialization and
+    ``k_iters`` correction updates, made of cold public ``propagate`` calls:
+    ``(iterates, fine arrivals, jumps)`` as ``iterate`` reports them."""
+    fine, coarse, times, term = cfg.fine, cfg.coarse, cfg.times, cfg.termination
+    N = cfg.n_intervals
+    u0 = np.array([fine.ivp.u0])
+    guess = [u0]
+    for n in range(1, N + 1):
+        guess.append(coarse.propagate(times[n - 1], times[n], guess[n - 1]))
+    state = list(guess)
+    iterates, arrivals_hist, jumps_hist = [guess], [], []
+    for _ in range(k_iters):
+        arrivals = [u0] + [
+            fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
+        ]
+        jumps = [0.0] + [jump_norm(arrivals[n], state[n], term.atol, term.rtol) for n in range(1, N + 1)]
+        g_old = [u0] + [
+            coarse.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
+        ]
+        new = [u0]
+        for n in range(1, N + 1):
+            g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
+            new.append(arrivals[n] + g_new - g_old[n])
+        state = new
+        iterates.append(state)
+        arrivals_hist.append(arrivals)
+        jumps_hist.append(jumps)
+    return (
+        [np.vstack(u) for u in iterates],
+        [np.vstack(u) for u in arrivals_hist],
+        [np.array(j) for j in jumps_hist],
+    )
+
+
+def _assert_run_equals_script(run, script, case):
+    for got, want in zip((run.iterates, run.fine_arrivals, run.jumps), script):
+        assert len(got) == len(want), case
+        assert all(_same_bits(a, b) for a, b in zip(got, want)), case
+
+
 class TestScriptedUpdateOracle:
     def test_iterate_matches_straight_line_script_bitwise(self, pwm400_model):
         """Runs, with their per-run plans and float states, checked against a
@@ -458,40 +501,25 @@ class TestScriptedUpdateOracle:
             cfg = config()
             run = iterate(cfg)
             assert cfg.coarse._plans is None and getattr(cfg.fine, "model", cfg.fine)._plans is None
+            _assert_run_equals_script(run, _scripted_run(config(), k_iters), (fine_spec, coarse_spec, reduced))
 
-            script = config()
-            fine, coarse, times, term = script.fine, script.coarse, script.times, script.termination
-            u0 = np.array([fine.ivp.u0])
-            guess = [u0]
-            for n in range(1, N + 1):
-                guess.append(coarse.propagate(times[n - 1], times[n], guess[n - 1]))
-            state = list(guess)
-            iterates, arrivals_hist, jumps_hist = [guess], [], []
-            for _ in range(k_iters):
-                arrivals = [u0] + [
-                    fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
-                ]
-                jumps = [0.0] + [jump_norm(arrivals[n], state[n], term.atol, term.rtol) for n in range(1, N + 1)]
-                g_old = [u0] + [
-                    coarse.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
-                ]
-                new = [u0]
-                for n in range(1, N + 1):
-                    g_new = coarse.propagate(times[n - 1], times[n], new[n - 1])
-                    new.append(arrivals[n] + g_new - g_old[n])
-                state = new
-                iterates.append(state)
-                arrivals_hist.append(arrivals)
-                jumps_hist.append(jumps)
+    @pytest.mark.parametrize("N", [5, 320])
+    def test_every_preset_series_matches_the_script_bitwise(self, pwm400_model, N):
+        """Every series of the CLI presets as a study point makes it, at the
+        smallest and the largest N of a study.  At N = 5 every interval holds
+        about 160 switches, so its exact end segments take their forms by
+        table index; at N = 320 most intervals hold none and take the form at
+        their midpoint, and every coarse plan is one substep."""
+        series = {(e["variant"], e["scheme"], e["k"], e.get("reduced")) for e in itertools.chain(*PRESETS.values())}
+        assert len(series) == 9
+        for variant, scheme, k, reduced in sorted(series, key=str):
 
-            case = (fine_spec, coarse_spec, reduced)
-            for got, want in (
-                (run.iterates, [np.vstack(u) for u in iterates]),
-                (run.fine_arrivals, [np.vstack(u) for u in arrivals_hist]),
-                (run.jumps, [np.array(j) for j in jumps_hist]),
-            ):
-                assert len(got) == len(want), case
-                assert all(_same_bits(a, b) for a, b in zip(got, want)), case
+            def config():
+                red = None if reduced is None else parse_signal(reduced, period=T)
+                spec = StudySpec(model=pwm400_model, variant=variant, coarse_scheme=scheme, reduced_input=red, k=k)
+                return spec.config(N)
+
+            _assert_run_equals_script(iterate(config()), _scripted_run(config(), k), (variant, scheme, k, reduced))
 
 
 class TestPlannedRunOracle:
@@ -553,6 +581,13 @@ class TestConfigValidation:
         coarse = ThetaPropagator(dataclasses.replace(other.ivp(), signal=coarse_signal), theta=1.0)
         with pytest.raises(ValueError, match="different problems"):
             PararealConfig(n_intervals=4, fine=ExactLinearPropagator(pwm10_model), coarse=coarse, variant=variant)
+
+    @pytest.mark.parametrize("period", [0.01, 0.04], ids=["shorter", "longer"])
+    def test_reduced_input_on_another_horizon_is_rejected(self, period):
+        # the coarse problem would stop short of T, or run past it, on the same sync grid
+        model = models.parse_model("rl:R=0.01,L=0.001,input=pwm:m=400")
+        with pytest.raises(ValueError, match="different problems"):
+            make_config(model, 8, reduced_input=SineWave(period), termination=FixedIterations(1))
 
     def test_bad_interval_count(self, pwm10_model):
         fine = ExactLinearPropagator(pwm10_model)

@@ -380,6 +380,11 @@ class TestNearSwitchGrids:
     # an interval one ulp wide that ends at a switch of the table: its rounded
     # midpoint is the switch, so both set-ups take the segment before it
     @example((parse_signal("pwm:m=400", T), [0.0, 0.00375, 0.0037500000000000003, T]))
+    # a sync point 1e-15 (within MERGE_TOL*T) before the switch at 3e-4 starts
+    # an interval that holds the next 175 switches: its first end segment
+    # takes the form of the table segment after that switch by index, which
+    # is the form that holds its midpoint
+    @example((parse_signal("pwm:m=400", T), [0.0, 0.000299999999999, 0.0047, T]))
     @settings(max_examples=200, deadline=None)
     def test_planned_intervals_equal_cold_segments(self, sig_times):
         # every plan, end segments set up from the per-process forms and the
