@@ -7,9 +7,11 @@ points above ``ERROR_FLOOR``, the double-precision floor.  A study keeps no
 set-up of its own: its runs draw on the set-up kept per process, and each run
 sets up its own plans (``models`` describes the two set-up lifetimes).
 
-The dt-ladder measurements, the reduced-input defect (``defect_scaling_study``)
-and a propagator's local truncation order (``local_order_probe``), share one
-loop and one record (``OrderProbe``).
+The constants of the bounds are read off a run's propagators
+(``_bound_constants``), so ``eval_bound`` can be checked against the errors the
+run measures.  The dt-ladder measurements, the reduced-input defect
+(``defect_scaling_study``) and a propagator's local truncation order
+(``local_order_probe``), share one loop and one record (``OrderProbe``).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithm import FixedIterations, PararealConfig, iterate, make_config
+from .algorithm import FixedIterations, PararealConfig, iterate, make_config, reference_trajectory
 from .models import LinearScalarModel, exact_linear_propagate
-from .propagators import ExactLinearPropagator, Propagator, ThetaPropagator, parse_propagator
+from .propagators import ExactLinearPropagator, Propagator, ThetaPropagator, parse_propagator, planned
 from .signals import Difference, Signal, StepWave
 
 ERROR_FLOOR = 1e-13
@@ -285,6 +287,77 @@ def eval_bound(params: BoundParams, which: str) -> float:
         inv_q = 0.0 if math.isinf(q) else 1.0 / q
         return params.c4 * params.c_p * dt**inv_q
     raise ValueError(f"unknown bound {which!r}")
+
+
+def _slopes(prop: Propagator, times: list[float]) -> list[float]:
+    """``A_n = P_n(1) - P_n(0)`` on each interval of ``times``: the slope of the affine map
+    ``P_n(u) = A_n*u + B_n`` of the linear problem's propagator over interval ``n``."""
+    return [prop.propagate(t0, t1, 1.0) - prop.propagate(t0, t1, 0.0) for t0, t1 in zip(times, times[1:])]
+
+
+def _sup_distance(w: Signal, v: Signal, t_end: float) -> float:
+    """``sup |w - v|`` over ``[0, t_end]``, exactly, from the two inputs' switches and segment forms.
+
+    Between two switches of either input, each is a constant plus a sinusoid
+    (``segment_form``), of the one frequency that inputs on one horizon share, so
+    their difference is ``c + B sin(omega t + psi)``: its sup on the piece is at
+    one of the piece's ends or at an interior extremum, ``c + B`` or ``c - B``.
+    """
+    fences = sorted({0.0, t_end, *w.switching_times(0.0, t_end).tolist(), *v.switching_times(0.0, t_end).tolist()})
+    sup = 0.0
+    for s, e in zip(fences, fences[1:]):
+        f, g = w.segment_form(s, e), v.segment_form(s, e)
+        c = f.const - g.const
+        x = f.amp * math.cos(f.phase) - g.amp * math.cos(g.phase)
+        y = f.amp * math.sin(f.phase) - g.amp * math.sin(g.phase)
+        b, psi, omega = math.hypot(x, y), math.atan2(y, x), f.omega if f.amp else g.omega
+        values = [c + b * math.sin(omega * t + psi) for t in (s, e)]
+        if b:  # the extrema at omega t + psi = pi/2 + j pi inside the piece
+            j = math.ceil((omega * s + psi) / math.pi - 0.5)
+            values += [c + b * (-1) ** i for i in (j, j + 1) if (i + 0.5) * math.pi < omega * e + psi]
+        sup = max(sup, *map(abs, values))
+    return sup
+
+
+def _bound_constants(model: LinearScalarModel, cfg: PararealConfig) -> BoundParams:
+    """The constants of the bound on the run ``cfg`` of ``model``, read off its propagators.
+
+    ``cfg`` makes exactly ``k`` sweeps (``FixedIterations``) with a be or cn
+    coarse propagator, of order ``l`` 1 or 2.  With ``A_n`` the slopes of the
+    fine and coarse propagators (``_slopes``), ``dt = T/N`` and ``u`` the run's
+    reference at the sync points:
+
+    * ``c1 = max_n |A^F_n - A^G_n| / dt^(l+1)``;
+    * ``c2 = max(0, (max_n |A^G_n| - 1) / dt)``;
+    * ``c3 = max_n |E_n(u(T_{n-1})) - G_n(u(T_{n-1}))| / dt^(l+1)``, where ``E``
+      solves the coarse propagator's own problem exactly;
+    * ``c4 = R`` and ``c_p = sup |w - w_red|`` (``p = inf``), 0 in the original variant.
+
+    The returned record has ``n = k + 1``; ``eval_bound(replace(params, n=n),
+    "reduced-linf")`` bounds the error at sync point ``n``, in either variant
+    (with ``c_p = 0`` it is the smooth bound).
+    """
+    theta = getattr(cfg.coarse, "theta", None)
+    if theta not in (1.0, 0.5):
+        kind = "an exact" if theta is None else f"a theta={theta}"
+        raise ValueError(f"the bound needs a be or cn coarse propagator, of order l = 1 or 2; {kind} one has none")
+    l = 1 if theta == 1.0 else 2
+    times, dt, k = cfg._times, model.t_end / cfg.n_intervals, cfg.termination.k
+    coarse_signal = cfg.coarse.ivp.signal
+    exact = ExactLinearPropagator(model.with_signal(coarse_signal))
+    u = reference_trajectory(cfg)[:, 0].tolist()
+    with planned([cfg.fine, cfg.coarse, exact], times):
+        a_fine, a_coarse = _slopes(cfg.fine, times), _slopes(cfg.coarse, times)
+        defects = [abs(exact.propagate(t0, t1, v) - cfg.coarse.propagate(t0, t1, v))
+                   for t0, t1, v in zip(times, times[1:], u)]
+    return BoundParams(
+        c1=max(abs(f - g) for f, g in zip(a_fine, a_coarse)) / dt ** (l + 1),
+        c2=max(0.0, (max(map(abs, a_coarse)) - 1.0) / dt),
+        c3=max(defects) / dt ** (l + 1),
+        c4=model.R_res,
+        c_p=_sup_distance(model.signal, coarse_signal, model.t_end),
+        l=l, p=math.inf, dt=dt, n=k + 1, k=k,
+    )
 
 
 # ---------------------------------------------------------------------------

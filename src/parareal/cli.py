@@ -2,8 +2,9 @@
 
 Subcommands: ``signal dump``, ``model reference``, ``run`` (one parareal run),
 ``study run`` (convergence sweeps, including the bundled experiment presets)
-and ``bound eval`` (theoretical error-bound values).  Every CSV starts with a
-manifest comment tying the output to the exact resolved configuration.
+and ``bound eval`` (a run's error and the paper's bound on it, at each sync
+point).  Every CSV starts with a manifest comment tying the output to the exact
+resolved configuration.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -19,15 +20,16 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .algorithm import FixedIterations, PararealConfig, Termination, iterate, make_config
-from .models import exact_trajectory, parse_model
+from .models import LinearScalarModel, exact_trajectory, parse_model
 from .propagators import NonFiniteStateError
-from .signals import parse_signal
+from .signals import Signal, parse_signal
 
 HARD_DEFAULTS = {
     "period": 0.02,
@@ -169,11 +171,16 @@ def _reject_ignored(args, config: dict, keys: tuple[str, ...], reason: str) -> N
             raise UsageError(f"--{key.replace('_', '-')} has no effect with {reason}")
 
 
-def _build_run_config(r: dict) -> PararealConfig:
+def _problem(r: dict) -> tuple[LinearScalarModel, Signal | None]:
+    """The model of ``--model`` and the coarse input of ``--variant`` (``--reduced-input``, or None)."""
     model = parse_model(r["model"])
     if r["variant"] not in ("original", "reduced"):
         raise UsageError(f"unknown variant {r['variant']!r}")
-    reduced = parse_signal(r["reduced_input"], period=model.t_end) if r["variant"] == "reduced" else None
+    return model, parse_signal(r["reduced_input"], period=model.t_end) if r["variant"] == "reduced" else None
+
+
+def _build_run_config(r: dict) -> PararealConfig:
+    model, reduced = _problem(r)
     if r["k"] is not None:
         term = FixedIterations(int(r["k"]), atol=float(r["atol"]), rtol=float(r["rtol"]))
     else:
@@ -334,19 +341,26 @@ def _cmd_study_run(args, config) -> int:
 
 
 def _cmd_bound_eval(args, config) -> int:
-    from .analysis import BoundParams, eval_bound
+    from .analysis import _bound_constants, eval_bound
 
-    params = BoundParams(
-        c1=args.C1, c2=args.C2, c3=args.C3, c4=args.C4, c_p=args.Cp,
-        l=args.l, p=args.p, dt=args.dT, n=args.n, k=args.k,
-    )
-    value = eval_bound(params, args.which)
-    print(_fmt(value))
-    if args.out not in (None, "-") and args.out:
-        lines = _manifest_lines("bound eval", {"which": args.which, **vars(params)})
-        lines.append("value")
-        lines.append(_fmt(value))
-        _write_text(args.out, "\n".join(lines) + "\n")
+    r = _resolve(args, config)
+    r["k"] = k = 1 if r["k"] is None else int(r["k"])  # a missing --k means 1, as in study run
+    model, reduced = _problem(r)
+    n_intervals = int(r["N"])
+    cfg = make_config(model, n_intervals, coarse=r["coarse"], reduced_input=reduced, termination=FixedIterations(k))
+    params = _bound_constants(model, cfg)  # before the run: an exact coarse propagator has no bound
+    run = iterate(cfg)
+    times, errors = run.times.tolist(), run.errors_vs_reference[k].tolist()
+    lines = _manifest_lines("bound eval", r)
+    lines.append("# constants " + " ".join(f"{name}={_fmt(getattr(params, name))}"
+                                           for name in ("c1", "c2", "c3", "c4", "c_p", "l", "dt")))
+    lines.append("n,T_n,bound,err,ratio")
+    for n in range(k + 1, n_intervals + 1):
+        bound = eval_bound(replace(params, n=n), "reduced-linf")
+        err = errors[n]
+        ratio = err / bound if bound else math.nan
+        lines.append(f"{n},{_fmt(times[n])},{_fmt(bound)},{_fmt(err)},{_fmt(ratio)}")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -404,19 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="theoretical bound evaluation")
     bound_sub = p_bound.add_subparsers(dest="action", required=True)
-    p_beval = bound_sub.add_parser("eval", help="evaluate one bound")
-    p_beval.add_argument("--which", default="reduced-linf",
-                         choices=["smooth", "reduced-lp", "reduced-linf", "lemma"])
-    p_beval.add_argument("--C1", type=float, default=1.0)
-    p_beval.add_argument("--C2", type=float, default=0.0)
-    p_beval.add_argument("--C3", type=float, default=1.0)
-    p_beval.add_argument("--C4", type=float, default=1.0)
-    p_beval.add_argument("--Cp", type=float, default=1.0)
-    p_beval.add_argument("--l", type=int, default=1)
-    p_beval.add_argument("--p", type=float, default=math.inf)
-    p_beval.add_argument("--dT", type=float, default=1e-3)
-    p_beval.add_argument("--n", type=int, default=2)
-    p_beval.add_argument("--k", type=int, default=1)
+    p_beval = bound_sub.add_parser("eval", help="a run's error and its bound at each sync point n > k")
+    for flag, typ in [("--model", str), ("--coarse", str), ("--variant", str), ("--reduced-input", str),
+                      ("--N", int), ("--k", int)]:
+        p_beval.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
     p_beval.add_argument("--out")
     p_beval.set_defaults(func=_cmd_bound_eval)
 

@@ -52,8 +52,9 @@ class SplitIvp:
 
     A record of floats and one input signal, whose period is the horizon
     ``t_end``.  Construction, also by ``dataclasses.replace``, raises
-    ``ValueError`` for any other input and for a decay rate not > 0: it holds
-    only a problem a run can solve.  It compares, hashes and pickles by value.
+    ``ValueError`` for any other input and for a decay rate that is not finite
+    and > 0: it holds only a problem a run can solve.  It compares, hashes and
+    pickles by value.
     """
 
     decay: float
@@ -64,8 +65,8 @@ class SplitIvp:
     def __post_init__(self):
         if not isinstance(self.signal, Signal):
             raise ValueError(f"expected one input signal, got {self.signal!r}")
-        if not self.decay > 0:  # negated, so that NaN fails too
-            raise ValueError(f"the closed form needs a decay rate > 0, got {self.decay!r}")
+        if not 0 < self.decay < math.inf:  # negated, so that NaN fails too
+            raise ValueError(f"the closed form needs a finite decay rate > 0, got {self.decay!r}")
 
     @property
     def t_end(self) -> float:
@@ -96,8 +97,9 @@ class LinearScalarModel:
     def __post_init__(self):
         if not (0 < self.R_res < math.inf and 0 < self.L_ind < math.inf):
             raise ValueError(f"R_res and L_ind must be positive and finite, got R={self.R_res}, L={self.L_ind}")
-        if self.decay_rate == 0.0:
-            raise ValueError(f"decay rate R/L = {self.R_res}/{self.L_ind} underflows to 0")
+        if not 0.0 < self.decay_rate < math.inf:
+            limit = "underflows to 0" if self.decay_rate == 0.0 else "overflows to inf"
+            raise ValueError(f"decay rate R/L = {self.R_res}/{self.L_ind} {limit}")
 
     @property
     def decay_rate(self) -> float:

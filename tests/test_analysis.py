@@ -1,7 +1,9 @@
+import functools
 import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from parareal import (
     BoundParams,
     Constant,
     ExactLinearPropagator,
+    FixedIterations,
     InsufficientPointsError,
     LinearScalarModel,
     SineWave,
@@ -21,11 +24,16 @@ from parareal import (
     eval_bound,
     exact_linear_propagate,
     fit_order,
+    iterate,
     local_order_probe,
+    make_config,
+    parse_model,
     parse_signal,
+    reference_trajectory,
     run_study,
 )
 from parareal import models
+from parareal.analysis import DEFAULT_N_LIST, _bound_constants, _slopes, _sup_distance
 from parareal.cli import PRESETS
 
 T = 0.02
@@ -390,3 +398,116 @@ class TestStudyOracle:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+# the distinct series of the bundled presets (fig3-right repeats fig3-left's "BE k=1")
+PRESET_SERIES = sorted({(e["variant"], e["scheme"], e["k"], e.get("reduced"))
+                        for entries in PRESETS.values() for e in entries}, key=str)
+
+
+@functools.cache
+def series_spec(series: tuple) -> StudySpec:
+    """The study of one preset series on the default model and N list."""
+    from parareal.cli import HARD_DEFAULTS
+
+    variant, scheme, k, reduced = series
+    model = parse_model(HARD_DEFAULTS["model"])
+    return StudySpec(model=model, variant=variant, coarse_scheme=scheme, k=k,
+                     reduced_input=parse_signal(reduced, period=model.t_end) if reduced else None)
+
+
+@functools.cache
+def bounded_run(series: tuple, n: int):
+    """``(params, errors, u, cfg)`` of one preset series at N = ``n``: the constants
+    read off its run (``_bound_constants``), the signed errors of each iterate at
+    the sync points, the run's reference and its config."""
+    spec = series_spec(series)
+    cfg = spec.config(n)
+    u = reference_trajectory(cfg)[:, 0]
+    errors = [it[:, 0] - u for it in iterate(cfg).iterates]
+    return _bound_constants(spec.model, cfg), errors, u, cfg
+
+
+class TestBoundOnRuns:
+    """The paper's bound, with the constants read off each run, against the run's measured error."""
+
+    @pytest.mark.parametrize("series", PRESET_SERIES, ids=str)
+    def test_the_error_is_under_the_bound_above_the_floor(self, series):
+        # the floor of double precision on this problem's scale: 1e-12 max|u| = 6.06e-17; the slack of
+        # 1e-12 covers n = k+1, where the bound is attained exactly when c3's maximum lies on interval 1
+        k = series[2]
+        checked = 0
+        for n_intervals in series_spec(series).n_list:
+            params, errors, u, _ = bounded_run(series, n_intervals)
+            floor = 1e-12 * np.max(np.abs(u))
+            for n in range(k + 1, n_intervals + 1):
+                err = abs(errors[k][n])
+                if err > floor:
+                    checked += 1
+                    bound = eval_bound(replace(params, n=n), "reduced-linf")
+                    assert err <= bound * (1 + 1e-12), (n_intervals, n, err, bound)
+        assert checked >= 10
+
+    @pytest.mark.parametrize("scheme, ratio", [("be", 0.986), ("cn", 0.974)])
+    def test_the_bound_is_tight_on_the_step_surrogate(self, scheme, ratio):
+        params, errors, u, _ = bounded_run(("reduced", scheme, 1, "step"), 320)
+        floor = 1e-12 * np.max(np.abs(u))
+        ratios = [abs(errors[1][n]) / eval_bound(replace(params, n=n), "reduced-linf")
+                  for n in range(2, 321) if abs(errors[1][n]) > floor]
+        assert max(ratios) == pytest.approx(ratio, abs=1e-3)
+
+    @pytest.mark.parametrize("series", PRESET_SERIES, ids=str)
+    def test_first_active_error_is_the_product_of_slope_gaps(self, series):
+        # e^k_{k+1} = prod_{j=2}^{k+1} (A^F_j - A^G_j) e^0_1 holds exactly for affine propagators.  In
+        # double both sides carry the roundoff of the states: the reference's own error reaches 2.7e-18,
+        # 2.7e-4 of the 1e-14 above which the check reads.  A closed form that cancels less in its
+        # constant segments (reference error at most 6.6e-20) would tighten this to about 1e-5.
+        k = series[2]
+        checked = 0
+        for n_intervals in series_spec(series).n_list:
+            _, errors, _, cfg = bounded_run(series, n_intervals)
+            gaps = [f - g for f, g in zip(_slopes(cfg.fine, cfg._times), _slopes(cfg.coarse, cfg._times))]
+            want = math.prod(gaps[1 : k + 1]) * errors[0][1]
+            if abs(errors[k][k + 1]) > 1e-14:
+                checked += 1
+                assert errors[k][k + 1] == pytest.approx(want, rel=3e-4), n_intervals
+        assert checked >= 2
+
+    @pytest.mark.parametrize("scheme, band", [("be", (9.7e-3, 1.0e-2)), ("cn", (4.7e-3, 6.2e-3))])
+    def test_c3_grows_as_dt_to_the_minus_l_on_the_pwm_input(self, scheme, band):
+        # over N = 20 ... 320 dt shrinks 16-fold, and c3 grows 16-fold (BE) and 256-fold (CN):
+        # the coarse schemes' local defect on a PWM input is first order, not dt^(l+1)
+        scaled = []
+        for n_intervals in (20, 40, 80, 160, 320):
+            params = bounded_run(("original", scheme, 1, None), n_intervals)[0]
+            scaled.append(params.c3 * params.dt**params.l)
+        assert band[0] <= min(scaled) and max(scaled) <= band[1], scaled
+
+    def test_c3_is_flat_on_the_sine_surrogate(self):
+        c3 = [bounded_run(("reduced", "be", 1, "sine"), n)[0].c3 for n in (20, 40, 80, 160, 320)]
+        assert 1.54 <= min(c3) and max(c3) <= 1.58, c3
+
+    def test_constants_of_the_default_run(self):
+        params, _, _, _ = bounded_run(("original", "be", 1, None), 20)
+        assert (params.l, params.c2, params.c4, params.c_p, params.p, params.n, params.k) == (
+            1, 0.0, 0.01, 0.0, math.inf, 2, 1)
+        assert params.c1 == pytest.approx(49.18, abs=0.01) and params.c3 == pytest.approx(9.776, abs=1e-3)
+        assert params.dt == T / 20
+
+    @pytest.mark.parametrize("reduced, sup", [
+        ("step", 1.0), ("const:v=0.3", 1.3), ("sine", 0.9998766629107396), ("sine3:phase=2", 2.0)])
+    def test_sup_distance_is_exact(self, pwm400_model, reduced, sup):
+        # the ends and interior extrema of every piece; a 400001-point sample stays below it
+        v = parse_signal(reduced, period=T)
+        got = _sup_distance(pwm400_model.signal, v, T)
+        ts = np.linspace(0.0, T, 400001)
+        sampled = np.max(np.abs(pwm400_model.signal.values(ts) - v.values(ts)))
+        assert got == pytest.approx(sup, rel=1e-12) and sampled <= got < sampled + 1e-6
+        assert _sup_distance(SineWave(T), parse_signal("sine3:phase=2", period=T), T) == pytest.approx(
+            math.sqrt(3), rel=1e-15)
+
+    def test_an_exact_coarse_propagator_has_no_order(self, pwm10_model):
+        cfg = make_config(pwm10_model, 4, coarse="exact", termination=FixedIterations(1))
+        with pytest.raises(ValueError, match="^the bound needs a be or cn coarse propagator, of order l = 1 or 2; "
+                                             "an exact one has none$"):
+            _bound_constants(pwm10_model, cfg)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import parareal
-from parareal import cli
+from parareal import ThetaPropagator, cli
 from parareal.cli import main
 
 
@@ -207,31 +208,108 @@ class TestStudy:
         assert [[r[0], r[2], r[3], r[5], r[7]] for r in rows] == want
 
 
+def bound_rows(path):
+    """The ``# constants`` line of a ``bound eval`` CSV as a dict, and its rows as ``(n, T_n, bound, err, ratio)``."""
+    lines = read_lines(path)
+    constants = next(ln for ln in lines if ln.startswith("# constants "))
+    header = lines.index("n,T_n,bound,err,ratio")
+    rows = [(int(n), *map(float, rest)) for n, *rest in (ln.split(",") for ln in lines[header + 1:])]
+    return dict(kv.split("=") for kv in constants.split()[2:]), rows
+
+
 class TestBoundEval:
-    def test_lemma_degenerate_example(self, capsys):
-        assert main(["bound", "eval", "--which", "lemma", "--C4", "1",
-                     "--Cp", "2", "--p", "1", "--dT", "0.001"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert float(out) == 2.0
+    def test_default_run_reads_the_bound_at_every_sync_point_after_k(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bound", "eval", "--out", str(out)]) == 0
+        constants, rows = bound_rows(out)
+        assert set(constants) == {"c1", "c2", "c3", "c4", "c_p", "l", "dt"}
+        assert float(constants["c1"]) == pytest.approx(49.18, abs=0.01)
+        assert float(constants["c3"]) == pytest.approx(9.776, abs=0.001)
+        assert (constants["c2"], constants["c4"], constants["c_p"], constants["l"]) == ("0", "0.01", "0", "1")
+        assert float(constants["dt"]) == 0.02 / 20
+        assert [r[0] for r in rows] == list(range(2, 21))
+        assert all(r[4] == r[3] / r[2] <= 1.0 for r in rows)
+        worst = max(rows, key=lambda r: r[4])
+        assert (worst[0], round(worst[4], 2)) == (10, 0.51)
 
-    def test_reduced_linf_value(self, capsys):
-        assert main(["bound", "eval", "--which", "reduced-linf", "--C1", "1", "--C2", "0",
-                     "--C3", "1", "--C4", "1", "--Cp", "1", "--l", "1", "--dT", "0.01",
-                     "--n", "2", "--k", "1"]) == 0
-        got = float(capsys.readouterr().out.strip())
-        want = (1e-6 + 1e-8) / math.factorial(2) * 2
-        assert got == pytest.approx(want, rel=1e-12)
+    def test_reduced_step_is_tight_at_the_first_active_point(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bound", "eval", "--variant", "reduced", "--reduced-input", "step", "--N", "320",
+                     "--out", str(out)]) == 0
+        constants, rows = bound_rows(out)
+        assert float(constants["c_p"]) == 1.0 and float(constants["c3"]) == pytest.approx(0.053, abs=1e-3)
+        assert rows[0][0] == 2 and rows[0][4] == pytest.approx(0.986, abs=1e-3)
 
-    def test_manifest_records_only_the_bound_and_its_parameters(self, tmp_path):
+    def test_the_rows_are_the_run_and_eval_bound(self, tmp_path):
+        from dataclasses import replace
+
+        from parareal import FixedIterations, eval_bound, iterate, make_config, parse_model, parse_signal
+        from parareal.analysis import _bound_constants
+
+        out = tmp_path / "b.csv"
+        argv = ["--model", "rl:R=0.02,input=pwm:m=40", "--coarse", "cn", "--variant", "reduced",
+                "--reduced-input", "sine", "--N", "12", "--k", "2"]
+        assert main(["bound", "eval", *argv, "--out", str(out)]) == 0
+        model = parse_model("rl:R=0.02,input=pwm:m=40")
+        cfg = make_config(model, 12, coarse="cn", reduced_input=parse_signal("sine", period=model.t_end),
+                          termination=FixedIterations(2))
+        params = _bound_constants(model, cfg)
+        errors = iterate(cfg).errors_vs_reference[2]
+        constants, rows = bound_rows(out)
+        assert constants == {name: cli._fmt(getattr(params, name)) for name in constants}
+        assert [(n, bound, err) for n, _, bound, err, _ in rows] == [
+            (n, eval_bound(replace(params, n=n), "reduced-linf"), errors[n]) for n in range(3, 13)]
+
+    def test_a_zero_bound_reads_no_ratio(self, tmp_path):
+        # a zero input from a zero state: every constant but c1 and c4 is 0, and so are the bound and the error
+        out = tmp_path / "b.csv"
+        assert main(["bound", "eval", "--model", "rl:input=zero", "--N", "4", "--out", str(out)]) == 0
+        constants, rows = bound_rows(out)
+        assert (constants["c3"], constants["c_p"]) == ("0", "0")
+        assert [r[2:4] for r in rows] == [(0.0, 0.0)] * 3 and all(math.isnan(r[4]) for r in rows)
+
+    def test_manifest_records_the_resolved_run(self, tmp_path):
         manifests = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            assert main(["bound", "eval", "--which", "reduced-linf", "--n", "20", "--out", str(out)]) == 0
+            assert main(["bound", "eval", "--N", "8", "--out", str(out)]) == 0
             manifests.append(read_lines(out)[0])
         assert manifests[0] == manifests[1]
         manifest = json.loads(manifests[0].split(" ", 3)[3])
-        assert set(manifest) == {"command", "version", "which", "c1", "c2", "c3", "c4", "c_p", "l", "p", "dt", "n", "k"}
-        assert manifest["which"] == "reduced-linf" and manifest["n"] == "20" and manifest["p"] == "inf"
+        assert manifest == {"command": "bound eval", "version": parareal.__version__, "N": "8", "k": "1",
+                            "coarse": "be", "variant": "original", "reduced_input": "sine",
+                            "model": cli.HARD_DEFAULTS["model"]}
+
+    def test_config_file_sets_the_run(self, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("N=6\nk=2\ncoarse=cn\nthreads=3\n")
+        out = tmp_path / "b.csv"
+        assert main(["--config", str(config), "bound", "eval", "--N", "5", "--out", str(out)]) == 0
+        manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
+        assert (manifest["N"], manifest["k"], manifest["coarse"], "threads" in manifest) == ("5", "2", "cn", False)
+        assert [r[0] for r in bound_rows(out)[1]] == [3, 4, 5]
+
+    def test_help_lists_only_the_run_flags(self, capsys):
+        assert main(["bound", "eval", "--help"]) == 0
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split() if word.startswith(("--", "[--"))}
+        assert flags == {"--help", "--model", "--coarse", "--variant", "--reduced-input", "--N", "--k", "--out"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--coarse", "exact"], "the bound needs a be or cn coarse propagator, of order l = 1 or 2; "
+                                "an exact one has none"),
+        (["--k", "0"], "k must be >= 1"),
+        (["--variant", "smooth"], "unknown variant 'smooth'"),
+    ])
+    def test_usage_errors(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bound", "eval", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--which", "--C1", "--Cp", "--l", "--p", "--dT", "--n"])
+    def test_constant_flags_are_gone(self, flag, capsys):
+        assert main(["bound", "eval", flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def python(*args, timeout=120):
@@ -243,10 +321,11 @@ def python(*args, timeout=120):
 
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self):
-        proc = python("-m", "parareal.cli", "bound", "eval", "--which", "lemma", "--Cp", "2", "--p", "1",
-                      "--dT", "0.001", timeout=60)
+        proc = python("-m", "parareal.cli", "bound", "eval", "--N", "4", timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "2"
+        lines = proc.stdout.splitlines()
+        assert lines[3] == "n,T_n,bound,err,ratio"
+        assert [ln.split(",")[0] for ln in lines[4:]] == ["2", "3", "4"]
 
 
 LEAN_RUN = """
@@ -266,6 +345,16 @@ assert set(star) - {"__builtins__"} == set(parareal.__all__), sorted(star)
 """
 
 
+# no CLI input reaches a non-finite state (an overflowing decay rate fails at
+# construction), so a process that exits 2 gets a coarse step that raises one
+NON_FINITE_COARSE = """
+from parareal.propagators import NonFiniteStateError, ThetaPropagator
+def propagate(self, t0, t1, u):
+    raise NonFiniteStateError(f"non-finite state after step ending at t={t1}")
+ThetaPropagator.propagate = propagate
+"""
+
+
 class TestProcessCost:
     """A CLI process loads only what its subcommand runs and exits without a final collection."""
 
@@ -281,21 +370,25 @@ class TestProcessCost:
         assert main(["run", "--frobnicate"]) == 1
         assert gc.get_freeze_count() == before
 
-    @pytest.mark.parametrize("code, argv", [
-        (0, ["run", "--N", "8", "--k", "1", "--threads", "1", "--out", "{out}"]),
-        (1, ["run", "--k", "1", "--threads", "-1", "--out", "{out}"]),
-        (2, ["run", "--model", "rl:R=1e300,L=1e-300,input=pwm:m=10", "--N", "4", "--k", "1", "--out", "{out}"]),
-    ])
-    def test_entry_process_matches_main(self, code, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("code, prelude, argv", [
+        (0, "", ["run", "--N", "8", "--k", "1", "--threads", "1", "--out", "{out}"]),
+        (1, "", ["run", "--k", "1", "--threads", "-1", "--out", "{out}"]),
+        (1, "", ["run", "--model", "rl:R=1e300,L=1e-300,input=pwm:m=10", "--N", "4", "--k", "1", "--out", "{out}"]),
+        (2, NON_FINITE_COARSE, ["run", "--N", "4", "--k", "1", "--out", "{out}"]),
+    ], ids=["ok", "usage", "overflowing-decay", "non-finite"])
+    def test_entry_process_matches_main(self, code, prelude, argv, tmp_path, capsys, monkeypatch):
         def written(out):
             return body_without_timestamp(read_lines(out)) if out.exists() else None
 
+        # the prelude rebinds ThetaPropagator.propagate; monkeypatch restores it after the test
+        monkeypatch.setattr(ThetaPropagator, "propagate", ThetaPropagator.propagate)
+        exec(prelude, {})
         out = tmp_path / "main.csv"
         assert main([a.format(out=out) for a in argv]) == code
         captured = capsys.readouterr()
         in_process = (captured.out, captured.err, written(out))
         out = tmp_path / "entry.csv"
-        proc = python("-c", "from parareal.cli import entry; entry()", *[a.format(out=out) for a in argv])
+        proc = python("-c", prelude + "from parareal.cli import entry; entry()", *[a.format(out=out) for a in argv])
         assert proc.returncode == code
         assert (proc.stdout, proc.stderr, written(out)) == in_process
         assert (in_process[2] is not None) == (code == 0)
@@ -305,7 +398,7 @@ class TestProcessCost:
                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
                   "from parareal.cli import entry\n"
                   "entry()\n")
-        proc = python("-c", script, "bound", "eval", "--which", "smooth")
+        proc = python("-c", script, "bound", "eval", "--N", "4")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "frozen True\n"
 
@@ -400,6 +493,7 @@ class TestUsageErrors:
         ("rl:T=inf,input=const", "period must be positive and finite, got inf"),
         ("rl:R=1,L=inf,input=pwm:m=4", "R_res and L_ind must be positive and finite"),
         ("rl:R=1e-300,L=1e300,input=sine", "decay rate R/L = 1e-300/1e+300 underflows to 0"),
+        ("rl:R=1e300,L=1e-300,input=pwm:m=10", "decay rate R/L = 1e+300/1e-300 overflows to inf"),
     ])
     def test_degenerate_model_values(self, model, message, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -431,9 +525,9 @@ class TestUsageErrors:
         # one argparse tree per process; a failed parse leaves it usable
         assert main(["run", "--frobnicate", "1"]) == 1
         parser = cli._parser()
-        assert main(["bound", "eval", "--which", "lemma", "--Cp", "2", "--p", "1"]) == 0
+        assert main(["bound", "eval", "--N", "4"]) == 0
         assert cli._parser() is parser
-        assert capsys.readouterr().out.strip() == "2"
+        assert capsys.readouterr().out.splitlines()[3] == "n,T_n,bound,err,ratio"
 
 
 class TestSvgOutputs:
@@ -548,3 +642,28 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key 'Nn'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def subcommand(argv: list[str]) -> str:
+    return " ".join(argv[:1] if argv[0] == "run" else argv[:2])
+
+
+def readme_usage() -> list[list[str]]:
+    """The arguments of each ``parareal ...`` command in README's command-line usage block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line interface", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("parareal ")]
+
+
+class TestReadmeUsage:
+    """Each command of README's usage block runs, in a fresh working directory, and exits 0."""
+
+    def test_the_block_shows_every_subcommand(self):
+        shown = {subcommand(argv) for argv in readme_usage()}
+        assert shown == {"signal dump", "model reference", "run", "study run", "bound eval"}
+
+    @pytest.mark.parametrize("argv", readme_usage(), ids=subcommand)
+    def test_command_exits_zero(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0, capsys.readouterr().err

@@ -136,9 +136,9 @@ class TestSplitIvp:
         with pytest.raises(TypeError):
             SplitIvp(decay=10.0, gain=0.01, signal=SineWave(T), u0=0.0, t_end=T)
 
-    @pytest.mark.parametrize("decay", [0.0, -0.0, -1.0, math.nan, -math.inf])
-    def test_a_decay_rate_not_above_zero_is_rejected(self, decay, pwm400_model):
-        message = re.escape(f"the closed form needs a decay rate > 0, got {decay!r}")
+    @pytest.mark.parametrize("decay", [0.0, -0.0, -1.0, math.nan, -math.inf, math.inf])
+    def test_a_decay_rate_not_finite_and_above_zero_is_rejected(self, decay, pwm400_model):
+        message = re.escape(f"the closed form needs a finite decay rate > 0, got {decay!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             SplitIvp(decay=decay, gain=0.01, signal=SineWave(T), u0=0.0)
         with pytest.raises(ValueError, match=f"^{message}$"):  # replace checks again
@@ -205,6 +205,7 @@ class TestParseModel:
         (math.inf, 1.0, "positive and finite"),
         (math.nan, 1.0, "positive and finite"),
         (1e-300, 1e300, "underflows to 0"),
+        (1e300, 1e-300, "overflows to inf"),
     ])
     def test_degenerate_parameters(self, R, L, match):
         with pytest.raises(ValueError, match=match):

@@ -822,13 +822,13 @@ class TestArraySetUpOracle:
             assert got == (ValueError, "degenerate substep") == outcome(frozen_propagate, prop, t0, t1, 0.25)
 
     def test_overflow(self):
-        # an explicit step whose growth overflows, and an implicit one on an
-        # infinitely fast mode: -inf / inf
-        for theta, rate, substeps in ((0.0, 1e200, 3), (0.5, math.inf, 1)):
+        # an explicit step whose growth overflows, and an implicit one whose
+        # decay term a*u overflows (a SplitIvp's decay rate is finite)
+        for theta, rate, substeps, u in ((0.0, 1e200, 3, 1.0), (0.5, 1e300, 1, 1e10)):
             ivp = SplitIvp(decay=rate, gain=1.0, signal=Constant(0.0, 1.0), u0=1.0)
             prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
-            got = outcome(prop.propagate, 0.0, 1.0, 1.0)
-            assert got == outcome(frozen_propagate, prop, 0.0, 1.0, 1.0)
+            got = outcome(prop.propagate, 0.0, 1.0, u)
+            assert got == outcome(frozen_propagate, prop, 0.0, 1.0, u)
             assert got[0] is NonFiniteStateError and got[1].startswith("non-finite state after step ending at t=")
 
 
@@ -842,7 +842,7 @@ class TestCheckFreeRecurrence:
     @given(
         u=st.sampled_from(NON_FINITE),
         theta=st.sampled_from([0.0, 0.5, 1.0]),
-        a=st.floats(max_value=-5e-324),
+        a=st.floats(max_value=-5e-324, allow_infinity=False),  # a SplitIvp's decay rate is finite
         h=st.floats(min_value=0.0, exclude_min=True),
         p_s=st.floats(),
         th_p_e=st.floats(),
