@@ -1,8 +1,9 @@
 """Layer micro-benchmarks: exact propagation, a planned coarse call, the plans
 of one run, one study point's config, the exact plans of one study's grids,
-the fine sweep, the corrected coarse sweep, one ``iterate``, one
-``run_study``, one preset's pass and one pass of every preset study, the
-layers that interval plans and the per-process tables move.
+the fine sweep, the corrected coarse sweep, one ``iterate``, the
+bookkeeping of a planned ``iterate``, one ``run_study``, one preset's pass and
+one pass of every preset study, the layers that interval plans and the
+per-process tables move.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -224,6 +225,18 @@ def test_iterate_n80_k1_original(benchmark, model):
     cfg = make_config(model, N_RUN, termination=FixedIterations(1))
     run = benchmark(iterate, cfg)
     assert run.iterations_used == 1 and np.isfinite(run.iterates[1]).all()
+
+
+def test_iterate_bookkeeping_n320_k2(benchmark, model):
+    # a run whose every call is planned, the reduced-sine backward-Euler
+    # point at a study's largest N: around the planned recurrences it times
+    # the plan lookups, the correction loop, the jump norms and the run
+    # history; its plans are built inside the timed call, its reference comes
+    # from the per-process table
+    cfg = make_config(model, N_PLAN, reduced_input=SineWave(T), termination=FixedIterations(2))
+    iterate(cfg)
+    run = benchmark(iterate, cfg)
+    assert run.iterations_used == 2 and np.isfinite(run.errors_vs_reference[2]).all()
 
 
 def test_run_study_fig4_right_sine_k2(benchmark, model):

@@ -60,7 +60,7 @@ def test_fine_cn_500_aligned_planned_interval(benchmark, pwm):
     model = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=pwm)
     fine = parse_propagator("cn:substeps=500,aligned=1", model.ivp(), model)
     with planned([fine], [n * T / 20 for n in range(20)] + [T]):
-        assert len(fine._plans[(0.0, T / 20)]) > 500
+        assert fine._plans[0.0][0] == T / 20 and len(fine._plans[0.0][1]) > 500
         out = benchmark(fine.propagate, 0.0, T / 20, 0.0)
     assert np.isfinite(out)
 

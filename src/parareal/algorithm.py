@@ -17,13 +17,15 @@ jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
 errors are always measured against the exact solution in closed form
 (``reference_trajectory``); an input segment without one fails there.
 
-A run keeps its states as Python floats.  Its config sets the sync grid up
-once, at construction.  The run plans the intervals of the propagators that
-evaluate each interval more than once (the coarse one, and an exact fine one)
-and drops the plans when it returns; a theta fine propagator stays cold.  Only
-``propagate`` reads the plans.  The reference depends only on the fine problem
-and N, so each process computes it once per pair and keeps it in a bounded
-table.  ``models`` describes the set-up kept per process and per run.
+A run keeps its states, and its history of iterates, fine arrivals and jumps,
+as Python floats; the arrays of ``PararealRun`` are built once, when it ends.
+Its config sets the sync grid up once, at construction.  The run plans the
+intervals of the propagators that evaluate each interval more than once (the
+coarse one, and an exact fine one) and drops the plans when it returns; a
+theta fine propagator stays cold.  Only ``propagate`` reads the plans.  The
+reference depends only on the fine problem and N, so each process computes it
+once per pair and keeps it in a bounded table.  ``models`` describes the
+set-up kept per process and per run.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class PararealConfig:
 
 def _sync_times(t_end: float, n_intervals: int) -> tuple[float, ...]:
     """The floats of ``PararealConfig.times``."""
-    return (*(n * t_end / n_intervals for n in range(n_intervals)), t_end)
+    return (*(np.arange(n_intervals) * t_end / n_intervals).tolist(), t_end)
 
 
 def jump_norm(u: float, v: float, atol: float, rtol: float) -> float:
@@ -251,6 +253,13 @@ def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
     return [cfg.coarse, cfg.fine] if isinstance(cfg.fine, ExactLinearPropagator) else [cfg.coarse]
 
 
+def _below(jumps: list[float], threshold: float) -> bool:
+    """Whether every jump is below ``threshold``, as ``np.max(jumps) < threshold``
+    reads it: a NaN jump (``rtol*|v|`` infinite, or ``inf*0``) fails, which
+    ``max`` alone would skip past."""
+    return max(jumps) < threshold and not math.isnan(sum(jumps))
+
+
 def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRun:
     """Run the update sweeps ``cfg.termination`` asks for: exactly ``k``, or
     until the jump criterion or ``k_max``.
@@ -272,13 +281,11 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     k_cap = term.k if fixed else term.k_max
 
     with planned(_planned_propagators(cfg), ts):
-        guess = initial_guess(cfg)
-        iterates = [guess]
-        arrivals_hist: list[np.ndarray] = []
-        jumps_hist: list[np.ndarray] = []
-
-        current = guess[:, 0].tolist()
+        current = initial_guess(cfg)[:, 0].tolist()
         u0 = current[0]
+        iterates = [current]
+        arrivals_hist: list[list[float]] = []
+        jumps_hist: list[list[float]] = []
         converged = False
         k = 0
         while k < k_cap:
@@ -290,8 +297,8 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
             for n in range(1, N + 1):
                 if not math.isfinite(arrivals[n]):
                     raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}", k=k, n=n)
-            jumps = np.array([0.0] + [jump_norm(f, u, atol, rtol) for f, u in zip(arrivals[1:], current[1:])])
-            arrivals_hist.append(np.array(arrivals)[:, None])
+            jumps = [0.0] + [jump_norm(f, u, atol, rtol) for f, u in zip(arrivals[1:], current[1:])]
+            arrivals_hist.append(arrivals)
             jumps_hist.append(jumps)
 
             new = [u0]
@@ -307,25 +314,26 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
             except NonFiniteStateError as exc:
                 exc.k, exc.n = k + 1, n
                 raise
-            iterates.append(np.array(new)[:, None])
+            iterates.append(new)
             current = new
             k += 1
-            if not fixed and float(np.max(jumps)) < threshold:
+            if not fixed and _below(jumps, threshold):
                 converged = True
                 break
 
         if fixed:
-            converged = float(np.max(jumps_hist[-1])) < threshold
+            converged = _below(jumps_hist[-1], threshold)
 
-        ref = reference_trajectory(cfg)
-        errors = [np.max(np.abs(it - ref), axis=1) for it in iterates]
+        # the history as arrays, each built once: row k of ``its`` is iterate k
+        its = np.array(iterates)
+        errors = np.abs(its - reference_trajectory(cfg).T)
 
     return PararealRun(
         times=cfg.times,
-        iterates=iterates,
-        fine_arrivals=arrivals_hist,
-        jumps=jumps_hist,
-        errors_vs_reference=errors,
+        iterates=list(its[:, :, None]),
+        fine_arrivals=list(np.array(arrivals_hist)[:, :, None]),
+        jumps=list(np.array(jumps_hist)),
+        errors_vs_reference=list(errors),
         iterations_used=k,
         converged=converged,
     )

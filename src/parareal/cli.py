@@ -348,6 +348,9 @@ def _cmd_bound_eval(args, config) -> int:
     model, reduced = _problem(r)
     n_intervals = int(r["N"])
     cfg = make_config(model, n_intervals, coarse=r["coarse"], reduced_input=reduced, termination=FixedIterations(k))
+    if n_intervals <= k:
+        raise UsageError(f"bound eval needs N > k, got N={n_intervals}, k={k}: "
+                         "with N <= k every sync point is exact after k iterations, so no error is left to bound")
     params = _bound_constants(model, cfg)  # before the run: an exact coarse propagator has no bound
     run = iterate(cfg)
     times, errors = run.times.tolist(), run.errors_vs_reference[k].tolist()

@@ -216,10 +216,10 @@ def exact_linear_propagate(model: LinearScalarModel, t0: float, t1: float, phi0:
     interval reuses its segment data; the result is the same bits.
     """
     plans = model._plans
-    segments = plans.get((t0, t1)) if plans else None
-    if segments is None:
-        segments = _segments(model.decay_rate, model.R_res, model.signal, t0, t1)
-    return _advance(segments, phi0)
+    plan = plans.get(t0) if plans else None
+    if plan is not None and plan[0] == t1:
+        return _advance(plan[1], phi0)
+    return _advance(_segments(model.decay_rate, model.R_res, model.signal, t0, t1), phi0)
 
 
 def _trajectory(a: float, gain: float, sig: Signal, times, phi: float) -> np.ndarray:

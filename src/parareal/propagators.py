@@ -12,9 +12,13 @@ substeps' step sizes, input values and denominators; the exact solver's
 segments) and the state recurrence over it.  ``planned`` sets up the whole
 sync grid once for the duration of a run, in one pass, so the run's repeated
 calls on an interval run only the recurrence, with the same bits; a cold call
-runs the same set-up on its own two-point grid.  A theta set-up looks up the
-input at the two ends of its grid with ``Signal.value``; the rest of it is
-whole-array work.  The nodes of the grid form one array, the nodes between
+runs the same set-up on its own two-point grid.  A plan is found by the start
+of its interval and used only by a call that ends where the plan does.  A
+theta set-up looks up the input at the two ends of its grid with
+``Signal.value``; the rest of it is whole-array work.  The nodes of the whole
+grid form one array (``_grid``: the sync grid itself with one substep per
+interval, one broadcast ``np.linspace`` with more, interval by interval only
+where the substeps are aligned with the input's switches).  The nodes between
 the ends (each the end of one substep and the start of the next, a sync
 point too) take both one-sided input values in one array lookup
 (``Signal._limits_array``), and the four float columns of a plan (step size,
@@ -33,6 +37,7 @@ describes the two lifetimes.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -131,11 +136,34 @@ class ThetaPropagator(Propagator):
         object.__setattr__(self, "_a", -self.ivp.decay)
         object.__setattr__(self, "_c", 1.0 - self.theta)
 
-    def _grid(self, t0: float, t1: float) -> list[float] | np.ndarray:
-        if self.substeps == 1 and not self.discontinuity_aligned:
-            return [float(t0), float(t1)]  # what np.linspace(t0, t1, 2) holds
-        grid = np.linspace(t0, t1, self.substeps + 1)
-        if self.discontinuity_aligned:
+    def _grid(self, times: Sequence[float]) -> np.ndarray:
+        """The substep nodes of the increasing sync grid ``times``, as one array:
+        each interval's ``substeps + 1`` equally spaced nodes, with neighbouring
+        intervals sharing their sync point, kept once.
+
+        With one substep the nodes are ``times`` itself; with more, one
+        broadcast ``np.linspace`` over all intervals, whose rows are each
+        interval's own ``np.linspace``.  An aligned interval also splits at
+        each switch of the input, so its node count is its own: aligned grids
+        are built interval by interval.
+        """
+        if not all(map(operator.lt, times, times[1:])):
+            t0, t1 = next((t0, t1) for t0, t1 in zip(times, times[1:]) if not t0 < t1)
+            raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
+        S = self.substeps
+        if not self.discontinuity_aligned:
+            t = np.array(times, dtype=float)
+            if S == 1:
+                return t
+            starts, ends = t[:-1], t[1:]
+            if ((ends - starts) / S).min() > 0.0:
+                rows = np.linspace(starts, ends, S + 1, axis=-1)
+            else:  # a step that underflows to 0 takes another branch of np.linspace, which is per call
+                rows = np.array([np.linspace(t0, t1, S + 1) for t0, t1 in zip(starts.tolist(), ends.tolist())])
+            return np.concatenate((t[:1], rows[:, 1:].ravel()))
+        nodes = []
+        for t0, t1 in zip(times, times[1:]):
+            grid = np.linspace(t0, t1, S + 1)
             switches = self.ivp.signal.switching_times(t0, t1)
             if switches.size:
                 # the union of two sorted arrays: an exact duplicate has a
@@ -144,7 +172,8 @@ class ThetaPropagator(Propagator):
                 merged = np.concatenate((grid, switches))
                 merged.sort()
                 grid = merged[np.concatenate(([True], merged[1:] - merged[:-1] > MERGE_TOL * (t1 - t0)))]
-        return grid
+            nodes.append(grid[1:] if nodes else grid)
+        return nodes[0] if len(nodes) == 1 else np.concatenate(nodes)
 
     def propagate(self, t0, t1, u):
         """The substeps of ``(t0, t1)``, planned or set up now, applied to the state in plain
@@ -159,18 +188,19 @@ class ThetaPropagator(Propagator):
         non-finite one is located by ``_checked``.
 
         A planned interval, a run's call, runs its plan and returns before
-        any cold set-up is looked at.
+        any cold set-up is looked at.  The plan is found by ``t0`` and used
+        only if it ends at ``t1``; any other call runs cold.
         """
         if type(u) is not float:
             u = scalar_state(u)
         plans = self._plans
-        plan = plans.get((t0, t1)) if plans else None
+        plan = plans.get(t0) if plans else None
         a, c = self._a, self._c
         v = u
-        if plan is not None:
-            for h, p_s, th_p_e, den in plan:
+        if plan is not None and plan[0] == t1:
+            for h, p_s, th_p_e, den in plan[1]:
                 v = (v + h * (c * (a * v + p_s) + th_p_e)) / den
-            return v if math.isfinite(v) else self._checked(t0, t1, u, plan)
+            return v if math.isfinite(v) else self._checked(t0, t1, u, plan[1])
         columns, _, clean = self._substeps((t0, t1))
         if not clean:
             return self._checked(t0, t1, u, zip(*columns))
@@ -183,7 +213,7 @@ class ThetaPropagator(Propagator):
         first substep that is degenerate or leaves a non-finite state, naming its end time
         from the interval's ``_grid``."""
         a, c = self._a, self._c
-        for (h, p_s, th_p_e, den), e in zip(steps, np.asarray(self._grid(t0, t1))[1:].tolist()):
+        for (h, p_s, th_p_e, den), e in zip(steps, self._grid((t0, t1))[1:].tolist()):
             if h <= 0.0:
                 raise ValueError("degenerate substep")
             num = u + h * (c * (a * u + p_s) + th_p_e)
@@ -203,24 +233,16 @@ class ThetaPropagator(Propagator):
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
         with ``a = -decay``, each an array expression over all substeps.  The
         sum starting at +0.0 turns a -0.0 product into +0.0, as the 1x1
-        product ``[[gain]] @ [input]`` does.  Where every interval is one
-        substep and not aligned, each grid is its two ends, so the nodes are
-        ``times`` itself.
+        product ``[[gain]] @ [input]`` does.  The nodes are ``_grid(times)``;
+        an aligned interval's count is its own, so its grid is set up alone.
         """
-        grids = []
-        for t0, t1 in zip(times, times[1:]):
-            if not t0 < t1:
-                raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
-            grids.append(self._grid(t0, t1))
-        if len(grids) == 1:
-            x = np.asarray(grids[0])
-        elif self.substeps == 1 and not self.discontinuity_aligned:  # every grid is its two ends
-            x = np.array(times, dtype=float)
-        else:  # neighbouring grids share their sync point, kept once
-            nodes = [grids[0][0]]
-            for grid in grids:
-                nodes.extend(grid[1:])
-            x = np.fromiter(nodes, float, len(nodes))
+        if self.discontinuity_aligned:
+            grids = [self._grid((t0, t1)) for t0, t1 in zip(times, times[1:])]
+            counts = [len(grid) - 1 for grid in grids]
+            x = grids[0] if len(grids) == 1 else np.concatenate([grids[0], *(grid[1:] for grid in grids[1:])])
+        else:
+            x = self._grid(times)
+            counts = [self.substeps] * (len(times) - 1)
         ivp = self.ivp
         th = self.theta
         gain, signal = ivp.gain, ivp.signal
@@ -237,10 +259,10 @@ class ThetaPropagator(Propagator):
         p = 0.0 + gain * np.concatenate(([first], rights, lefts, [last]))
         n = len(hs)
         columns = hs.tolist(), p[:n].tolist(), (th * p[n:]).tolist(), den.tolist()
-        return columns, [len(g) - 1 for g in grids], clean
+        return columns, counts, clean
 
 
-def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]:
+def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[Sequence[tuple]]:
     """A theta propagator's plans over ``times``: its one-pass set-up, split per interval;
     with one substep per interval (nodes on the sync grid), each plan is its one step.
 
@@ -251,7 +273,7 @@ def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[list[tuple]]
         raise ValueError("a degenerate substep in the set-up")
     steps = list(zip(*columns))
     if len(steps) == len(counts):  # one substep per interval
-        return [[step] for step in steps]
+        return list(zip(steps))
     bounds = [0, *accumulate(counts)]
     return [steps[i:j] for i, j in zip(bounds, bounds[1:])]
 
@@ -267,12 +289,15 @@ def planned(props, times: list[float]):
 
     A plan holds an interval's state-independent data: a theta propagator's
     substeps (``_substeps``), or the exact solver's segments
-    (``models._grid_plans``), set up for the whole grid in one pass.  A
-    planned ``propagate`` call runs only the state recurrence, the same code
-    and bits as a cold call.  If the set-up fails anywhere with a
-    ``ValueError`` (an input with no closed form, a point outside its
-    domain, a theta set-up that is not clean), the propagator is left
-    unplanned: its cold calls raise the error in their place in the run.
+    (``models._grid_plans``), set up for the whole grid in one pass.  The
+    holder keeps them as ``{t0: (t1, plan)}``, one entry per interval, so a
+    call finds its plan by one float key and checks its end.  A planned
+    ``propagate`` call runs only the state recurrence, the same code and bits
+    as a cold call; a call whose ``t1`` is not its plan's end runs cold.  If
+    the set-up fails anywhere with a ``ValueError`` (an input with no closed
+    form, a point outside its domain, a theta set-up that is not clean), the
+    propagator is left unplanned: its cold calls raise the error in their
+    place in the run.
     Propagators of other types are skipped, and so is a holder that
     already has plans.  Plans are dropped when the block ends, also on an
     error.
@@ -287,7 +312,7 @@ def planned(props, times: list[float]):
             continue
         if holder._plans is None:
             try:
-                plans = dict(zip(zip(times, times[1:]), setup(holder, times)))
+                plans = dict(zip(times, zip(times[1:], setup(holder, times))))
             except ValueError:  # not swallowed: the cold calls raise it again, in their place in the run
                 plans = {}
             object.__setattr__(holder, "_plans", plans)

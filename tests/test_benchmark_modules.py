@@ -65,6 +65,7 @@ print(json.dumps({
     "exact_linear_propagate": int(spans.mask("models.exact_linear_propagate").sum()),
     "jump_norm": int(spans.mask("algorithm.jump_norm").sum()),
     "segments": spans.counts.get("models.segments", 0),
+    "substeps": spans.counts.get("propagators.theta.substeps", 0),
 }))
 """
 
@@ -79,6 +80,8 @@ def test_perfbench_tracer_sees_every_layer_of_a_run():
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["fine"] == 5 and counts["coarse"] == 15, counts
     assert counts["exact_linear_propagate"] >= 1 and counts["jump_norm"] >= 1 and counts["segments"] >= 1, counts
+    # the backward-Euler coarse plans: one substep per interval, counted from the nodes of ``_grid``
+    assert counts["substeps"] == 5, counts
 
 
 TRACED_THETA_RUN = """
@@ -100,6 +103,7 @@ print(json.dumps({
     "fine": int((spans.mask("propagators.theta") & (inst == id(cfg.fine))).sum()),
     "value": int(spans.mask("signals.value").sum()),
     "substeps": spans.counts.get("propagators.theta.substeps", 0),
+    "fine_substeps": sum(cfg.fine._substeps(cfg._times)[1]),
 }))
 """
 
@@ -113,7 +117,11 @@ def test_perfbench_tracer_sees_a_theta_fine_run():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
-    assert counts["fine"] == 5 and counts["value"] > 0 and counts["substeps"] > 0, counts
+    assert counts["fine"] == 5 and counts["value"] > 0, counts
+    # the five cold fine calls: 50 substeps per interval, split at the input's
+    # 792 switches in (0, T), 48 of which a node already holds to within the
+    # merge tolerance; and the five one-substep intervals of the coarse plans
+    assert counts["fine_substeps"] == 994 and counts["substeps"] == 994 + 5, counts
 
 
 TRACED_STUDY = """

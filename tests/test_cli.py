@@ -299,6 +299,9 @@ class TestBoundEval:
                                 "an exact one has none"),
         (["--k", "0"], "k must be >= 1"),
         (["--variant", "smooth"], "unknown variant 'smooth'"),
+        # finite termination: after k sweeps the first k sync points are exact
+        *[(["--N", str(n), "--k", str(k)], f"bound eval needs N > k, got N={n}, k={k}: with N <= k every sync "
+           "point is exact after k iterations, so no error is left to bound") for n, k in ((1, 1), (2, 2), (3, 5))],
     ])
     def test_usage_errors(self, argv, message, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -18,6 +18,7 @@ from parareal import (
     FixedIterations,
     LinearScalarModel,
     PararealConfig,
+    PararealRun,
     PwmSingle,
     SineWave,
     SplitIvp,
@@ -118,6 +119,15 @@ class TestInitialGuess:
         for n, t in enumerate(cfg.times):
             assert t == n * T / 7
 
+    def test_grid_bits_over_many_horizons(self):
+        # the grid is one array expression with the bits of ``n * t_end / N``
+        for t_end in (0.02, 1.0, 3.7, 1e-3, 730.0):
+            for n_int in range(1, 1001):
+                got = algorithm._sync_times(t_end, n_int)
+                want = [n * t_end / n_int for n in range(n_int)] + [t_end]
+                assert all(type(t) is float for t in got)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (t_end, n_int)
+
     @pytest.mark.parametrize("n_int", [29, 57, 114])
     def test_last_sync_point_is_t_end(self, pwm10_model, n_int):
         # N*T/N rounds an ulp below T at N=29 and an ulp above it at N=57, 114
@@ -192,6 +202,15 @@ class TestIterate:
         for k in range(9):
             for n in range(min(k, 8) + 1):
                 assert run.errors_vs_reference[k][n] <= 1e-12
+
+    def test_a_nan_jump_is_not_below_the_threshold(self):
+        # rtol = inf on a zero state: the jump's tolerance is inf*0 = NaN, so
+        # every jump but the first is NaN, and the run does not converge
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("zero", T))
+        for term, k in ((Termination(rtol=math.inf, k_max=3), 3), (FixedIterations(2, rtol=math.inf), 2)):
+            run = iterate(make_config(model, 5, termination=term))
+            assert run.iterations_used == k and not run.converged
+            assert all(j[0] == 0.0 and np.isnan(j[1:]).all() for j in run.jumps)
 
     def test_parallel_matches_serial_bitwise(self, pwm400_model, sine_signal):
         cfg = make_config(pwm400_model, 16, reduced_input=sine_signal, termination=FixedIterations(3))
@@ -436,19 +455,23 @@ class TestIterate:
         assert (info.value.k, info.value.n) == (1, 3)
 
 
-def _scripted_run(cfg, k_iters):
-    """A line-by-line transcription of the coarse-sweep initialization and
-    ``k_iters`` correction updates, made of cold public ``propagate`` calls:
-    ``(iterates, fine arrivals, jumps)`` as ``iterate`` reports them."""
+def _scripted_run(cfg):
+    """A line-by-line transcription of the coarse-sweep initialization and the
+    correction updates, made of cold public ``propagate`` calls, stopping as
+    ``cfg.termination`` asks: every field of the ``PararealRun`` that
+    ``iterate`` reports, each array built on its own."""
     fine, coarse, times, term = cfg.fine, cfg.coarse, cfg.times, cfg.termination
     N = cfg.n_intervals
+    fixed = isinstance(term, FixedIterations)
+    threshold = 1.0 if fixed else term.jump_threshold
     u0 = np.array([fine.ivp.u0])
     guess = [u0]
     for n in range(1, N + 1):
         guess.append(coarse.propagate(times[n - 1], times[n], guess[n - 1]))
     state = list(guess)
     iterates, arrivals_hist, jumps_hist = [guess], [], []
-    for _ in range(k_iters):
+    converged = False
+    for _ in range(term.k if fixed else term.k_max):
         arrivals = [u0] + [
             fine.propagate(times[n - 1], times[n], state[n - 1]) for n in range(1, N + 1)
         ]
@@ -464,17 +487,38 @@ def _scripted_run(cfg, k_iters):
         iterates.append(state)
         arrivals_hist.append(arrivals)
         jumps_hist.append(jumps)
-    return (
-        [np.vstack(u) for u in iterates],
-        [np.vstack(u) for u in arrivals_hist],
-        [np.array(j) for j in jumps_hist],
+        if not fixed and np.max(jumps) < threshold:
+            converged = True
+            break
+    if fixed:
+        converged = bool(np.max(jumps_hist[-1]) < threshold)
+    iterates = [np.vstack(u) for u in iterates]
+    ref = models.closed_form_trajectory(fine.ivp, times)[:, None]
+    return PararealRun(
+        times=np.array(times),
+        iterates=iterates,
+        fine_arrivals=[np.vstack(u) for u in arrivals_hist],
+        jumps=[np.array(j) for j in jumps_hist],
+        errors_vs_reference=[np.max(np.abs(it - ref), axis=1) for it in iterates],
+        iterations_used=len(jumps_hist),
+        converged=converged,
     )
 
 
 def _assert_run_equals_script(run, script, case):
-    for got, want in zip((run.iterates, run.fine_arrivals, run.jumps), script):
-        assert len(got) == len(want), case
-        assert all(_same_bits(a, b) for a, b in zip(got, want)), case
+    """Every field of ``run`` equals the script's: each array's shape, dtype
+    and bits, each count and flag by type and value."""
+    for field in dataclasses.fields(PararealRun):
+        got, want = getattr(run, field.name), getattr(script, field.name)
+        if isinstance(want, (bool, int)):
+            assert (type(got), got) == (type(want), want), (case, field.name)
+            continue
+        if isinstance(want, np.ndarray):
+            got, want = [got], [want]
+        assert type(got) is list and len(got) == len(want), (case, field.name)
+        for a, b in zip(got, want):
+            assert type(a) is np.ndarray and (a.shape, a.dtype) == (b.shape, b.dtype), (case, field.name)
+            assert a.tobytes() == b.tobytes(), (case, field.name)
 
 
 class TestScriptedUpdateOracle:
@@ -501,15 +545,18 @@ class TestScriptedUpdateOracle:
             cfg = config()
             run = iterate(cfg)
             assert cfg.coarse._plans is None and getattr(cfg.fine, "model", cfg.fine)._plans is None
-            _assert_run_equals_script(run, _scripted_run(config(), k_iters), (fine_spec, coarse_spec, reduced))
+            _assert_run_equals_script(run, _scripted_run(config()), (fine_spec, coarse_spec, reduced))
 
+    @pytest.mark.parametrize("stop", ["fixed", "termination"])
     @pytest.mark.parametrize("N", [5, 320])
-    def test_every_preset_series_matches_the_script_bitwise(self, pwm400_model, N):
+    def test_every_preset_series_matches_the_script_bitwise(self, pwm400_model, N, stop):
         """Every series of the CLI presets as a study point makes it, at the
-        smallest and the largest N of a study.  At N = 5 every interval holds
-        about 160 switches, so its exact end segments take their forms by
-        table index; at N = 320 most intervals hold none and take the form at
-        their midpoint, and every coarse plan is one substep."""
+        smallest and the largest N of a study, and the same config stopped by
+        the jump criterion instead, which takes the converged path.  At N = 5
+        every interval holds about 160 switches, so its exact end segments
+        take their forms by table index; at N = 320 most intervals hold none
+        and take the form at their midpoint, and every coarse plan is one
+        substep.  No two arrays of a run share memory."""
         series = {(e["variant"], e["scheme"], e["k"], e.get("reduced")) for e in itertools.chain(*PRESETS.values())}
         assert len(series) == 9
         for variant, scheme, k, reduced in sorted(series, key=str):
@@ -517,9 +564,15 @@ class TestScriptedUpdateOracle:
             def config():
                 red = None if reduced is None else parse_signal(reduced, period=T)
                 spec = StudySpec(model=pwm400_model, variant=variant, coarse_scheme=scheme, reduced_input=red, k=k)
-                return spec.config(N)
+                cfg = spec.config(N)
+                return cfg if stop == "fixed" else dataclasses.replace(cfg, termination=Termination())
 
-            _assert_run_equals_script(iterate(config()), _scripted_run(config(), k), (variant, scheme, k, reduced))
+            run = iterate(config())
+            _assert_run_equals_script(run, _scripted_run(config()), (variant, scheme, k, reduced))
+            arrays = [run.times, *run.iterates, *run.fine_arrivals, *run.jumps, *run.errors_vs_reference]
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+            if stop == "termination":
+                assert run.converged and run.iterations_used < Termination().k_max, (variant, scheme, k, reduced)
 
 
 class TestPlannedRunOracle:

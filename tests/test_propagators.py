@@ -275,6 +275,22 @@ class TestPlannedPropagate:
             times = [n * T / n_int for n in range(n_int + 1)]
             self._assert_planned_equals_cold(lambda: parse_propagator("exact", model.ivp(), model), times)
 
+    @pytest.mark.parametrize("scheme", ["be", "cn:substeps=7", "cn:substeps=7,aligned=1", "exact"])
+    @pytest.mark.parametrize("spec", ["pwm:m=400", "sine"])
+    def test_a_call_that_ends_elsewhere_runs_cold(self, spec, scheme):
+        # plans are found by their interval's start: a call from a planned
+        # start to any other end runs cold, with the cold call's bits or error
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+        warm, cold = (parse_propagator(scheme, model.ivp(), model) for _ in range(2))
+        times = [n * T / 20 for n in range(20)] + [T]
+        calls = [(times[3], times[5]), (times[3], 0.5 * (times[3] + times[4])),
+                 (times[3], math.nextafter(times[4], 1.0)), (0.0, T), (times[4], times[3]), (times[4], times[4])]
+        with planned([warm], times):
+            assert len(getattr(warm, "model", warm)._plans) == 20
+            for t0, t1 in calls:
+                want = outcome(cold.propagate, t0, t1, 0.25)
+                assert outcome(warm.propagate, t0, t1, 0.25) == want, (t0, t1)
+
     @pytest.mark.parametrize("spec", ["pwm:m=400", "sine"])
     @pytest.mark.parametrize("theta, substeps", [(1.0, 1), (0.5, 7)])
     def test_a_planned_interval_takes_a_one_element_array_as_its_float(self, spec, theta, substeps):
@@ -562,7 +578,8 @@ class TestNearSwitchGrids:
         fine = cfg.fine.model
         want = models.exact_trajectory(fine, cfg.times)
         algorithm._reference.cache_clear()  # a miss: the reference is computed with the plans attached
-        object.__setattr__(fine, "_plans", {span: ((0.0, 42.0, None, None),) for span in zip(cfg.times, cfg.times[1:])})
+        ts = cfg.times.tolist()
+        object.__setattr__(fine, "_plans", {t0: (t1, ((0.0, 42.0, None, None),)) for t0, t1 in zip(ts, ts[1:])})
         try:
             assert reference_trajectory(cfg)[:, 0].tobytes() == want.tobytes()
             assert models.exact_trajectory(fine, cfg.times).tobytes() == want.tobytes()
@@ -711,7 +728,7 @@ def frozen_columns(prop, times):
 def assert_ends(prop, times):
     """The frozen set-up's end column is each interval's ``_grid`` without its start."""
     steps, counts = frozen_substeps(prop, times)
-    ends = [np.asarray(prop._grid(t0, t1))[1:].tolist() for t0, t1 in zip(times, times[1:])]
+    ends = [prop._grid((t0, t1))[1:].tolist() for t0, t1 in zip(times, times[1:])]
     assert [len(e) for e in ends] == counts
     assert np.array([step[4] for step in steps]).tobytes() == np.array([e for es in ends for e in es]).tobytes()
 
@@ -752,6 +769,23 @@ class TestArraySetUpOracle:
             assert_ends(prop, times)
             for t0, t1 in zip(times[:21], times[1:21]):
                 assert outcome(prop._substeps, (t0, t1)) == outcome(frozen_columns, prop, (t0, t1)), (n_int, t0)
+
+    @pytest.mark.parametrize("aligned", [0, 1])
+    @pytest.mark.parametrize("substeps", [1, 3, 500])
+    @pytest.mark.parametrize("head", ["be", "cn"])
+    @pytest.mark.parametrize("spec", ["pwm:m=400", "pwm3:m=400,phase=2", "step", "sine"])
+    def test_one_grid_of_nodes(self, spec, head, substeps, aligned):
+        # one ``_grid`` call over a whole sync grid: each interval's frozen
+        # grid, neighbours sharing their sync point; and each interval's count
+        prop = _theta(spec, f"{head}:substeps={substeps},aligned={aligned}")
+        for n_int in (1, 7, 320):
+            times = [n * T / n_int for n in range(n_int)] + [T]
+            grids = [frozen_grid(prop, t0, t1) for t0, t1 in zip(times, times[1:])]
+            want = np.array(grids[0] + [t for grid in grids[1:] for t in grid[1:]])
+            got = prop._grid(times)
+            assert type(got) is np.ndarray and (got.shape, got.dtype) == (want.shape, want.dtype), n_int
+            assert got.tobytes() == want.tobytes(), n_int
+            assert prop._substeps(times)[1] == [len(grid) - 1 for grid in grids], n_int
 
     @given(near_switch_grids(ORACLE_INPUTS), st.sampled_from(ORACLE_SCHEMES))
     @settings(max_examples=100, deadline=None)
@@ -812,6 +846,15 @@ class TestArraySetUpOracle:
             assert got == outcome(frozen_columns, prop, times)
             assert got[0] is ValueError and "outside signal domain" in got[1]
 
+    def test_substeps_that_underflow_on_some_intervals(self):
+        # a horizon of six subnormals on four intervals of one and two: a
+        # third of one subnormal rounds to 0, two thirds to one subnormal, so
+        # np.linspace sets the intervals' nodes up by two different formulas
+        ivp = SplitIvp(decay=1.0, gain=1.0, signal=Constant(0.0, 3e-323), u0=1.0)
+        prop = ThetaPropagator(ivp, theta=0.5, substeps=3)
+        times = list(algorithm._sync_times(3e-323, 4))
+        assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times)
+
     def test_degenerate_substep(self):
         # seven substeps across an interval two ulps wide: some have h = 0
         t0 = T / 2
@@ -857,7 +900,7 @@ class TestCheckFreeRecurrence:
         # and the checked loop names the step
         ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0, 1.0), u0=0.0)
         prop = ThetaPropagator(ivp, theta=theta)
-        object.__setattr__(prop, "_plans", {(0.0, 1.0): [(h, p_s, th_p_e, den)]})
+        object.__setattr__(prop, "_plans", {0.0: (1.0, [(h, p_s, th_p_e, den)])})
         with pytest.raises(NonFiniteStateError, match=re.escape("non-finite state after step ending at t=1.0")):
             prop.propagate(0.0, 1.0, u)
 
