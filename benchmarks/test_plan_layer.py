@@ -174,7 +174,7 @@ def test_fine_sweep_n80(benchmark, model):
     times = sync_times(N_RUN)
     state = [0.0] + [1e-5 * n for n in range(1, N_RUN + 1)]
     with planned([cfg.fine], times):
-        arrivals = benchmark(algorithm._fine_sweep, cfg, times, state)
+        arrivals = benchmark(algorithm._fine_sweep, cfg, 0, times, state)
     assert np.isfinite(arrivals).all()
 
 

@@ -12,10 +12,10 @@ integrates the smoothed-input problem while F keeps the original input.  The
 N fine propagations of an iteration are independent of each other and run in
 the calling thread; the corrected coarse sweep is sequential.
 
-A run stops after exactly k sweeps (``FixedIterations``) or once the largest
-jump falls below a threshold, after at most ``k_max`` (``Termination``).  Its
-errors are always measured against the exact solution in closed form
-(``reference_trajectory``); an input segment without one fails there.
+A run stops after exactly k sweeps (``FixedIterations``) or once every jump
+is below 1, after at most ``k_max`` (``Termination``).  Its errors are always
+measured against the exact solution in closed form (``reference_trajectory``);
+an input segment without one fails there.
 
 A run keeps its states, and its history of iterates, fine arrivals and jumps,
 as Python floats; the arrays of ``PararealRun`` are built once, when it ends.
@@ -50,23 +50,24 @@ from .signals import Signal, _per_process
 
 def _check_tolerances(atol: float, rtol: float) -> None:
     # negated comparisons, so that NaN fails too: ``nan < 0`` is False
-    if not (atol > 0 and rtol >= 0):
-        raise ValueError(f"need atol > 0 and rtol >= 0, got atol={atol!r}, rtol={rtol!r}")
+    if not (0 < atol < math.inf and 0 <= rtol < math.inf):
+        raise ValueError(f"need finite atol > 0 and finite rtol >= 0, got atol={atol!r}, rtol={rtol!r}")
 
 
 @dataclass(frozen=True)
 class Termination:
-    """Stop when the largest mixed-tolerance jump norm drops below the threshold, or after ``k_max`` sweeps."""
+    """Stop once every mixed-tolerance jump norm is below 1, or after ``k_max`` sweeps.
+
+    1 is the acceptance level of a mixed-tolerance norm, so ``atol`` and
+    ``rtol`` alone set the scale of an acceptable jump.
+    """
 
     atol: float = 1.5e-5
     rtol: float = 1.5e-5
-    jump_threshold: float = 1.0
     k_max: int = 20
 
     def __post_init__(self):
         _check_tolerances(self.atol, self.rtol)
-        if not 0 < self.jump_threshold < math.inf:
-            raise ValueError(f"jump_threshold must be a positive finite number, got {self.jump_threshold!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
 
@@ -76,8 +77,8 @@ class FixedIterations:
     """Run exactly k update sweeps, no early stopping."""
 
     k: int
-    atol: float = 1.5e-5
-    rtol: float = 1.5e-5
+    atol: float = Termination.atol
+    rtol: float = Termination.rtol
 
     def __post_init__(self):
         if self.k < 1:
@@ -136,7 +137,7 @@ def jump_norm(u: float, v: float, atol: float, rtol: float) -> float:
 
     A state may also be a one-element array (``scalar_state``).
     """
-    if not (atol > 0 and rtol >= 0):
+    if not (0 < atol < math.inf and 0 <= rtol < math.inf):
         _check_tolerances(atol, rtol)
     u = u if type(u) is float else scalar_state(u)
     v = v if type(v) is float else scalar_state(v)
@@ -224,11 +225,13 @@ def _reference(ivp: SplitIvp, n_intervals: int, u0_sign: float) -> np.ndarray:
     return ref
 
 
-def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> list[float]:
-    """All N fine propagations of one iteration, as floats in index order; entry 0 is u0.
+def _fine_sweep(cfg: PararealConfig, k: int, times: list[float], state: list[float]) -> list[float]:
+    """The N fine propagations of sweep ``k``, as floats in index order; entry 0 is u0.
 
-    They run in the calling thread, in index order, so the first failure
-    raised is the lowest failing interval's.  Threads would not make them
+    They run in the calling thread, in index order, and each arrival is
+    checked as it is computed, so the first failure raised, a propagator's
+    ``NonFiniteStateError`` or a non-finite arrival, is the lowest failing
+    interval's, with ``k`` and ``n`` set.  Threads would not make them
     faster: under the interpreter lock, threads of pure-Python ``propagate``
     calls only take turns holding it.
     """
@@ -236,10 +239,13 @@ def _fine_sweep(cfg: PararealConfig, times: list[float], state: list[float]) -> 
     out = [state[0]]
     for n, t0, t1, u in zip(range(1, cfg.n_intervals + 1), times, times[1:], state):
         try:
-            out.append(propagate(t0, t1, u))
+            f = propagate(t0, t1, u)
         except NonFiniteStateError as exc:
-            exc.n = n
+            exc.k, exc.n = k, n
             raise
+        if not math.isfinite(f):
+            raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}", k=k, n=n)
+        out.append(f)
     return out
 
 
@@ -253,16 +259,17 @@ def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
     return [cfg.coarse, cfg.fine] if isinstance(cfg.fine, ExactLinearPropagator) else [cfg.coarse]
 
 
-def _below(jumps: list[float], threshold: float) -> bool:
-    """Whether every jump is below ``threshold``, as ``np.max(jumps) < threshold``
-    reads it: a NaN jump (``rtol*|v|`` infinite, or ``inf*0``) fails, which
+def _below(jumps: list[float]) -> bool:
+    """Whether every jump is below 1, as ``np.max(jumps) < 1`` reads it: a NaN
+    jump (an infinite distance over an infinite tolerance) fails, which
     ``max`` alone would skip past."""
-    return max(jumps) < threshold and not math.isnan(sum(jumps))
+    return max(jumps) < 1.0 and not math.isnan(sum(jumps))
 
 
 def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRun:
     """Run the update sweeps ``cfg.termination`` asks for: exactly ``k``, or
-    until the jump criterion or ``k_max``.
+    until every jump is below 1 or ``k_max``.  Either way the run has
+    converged if every jump of its last sweep is below 1.
 
     Raises ``NonFiniteStateError`` if a state stops being finite, with ``k``
     and ``n`` set, also where a propagator raised it (fine sweep, correction).
@@ -277,7 +284,6 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     atol = term.atol
     rtol = term.rtol
     fixed = isinstance(term, FixedIterations)
-    threshold = 1.0 if fixed else term.jump_threshold
     k_cap = term.k if fixed else term.k_max
 
     with planned(_planned_propagators(cfg), ts):
@@ -286,17 +292,8 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         iterates = [current]
         arrivals_hist: list[list[float]] = []
         jumps_hist: list[list[float]] = []
-        converged = False
-        k = 0
-        while k < k_cap:
-            try:
-                arrivals = _fine_sweep(cfg, ts, current)
-            except NonFiniteStateError as exc:
-                exc.k = k
-                raise
-            for n in range(1, N + 1):
-                if not math.isfinite(arrivals[n]):
-                    raise NonFiniteStateError(f"non-finite fine arrival at iteration {k}, interval {n}", k=k, n=n)
+        for k in range(k_cap):
+            arrivals = _fine_sweep(cfg, k, ts, current)
             jumps = [0.0] + [jump_norm(f, u, atol, rtol) for f, u in zip(arrivals[1:], current[1:])]
             arrivals_hist.append(arrivals)
             jumps_hist.append(jumps)
@@ -316,13 +313,9 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
                 raise
             iterates.append(new)
             current = new
-            k += 1
-            if not fixed and _below(jumps, threshold):
-                converged = True
+            converged = _below(jumps)
+            if converged and not fixed:
                 break
-
-        if fixed:
-            converged = _below(jumps_hist[-1], threshold)
 
         # the history as arrays, each built once: row k of ``its`` is iterate k
         its = np.array(iterates)
@@ -334,7 +327,7 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
         fine_arrivals=list(np.array(arrivals_hist)[:, :, None]),
         jumps=list(np.array(jumps_hist)),
         errors_vs_reference=list(errors),
-        iterations_used=k,
+        iterations_used=len(jumps_hist),
         converged=converged,
     )
 

@@ -41,11 +41,10 @@ HARD_DEFAULTS = {
     "variant": "original",
     "reduced_input": "sine",
     "N": 20,
-    "kmax": 20,
+    "kmax": Termination.k_max,
     "k": None,
-    "atol": 1.5e-5,
-    "rtol": 1.5e-5,
-    "jump_threshold": 1.0,
+    "atol": Termination.atol,
+    "rtol": Termination.rtol,
     "threads": 0,  # run only; 0 = hardware default
     "metric": "max",
     "n_list": None,
@@ -164,6 +163,15 @@ def _pool(r: dict):
     return contextlib.nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads or None)
 
 
+def _read_settings(r: dict) -> dict:
+    """The settings of ``run`` or ``bound eval`` that its run reads: without
+    ``reduced_input`` in the original variant, and without ``kmax`` under ``--k``."""
+    unread = {"reduced_input"} if r["variant"] == "original" else set()
+    if r["k"] is not None:
+        unread.add("kmax")
+    return {key: value for key, value in r.items() if key not in unread}
+
+
 def _reject_ignored(args, config: dict, keys: tuple[str, ...], reason: str) -> None:
     """A usage error for each of ``keys`` given as a flag or a config key where ``reason`` makes it do nothing."""
     for key in keys:
@@ -184,10 +192,7 @@ def _build_run_config(r: dict) -> PararealConfig:
     if r["k"] is not None:
         term = FixedIterations(int(r["k"]), atol=float(r["atol"]), rtol=float(r["rtol"]))
     else:
-        term = Termination(
-            atol=float(r["atol"]), rtol=float(r["rtol"]), jump_threshold=float(r["jump_threshold"]),
-            k_max=int(r["kmax"]),
-        )
+        term = Termination(atol=float(r["atol"]), rtol=float(r["rtol"]), k_max=int(r["kmax"]))
     return make_config(
         model, int(r["N"]), coarse=r["coarse"], fine=r["fine"], reduced_input=reduced, termination=term,
     )
@@ -196,12 +201,12 @@ def _build_run_config(r: dict) -> PararealConfig:
 def _cmd_run(args, config) -> int:
     r = _resolve(args, config)
     if r["k"] is not None:
-        _reject_ignored(args, config, ("jump_threshold", "kmax"), "--k (a fixed iteration count)")
+        _reject_ignored(args, config, ("kmax",), "--k (a fixed iteration count)")
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)
 
-    lines = _manifest_lines("run", r)
+    lines = _manifest_lines("run", _read_settings(r))
     lines.append("k,n,T_n,U,fine_arrival,jump,err_vs_ref")
     # the rows read plain floats, each array converted once
     times = run.times.tolist()
@@ -354,7 +359,7 @@ def _cmd_bound_eval(args, config) -> int:
     params = _bound_constants(model, cfg)  # before the run: an exact coarse propagator has no bound
     run = iterate(cfg)
     times, errors = run.times.tolist(), run.errors_vs_reference[k].tolist()
-    lines = _manifest_lines("bound eval", r)
+    lines = _manifest_lines("bound eval", _read_settings(r))
     lines.append("# constants " + " ".join(f"{name}={_fmt(getattr(params, name))}"
                                            for name in ("c1", "c2", "c3", "c4", "c_p", "l", "dt")))
     lines.append("n,T_n,bound,err,ratio")
@@ -398,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, typ in [
         ("--model", str), ("--fine", str), ("--coarse", str), ("--variant", str),
         ("--reduced-input", str), ("--N", int), ("--k", int), ("--kmax", int),
-        ("--atol", float), ("--rtol", float), ("--jump-threshold", float),
-        ("--threads", int),
+        ("--atol", float), ("--rtol", float), ("--threads", int),
     ]:
         p_run.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"),
                            help=_THREADS_HELP if flag == "--threads" else None)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -100,6 +102,28 @@ class TestRun:
         assert not {"grid", "samples", "period", "preset", "n_list", "which", "metric", "seed"} & set(manifest)
         assert manifest["N"] == "4" and manifest["fine"] == "exact"
 
+    def test_help_lists_only_the_run_flags(self, capsys):
+        assert main(["run", "--help"]) == 0
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split() if word.startswith(("--", "[--"))}
+        assert flags == {"--help", "--model", "--fine", "--coarse", "--variant", "--reduced-input", "--N", "--k",
+                         "--kmax", "--atol", "--rtol", "--threads", "--out", "--svg"}
+
+    @pytest.mark.parametrize("flags, unread", [
+        ([], set()),
+        (["--k", "2"], {"kmax"}),
+        (["--variant", "original"], {"reduced_input"}),
+        (["--variant", "original", "--k", "2"], {"kmax", "reduced_input"}),
+    ])
+    def test_manifest_drops_the_settings_the_run_does_not_read(self, flags, unread, tmp_path):
+        # the original variant reads no reduced input, and --k no iteration cap
+        out = tmp_path / "run.csv"
+        argv = ["run", "--variant", "reduced", "--N", "4", "--threads", "1", *flags, "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
+        keys = {"command", "version", "model", "fine", "coarse", "variant", "reduced_input", "N", "k", "kmax",
+                "atol", "rtol", "threads"}
+        assert set(manifest) == keys - unread
+
     def test_row_schema(self, tmp_path):
         out = tmp_path / "run.csv"
         main([
@@ -158,7 +182,7 @@ class TestStudy:
         assert main(["--config", str(cfg), "study", "run", "--preset", "fig5", "--n-list", "10,20",
                      "--out", str(out)]) == 0
         manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
-        assert not {"fine", "N", "kmax", "atol", "rtol", "jump_threshold", "threads", "seed", "which"} & set(manifest)
+        assert not {"fine", "N", "kmax", "atol", "rtol", "threads", "seed", "which"} & set(manifest)
         assert manifest["preset"] == "fig5" and manifest["metric"] == "max"
 
     def test_coarse_parameters_are_not_dropped(self, tmp_path):
@@ -269,6 +293,7 @@ class TestBoundEval:
         assert [r[2:4] for r in rows] == [(0.0, 0.0)] * 3 and all(math.isnan(r[4]) for r in rows)
 
     def test_manifest_records_the_resolved_run(self, tmp_path):
+        # the original variant reads no reduced input, so its manifest has none
         manifests = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
@@ -277,8 +302,11 @@ class TestBoundEval:
         assert manifests[0] == manifests[1]
         manifest = json.loads(manifests[0].split(" ", 3)[3])
         assert manifest == {"command": "bound eval", "version": parareal.__version__, "N": "8", "k": "1",
-                            "coarse": "be", "variant": "original", "reduced_input": "sine",
-                            "model": cli.HARD_DEFAULTS["model"]}
+                            "coarse": "be", "variant": "original", "model": cli.HARD_DEFAULTS["model"]}
+        out = tmp_path / "reduced.csv"
+        assert main(["bound", "eval", "--N", "8", "--variant", "reduced", "--out", str(out)]) == 0
+        manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
+        assert (manifest["variant"], manifest["reduced_input"]) == ("reduced", "sine")
 
     def test_config_file_sets_the_run(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -459,24 +487,31 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--jump-threshold", "nan", "--kmax", "3"],
-        ["--jump-threshold", "0"],
         ["--atol", "0"],
+        ["--atol", "inf", "--kmax", "3"],
         ["--rtol", "nan"],
+        ["--rtol", "inf"],
         ["--k", "2", "--atol", "0"],
         ["--k", "2", "--rtol", "-1"],
+        ["--k", "2", "--rtol", "inf"],
     ])
     def test_bad_tolerances(self, flags, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["run", *flags, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: need finite atol > 0 and finite rtol >= 0, got ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--jump-threshold", "1e-12"], ["--kmax", "3"]])
-    def test_flags_a_fixed_iteration_count_ignores(self, flags, tmp_path, capsys):
+    def test_the_jump_threshold_flag_is_gone(self, tmp_path, capsys):
+        # the tolerances alone set the jump scale
         out = tmp_path / "o.csv"
-        assert main(["run", "--k", "2", "--N", "10", *flags, "--threads", "1", "--out", str(out)]) == 1
-        assert f"{flags[0]} has no effect with --k" in capsys.readouterr().err
+        assert main(["run", "--jump-threshold", "1.0", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --jump-threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_a_fixed_iteration_count_ignores(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--k", "2", "--N", "10", "--kmax", "3", "--threads", "1", "--out", str(out)]) == 1
+        assert "--kmax has no effect with --k" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--k", "3"], ["--coarse", "be"], ["--variant", "original"],
@@ -606,15 +641,14 @@ class TestConfigFile:
         ns = {int(ln.split(",")[1]) for ln in data}
         assert max(ns) == 6
 
-    @pytest.mark.parametrize("line, flag", [("jump_threshold=1e-12", "--jump-threshold"), ("kmax=3", "--kmax")])
     @pytest.mark.parametrize("k_from_config", [False, True])
-    def test_keys_a_fixed_iteration_count_ignores(self, line, flag, k_from_config, tmp_path, capsys):
+    def test_keys_a_fixed_iteration_count_ignores(self, k_from_config, tmp_path, capsys):
         cfg = tmp_path / "fixed.cfg"
-        cfg.write_text(f"{line}\nthreads=1\n" + ("k=2\n" if k_from_config else ""))
+        cfg.write_text("kmax=3\nthreads=1\n" + ("k=2\n" if k_from_config else ""))
         out = tmp_path / "o.csv"
         k_flag = [] if k_from_config else ["--k", "2"]
         assert main(["--config", str(cfg), "run", *k_flag, "--N", "10", "--out", str(out)]) == 1
-        assert f"{flag} has no effect with --k" in capsys.readouterr().err
+        assert "--kmax has no effect with --k" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, flag", [("k=3", "--k"), ("coarse=be", "--coarse"), ("variant=reduced", "--variant"),
@@ -637,13 +671,15 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error: need k >= 1 and every N >= 1, got k=0,")
         assert not out.exists()
 
-    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["Nn", "jump_threshold"])
+    def test_unknown_key_is_a_usage_error(self, key, tmp_path, capsys):
+        # no subcommand has a jump threshold: the tolerances alone set the jump scale
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text("Nn=6\nthreads=1\n")
+        cfg.write_text(f"{key}=6\nthreads=1\n")
         out = tmp_path / "o.csv"
         code = main(["--config", str(cfg), "run", "--k", "1", "--out", str(out)])
         assert code == 1
-        assert "unknown config key 'Nn'" in capsys.readouterr().err
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -670,3 +706,21 @@ class TestReadmeUsage:
     def test_command_exits_zero(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0, capsys.readouterr().err
+
+    def test_every_flag_named_is_a_parser_flag(self):
+        # README's pip and pytest command lines name those tools' own flags
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        text = "\n".join(ln for ln in readme.splitlines() if not ln.startswith(("pip ", "python -m pytest ")))
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+        assert named and named <= parser_flags(cli.build_parser())
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--flag`` of ``parser`` and of its subcommands' parsers."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(flag for flag in action.option_strings if flag.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags

@@ -84,8 +84,12 @@ class TestJumpNorm:
             jump_norm(np.zeros(1), np.zeros(1), 0.0, 1e-5)
         with pytest.raises(ValueError):
             jump_norm(np.zeros(1), np.zeros(1), 1e-5, -1.0)
-        with pytest.raises(ValueError, match=r"need atol > 0 and rtol >= 0, got atol=1e-05, rtol=nan"):
+        with pytest.raises(ValueError, match=r"need finite atol > 0 and finite rtol >= 0, got atol=1e-05, rtol=nan"):
             jump_norm(0.0, 0.0, 1e-5, math.nan)
+        with pytest.raises(ValueError, match=r"got atol=inf, rtol=1e-05"):
+            jump_norm(0.0, 0.0, math.inf, 1e-5)
+        with pytest.raises(ValueError, match=r"got atol=1e-05, rtol=inf"):
+            jump_norm(0.0, 0.0, 1e-5, math.inf)
 
 
 class TestInitialGuess:
@@ -178,7 +182,7 @@ class TestIterate:
         fine = ExactLinearPropagator(pwm10_model)
         cfg = PararealConfig(
             n_intervals=10, fine=fine, coarse=fine, variant="original",
-            termination=Termination(jump_threshold=1.0),
+            termination=Termination(),
         )
         run = iterate(cfg)
         assert run.converged
@@ -203,14 +207,28 @@ class TestIterate:
             for n in range(min(k, 8) + 1):
                 assert run.errors_vs_reference[k][n] <= 1e-12
 
-    def test_a_nan_jump_is_not_below_the_threshold(self):
-        # rtol = inf on a zero state: the jump's tolerance is inf*0 = NaN, so
-        # every jump but the first is NaN, and the run does not converge
-        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("zero", T))
-        for term, k in ((Termination(rtol=math.inf, k_max=3), 3), (FixedIterations(2, rtol=math.inf), 2)):
-            run = iterate(make_config(model, 5, termination=term))
-            assert run.iterations_used == k and not run.converged
-            assert all(j[0] == 0.0 and np.isnan(j[1:]).all() for j in run.jumps)
+    def test_a_nan_jump_is_not_below_the_threshold(self, pwm10_model):
+        # a fine arrival of 1e308 off a guess of -1e308: with rtol = 10 the
+        # distance and the tolerance both overflow, so the first sweep's jumps
+        # are inf/inf = NaN, which ``max`` would read as 0; the correction
+        # (1e308 - 1e308) + 1e308 matches the next arrivals, so the second
+        # sweep's jumps are 0
+        assert math.isnan(jump_norm(1e308, -1e308, 1.0, 10.0))
+
+        class FarFine(ThetaPropagator):
+            def propagate(self, t0, t1, u):
+                return 1e308
+
+        class FarCoarse(ThetaPropagator):
+            def propagate(self, t0, t1, u):
+                return -1e308
+
+        fine, coarse = FarFine(pwm10_model.ivp()), FarCoarse(pwm10_model.ivp())
+        for term, k, converged in ((Termination(atol=1.0, rtol=10.0, k_max=3), 2, True),
+                                   (FixedIterations(1, atol=1.0, rtol=10.0), 1, False)):
+            run = iterate(PararealConfig(n_intervals=5, fine=fine, coarse=coarse, termination=term))
+            assert (run.iterations_used, run.converged) == (k, converged)
+            assert run.jumps[0][0] == 0.0 and np.isnan(run.jumps[0][1:]).all()
 
     def test_parallel_matches_serial_bitwise(self, pwm400_model, sine_signal):
         cfg = make_config(pwm400_model, 16, reduced_input=sine_signal, termination=FixedIterations(3))
@@ -269,6 +287,31 @@ class TestIterate:
         assert times[7] not in calls
         assert (info.value.k, info.value.n) == (0, 3)
 
+    def test_a_non_finite_arrival_before_a_raising_interval_is_reported(self, pwm10_model):
+        # interval 2 returns NaN and interval 4 raises: the sweep stops at 2
+        from parareal import NonFiniteStateError
+
+        times = make_config(pwm10_model, 10).times.tolist()
+        calls = []
+
+        class NanThenPole(ExactLinearPropagator):
+            def propagate(self, t0, t1, u0):
+                calls.append(t0)
+                if t0 == times[1]:
+                    return math.nan
+                if t0 == times[3]:
+                    raise NonFiniteStateError("pole 4")
+                return super().propagate(t0, t1, u0)
+
+        cfg = PararealConfig(
+            n_intervals=10, fine=NanThenPole(pwm10_model), coarse=ThetaPropagator(pwm10_model.ivp()),
+            termination=FixedIterations(2),
+        )
+        with pytest.raises(NonFiniteStateError, match="^non-finite fine arrival at iteration 0, interval 2$") as info:
+            iterate(cfg)
+        assert times[3] not in calls
+        assert (info.value.k, info.value.n) == (0, 2)
+
     def test_the_fine_sweep_runs_in_the_calling_thread(self, pwm400_model):
         # nothing goes to the pool, every fine call runs in the caller, and
         # the bits are serial
@@ -321,7 +364,7 @@ class TestIterate:
     def test_jump_termination(self, pwm400_model, sine_signal):
         cfg = make_config(
             pwm400_model, 20, reduced_input=sine_signal,
-            termination=Termination(atol=1.5e-5, rtol=1.5e-5, jump_threshold=1.0, k_max=10),
+            termination=Termination(atol=1.5e-5, rtol=1.5e-5, k_max=10),
         )
         run = iterate(cfg)
         assert run.converged
@@ -330,7 +373,7 @@ class TestIterate:
 
     def test_iteration_cap_stops_an_unconverged_run(self, pwm400_model, sine_signal):
         cfg = make_config(
-            pwm400_model, 20, reduced_input=sine_signal, termination=Termination(jump_threshold=1e-300, k_max=3),
+            pwm400_model, 20, reduced_input=sine_signal, termination=Termination(atol=1e-300, rtol=0.0, k_max=3),
         )
         run = iterate(cfg)
         assert run.iterations_used == 3 and len(run.iterates) == 4
@@ -463,7 +506,6 @@ def _scripted_run(cfg):
     fine, coarse, times, term = cfg.fine, cfg.coarse, cfg.times, cfg.termination
     N = cfg.n_intervals
     fixed = isinstance(term, FixedIterations)
-    threshold = 1.0 if fixed else term.jump_threshold
     u0 = np.array([fine.ivp.u0])
     guess = [u0]
     for n in range(1, N + 1):
@@ -487,11 +529,11 @@ def _scripted_run(cfg):
         iterates.append(state)
         arrivals_hist.append(arrivals)
         jumps_hist.append(jumps)
-        if not fixed and np.max(jumps) < threshold:
+        if not fixed and np.max(jumps) < 1.0:
             converged = True
             break
     if fixed:
-        converged = bool(np.max(jumps_hist[-1]) < threshold)
+        converged = bool(np.max(jumps_hist[-1]) < 1.0)
     iterates = [np.vstack(u) for u in iterates]
     ref = models.closed_form_trajectory(fine.ivp, times)[:, None]
     return PararealRun(
@@ -652,10 +694,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k_max must be >= 1"):
             Termination(k_max=k_max)
 
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_jump_threshold(self, threshold):
-        with pytest.raises(ValueError, match="jump_threshold must be a positive finite number"):
-            Termination(jump_threshold=threshold)
+    def test_the_tolerances_alone_set_the_jump_scale(self):
+        # no threshold field: a run stops once every jump is below 1
+        assert [f.name for f in dataclasses.fields(Termination)] == ["atol", "rtol", "k_max"]
+        with pytest.raises(TypeError, match="jump_threshold"):
+            Termination(jump_threshold=1.0)
 
     @pytest.mark.parametrize("check, message", [
         (lambda model: FixedIterations(k=0), "^k must be >= 1$"),
@@ -670,13 +713,14 @@ class TestConfigValidation:
             check(pwm10_model)
         assert type(info.value) is ValueError
 
-    @pytest.mark.parametrize("atol, rtol", [(0.0, 1e-5), (-1e-5, 1e-5), (math.nan, 1e-5), (1e-5, -1e-5), (1e-5, math.nan)])
+    @pytest.mark.parametrize("atol, rtol", [(0.0, 1e-5), (-1e-5, 1e-5), (math.nan, 1e-5), (math.inf, 1e-5),
+                                            (1e-5, -1e-5), (1e-5, math.nan), (1e-5, math.inf)])
     @pytest.mark.parametrize(
         "make", [Termination, lambda atol, rtol: FixedIterations(2, atol=atol, rtol=rtol)],
         ids=["Termination", "FixedIterations"],
     )
     def test_bad_tolerances_fail_at_construction(self, make, atol, rtol):
-        with pytest.raises(ValueError, match="need atol > 0 and rtol >= 0"):
+        with pytest.raises(ValueError, match="need finite atol > 0 and finite rtol >= 0"):
             make(atol=atol, rtol=rtol)
 
 
