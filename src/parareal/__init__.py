@@ -50,7 +50,7 @@ from .signals import (
 # its names (PEP 562), so a process that only runs parareal never compiles it.
 _ANALYSIS_NAMES = frozenset({
     "BoundParams", "ConvergenceStudy", "InsufficientPointsError", "OrderFit", "OrderProbe",
-    "StudySpec", "defect_ode_solution", "defect_scaling_study", "eval_bound", "fit_order",
+    "StudySpec", "defect_scaling_study", "eval_bound", "fit_order",
     "local_order_probe", "run_study",
 })
 
@@ -93,7 +93,6 @@ __all__ = [
     "ThetaPropagator",
     "ThreePhasePwm",
     "UnsupportedSignalError",
-    "defect_ode_solution",
     "defect_scaling_study",
     "eval_bound",
     "exact_linear_propagate",

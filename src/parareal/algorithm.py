@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import LinearScalarModel, SplitIvp, closed_form_trajectory
+from .models import LinearScalarModel, SplitIvp, _trajectory
 from .propagators import (
     ExactLinearPropagator,
     NonFiniteStateError,
@@ -206,7 +206,7 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
     """The fine problem's exact solution at the sync points, the reference of a run's errors.
 
     Whatever the fine propagator, it is the closed form of the fine IVP
-    (``closed_form_trajectory``) on the run's sync grid, which only the IVP
+    (``models._trajectory``) on the run's sync grid, which only the IVP
     and N determine.  So it is computed once per pair and process and kept in
     a bounded table (``_reference``); each call returns a fresh ``(N+1, 1)``
     array.  A problem has a positive decay rate (``SplitIvp``); one with an
@@ -220,7 +220,7 @@ def reference_trajectory(cfg: PararealConfig) -> np.ndarray:
 @_per_process
 def _reference(ivp: SplitIvp, n_intervals: int, u0_sign: float) -> np.ndarray:
     # ``u0_sign`` tells the keys of u0 = 0.0 and -0.0 apart, which compare equal
-    ref = closed_form_trajectory(ivp, _sync_times(ivp.t_end, n_intervals))[:, None]
+    ref = _trajectory(ivp.decay, ivp.gain, ivp.signal, _sync_times(ivp.t_end, n_intervals), ivp.u0)[:, None]
     ref.flags.writeable = False
     return ref
 

@@ -7,25 +7,26 @@ points above ``ERROR_FLOOR``, the double-precision floor.  A study keeps no
 set-up of its own: its runs draw on the set-up kept per process, and each run
 sets up its own plans (``models`` describes the two set-up lifetimes).
 
-The constants of the bounds are read off a run's propagators
-(``_bound_constants``), so ``eval_bound`` can be checked against the errors the
-run measures.  The dt-ladder measurements, the reduced-input defect
-(``defect_scaling_study``) and a propagator's local truncation order
-(``local_order_probe``), share one loop and one record (``OrderProbe``).
+The one error bound (``eval_bound``, the classic one at ``c_p = 0``) reads its
+constants off a run's propagators (``_bound_constants``), so it can be checked
+against the errors the run measures.  The dt-ladder measurements, the defect
+between the full and reduced problems (``defect_scaling_study``: two exact
+solves) and a propagator's local truncation order (``local_order_probe``),
+share one loop and one record (``OrderProbe``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithm import FixedIterations, PararealConfig, iterate, make_config, reference_trajectory
-from .models import LinearScalarModel, exact_linear_propagate
+from .models import LinearScalarModel
 from .propagators import ExactLinearPropagator, Propagator, ThetaPropagator, parse_propagator, planned
-from .signals import Difference, Signal, StepWave
+from .signals import Signal, StepWave
 
 ERROR_FLOOR = 1e-13
 
@@ -211,8 +212,7 @@ def run_study(spec: StudySpec) -> ConvergenceStudy:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Constants of the convergence bounds; c1/c3 double as their reduced
-    counterparts depending on which bound is evaluated."""
+    """Constants of the bounds of ``eval_bound``; ``c_p = 0`` gives the classic bound."""
 
     c1: float = 1.0
     c2: float = 0.0
@@ -235,14 +235,14 @@ class BoundParams:
             raise ValueError("dt must be positive")
 
 
-def _holder_conjugate(p: float) -> float:
-    """q with 1/p + 1/q = 1; p=1 gives q=inf (dt-decay of the defect vanishes)."""
+def _inv_q(p: float) -> float:
+    """``1/q`` with ``1/p + 1/q = 1``; p=1 gives q=inf, so 0 (dt-decay of the defect vanishes)."""
     if p == 1:
         warnings.warn("p=1 gives q=inf: the defect bound loses its dt-decay", stacklevel=3)
-        return math.inf
+        return 0.0
     if math.isinf(p):
         return 1.0
-    return p / (p - 1.0)
+    return 1.0 / (p / (p - 1.0))
 
 
 def _growth(params: BoundParams) -> float:
@@ -260,32 +260,17 @@ def eval_bound(params: BoundParams, which: str) -> float:
     """Literal right-hand side of one of the convergence estimates.
 
     which:
-      * "smooth"       -- classic bound for smooth right-hand sides,
-      * "reduced-lp"   -- reduced-input bound with an L^p perturbation,
-      * "reduced-linf" -- the same with p=inf (q=1),
-      * "lemma"        -- the one-interval defect bound ``c4*c_p*dt^(1/q)``.
+      * "reduced-lp" -- reduced-input bound with an L^p perturbation; with
+        ``c_p = 0``, the classic bound of Gander & Vandewalle (SISC 2007);
+      * "lemma"      -- the one-interval defect bound ``c4*c_p*dt^(1/q)``.
     """
     dt, l, k = params.dt, params.l, params.k
-    if which == "smooth":
-        if params.c1 <= 0:
-            raise ValueError("smooth bound needs c1 > 0")
-        return (
-            params.c3 / params.c1
-            * (params.c1 * dt ** (l + 1)) ** (k + 1)
-            * _growth(params)
-        )
     if which == "reduced-lp":
-        q = _holder_conjugate(params.p)
-        inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        first = params.c4 * params.c_p * dt ** ((l + 1) * k + inv_q)
+        first = params.c4 * params.c_p * dt ** ((l + 1) * k + _inv_q(params.p))
         second = params.c3 * dt ** ((l + 1) * (k + 1))
         return params.c1**k * (first + second) * _growth(params)
-    if which == "reduced-linf":
-        return eval_bound(replace(params, p=math.inf), "reduced-lp")
     if which == "lemma":
-        q = _holder_conjugate(params.p)
-        inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        return params.c4 * params.c_p * dt**inv_q
+        return params.c4 * params.c_p * dt ** _inv_q(params.p)
     raise ValueError(f"unknown bound {which!r}")
 
 
@@ -334,8 +319,8 @@ def _bound_constants(model: LinearScalarModel, cfg: PararealConfig) -> BoundPara
     * ``c4 = R`` and ``c_p = sup |w - w_red|`` (``p = inf``), 0 in the original variant.
 
     The returned record has ``n = k + 1``; ``eval_bound(replace(params, n=n),
-    "reduced-linf")`` bounds the error at sync point ``n``, in either variant
-    (with ``c_p = 0`` it is the smooth bound).
+    "reduced-lp")`` bounds the error at sync point ``n``, in either variant
+    (with ``c_p = 0`` it is the classic bound).
     """
     theta = getattr(cfg.coarse, "theta", None)
     if theta not in (1.0, 0.5):
@@ -409,18 +394,6 @@ def defect_scaling_study(
         dt_ladder = [model.t_end / 2**j for j in range(6, 13)]
     full, reduced = ExactLinearPropagator(model), ExactLinearPropagator(model.with_signal(reduced_input))
     return _ladder(full, reduced, t_start, u_start, dt_ladder, 1e-16)
-
-
-def defect_ode_solution(model: LinearScalarModel, reduced_input: Signal, t0: float, t1: float) -> float:
-    """Exact solution at t1 of the defect equation.
-
-    For the linear scalar model the state-averaged Jacobian is the constant
-    ``-R/L``, so the defect obeys ``d' = -(R/L) d + R * (w - w_red)(t)`` with
-    ``d(t0) = 0``; by linearity this equals the exact propagation of the model
-    driven by the difference signal from a zero state.
-    """
-    diff_model = model.with_signal(Difference(model.signal, reduced_input))
-    return exact_linear_propagate(diff_model, t0, t1, 0.0)
 
 
 def local_order_probe(

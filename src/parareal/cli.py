@@ -127,11 +127,6 @@ def _cmd_signal_dump(args, config) -> int:
     lines.append("t,value")
     lines.extend(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals))
     _write_text(args.out, "\n".join(lines) + "\n")
-    if args.svg:
-        from .svgplot import log_log_svg
-
-        svg = log_log_svg([("signal", ts[ts > 0], np.abs(vals[ts > 0]) + 1e-12)], title=args.signal)
-        _write_text(args.svg, svg)
     return 0
 
 
@@ -163,12 +158,14 @@ def _pool(r: dict):
     return contextlib.nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads or None)
 
 
-def _read_settings(r: dict) -> dict:
-    """The settings of ``run`` or ``bound eval`` that its run reads: without
-    ``reduced_input`` in the original variant, and without ``kmax`` under ``--k``."""
-    unread = {"reduced_input"} if r["variant"] == "original" else set()
-    if r["k"] is not None:
-        unread.add("kmax")
+def _read_settings(args, config: dict, r: dict) -> dict:
+    """The settings of ``run`` or ``bound eval`` that its run reads: all but ``reduced_input``
+    in the original variant and ``kmax`` under ``--k``, which are usage errors where given."""
+    unread = {"reduced_input": "--variant original"} if r["variant"] == "original" else {}
+    if r["k"] is not None and "kmax" in r:
+        unread["kmax"] = "--k (a fixed iteration count)"
+    for key, reason in unread.items():
+        _reject_ignored(args, config, (key,), reason)
     return {key: value for key, value in r.items() if key not in unread}
 
 
@@ -200,13 +197,12 @@ def _build_run_config(r: dict) -> PararealConfig:
 
 def _cmd_run(args, config) -> int:
     r = _resolve(args, config)
-    if r["k"] is not None:
-        _reject_ignored(args, config, ("kmax",), "--k (a fixed iteration count)")
+    settings = _read_settings(args, config, r)
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)
 
-    lines = _manifest_lines("run", _read_settings(r))
+    lines = _manifest_lines("run", settings)
     lines.append("k,n,T_n,U,fine_arrival,jump,err_vs_ref")
     # the rows read plain floats, each array converted once
     times = run.times.tolist()
@@ -350,6 +346,7 @@ def _cmd_bound_eval(args, config) -> int:
 
     r = _resolve(args, config)
     r["k"] = k = 1 if r["k"] is None else int(r["k"])  # a missing --k means 1, as in study run
+    settings = _read_settings(args, config, r)
     model, reduced = _problem(r)
     n_intervals = int(r["N"])
     cfg = make_config(model, n_intervals, coarse=r["coarse"], reduced_input=reduced, termination=FixedIterations(k))
@@ -359,12 +356,12 @@ def _cmd_bound_eval(args, config) -> int:
     params = _bound_constants(model, cfg)  # before the run: an exact coarse propagator has no bound
     run = iterate(cfg)
     times, errors = run.times.tolist(), run.errors_vs_reference[k].tolist()
-    lines = _manifest_lines("bound eval", _read_settings(r))
+    lines = _manifest_lines("bound eval", settings)
     lines.append("# constants " + " ".join(f"{name}={_fmt(getattr(params, name))}"
                                            for name in ("c1", "c2", "c3", "c4", "c_p", "l", "dt")))
     lines.append("n,T_n,bound,err,ratio")
     for n in range(k + 1, n_intervals + 1):
-        bound = eval_bound(replace(params, n=n), "reduced-linf")
+        bound = eval_bound(replace(params, n=n), "reduced-lp")
         err = errors[n]
         ratio = err / bound if bound else math.nan
         lines.append(f"{n},{_fmt(times[n])},{_fmt(bound)},{_fmt(err)},{_fmt(ratio)}")
@@ -388,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--samples", type=int)
     p_dump.add_argument("--period", type=float)
     p_dump.add_argument("--out")
-    p_dump.add_argument("--svg")
     p_dump.set_defaults(func=_cmd_signal_dump)
 
     p_model = sub.add_parser("model", help="model utilities")

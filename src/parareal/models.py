@@ -26,9 +26,8 @@ The set-up that changes no result is kept for one of two lifetimes:
   segment that holds the interval's midpoint.  Only ``propagate`` reads
   them.
 
-The closed-form trajectories (``exact_trajectory``,
-``closed_form_trajectory``, and through it a run's reference) set their grid
-up the way a run plans it, on their own.
+The closed-form trajectory (``_trajectory``: ``exact_trajectory``, and a run's
+reference) sets its grid up the way a run plans it, on its own.
 """
 
 from __future__ import annotations
@@ -227,8 +226,8 @@ def _trajectory(a: float, gain: float, sig: Signal, times, phi: float) -> np.nda
 
     A grid of two or more points is set up as a run plans it (``_grid_plans``),
     with the bits of the cold path.  A faulty grid raises as its cold calls
-    would, an input with no closed form from the first table segment that has
-    none.
+    would, an input with no closed form (``UnsupportedSignalError``) from the
+    first table segment that has none.
     """
     ts = np.asarray(times, dtype=float).tolist()
     if not ts:
@@ -242,17 +241,6 @@ def _trajectory(a: float, gain: float, sig: Signal, times, phi: float) -> np.nda
 def exact_trajectory(model: LinearScalarModel, times: np.ndarray) -> np.ndarray:
     """Exact solution from ``model.u0`` at ``times[0]``, sampled at the increasing grid ``times``."""
     return _trajectory(model.decay_rate, model.R_res, model.signal, times, model.u0)
-
-
-def closed_form_trajectory(ivp: SplitIvp, times: np.ndarray) -> np.ndarray:
-    """Exact solution of the IVP at ``times`` (from ``times[0]``).
-
-    For a model's ``ivp()`` this equals ``exact_trajectory`` bitwise.  Besides
-    the IVP's positive decay rate, the closed form needs a constant-plus-sinusoid
-    form on every continuity segment of the input (``UnsupportedSignalError``
-    otherwise), which every model that ``parse_model`` builds has.
-    """
-    return _trajectory(ivp.decay, ivp.gain, ivp.signal, times, ivp.u0)
 
 
 def parse_model(spec: str) -> LinearScalarModel:

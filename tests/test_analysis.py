@@ -19,10 +19,8 @@ from parareal import (
     StepWave,
     StudySpec,
     ThetaPropagator,
-    defect_ode_solution,
     defect_scaling_study,
     eval_bound,
-    exact_linear_propagate,
     fit_order,
     iterate,
     local_order_probe,
@@ -63,16 +61,28 @@ class TestFitOrder:
 
 
 class TestEvalBound:
-    def test_smooth_collapse_at_minimal_n(self):
-        # n = k+1 makes the growth factor's power vanish
-        p = BoundParams(c1=2.0, c2=5.0, c3=3.0, l=1, dt=1e-3, n=2, k=1)
-        got = eval_bound(p, "smooth")
+    def test_zero_perturbation_collapse_at_minimal_n(self):
+        # n = k+1 makes the growth factor's power vanish; c_p = 0 leaves the classic bound
+        p = BoundParams(c1=2.0, c2=5.0, c3=3.0, c_p=0.0, l=1, dt=1e-3, n=2, k=1)
+        got = eval_bound(p, "reduced-lp")
         want = (3.0 / 2.0) * (2.0 * 1e-3**2) ** 2 / math.factorial(2) * (2 * 1)
-        assert got == pytest.approx(want, rel=1e-15)
+        assert got == pytest.approx(want, rel=1e-14)
 
-    def test_reduced_linf_with_zero_perturbation_reduces_to_second_term(self):
+    def test_zero_perturbation_is_the_classic_bound(self):
+        # Gander & Vandewalle's c3/c1 * (c1 dt^(l+1))^(k+1) * growth, to roundoff, at any p
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            k, l = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+            p = BoundParams(c1=rng.uniform(0.1, 3), c2=rng.uniform(0, 3), c3=rng.uniform(0, 3), c4=rng.uniform(0, 3),
+                            c_p=0.0, l=l, p=float(rng.choice([1.5, 2.0, math.inf])), dt=10 ** rng.uniform(-4, -1),
+                            n=int(rng.integers(k + 1, 60)), k=k)
+            growth = (1.0 + p.c2 * p.dt) ** (p.n - k - 1) / math.factorial(k + 1) * math.prod(range(p.n - k, p.n + 1))
+            classic = p.c3 / p.c1 * (p.c1 * p.dt ** (l + 1)) ** (k + 1) * growth
+            assert eval_bound(p, "reduced-lp") == pytest.approx(classic, rel=1e-13), p
+
+    def test_zero_perturbation_reduces_to_second_term(self):
         p = BoundParams(c1=1.5, c2=0.3, c3=2.0, c4=9.0, c_p=0.0, l=1, dt=1e-3, n=6, k=2)
-        got = eval_bound(p, "reduced-linf")
+        got = eval_bound(p, "reduced-lp")
         growth = (1 + 0.3 * 1e-3) ** (6 - 3) / math.factorial(3) * (6 * 5 * 4)
         want = 1.5**2 * 2.0 * (1e-3) ** 6 * growth
         assert got == pytest.approx(want, rel=1e-14)
@@ -89,13 +99,19 @@ class TestEvalBound:
             got = eval_bound(BoundParams(c4=1.0, c_p=2.0, p=1.0, dt=1e-3), "lemma")
         assert got == 2.0
 
+    def test_reduced_lp_degenerate_p_one(self):
+        # q = inf: the perturbation term keeps dt^((l+1)k) only
+        with pytest.warns(UserWarning, match="p=1 gives q=inf"):
+            got = eval_bound(BoundParams(c1=1.0, c3=0.0, c4=1.0, c_p=2.0, p=1.0, l=1, dt=1e-3, n=2, k=1), "reduced-lp")
+        assert got == pytest.approx(2.0 * 1e-3**2, rel=1e-15)  # growth 1 at n = k+1
+
     def test_lemma_linf(self):
         got = eval_bound(BoundParams(c4=3.0, c_p=0.5, p=math.inf, dt=1e-4), "lemma")
         assert got == pytest.approx(3.0 * 0.5 * 1e-4, rel=1e-15)
 
     def test_domain_error_for_small_n(self):
         with pytest.raises(ValueError):
-            eval_bound(BoundParams(n=1, k=1), "smooth")
+            eval_bound(BoundParams(n=1, k=1), "reduced-lp")
 
     def test_monotone_in_constants_and_n(self):
         rng = np.random.default_rng(4)
@@ -106,18 +122,17 @@ class TestEvalBound:
                 l=int(rng.integers(1, 3)), dt=10 ** rng.uniform(-4, -2),
                 n=int(rng.integers(3, 30)), k=int(rng.integers(1, 3)),
             )
-            v = eval_bound(BoundParams(**base), "reduced-linf")
+            v = eval_bound(BoundParams(**base), "reduced-lp")
             for key in ("c1", "c3", "c4", "c_p"):
                 bumped = dict(base)
                 bumped[key] = base[key] * 1.5
-                assert eval_bound(BoundParams(**bumped), "reduced-linf") >= v
+                assert eval_bound(BoundParams(**bumped), "reduced-lp") >= v
             bigger_n = dict(base)
             bigger_n["n"] = base["n"] + 1
-            assert eval_bound(BoundParams(**bigger_n), "reduced-linf") >= v
+            assert eval_bound(BoundParams(**bigger_n), "reduced-lp") >= v
 
-    def test_reduced_linf_is_reduced_lp_at_p_inf(self):
-        # the literal L^inf right-hand side (exponent (l+1)k + 1), bit for bit,
-        # whatever p the parameters carry
+    def test_reduced_lp_is_the_literal_right_hand_side(self):
+        # exponent (l+1)k + 1/q with 1/q = 1/(p/(p-1)), and 1 at p = inf: the L^inf bound, bit for bit
         rng = np.random.default_rng(13)
         for _ in range(20000):
             k, l = int(rng.integers(0, 3)), int(rng.integers(0, 5))
@@ -126,11 +141,12 @@ class TestEvalBound:
                 c_p=rng.uniform(0, 3), l=l, p=float(rng.choice([1.5, 2.0, 7.0, math.inf])),
                 dt=10 ** rng.uniform(-6, 0), n=int(rng.integers(k + 1, 60)), k=k,
             )
-            first = p.c4 * p.c_p * p.dt ** ((l + 1) * k + 1)
+            inv_q = 1.0 if math.isinf(p.p) else 1.0 / (p.p / (p.p - 1.0))
+            first = p.c4 * p.c_p * p.dt ** ((l + 1) * k + inv_q)
             second = p.c3 * p.dt ** ((l + 1) * (k + 1))
             want = p.c1**k * (first + second) * ((1.0 + p.c2 * p.dt) ** (p.n - k - 1) / math.factorial(k + 1)
                                                  * math.prod(range(p.n - k, p.n + 1)))
-            assert eval_bound(p, "reduced-linf").hex() == want.hex(), p
+            assert eval_bound(p, "reduced-lp").hex() == want.hex(), p
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -141,9 +157,11 @@ class TestEvalBound:
         (lambda model: BoundParams(p=0.5), "^p must be >= 1$"),
         (lambda model: BoundParams(dt=0.0), "^dt must be positive$"),
         (lambda model: BoundParams(dt=-1e-3), "^dt must be positive$"),
-        (lambda model: eval_bound(BoundParams(c1=0.0), "smooth"), "^smooth bound needs c1 > 0$"),
+        (lambda model: eval_bound(BoundParams(c1=0.0), "smooth"), "^unknown bound 'smooth'$"),
+        (lambda model: eval_bound(BoundParams(), "reduced-linf"), "^unknown bound 'reduced-linf'$"),
         (lambda model: eval_bound(BoundParams(), "rough"), "^unknown bound 'rough'$"),
-    ], ids=["reduced-without-input", "p-below-one", "zero-dt", "negative-dt", "smooth-c1-zero", "unknown-bound"])
+    ], ids=["reduced-without-input", "p-below-one", "zero-dt", "negative-dt", "smooth-is-gone", "linf-alias-is-gone",
+            "unknown-bound"])
     def test_input_checks(self, pwm10_model, check, message):
         with pytest.raises(ValueError, match=message) as info:
             check(pwm10_model)
@@ -186,19 +204,6 @@ class TestDefectStudy:
         assert got.errors == want.errors
         with pytest.raises(ValueError, match="expected a scalar state"):
             defect_scaling_study(pwm400_model, sine_signal, u_start=np.array([0.02, 0.03]))
-
-    def test_defect_matches_averaged_jacobian_ode(self, pwm400_model, sine_signal):
-        # the defect equation driven by the input difference reproduces the
-        # directly measured defect on random intervals
-        rng = np.random.default_rng(12)
-        for _ in range(6):
-            t0 = float(rng.uniform(0.0, 0.015))
-            dt = float(rng.uniform(1e-4, 4e-3))
-            u = float(rng.uniform(-0.5, 0.5))
-            full = exact_linear_propagate(pwm400_model, t0, t0 + dt, u)
-            red = exact_linear_propagate(pwm400_model.with_signal(sine_signal), t0, t0 + dt, u)
-            via_ode = defect_ode_solution(pwm400_model, sine_signal, t0, t0 + dt)
-            assert full - red == pytest.approx(via_ode, abs=1e-11)
 
 
 def _pairwise_slopes(study):
@@ -444,7 +449,7 @@ class TestBoundOnRuns:
                 err = abs(errors[k][n])
                 if err > floor:
                     checked += 1
-                    bound = eval_bound(replace(params, n=n), "reduced-linf")
+                    bound = eval_bound(replace(params, n=n), "reduced-lp")
                     assert err <= bound * (1 + 1e-12), (n_intervals, n, err, bound)
         assert checked >= 10
 
@@ -452,9 +457,32 @@ class TestBoundOnRuns:
     def test_the_bound_is_tight_on_the_step_surrogate(self, scheme, ratio):
         params, errors, u, _ = bounded_run(("reduced", scheme, 1, "step"), 320)
         floor = 1e-12 * np.max(np.abs(u))
-        ratios = [abs(errors[1][n]) / eval_bound(replace(params, n=n), "reduced-linf")
+        ratios = [abs(errors[1][n]) / eval_bound(replace(params, n=n), "reduced-lp")
                   for n in range(2, 321) if abs(errors[1][n]) > floor]
         assert max(ratios) == pytest.approx(ratio, abs=1e-3)
+
+    @pytest.mark.parametrize("series", [s for s in PRESET_SERIES if s[0] == "reduced"], ids=str)
+    def test_the_one_interval_defect_is_under_the_lemma_bound(self, series):
+        # the defect on interval n is the full problem's exact solve from 0 minus the reduced problem's
+        # (linearity); the lemma bounds it by c4 c_p dt with c4 = R and c_p = sup |w - w_red| (p = inf)
+        spec = series_spec(series)
+        full = ExactLinearPropagator(spec.model)
+        reduced = ExactLinearPropagator(spec.model.with_signal(spec.reduced_input))
+        scaled = []
+        for n_intervals in spec.n_list:
+            params, _, _, cfg = bounded_run(series, n_intervals)
+            assert (params.c4, params.p) == (spec.model.R_res, math.inf)
+            bound = eval_bound(params, "lemma")
+            times = cfg._times
+            defects = [abs(full.propagate(t0, t1, 0.0) - reduced.propagate(t0, t1, 0.0))
+                       for t0, t1 in zip(times, times[1:])]
+            assert max(defects) <= bound, (n_intervals, max(defects), bound)
+            scaled.append((n_intervals, max(defects) / params.dt))
+        if series[3] == "step":
+            # tight: c4 c_p = 0.01, and the largest defect / dt rises toward it with N
+            tail = [r for n, r in scaled if n >= 10]
+            assert tail == sorted(tail) and 0.0069 <= tail[0] and tail[-1] <= 0.0099, scaled
+            assert tail[-1] / 0.01 == pytest.approx(0.987, abs=1e-3)
 
     @pytest.mark.parametrize("series", PRESET_SERIES, ids=str)
     def test_first_active_error_is_the_product_of_slope_gaps(self, series):

@@ -37,12 +37,12 @@ class TestSignalDump:
         assert len(l1) == 3 + 101
         assert body_without_timestamp(l1) == body_without_timestamp(l2)
 
-    def test_svg_output(self, tmp_path):
-        svg = tmp_path / "sig.svg"
-        assert main(["signal", "dump", "--signal", "sine", "--samples", "50",
-                     "--out", str(tmp_path / "s.csv"), "--svg", str(svg)]) == 0
-        content = svg.read_text()
-        assert content.startswith("<svg") and content.rstrip().endswith("</svg>")
+    def test_the_svg_flag_is_gone(self, tmp_path, capsys):
+        # a log-log plot of a waveform valued -1, 0 and 1 shows nothing; the CSV is the output
+        svg, out = tmp_path / "sig.svg", tmp_path / "s.csv"
+        assert main(["signal", "dump", "--signal", "sine", "--samples", "50", "--out", str(out), "--svg", str(svg)]) == 1
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        assert not svg.exists() and not out.exists()
 
 
 class TestModelReference:
@@ -282,7 +282,7 @@ class TestBoundEval:
         constants, rows = bound_rows(out)
         assert constants == {name: cli._fmt(getattr(params, name)) for name in constants}
         assert [(n, bound, err) for n, _, bound, err, _ in rows] == [
-            (n, eval_bound(replace(params, n=n), "reduced-linf"), errors[n]) for n in range(3, 13)]
+            (n, eval_bound(replace(params, n=n), "reduced-lp"), errors[n]) for n in range(3, 13)]
 
     def test_a_zero_bound_reads_no_ratio(self, tmp_path):
         # a zero input from a zero state: every constant but c1 and c4 is 0, and so are the bound and the error
@@ -366,7 +366,7 @@ assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", sys.argv[
 loaded = sorted(m for m in ("parareal.analysis", "parareal.svgplot") if m in sys.modules)
 assert not loaded, loaded
 import parareal
-assert len(parareal.__all__) == 42
+assert len(parareal.__all__) == 41
 missing = [name for name in parareal.__all__ if getattr(parareal, name, None) is None]
 assert not missing, missing
 assert set(parareal.__all__) <= set(dir(parareal))
@@ -514,6 +514,15 @@ class TestUsageErrors:
         assert "--kmax has no effect with --k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["run", "--k", "1", "--threads", "1"],
+                                      ["run", "--variant", "original", "--kmax", "3", "--threads", "1"],
+                                      ["bound", "eval"]], ids=["run", "run-kmax", "bound-eval"])
+    def test_flags_the_original_variant_ignores(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--reduced-input", "step", "--N", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --reduced-input has no effect with --variant original\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--k", "3"], ["--coarse", "be"], ["--variant", "original"],
                                        ["--reduced-input", "step"]])
     def test_flags_a_preset_ignores(self, flags, tmp_path, capsys):
@@ -650,6 +659,18 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "run", *k_flag, "--N", "10", "--out", str(out)]) == 1
         assert "--kmax has no effect with --k" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--k", "1", "--threads", "1"], ["bound", "eval"]], ids=["run", "bound-eval"])
+    @pytest.mark.parametrize("variant_from_config", [False, True])
+    def test_keys_the_original_variant_ignores(self, argv, variant_from_config, tmp_path, capsys):
+        # a shared file's reduced input is a usage error for an original-variant run, as its flag is
+        cfg = tmp_path / "original.cfg"
+        cfg.write_text("reduced_input=step\n" + ("variant=original\n" if variant_from_config else ""))
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(cfg), *argv, "--N", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --reduced-input has no effect with --variant original\n"
+        assert not out.exists()
+        assert main(["--config", str(cfg), *argv, "--variant", "reduced", "--N", "4", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("line, flag", [("k=3", "--k"), ("coarse=be", "--coarse"), ("variant=reduced", "--variant"),
                                             ("reduced_input=step", "--reduced-input")])

@@ -535,7 +535,7 @@ def _scripted_run(cfg):
     if fixed:
         converged = bool(np.max(jumps_hist[-1]) < 1.0)
     iterates = [np.vstack(u) for u in iterates]
-    ref = models.closed_form_trajectory(fine.ivp, times)[:, None]
+    ref = models._trajectory(fine.ivp.decay, fine.ivp.gain, fine.ivp.signal, times, fine.ivp.u0)[:, None]
     return PararealRun(
         times=np.array(times),
         iterates=iterates,

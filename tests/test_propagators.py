@@ -497,8 +497,8 @@ class TestNearSwitchGrids:
     # an interval one ulp wide that ends at a switch of the table
     @example((parse_signal("pwm:m=400", T), [0.0, 0.00375, 0.0037500000000000003, T]))
     @settings(max_examples=100, deadline=None)
-    def test_closed_form_trajectory_equals_cold_chain(self, sig_times):
-        # both trajectories, set up from the switch-to-switch table outside a
+    def test_exact_trajectory_equals_cold_chain(self, sig_times):
+        # the trajectory, set up from the switch-to-switch table outside a
         # run, against one cold set-up per interval
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
@@ -506,36 +506,34 @@ class TestNearSwitchGrids:
         for t0, t1 in zip(times, times[1:]):
             want.append(models._advance(models._segments(model.decay_rate, model.R_res, sig, t0, t1), want[-1]))
         want = np.array(want).tobytes()
-        assert models.closed_form_trajectory(model.ivp(), times).tobytes() == want
         assert models.exact_trajectory(model, times).tobytes() == want
 
-    def test_closed_form_trajectory_slices_the_switch_table(self, monkeypatch):
+    def test_exact_trajectory_slices_the_switch_table(self, monkeypatch):
         # after the first call has built the table, a call sets up only the end
         # segments of its intervals, not each of the input's ~800 segments
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
         times = [n * T / 20 for n in range(21)]
-        want = models.closed_form_trajectory(model.ivp(), times)
+        want = models.exact_trajectory(model, times)
         calls = []
         step = models._segment_step
         monkeypatch.setattr(models, "_segment_step", lambda *args: calls.append(args) or step(*args))
-        assert models.closed_form_trajectory(model.ivp(), times).tobytes() == want.tobytes()
+        assert models.exact_trajectory(model, times).tobytes() == want.tobytes()
         assert 0 < len(calls) <= 2 * 20
 
-    def test_closed_form_trajectory_without_a_closed_form(self):
+    def test_exact_trajectory_without_a_closed_form(self):
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(2 * T)))
         with pytest.raises(UnsupportedSignalError, match="constant-plus-sinusoid"):
-            models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T])
+            models.exact_trajectory(model, [0.0, T / 2, T])
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
         for decay in (0.0, -1.0, math.nan):  # no problem without a closed form is built
             with pytest.raises(ValueError, match="decay rate > 0"):
                 SplitIvp(decay, 0.01, model.signal, 0.0)
         with pytest.raises(ValueError, match="need t0 < t1"):
-            models.closed_form_trajectory(model.ivp(), [0.0, T / 2, T / 2, T])
+            models.exact_trajectory(model, [0.0, T / 2, T / 2, T])
 
-    def test_closed_form_trajectory_of_one_point_and_of_none(self):
+    def test_exact_trajectory_of_one_point_and_of_none(self):
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T), u0=0.25)
         assert models.exact_trajectory(model, [0.0]).tolist() == [0.25]
-        assert models.closed_form_trajectory(model.ivp(), [0.0]).tolist() == [0.25]
         with pytest.raises(ValueError, match="need a grid of at least one time"):
             models.exact_trajectory(model, [])
 
@@ -548,7 +546,7 @@ class TestNearSwitchGrids:
         [0.0, 3 * T, T],
         [3 * T, T, 2 * T],
     ])
-    def test_closed_form_trajectory_of_a_faulty_grid_fails_as_the_cold_chain(self, times):
+    def test_exact_trajectory_of_a_faulty_grid_fails_as_the_cold_chain(self, times):
         # the grid set-up meets the fault the first cold interval set-up meets
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
         with pytest.raises(ValueError) as cold:
@@ -556,11 +554,9 @@ class TestNearSwitchGrids:
                 list(models._segments(model.decay_rate, model.R_res, model.signal, t0, t1))
         with pytest.raises(ValueError) as exact:
             models.exact_trajectory(model, times)
-        with pytest.raises(ValueError) as closed:
-            models.closed_form_trajectory(model.ivp(), times)
         with pytest.raises(ValueError) as split:
             model.signal.grid_switches(np.array(times))
-        assert str(exact.value) == str(closed.value) == str(split.value) == str(cold.value)
+        assert str(exact.value) == str(split.value) == str(cold.value)
         if times == [0.0, T / 2, T / 4, T]:
             assert str(cold.value) == "need t0 < t1, got (0.01, 0.005)"
 
