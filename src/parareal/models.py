@@ -118,21 +118,23 @@ class LinearScalarModel:
 def _segment_step(a: float, gain: float, form: SegmentForm, t0: float, t1: float) -> tuple:
     """State-independent data of ``phi' = -a phi + gain * (c + A sin(w t + p))`` on one segment.
 
-    ``(decay, steady, p0, p1)``; ``p0`` is None for a constant segment.
+    ``(em1, steady, p0, dp)``: ``em1 = exp(-a dt) - 1``, the steady state
+    ``gain c / a``, and the particular solution's value at ``t0`` and its
+    change over the segment; ``p0`` is None for a constant segment.
     ``_advance`` applies it to a state.
     """
-    dt = t1 - t0
-    decay = math.exp(-a * dt)
+    em1 = math.expm1(-a * (t1 - t0))
     steady = gain * form.const / a
     if form.amp == 0.0:
-        return decay, steady, None, None
+        return em1, steady, None, None
     den = a * a + form.omega * form.omega
 
     def particular(t: float) -> float:
         arg = form.omega * t + form.phase
         return gain * form.amp * (a * math.sin(arg) - form.omega * math.cos(arg)) / den
 
-    return decay, steady, particular(t0), particular(t1)
+    p0 = particular(t0)
+    return em1, steady, p0, particular(t1) - p0
 
 
 def _form(sig: Signal, s: float, e: float) -> SegmentForm:
@@ -196,12 +198,15 @@ def _grid_plans(a: float, gain: float, sig: Signal, times: list[float]) -> list[
 
 
 def _advance(segments, phi: float) -> float:
-    """Apply segment data to the state; the one place the closed-form recurrence lives."""
-    for decay, steady, p0, p1 in segments:
+    """Apply segment data to the state; the one place the closed-form recurrence lives.
+
+    It adds the state's change, ``(phi - steady - p0) * (exp(-a dt) - 1) + dp``, to the state, so its
+    roundoff scales with the state, not with the steady state, which may be far larger."""
+    for em1, steady, p0, dp in segments:
         if p0 is None:
-            phi = (phi - steady) * decay + steady
+            phi = phi + (phi - steady) * em1
         else:
-            phi = (phi - steady - p0) * decay + steady + p1
+            phi = phi + (phi - steady - p0) * em1 + dp
     return phi
 
 
