@@ -56,36 +56,11 @@ class UsageError(ValueError):
     pass
 
 
-def _read_config(path: str | None) -> dict:
-    """``key=value`` lines; a key that no subcommand has a flag for is a usage error."""
-    if not path:
-        return {}
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
-            key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in HARD_DEFAULTS:
-                raise UsageError(f"unknown config key {key!r} in {path}")
-            out[key] = val.strip()
-    return out
-
-
-def _resolve(args: argparse.Namespace, config: dict) -> dict:
-    """The subcommand's settings, one per flag it has: defaults, overridden by
-    the config file, overridden by explicit flags.  Config keys of other
-    subcommands are ignored, so a manifest records only what its subcommand reads."""
-    resolved = {}
-    for key, hard in HARD_DEFAULTS.items():
-        if hasattr(args, key):
-            value = getattr(args, key)
-            resolved[key] = config.get(key, hard) if value is None else value
-    return resolved
+def _resolve(args: argparse.Namespace) -> dict:
+    """The subcommand's settings, one per flag it has, so a manifest records only what
+    its subcommand reads: the flag where given, else its ``HARD_DEFAULTS`` entry."""
+    given = vars(args)
+    return {key: hard if given[key] is None else given[key] for key, hard in HARD_DEFAULTS.items() if key in given}
 
 
 def _manifest_lines(command: str, resolved: dict) -> list[str]:
@@ -117,10 +92,12 @@ def _fmt(x: float) -> str:
 # subcommand implementations
 
 
-def _cmd_signal_dump(args, config) -> int:
-    r = _resolve(args, config)
-    sig = parse_signal(args.signal, period=float(r["period"]))
-    n = int(r["samples"])
+def _cmd_signal_dump(args) -> int:
+    r = _resolve(args)
+    sig = parse_signal(args.signal, period=r["period"])
+    n = r["samples"]
+    if n < 1:
+        raise UsageError(f"--samples must be >= 1, got {n}")
     ts = np.linspace(0.0, sig.period, n)
     vals = sig.values(ts)
     lines = _manifest_lines("signal dump", {"signal": args.signal, "samples": n, "period": r["period"]})
@@ -130,10 +107,12 @@ def _cmd_signal_dump(args, config) -> int:
     return 0
 
 
-def _cmd_model_reference(args, config) -> int:
-    r = _resolve(args, config)
+def _cmd_model_reference(args) -> int:
+    r = _resolve(args)
     model = parse_model(r["model"])
-    npts = int(r["grid"])
+    npts = r["grid"]
+    if npts < 1:
+        raise UsageError(f"--grid must be >= 1, got {npts}")
     uniform = np.linspace(0.0, model.t_end, npts + 1)
     switches = model.signal.switching_times(0.0, model.t_end)
     ts = np.union1d(uniform, switches)
@@ -152,27 +131,27 @@ _THREADS_HELP = ("size of the thread pool the run opens (0, the default: the har
 def _pool(r: dict):
     """The executor of ``run``, the one subcommand with ``--threads``, as a context: none
     for ``--threads 1``, else a thread pool (``--threads 0``: the hardware default)."""
-    threads = int(r["threads"])
+    threads = r["threads"]
     if threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: hardware default), got {threads}")
     return contextlib.nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads or None)
 
 
-def _read_settings(args, config: dict, r: dict) -> dict:
-    """The settings of ``run`` or ``bound eval`` that its run reads: all but ``reduced_input``
-    in the original variant and ``kmax`` under ``--k``, which are usage errors where given."""
+def _read_settings(args, r: dict) -> dict:
+    """The settings a ``run``, ``bound eval`` or ``study run`` reads: all but ``reduced_input`` in the
+    original variant and ``kmax`` under ``--k``, whose flags are usage errors where given."""
     unread = {"reduced_input": "--variant original"} if r["variant"] == "original" else {}
     if r["k"] is not None and "kmax" in r:
         unread["kmax"] = "--k (a fixed iteration count)"
     for key, reason in unread.items():
-        _reject_ignored(args, config, (key,), reason)
+        _reject_ignored(args, (key,), reason)
     return {key: value for key, value in r.items() if key not in unread}
 
 
-def _reject_ignored(args, config: dict, keys: tuple[str, ...], reason: str) -> None:
-    """A usage error for each of ``keys`` given as a flag or a config key where ``reason`` makes it do nothing."""
+def _reject_ignored(args, keys: tuple[str, ...], reason: str) -> None:
+    """A usage error for each flag of ``keys`` that was given where ``reason`` makes it do nothing."""
     for key in keys:
-        if getattr(args, key) is not None or key in config:
+        if getattr(args, key) is not None:
             raise UsageError(f"--{key.replace('_', '-')} has no effect with {reason}")
 
 
@@ -187,17 +166,17 @@ def _problem(r: dict) -> tuple[LinearScalarModel, Signal | None]:
 def _build_run_config(r: dict) -> PararealConfig:
     model, reduced = _problem(r)
     if r["k"] is not None:
-        term = FixedIterations(int(r["k"]), atol=float(r["atol"]), rtol=float(r["rtol"]))
+        term = FixedIterations(r["k"], atol=r["atol"], rtol=r["rtol"])
     else:
-        term = Termination(atol=float(r["atol"]), rtol=float(r["rtol"]), k_max=int(r["kmax"]))
+        term = Termination(atol=r["atol"], rtol=r["rtol"], k_max=r["kmax"])
     return make_config(
-        model, int(r["N"]), coarse=r["coarse"], fine=r["fine"], reduced_input=reduced, termination=term,
+        model, r["N"], coarse=r["coarse"], fine=r["fine"], reduced_input=reduced, termination=term,
     )
 
 
-def _cmd_run(args, config) -> int:
-    r = _resolve(args, config)
-    settings = _read_settings(args, config, r)
+def _cmd_run(args) -> int:
+    r = _resolve(args)
+    settings = _read_settings(args, r)
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)
@@ -262,26 +241,30 @@ PRESETS = {
 }
 
 
-def _cmd_study_run(args, config) -> int:
+def _cmd_study_run(args) -> int:
     from .analysis import StudySpec, run_study
 
-    r = _resolve(args, config)
+    r = _resolve(args)
     model = parse_model(r["model"])
-    n_list = None
-    if r["n_list"]:
-        n_list = tuple(int(x) for x in str(r["n_list"]).split(","))
+    n_list = []
+    for entry in r["n_list"].split(",") if r["n_list"] else ():
+        try:
+            n_list.append(int(entry))
+        except ValueError:
+            raise UsageError(f"--n-list entries must be integers, got {entry!r}") from None
 
     if r["preset"]:
         if r["preset"] not in PRESETS:
             raise UsageError(f"unknown preset {r['preset']!r}; known: {sorted(PRESETS)}")
-        _reject_ignored(args, config, ("k", "coarse", "variant", "reduced_input"), "--preset (its series set it)")
+        _reject_ignored(args, ("k", "coarse", "variant", "reduced_input"), "--preset (its series set it)")
         entries = PRESETS[r["preset"]]
     else:
+        _read_settings(args, r)
         entries = [
             dict(
                 variant=r["variant"],
                 scheme=r["coarse"],
-                k=1 if r["k"] is None else int(r["k"]),
+                k=1 if r["k"] is None else r["k"],
                 reduced=r["reduced_input"] if r["variant"] == "reduced" else None,
                 label="study",
             )
@@ -301,7 +284,7 @@ def _cmd_study_run(args, config) -> int:
         if e.get("fit_min_n"):
             kwargs["fit_min_n"] = e["fit_min_n"]
         if n_list:
-            kwargs["n_list"] = n_list
+            kwargs["n_list"] = tuple(n_list)
         specs.append((e["label"], StudySpec(**kwargs)))
 
     studies = [(label, run_study(spec)) for label, spec in specs]
@@ -341,14 +324,14 @@ def _cmd_study_run(args, config) -> int:
     return 0
 
 
-def _cmd_bound_eval(args, config) -> int:
+def _cmd_bound_eval(args) -> int:
     from .analysis import _bound_constants, eval_bound
 
-    r = _resolve(args, config)
-    r["k"] = k = 1 if r["k"] is None else int(r["k"])  # a missing --k means 1, as in study run
-    settings = _read_settings(args, config, r)
+    r = _resolve(args)
+    r["k"] = k = 1 if r["k"] is None else r["k"]  # a missing --k means 1, as in study run
+    settings = _read_settings(args, r)
     model, reduced = _problem(r)
-    n_intervals = int(r["N"])
+    n_intervals = r["N"]
     cfg = make_config(model, n_intervals, coarse=r["coarse"], reduced_input=reduced, termination=FixedIterations(k))
     if n_intervals <= k:
         raise UsageError(f"bound eval needs N > k, got N={n_intervals}, k={k}: "
@@ -375,7 +358,6 @@ def _cmd_bound_eval(args, config) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="parareal", description=__doc__)
-    parser.add_argument("--config", help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sig = sub.add_parser("signal", help="signal utilities")
@@ -444,8 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage problems; remap usage to 1
         return 0 if exc.code == 0 else 1
     try:
-        config = _read_config(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

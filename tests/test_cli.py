@@ -175,14 +175,11 @@ class TestStudy:
         assert "original" not in manifest
 
     def test_manifest_records_only_the_keys_a_study_reads(self, tmp_path):
-        # ``threads`` is a key of ``run``: a study ignores it
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("fine=cn:substeps=3\nthreads=1\n")
+        # the series hold what a preset sets; ``run`` settings such as ``fine`` or ``N`` never appear
         out = tmp_path / "fig5.csv"
-        assert main(["--config", str(cfg), "study", "run", "--preset", "fig5", "--n-list", "10,20",
-                     "--out", str(out)]) == 0
+        assert main(["study", "run", "--preset", "fig5", "--n-list", "10,20", "--out", str(out)]) == 0
         manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
-        assert not {"fine", "N", "kmax", "atol", "rtol", "threads", "seed", "which"} & set(manifest)
+        assert set(manifest) == {"command", "version", "metric", "model", "preset", "series"}
         assert manifest["preset"] == "fig5" and manifest["metric"] == "max"
 
     def test_coarse_parameters_are_not_dropped(self, tmp_path):
@@ -308,11 +305,9 @@ class TestBoundEval:
         manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
         assert (manifest["variant"], manifest["reduced_input"]) == ("reduced", "sine")
 
-    def test_config_file_sets_the_run(self, tmp_path):
-        config = tmp_path / "cfg.txt"
-        config.write_text("N=6\nk=2\ncoarse=cn\nthreads=3\n")
+    def test_flags_set_the_run(self, tmp_path):
         out = tmp_path / "b.csv"
-        assert main(["--config", str(config), "bound", "eval", "--N", "5", "--out", str(out)]) == 0
+        assert main(["bound", "eval", "--N", "5", "--k", "2", "--coarse", "cn", "--out", str(out)]) == 0
         manifest = json.loads(read_lines(out)[0].split(" ", 3)[3])
         assert (manifest["N"], manifest["k"], manifest["coarse"], "threads" in manifest) == ("5", "2", "cn", False)
         assert [r[0] for r in bound_rows(out)[1]] == [3, 4, 5]
@@ -471,6 +466,8 @@ class TestUsageErrors:
         (["--k", "-2"], "need k >= 1 and every N >= 1, got k=-2,"),
         (["--metric", "bogus"], "unknown error metric 'bogus'"),
         (["--n-list", "0,5,10"], "need k >= 1 and every N >= 1, got k=1, n_list=(0, 5, 10)"),
+        (["--n-list", "5,,10"], "--n-list entries must be integers, got ''\n"),
+        (["--n-list", "5.5"], "--n-list entries must be integers, got '5.5'\n"),
     ])
     def test_bad_study_settings_fail_before_any_run(self, flags, message, tmp_path, capsys, monkeypatch):
         # the study subcommand looks run_study up in analysis when it runs
@@ -514,13 +511,38 @@ class TestUsageErrors:
         assert "--kmax has no effect with --k" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["run", "--k", "1", "--threads", "1"],
-                                      ["run", "--variant", "original", "--kmax", "3", "--threads", "1"],
-                                      ["bound", "eval"]], ids=["run", "run-kmax", "bound-eval"])
+    @pytest.mark.parametrize("argv", [["run", "--k", "1", "--threads", "1", "--N", "4"],
+                                      ["run", "--variant", "original", "--kmax", "3", "--threads", "1", "--N", "4"],
+                                      ["bound", "eval", "--N", "4"],
+                                      ["study", "run", "--n-list", "5,10,20"]],
+                             ids=["run", "run-kmax", "bound-eval", "study-run"])
     def test_flags_the_original_variant_ignores(self, argv, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        assert main([*argv, "--reduced-input", "step", "--N", "4", "--out", str(out)]) == 1
+        assert main([*argv, "--reduced-input", "step", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --reduced-input has no effect with --variant original\n"
+        assert not out.exists()
+        assert main([*argv, "--reduced-input", "step", "--variant", "reduced", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        # before the subcommand, argparse reads the file name as the subcommand
+        (["--config", "x", "run"], "invalid choice: 'x'"),
+        (["run", "--config", "x"], "unrecognized arguments: --config x"),
+    ])
+    def test_the_config_flag_is_gone(self, argv, message, capsys):
+        # every setting is a flag of its subcommand
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["model", "reference", "--grid", "0"], "--grid must be >= 1, got 0"),
+        (["model", "reference", "--grid", "-1"], "--grid must be >= 1, got -1"),
+        (["signal", "dump", "--signal", "sine", "--samples", "0"], "--samples must be >= 1, got 0"),
+        (["signal", "dump", "--signal", "sine", "--samples", "-1"], "--samples must be >= 1, got -1"),
+    ])
+    def test_degenerate_grid_sizes(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--k", "3"], ["--coarse", "be"], ["--variant", "original"],
@@ -609,99 +631,13 @@ class TestSvgOutputs:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("config, argv, error, check", [
-        # a config line without "=", after a blank and a comment line, which are skipped
-        ("\n# N=6\n  \nN6\n", ["run", "--k", "1", "--threads", "1"], "bad config line 'N6'",
-         lambda path: cli._read_config(path)),
-        (None, ["run", "--variant", "bogus", "--k", "1", "--threads", "1"], "unknown variant 'bogus'",
-         lambda path: cli._build_run_config({**cli.HARD_DEFAULTS, "variant": "bogus"})),
-    ], ids=["config-line-without-equals", "unknown-run-variant"])
-    def test_usage_errors(self, config, argv, error, check, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        if config is not None:
-            cfg.write_text(config)
+    def test_unknown_run_variant(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        assert main((["--config", str(cfg)] if config is not None else []) + argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert main(["run", "--variant", "bogus", "--k", "1", "--threads", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown variant 'bogus'\n"
         assert not out.exists()
-        with pytest.raises(cli.UsageError, match=f"^{error}$"):
-            check(str(cfg))
-
-    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("\n# N=99\n   \nN=6\n  # threads=7\nthreads=1\n")
-        assert cli._read_config(str(cfg)) == {"N": "6", "threads": "1"}
-
-
-class TestConfigFile:
-    def test_file_sets_defaults_flags_override(self, tmp_path, capsys):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("N=6\nthreads=1\n")
-        out = tmp_path / "o.csv"
-        code = main([
-            "--config", str(cfg), "run",
-            "--model", "rl:R=0.01,L=0.001,input=pwm:m=10",
-            "--fine", "exact", "--coarse", "exact", "--variant", "original",
-            "--kmax", "3", "--out", str(out),
-        ])
-        assert code == 0
-        data = [ln for ln in read_lines(out) if not ln.startswith("#")][1:]
-        # N came from the config file: sync points 0..6 per recorded iterate
-        ns = {int(ln.split(",")[1]) for ln in data}
-        assert max(ns) == 6
-
-    @pytest.mark.parametrize("k_from_config", [False, True])
-    def test_keys_a_fixed_iteration_count_ignores(self, k_from_config, tmp_path, capsys):
-        cfg = tmp_path / "fixed.cfg"
-        cfg.write_text("kmax=3\nthreads=1\n" + ("k=2\n" if k_from_config else ""))
-        out = tmp_path / "o.csv"
-        k_flag = [] if k_from_config else ["--k", "2"]
-        assert main(["--config", str(cfg), "run", *k_flag, "--N", "10", "--out", str(out)]) == 1
-        assert "--kmax has no effect with --k" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [["run", "--k", "1", "--threads", "1"], ["bound", "eval"]], ids=["run", "bound-eval"])
-    @pytest.mark.parametrize("variant_from_config", [False, True])
-    def test_keys_the_original_variant_ignores(self, argv, variant_from_config, tmp_path, capsys):
-        # a shared file's reduced input is a usage error for an original-variant run, as its flag is
-        cfg = tmp_path / "original.cfg"
-        cfg.write_text("reduced_input=step\n" + ("variant=original\n" if variant_from_config else ""))
-        out = tmp_path / "o.csv"
-        assert main(["--config", str(cfg), *argv, "--N", "4", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: --reduced-input has no effect with --variant original\n"
-        assert not out.exists()
-        assert main(["--config", str(cfg), *argv, "--variant", "reduced", "--N", "4", "--out", str(out)]) == 0
-
-    @pytest.mark.parametrize("line, flag", [("k=3", "--k"), ("coarse=be", "--coarse"), ("variant=reduced", "--variant"),
-                                            ("reduced_input=step", "--reduced-input")])
-    @pytest.mark.parametrize("preset_from_config", [False, True])
-    def test_keys_a_preset_ignores(self, line, flag, preset_from_config, tmp_path, capsys):
-        cfg = tmp_path / "preset.cfg"
-        cfg.write_text(f"{line}\nthreads=1\n" + ("preset=fig5\n" if preset_from_config else ""))
-        out = tmp_path / "o.csv"
-        preset_flag = [] if preset_from_config else ["--preset", "fig5"]
-        assert main(["--config", str(cfg), "study", "run", *preset_flag, "--n-list", "10,20", "--out", str(out)]) == 1
-        assert f"{flag} has no effect with --preset" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_zero_iterations_from_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "k0.cfg"
-        cfg.write_text("k=0\nthreads=1\n")
-        out = tmp_path / "o.csv"
-        assert main(["--config", str(cfg), "study", "run", "--n-list", "5,10", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: need k >= 1 and every N >= 1, got k=0,")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["Nn", "jump_threshold"])
-    def test_unknown_key_is_a_usage_error(self, key, tmp_path, capsys):
-        # no subcommand has a jump threshold: the tolerances alone set the jump scale
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text(f"{key}=6\nthreads=1\n")
-        out = tmp_path / "o.csv"
-        code = main(["--config", str(cfg), "run", "--k", "1", "--out", str(out)])
-        assert code == 1
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
-        assert not out.exists()
+        with pytest.raises(cli.UsageError, match="^unknown variant 'bogus'$"):
+            cli._build_run_config({**cli.HARD_DEFAULTS, "variant": "bogus"})
 
 
 def subcommand(argv: list[str]) -> str:
