@@ -640,6 +640,43 @@ class TestInputChecks:
             cli._build_run_config({**cli.HARD_DEFAULTS, "variant": "bogus"})
 
 
+# each subcommand's settings flags: the HARD_DEFAULTS key, a flag value and the value it parses to
+_SETTINGS = {
+    ("signal", "dump", "--signal", "sine"): {"samples": ("7", 7), "period": ("0.5", 0.5)},
+    ("model", "reference"): {"model": ("rl:R=1,L=1,input=sine", "rl:R=1,L=1,input=sine"), "grid": ("8", 8)},
+    ("run",): {"model": ("rl:R=1,L=1,input=sine", "rl:R=1,L=1,input=sine"), "fine": ("cn", "cn"),
+               "coarse": ("cn", "cn"), "variant": ("reduced", "reduced"), "reduced_input": ("step", "step"),
+               "N": ("6", 6), "k": ("2", 2), "kmax": ("3", 3), "atol": ("1e-9", 1e-9), "rtol": ("1e-7", 1e-7),
+               "threads": ("1", 1)},
+    ("study", "run"): {"preset": ("fig5", "fig5"), "model": ("rl:R=1,L=1,input=sine", "rl:R=1,L=1,input=sine"),
+                       "variant": ("reduced", "reduced"), "coarse": ("cn", "cn"), "reduced_input": ("step", "step"),
+                       "k": ("2", 2), "n_list": ("5,10", "5,10"), "metric": ("l2", "l2")},
+    ("bound", "eval"): {"model": ("rl:R=1,L=1,input=sine", "rl:R=1,L=1,input=sine"), "coarse": ("cn", "cn"),
+                        "variant": ("reduced", "reduced"), "reduced_input": ("step", "step"), "N": ("6", 6),
+                        "k": ("2", 2)},
+}
+
+
+class TestResolution:
+    """One rule sets every setting: its flag where given, else its ``HARD_DEFAULTS`` entry."""
+
+    @pytest.mark.parametrize("argv, key, flag_value, value", [
+        pytest.param(list(argv), key, flag_value, value, id=f"{' '.join(argv[:2])}-{key}")
+        for argv, flags in _SETTINGS.items() for key, (flag_value, value) in flags.items()
+    ])
+    def test_the_flag_where_given_else_the_hard_default(self, argv, key, flag_value, value):
+        unset = cli._parser().parse_args(argv)
+        # None is how _reject_ignored tells a flag that was not given
+        assert getattr(unset, key) is None
+        assert cli._resolve(unset)[key] == cli.HARD_DEFAULTS[key]
+        given = cli._parser().parse_args([*argv, f"--{key.replace('_', '-')}", flag_value])
+        assert cli._resolve(given)[key] == value
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv in _SETTINGS], ids=lambda argv: " ".join(argv[:2]))
+    def test_a_subcommand_resolves_only_its_own_flags(self, argv):
+        assert set(cli._resolve(cli._parser().parse_args(argv))) == set(_SETTINGS[tuple(argv)])
+
+
 def subcommand(argv: list[str]) -> str:
     return " ".join(argv[:1] if argv[0] == "run" else argv[:2])
 
