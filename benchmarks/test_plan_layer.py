@@ -146,7 +146,8 @@ def test_theta_plans_be_n320(benchmark, spec):
     times = sync_times(N_PLAN)
     propagators._theta_plans(prop, times)
     plans = benchmark(propagators._theta_plans, prop, times)
-    assert len(plans) == N_PLAN and all(len(plan) == 1 for plan in plans)
+    # a plan is one step: one (h, p_s, theta*p_e, den) tuple per interval
+    assert len(plans) == N_PLAN and all(type(plan) is tuple and len(plan) == 4 for plan in plans)
 
 
 def test_grid_plans_one_study(benchmark, model):

@@ -1,6 +1,6 @@
-"""Layer micro-benchmarks: one theta step, one costly fine call (cold, and
-planned: the recurrence alone), one input lookup, and one costly-fine
-``iterate``.
+"""Layer micro-benchmarks: one theta step, one costly fine call (always cold:
+a multi-step theta propagator is never planned), one input lookup, and one
+costly-fine ``iterate``.
 
 These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from parareal import LinearScalarModel, PwmSingle, Side, SineWave, iterate, make_config, parse_propagator
-from parareal.propagators import planned
 
 T = 0.02
 R_RES = 0.01
@@ -53,16 +52,6 @@ def test_fine_cn_500_aligned_interval(benchmark, pwm):
     fine = parse_propagator("cn:substeps=500,aligned=1", model.ivp(), model)
     out = benchmark(fine.propagate, 0.0, T / 20, U0)
     assert np.isfinite(out).all()
-
-
-def test_fine_cn_500_aligned_planned_interval(benchmark, pwm):
-    # the recurrence alone: the same interval's call in a run that planned the fine propagator
-    model = LinearScalarModel(R_res=R_RES, L_ind=L_IND, signal=pwm)
-    fine = parse_propagator("cn:substeps=500,aligned=1", model.ivp(), model)
-    with planned([fine], [n * T / 20 for n in range(20)] + [T]):
-        assert fine._plans[0.0][0] == T / 20 and len(fine._plans[0.0][1]) > 500
-        out = benchmark(fine.propagate, 0.0, T / 20, 0.0)
-    assert np.isfinite(out)
 
 
 def test_fine_cn_500_aligned_first_call(benchmark, pwm):

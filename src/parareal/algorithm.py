@@ -20,12 +20,13 @@ an input segment without one fails there.
 A run keeps its states, and its history of iterates, fine arrivals and jumps,
 as Python floats; the arrays of ``PararealRun`` are built once, when it ends.
 Its config sets the sync grid up once, at construction.  The run plans the
-intervals of the propagators that evaluate each interval more than once (the
-coarse one, and an exact fine one) and drops the plans when it returns; a
-theta fine propagator stays cold.  Only ``propagate`` reads the plans.  The
-reference depends only on the fine problem and N, so each process computes it
-once per pair and keeps it in a bounded table.  ``models`` describes the
-set-up kept per process and per run.
+intervals of both propagators under one rule (``propagators.planned``): an
+exact one and a one-step theta one are planned, and a multi-step theta one,
+the costly kind of fine propagator, runs cold.  It drops the plans when it
+returns.  Only ``propagate`` reads the plans.  The reference depends only on
+the fine problem and N, so each process computes it once per pair and keeps
+it in a bounded table.  ``models`` describes the set-up kept per process and
+per run.
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import LinearScalarModel, SplitIvp, _trajectory
-from .propagators import (
-    ExactLinearPropagator,
-    NonFiniteStateError,
-    Propagator,
-    parse_propagator,
-    planned,
-    scalar_state,
-)
+from .propagators import NonFiniteStateError, Propagator, parse_propagator, planned, scalar_state
 from .signals import Signal, _per_process
 
 
@@ -249,16 +243,6 @@ def _fine_sweep(cfg: PararealConfig, k: int, times: list[float], state: list[flo
     return out
 
 
-def _planned_propagators(cfg: PararealConfig) -> list[Propagator]:
-    """The propagators worth planning: the coarse one, run 2k+1 times per
-    interval, and an exact fine one, run k times per interval.
-
-    A theta fine one stays cold: it is the costly kind, which converges after
-    a sweep or two, so a plan would be built for one use.
-    """
-    return [cfg.coarse, cfg.fine] if isinstance(cfg.fine, ExactLinearPropagator) else [cfg.coarse]
-
-
 def _below(jumps: list[float]) -> bool:
     """Whether every jump is below 1, as ``np.max(jumps) < 1`` reads it: a NaN
     jump (an infinite distance over an infinite tolerance) fails, which
@@ -286,7 +270,7 @@ def iterate(cfg: PararealConfig, executor: Executor | None = None) -> PararealRu
     fixed = isinstance(term, FixedIterations)
     k_cap = term.k if fixed else term.k_max
 
-    with planned(_planned_propagators(cfg), ts):
+    with planned((cfg.coarse, cfg.fine), ts):
         current = initial_guess(cfg)[:, 0].tolist()
         u0 = current[0]
         iterates = [current]

@@ -41,7 +41,6 @@ class InsufficientPointsError(ValueError):
 class OrderFit:
     order: float
     window: list[int]  # indices of the points used
-    residual: float
 
 
 def fit_order(points: list[tuple[float, float]], floor: float = ERROR_FLOOR, min_points: int = 3) -> OrderFit:
@@ -57,9 +56,8 @@ def fit_order(points: list[tuple[float, float]], floor: float = ERROR_FLOOR, min
         )
     xs = np.log([points[i][0] for i in window])
     ys = np.log([points[i][1] for i in window])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    return OrderFit(order=float(-slope), window=window, residual=residual)
+    slope, _ = np.polyfit(xs, ys, 1)
+    return OrderFit(order=float(-slope), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +71,8 @@ class StudySpec:
     Every point is the run ``make_config`` builds: exact fine propagator,
     coarse propagator ``coarse_scheme`` (a ``parse_propagator`` spec: "be",
     "cn", "exact", "be:substeps=4", ...), on the smoothed-input problem
-    ``reduced_input`` in the "reduced" variant, and exactly ``k`` update
-    sweeps.  ``error_metric`` is one of "max" (largest error over all sync
+    ``reduced_input`` in the "reduced" variant (the "original" variant takes
+    none), and exactly ``k`` update sweeps.  ``error_metric`` is one of "max" (largest error over all sync
     points, the default), "final" (error at t_end) or "first_active" (error
     at the first sync point not rendered exact by finite termination, n =
     k+1).  With a step-function reduced input and a Crank-Nicolson scheme
@@ -100,14 +98,12 @@ class StudySpec:
             raise ValueError(f"unknown error metric {self.error_metric!r}; known: max, final, first_active")
         if self.variant == "reduced" and self.reduced_input is None:
             raise ValueError("reduced variant needs a reduced_input signal")
+        if self.variant == "original" and self.reduced_input is not None:
+            raise ValueError("original variant takes no reduced_input signal: its coarse input is the model's")
         coarse = parse_propagator(self.coarse_scheme, self.model.ivp(), self.model)  # a bad spec raises ValueError
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
-        if (
-            self.variant == "reduced"
-            and isinstance(coarse, ThetaPropagator) and coarse.theta == 0.5
-            and isinstance(self.reduced_input, StepWave)
-        ):
+        if isinstance(coarse, ThetaPropagator) and coarse.theta == 0.5 and isinstance(self.reduced_input, StepWave):
             self.n_list = tuple(n for n in self.n_list if n % 2 == 0)
 
     def config(self, n: int) -> PararealConfig:
@@ -115,7 +111,7 @@ class StudySpec:
             self.model,
             n,
             coarse=self.coarse_scheme,
-            reduced_input=self.reduced_input if self.variant == "reduced" else None,
+            reduced_input=self.reduced_input,
             termination=FixedIterations(self.k),
         )
 
@@ -140,7 +136,6 @@ class ConvergenceStudy:
     results: list[StudyPoint]
     fitted_order: float
     fit_window: list[int]  # the N values that entered the fit
-    fit_residual: float
     floor_hit: bool
 
     def pairwise_orders(self) -> list[float]:
@@ -192,16 +187,15 @@ def run_study(spec: StudySpec) -> ConvergenceStudy:
     floor_hit = any(e <= ERROR_FLOOR for _, e in pts)
     try:
         fit = fit_order(pts)
-        order, residual = fit.order, fit.residual
+        order = fit.order
         window = [pts[i][0] for i in fit.window]
     except InsufficientPointsError:
-        order, window, residual = math.nan, [], math.nan
+        order, window = math.nan, []
     return ConvergenceStudy(
         spec=spec,
         results=results,
         fitted_order=order,
         fit_window=window,
-        fit_residual=residual,
         floor_hit=floor_hit,
     )
 

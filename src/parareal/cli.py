@@ -148,6 +148,13 @@ def _read_settings(args, r: dict) -> dict:
     return {key: value for key, value in r.items() if key not in unread}
 
 
+def _check_counts(r: dict) -> None:
+    """``--N``, ``--k`` and ``--kmax`` below 1 are usage errors, found before any run starts."""
+    for key in ("N", "k", "kmax"):
+        if r.get(key) is not None and r[key] < 1:
+            raise UsageError(f"--{key} must be >= 1, got {r[key]}")
+
+
 def _reject_ignored(args, keys: tuple[str, ...], reason: str) -> None:
     """A usage error for each flag of ``keys`` that was given where ``reason`` makes it do nothing."""
     for key in keys:
@@ -177,6 +184,7 @@ def _build_run_config(r: dict) -> PararealConfig:
 def _cmd_run(args) -> int:
     r = _resolve(args)
     settings = _read_settings(args, r)
+    _check_counts(r)
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)
@@ -330,6 +338,7 @@ def _cmd_bound_eval(args) -> int:
     r = _resolve(args)
     r["k"] = k = 1 if r["k"] is None else r["k"]  # a missing --k means 1, as in study run
     settings = _read_settings(args, r)
+    _check_counts(r)
     model, reduced = _problem(r)
     n_intervals = r["N"]
     cfg = make_config(model, n_intervals, coarse=r["coarse"], reduced_input=reduced, termination=FixedIterations(k))

@@ -13,25 +13,27 @@ segments) and the state recurrence over it.  ``planned`` sets up the whole
 sync grid once for the duration of a run, in one pass, so the run's repeated
 calls on an interval run only the recurrence, with the same bits; a cold call
 runs the same set-up on its own two-point grid.  A plan is found by the start
-of its interval and used only by a call that ends where the plan does.  A
-theta set-up looks up the input at the two ends of its grid with
-``Signal.value``; the rest of it is whole-array work.  The nodes of the whole
-grid form one array (``_grid``: the sync grid itself with one substep per
-interval, one broadcast ``np.linspace`` with more, interval by interval only
-where the substeps are aligned with the input's switches).  The nodes between
-the ends (each the end of one substep and the start of the next, a sync
-point too) take both one-sided input values in one array lookup
-(``Signal._limits_array``), and the four float columns of a plan (step size,
-start input term, theta times the end input term, denominator) are array
-expressions with the IEEE operations of the per-substep formulas in their
-order.  An array reduction proves the set-up clean: every step size
-positive; a ``SplitIvp`` decays, so no denominator is zero.  The recurrence
-over a clean set-up runs without per-step checks and tests the final state once.
-A failure, an unclean set-up or a final state that is not finite, is
-located by running the interval again through the checked loop, which
-raises at the same step and with the same message as a check at every
-step.  The exact solver's plans draw on set-up kept per process; ``models``
-describes the two lifetimes.
+of its interval and used only by a call that ends where the plan does.
+
+A theta plan is one step: only a theta propagator that takes one step per
+interval (one substep, not aligned) is planned, and its grid's nodes are the
+sync grid itself.  A multi-step one always runs cold, one interval per
+set-up: ``np.linspace`` over the interval, merged with the input's switches
+where the substeps are aligned with them (``_grid``).  A theta set-up looks
+up the input at the two ends of its grid with ``Signal.value``; the rest of
+it is whole-array work.  The nodes between the ends (each the end of one
+substep and the start of the next) take both one-sided input values in one
+array lookup (``Signal._limits_array``), and the four float columns of the
+set-up (step size, start input term, theta times the end input term,
+denominator) are array expressions with the IEEE operations of the
+per-substep formulas in their order.  An array reduction proves the set-up
+clean: every step size positive; a ``SplitIvp`` decays, so no denominator is
+zero.  The recurrence over a clean set-up runs without per-step checks and
+tests the final state once.  A failure, an unclean set-up or a final state
+that is not finite, is located by running the interval again through the
+checked loop, which raises at the same step and with the same message as a
+check at every step.  The exact solver's plans draw on set-up kept per
+process; ``models`` describes the two lifetimes.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import operator
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -137,43 +138,29 @@ class ThetaPropagator(Propagator):
         object.__setattr__(self, "_c", 1.0 - self.theta)
 
     def _grid(self, times: Sequence[float]) -> np.ndarray:
-        """The substep nodes of the increasing sync grid ``times``, as one array:
-        each interval's ``substeps + 1`` equally spaced nodes, with neighbouring
-        intervals sharing their sync point, kept once.
+        """The substep nodes of the increasing grid ``times``, as one array.
 
-        With one substep the nodes are ``times`` itself; with more, one
-        broadcast ``np.linspace`` over all intervals, whose rows are each
-        interval's own ``np.linspace``.  An aligned interval also splits at
-        each switch of the input, so its node count is its own: aligned grids
-        are built interval by interval.
+        A one-step propagator's nodes are ``times`` itself, a whole sync grid
+        or one interval.  A multi-step one's grid is one interval ``(t0, t1)``:
+        its ``substeps + 1`` equally spaced nodes (``np.linspace``), merged
+        with the input's switches inside it when aligned.
         """
         if not all(map(operator.lt, times, times[1:])):
             t0, t1 = next((t0, t1) for t0, t1 in zip(times, times[1:]) if not t0 < t1)
             raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
-        S = self.substeps
-        if not self.discontinuity_aligned:
-            t = np.array(times, dtype=float)
-            if S == 1:
-                return t
-            starts, ends = t[:-1], t[1:]
-            if ((ends - starts) / S).min() > 0.0:
-                rows = np.linspace(starts, ends, S + 1, axis=-1)
-            else:  # a step that underflows to 0 takes another branch of np.linspace, which is per call
-                rows = np.array([np.linspace(t0, t1, S + 1) for t0, t1 in zip(starts.tolist(), ends.tolist())])
-            return np.concatenate((t[:1], rows[:, 1:].ravel()))
-        nodes = []
-        for t0, t1 in zip(times, times[1:]):
-            grid = np.linspace(t0, t1, S + 1)
-            switches = self.ivp.signal.switching_times(t0, t1)
-            if switches.size:
-                # the union of two sorted arrays: an exact duplicate has a
-                # zero difference, so the drop of near-duplicates created by
-                # roundoff-level coincidences removes it too
-                merged = np.concatenate((grid, switches))
-                merged.sort()
-                grid = merged[np.concatenate(([True], merged[1:] - merged[:-1] > MERGE_TOL * (t1 - t0)))]
-            nodes.append(grid[1:] if nodes else grid)
-        return nodes[0] if len(nodes) == 1 else np.concatenate(nodes)
+        if self.substeps == 1 and not self.discontinuity_aligned:
+            return np.array(times, dtype=float)
+        t0, t1 = times
+        grid = np.linspace(t0, t1, self.substeps + 1)
+        switches = self.ivp.signal.switching_times(t0, t1) if self.discontinuity_aligned else grid[:0]
+        if not switches.size:
+            return grid
+        # the union of two sorted arrays: an exact duplicate has a zero
+        # difference, so the drop of near-duplicates created by roundoff-level
+        # coincidences removes it too
+        merged = np.concatenate((grid, switches))
+        merged.sort()
+        return merged[np.concatenate(([True], merged[1:] - merged[:-1] > MERGE_TOL * (t1 - t0)))]
 
     def propagate(self, t0, t1, u):
         """The substeps of ``(t0, t1)``, planned or set up now, applied to the state in plain
@@ -196,14 +183,14 @@ class ThetaPropagator(Propagator):
         plans = self._plans
         plan = plans.get(t0) if plans else None
         a, c = self._a, self._c
-        v = u
         if plan is not None and plan[0] == t1:
-            for h, p_s, th_p_e, den in plan[1]:
-                v = (v + h * (c * (a * v + p_s) + th_p_e)) / den
-            return v if math.isfinite(v) else self._checked(t0, t1, u, plan[1])
-        columns, _, clean = self._substeps((t0, t1))
+            h, p_s, th_p_e, den = step = plan[1]
+            v = (u + h * (c * (a * u + p_s) + th_p_e)) / den
+            return v if math.isfinite(v) else self._checked(t0, t1, u, (step,))
+        columns, clean = self._substeps((t0, t1))
         if not clean:
             return self._checked(t0, t1, u, zip(*columns))
+        v = u
         for h, p_s, th_p_e, den in zip(*columns):
             v = (v + h * (c * (a * v + p_s) + th_p_e)) / den
         return v if math.isfinite(v) else self._checked(t0, t1, u, zip(*columns))
@@ -222,27 +209,19 @@ class ThetaPropagator(Propagator):
                 raise NonFiniteStateError(f"non-finite state after step ending at t={e}")
         return u
 
-    def _substeps(self, times: Sequence[float]) -> tuple[tuple[list[float], ...], list[int], bool]:
-        """The substeps of the grid ``times``, set up in one pass: four float
-        columns ``(h, p_s, theta*p_e, den)`` over all of them, in order, the
-        number of substeps of each interval, and whether the set-up is clean
-        (every ``h > 0``), the condition of ``propagate``'s check-free
-        recurrence.
+    def _substeps(self, times: Sequence[float]) -> tuple[tuple[list[float], ...], bool]:
+        """The substeps of the grid ``times`` (``_grid``), set up in one pass:
+        four float columns ``(h, p_s, theta*p_e, den)`` over all of them, in
+        order, and whether the set-up is clean (every ``h > 0``), the
+        condition of ``propagate``'s check-free recurrence.
 
         This is the state-independent part of the sweep: ``p = 0.0 + gain *
         input``, one-sided at the substep's ends, and ``den = 1 - h*theta*a``
         with ``a = -decay``, each an array expression over all substeps.  The
         sum starting at +0.0 turns a -0.0 product into +0.0, as the 1x1
-        product ``[[gain]] @ [input]`` does.  The nodes are ``_grid(times)``;
-        an aligned interval's count is its own, so its grid is set up alone.
+        product ``[[gain]] @ [input]`` does.
         """
-        if self.discontinuity_aligned:
-            grids = [self._grid((t0, t1)) for t0, t1 in zip(times, times[1:])]
-            counts = [len(grid) - 1 for grid in grids]
-            x = grids[0] if len(grids) == 1 else np.concatenate([grids[0], *(grid[1:] for grid in grids[1:])])
-        else:
-            x = self._grid(times)
-            counts = [self.substeps] * (len(times) - 1)
+        x = self._grid(times)
         ivp = self.ivp
         th = self.theta
         gain, signal = ivp.gain, ivp.signal
@@ -259,23 +238,16 @@ class ThetaPropagator(Propagator):
         p = 0.0 + gain * np.concatenate(([first], rights, lefts, [last]))
         n = len(hs)
         columns = hs.tolist(), p[:n].tolist(), (th * p[n:]).tolist(), den.tolist()
-        return columns, counts, clean
+        return columns, clean
 
 
-def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[Sequence[tuple]]:
-    """A theta propagator's plans over ``times``: its one-pass set-up, split per interval;
-    with one substep per interval (nodes on the sync grid), each plan is its one step.
+def _theta_plans(prop: ThetaPropagator, times: list[float]) -> list[tuple]:
+    """A one-step theta propagator's plans over ``times``: its one-pass
+    set-up, one ``(h, p_s, theta*p_e, den)`` step per interval.
 
-    An unclean set-up raises ``ValueError``, so that ``planned`` leaves the
-    propagator unplanned and each cold call locates its own fault."""
-    columns, counts, clean = prop._substeps(times)
-    if not clean:
-        raise ValueError("a degenerate substep in the set-up")
-    steps = list(zip(*columns))
-    if len(steps) == len(counts):  # one substep per interval
-        return list(zip(steps))
-    bounds = [0, *accumulate(counts)]
-    return [steps[i:j] for i, j in zip(bounds, bounds[1:])]
+    Its nodes are the increasing sync grid, so every ``h`` is the difference
+    of two distinct floats, which is positive: the set-up is clean."""
+    return list(zip(*prop._substeps(times)[0]))
 
 
 def _exact_plans(model: LinearScalarModel, times: list[float]) -> list[tuple]:
@@ -287,24 +259,24 @@ def _exact_plans(model: LinearScalarModel, times: list[float]) -> list[tuple]:
 def planned(props, times: list[float]):
     """Plan every interval of the sync grid ``times`` for ``props`` while the block runs.
 
-    A plan holds an interval's state-independent data: a theta propagator's
-    substeps (``_substeps``), or the exact solver's segments
+    A plan holds an interval's state-independent data: a one-step theta
+    propagator's one step (``_theta_plans``), or the exact solver's segments
     (``models._grid_plans``), set up for the whole grid in one pass.  The
     holder keeps them as ``{t0: (t1, plan)}``, one entry per interval, so a
     call finds its plan by one float key and checks its end.  A planned
     ``propagate`` call runs only the state recurrence, the same code and bits
     as a cold call; a call whose ``t1`` is not its plan's end runs cold.  If
     the set-up fails anywhere with a ``ValueError`` (an input with no closed
-    form, a point outside its domain, a theta set-up that is not clean), the
-    propagator is left unplanned: its cold calls raise the error in their
-    place in the run.
-    Propagators of other types are skipped, and so is a holder that
-    already has plans.  Plans are dropped when the block ends, also on an
-    error.
+    form, a point outside its domain), the propagator is left unplanned: its
+    cold calls raise the error in their place in the run.
+    A theta propagator with more than one substep per interval, or aligned
+    substeps, is skipped: it runs cold.  So are propagators of other types,
+    and a holder that already has plans.  Plans are dropped when the block
+    ends, also on an error.
     """
     holders = []
     for prop in props:
-        if isinstance(prop, ThetaPropagator):
+        if isinstance(prop, ThetaPropagator) and prop.substeps == 1 and not prop.discontinuity_aligned:
             holder, setup = prop, _theta_plans
         elif isinstance(prop, ExactLinearPropagator):
             holder, setup = prop.model, _exact_plans

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import sys
@@ -37,12 +38,20 @@ from parareal.cli import PRESETS
 T = 0.02
 
 
+def test_dir_lists_the_lazily_loaded_names():
+    # the analysis names are listed before their module is loaded
+    import parareal
+
+    names = dir(parareal)
+    assert names == sorted(names) and parareal._ANALYSIS_NAMES <= set(names)
+    assert set(parareal.__all__) <= set(names)
+
+
 class TestFitOrder:
     def test_exact_power_law(self):
         pts = [(n, 3.7 * n**-4.0) for n in (5, 10, 20, 40, 80)]
         fit = fit_order(pts)
         assert fit.order == pytest.approx(4.0, abs=1e-9)
-        assert fit.residual < 1e-12
 
     def test_floor_points_are_excluded(self):
         pts = [(5, 1e-3), (10, 1e-5), (20, 1e-7), (40, 1e-14), (80, 1e-15)]
@@ -244,6 +253,17 @@ class TestRunStudy:
         for p in study.results:
             assert p.err_max <= 1e-12
 
+    def test_pairwise_orders_read_nan_next_to_a_zero_error(self, pwm10_model):
+        # an exact coarse propagator leaves no error at all; in a study with
+        # errors, a zero one has no order with either neighbour
+        exact = run_study(StudySpec(model=pwm10_model, coarse_scheme="exact", k=1, n_list=(5, 10, 20)))
+        assert [p.err_max for p in exact.results] == [0.0] * 3
+        assert all(math.isnan(x) for x in exact.pairwise_orders()) and len(exact.pairwise_orders()) == 2
+        study = run_study(StudySpec(model=pwm10_model, k=1, n_list=(5, 10, 20, 40)))
+        study.results[1] = replace(study.results[1], err_max=0.0)
+        orders = study.pairwise_orders()
+        assert math.isnan(orders[0]) and math.isnan(orders[1]) and math.isfinite(orders[2])
+
     def test_dt_recomputed_per_point(self, pwm10_model, sine_signal):
         spec = StudySpec(model=pwm10_model, variant="reduced", reduced_input=sine_signal,
                          k=1, n_list=(5, 10, 20))
@@ -265,6 +285,13 @@ class TestRunStudy:
         for bad in ("rk4", "be:substep=4", "cn:aligned=on", "exact:substeps=2"):
             with pytest.raises(ValueError):
                 StudySpec(model=pwm10_model, coarse_scheme=bad)
+
+    def test_original_variant_takes_no_reduced_input(self, pwm10_model, sine_signal, step_signal):
+        # the classic algorithm's coarse input is the model's, so a reduced
+        # input given with it would be dropped without a word
+        for reduced in (sine_signal, step_signal):
+            with pytest.raises(ValueError, match="^original variant takes no reduced_input signal"):
+                StudySpec(model=pwm10_model, variant="original", coarse_scheme="cn", reduced_input=reduced)
 
     def test_unknown_variant(self, pwm10_model):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -363,7 +390,7 @@ class TestStudyOracle:
 
         def cold_iterate(cfg):
             with monkeypatch.context() as m:
-                m.setattr(algorithm, "_planned_propagators", lambda cfg: [])
+                m.setattr(algorithm, "planned", lambda props, times: contextlib.nullcontext())
                 return real_iterate(cfg)
 
         def capture(cfg):
@@ -540,3 +567,34 @@ class TestBoundOnRuns:
         with pytest.raises(ValueError, match="^the bound needs a be or cn coarse propagator, of order l = 1 or 2; "
                                              "an exact one has none$"):
             _bound_constants(pwm10_model, cfg)
+
+
+class TestSineBeatsClassic:
+    """The paper's headline on this circuit, head to head: at equal N and k the
+    sine-reduced coarse input leaves a smaller max error than the classic one."""
+
+    @pytest.mark.parametrize("scheme, k", [("be", 1), ("be", 2), ("cn", 1)])
+    def test_below_the_classic_error_at_every_default_n(self, scheme, k):
+        # classic/sine ratios measured over N = 5 ... 320: BE k=1 5.4 ... 73,
+        # BE k=2 7.2 ... 85, CN k=1 3.7 ... 1079; the smallest is CN k=1 at
+        # N = 5.  CN k=2 is left out: from N = 160 on both reach roundoff
+        classic = run_study(series_spec(("original", scheme, k, None)))
+        sine = run_study(series_spec(("reduced", scheme, k, "sine")))
+        assert [p.n for p in classic.results] == [p.n for p in sine.results] == list(DEFAULT_N_LIST)
+        ratios = [c.err_max / s.err_max for c, s in zip(classic.results, sine.results)]
+        assert min(ratios) > 3.5, ratios
+
+    def test_the_step_surrogate_loses_at_large_n(self):
+        # its mean is not the PWM's, so its initial guess keeps an error of
+        # 3.37e-5 to 3.46e-5 at every N from 10 on, while the classic one falls
+        # to 1.4e-5 and the sine one to 3.3e-7 at N = 320; at BE k=1 and
+        # N = 320 the step error is 2.5 times the classic one
+        step, classic, sine = ("reduced", "be", 1, "step"), ("original", "be", 1, None), ("reduced", "be", 1, "sine")
+
+        def max_error(series, n, k):
+            return np.max(np.abs(bounded_run(series, n)[1][k]))
+
+        e0 = [max_error(step, n, 0) for n in DEFAULT_N_LIST[1:]]
+        assert 3.3e-5 < min(e0) and max(e0) < 3.5e-5, e0
+        assert max_error(sine, 320, 0) < max_error(classic, 320, 0) < max_error(step, 320, 0)
+        assert max_error(step, 320, 1) > 2 * max_error(classic, 320, 1)

@@ -103,7 +103,7 @@ print(json.dumps({
     "fine": int((spans.mask("propagators.theta") & (inst == id(cfg.fine))).sum()),
     "value": int(spans.mask("signals.value").sum()),
     "substeps": spans.counts.get("propagators.theta.substeps", 0),
-    "fine_substeps": sum(cfg.fine._substeps(cfg._times)[1]),
+    "fine_substeps": sum(len(cfg.fine._substeps(ts)[0][0]) for ts in zip(cfg._times, cfg._times[1:])),
 }))
 """
 

@@ -320,7 +320,7 @@ class TestBoundEval:
     @pytest.mark.parametrize("argv, message", [
         (["--coarse", "exact"], "the bound needs a be or cn coarse propagator, of order l = 1 or 2; "
                                 "an exact one has none"),
-        (["--k", "0"], "k must be >= 1"),
+        (["--k", "0"], "--k must be >= 1, got 0"),
         (["--variant", "smooth"], "unknown variant 'smooth'"),
         # finite termination: after k sweeps the first k sync points are exact
         *[(["--N", str(n), "--k", str(k)], f"bound eval needs N > k, got N={n}, k={k}: with N <= k every sync "
@@ -538,8 +538,16 @@ class TestUsageErrors:
         (["model", "reference", "--grid", "-1"], "--grid must be >= 1, got -1"),
         (["signal", "dump", "--signal", "sine", "--samples", "0"], "--samples must be >= 1, got 0"),
         (["signal", "dump", "--signal", "sine", "--samples", "-1"], "--samples must be >= 1, got -1"),
+        (["run", "--N", "0"], "--N must be >= 1, got 0"),
+        (["run", "--N", "-1", "--k", "1"], "--N must be >= 1, got -1"),
+        (["run", "--kmax", "0"], "--kmax must be >= 1, got 0"),
+        (["run", "--k", "0"], "--k must be >= 1, got 0"),
+        (["run", "--k", "-2", "--threads", "1"], "--k must be >= 1, got -2"),
+        (["bound", "eval", "--N", "0"], "--N must be >= 1, got 0"),
     ])
-    def test_degenerate_grid_sizes(self, argv, message, tmp_path, capsys):
+    def test_degenerate_grid_sizes(self, argv, message, tmp_path, capsys, monkeypatch):
+        # the counts are checked before any run starts
+        monkeypatch.setattr("parareal.cli.iterate", lambda *args, **kwargs: pytest.fail("a run started"))
         out = tmp_path / "o.csv"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -621,6 +629,22 @@ class TestSvgOutputs:
         argv = ["run", "--N", "8", "--k", "2", "--threads", "1", "--out", str(tmp_path / "run.csv"), "--svg", str(svg)]
         assert main(argv) == 0
         assert self.series_labels(svg) == ["k=0", "k=1", "k=2"]
+
+    def test_series_with_no_plottable_point_or_one(self, tmp_path):
+        # no point with x, y > 0 and finite y: one placeholder series on the
+        # decade around 1; a single point: its decade on either axis, so no
+        # coordinate divides by a zero log range
+        from parareal.svgplot import log_log_svg
+
+        svg = tmp_path / "plot.svg"
+        svg.write_text(log_log_svg([("zeros", [1, 2, 3], [0.0, -1.0, math.nan]), ("none", [], [])]))
+        assert self.series_labels(svg) == ["empty"]
+        text = svg.read_text()
+        assert "nan" not in text and "inf" not in text
+        svg.write_text(log_log_svg([("one", [10], [1e-3]), ("zero", [20], [0.0])]))
+        assert self.series_labels(svg) == ["one"]
+        text = svg.read_text()
+        assert "nan" not in text and "inf" not in text and text.count("<circle ") == 1
 
     def test_study_run(self, tmp_path):
         svg = tmp_path / "study.svg"

@@ -653,6 +653,34 @@ class TestPlannedRunOracle:
         assert all(_same_bits(g, want[n]) for g, n in zip(got, grids))
         assert coarse._plans is None and fine.model._plans is None
 
+    @pytest.mark.parametrize("fine, coarse", [
+        ("exact", "be"), ("be", "cn"), ("cn:substeps=7,aligned=1", "be:substeps=4"), ("be:aligned=1", "cn:aligned=1"),
+    ])
+    def test_a_run_plans_its_one_step_propagators(self, pwm400_model, monkeypatch, fine, coarse):
+        # one rule for both roles: an exact or a one-step theta propagator is
+        # planned for the run, a multi-step theta one runs cold; either way
+        # the run has the bits of the script of cold calls
+        def config():
+            return make_config(pwm400_model, 10, fine=fine, coarse=coarse, termination=FixedIterations(2))
+
+        want = _scripted_run(config())
+        cfg = config()
+        seen = {}
+        for cls in (ThetaPropagator, ExactLinearPropagator):
+
+            def spy(self, t0, t1, u, cold=cls.propagate):
+                plans = getattr(self, "model", self)._plans
+                seen.setdefault(id(self), set()).add(plans and len(plans))
+                return cold(self, t0, t1, u)
+
+            monkeypatch.setattr(cls, "propagate", spy)
+        run = iterate(cfg)
+        monkeypatch.undo()
+        for prop in (cfg.fine, cfg.coarse):
+            one_step = not isinstance(prop, ThetaPropagator) or (prop.substeps, prop.discontinuity_aligned) == (1, False)
+            assert seen[id(prop)] == {10 if one_step else None}, prop
+        _assert_run_equals_script(run, want, (fine, coarse))
+
     def test_plans_are_dropped_when_a_run_fails(self):
         # sinusoids of different frequencies: no closed form on any interval
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(2 * T)))

@@ -224,7 +224,7 @@ class TestScalarSweepReference:
             prop = ThetaPropagator(ivp, theta=theta, substeps=3)
             got = prop.propagate(0.0, T, ivp.u0)
             assert got.hex() == reference_sweep(prop, 0.0, T, ivp.u0).hex()
-            (_, p_s, th_p_e, _), _, _ = prop._substeps((0.0, T))
+            (_, p_s, th_p_e, _), _ = prop._substeps((0.0, T))
             assert [x.hex() for x in p_s + th_p_e] == [p.hex()] * 3 + [(theta * p).hex()] * 3
 
 
@@ -238,17 +238,40 @@ def _chain(prop, times, u=0.25):
     return np.array(out)
 
 
+def one_step(prop):
+    """Whether ``planned`` plans ``prop``: an exact propagator, or a theta one
+    that takes one step per interval (one substep, not aligned)."""
+    return not isinstance(prop, ThetaPropagator) or (prop.substeps == 1 and not prop.discontinuity_aligned)
+
+
+def assert_plans(prop, n):
+    """Inside ``planned``: a plan for each of ``n`` intervals, or none at all
+    on a multi-step theta propagator, which runs cold."""
+    holder = getattr(prop, "model", prop)
+    if one_step(prop):
+        assert len(holder._plans) == n
+    else:
+        assert holder._plans is None
+
+
+def set_ups(prop, times):
+    """The grids the set-ups of ``prop`` over ``times`` cover: the whole grid
+    for a one-step propagator (a run's plans), each interval on its own for a
+    multi-step one."""
+    return [times] if one_step(prop) else [(t0, t1) for t0, t1 in zip(times, times[1:])]
+
+
 class TestPlannedPropagate:
-    """A planned ``propagate`` equals the cold call of a fresh propagator bitwise."""
+    """A planned ``propagate`` equals the cold call of a fresh propagator
+    bitwise; a multi-step theta propagator holds no plans and runs cold."""
 
     @staticmethod
     def _assert_planned_equals_cold(make, times):
         warm, cold = make(), make()
         with planned([warm], times):
-            holder = warm.model if isinstance(warm, ExactLinearPropagator) else warm
-            assert len(holder._plans) == len(times) - 1  # every interval is served by its plan
+            assert_plans(warm, len(times) - 1)  # every interval is served by its plan
             got = _chain(warm, times)
-        assert holder._plans is None
+        assert getattr(warm, "model", warm)._plans is None
         want = _chain(cold, times)
         assert got.tobytes() == want.tobytes()
 
@@ -264,6 +287,30 @@ class TestPlannedPropagate:
                         lambda: ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=aligned),
                         times,
                     )
+
+    @pytest.mark.parametrize("scheme, one", [
+        ("be", True), ("cn", True), ("exact", True),
+        ("be:substeps=4", False), ("cn:aligned=1", False), ("cn:substeps=7,aligned=1", False),
+    ])
+    def test_a_plan_is_one_step(self, scheme, one):
+        # the planning rule: an exact propagator and a theta one that takes
+        # one step per interval hold a plan per interval, a theta plan being
+        # one (h, p_s, theta*p_e, den) step; any other theta propagator holds
+        # no plans and runs cold
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
+        prop = parse_propagator(scheme, model.ivp(), model)
+        holder = getattr(prop, "model", prop)
+        times = [n * T / 20 for n in range(20)] + [T]
+        with planned([prop], times):
+            plans = holder._plans
+        assert holder._plans is None
+        if not one:
+            assert plans is None
+            return
+        assert list(plans) == times[:-1] and [end for end, _ in plans.values()] == times[1:]
+        if isinstance(prop, ThetaPropagator):
+            steps = [step for _, step in plans.values()]
+            assert all(type(step) is tuple and len(step) == 4 and all(type(x) is float for x in step) for step in steps)
 
     @pytest.mark.parametrize("spec", PLAN_INPUTS)
     def test_exact(self, spec):
@@ -286,7 +333,7 @@ class TestPlannedPropagate:
         calls = [(times[3], times[5]), (times[3], 0.5 * (times[3] + times[4])),
                  (times[3], math.nextafter(times[4], 1.0)), (0.0, T), (times[4], times[3]), (times[4], times[4])]
         with planned([warm], times):
-            assert len(getattr(warm, "model", warm)._plans) == 20
+            assert_plans(warm, 20)
             for t0, t1 in calls:
                 want = outcome(cold.propagate, t0, t1, 0.25)
                 assert outcome(warm.propagate, t0, t1, 0.25) == want, (t0, t1)
@@ -300,7 +347,7 @@ class TestPlannedPropagate:
         prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
         times = [n * T / 20 for n in range(20)] + [T]
         with planned([prop], times):
-            assert len(prop._plans) == 20
+            assert_plans(prop, 20)
             for t0, t1 in zip(times, times[1:]):
                 assert prop.propagate(t0, t1, np.array([0.02])).hex() == prop.propagate(t0, t1, 0.02).hex()
             nan = outcome(prop.propagate, times[3], times[4], math.nan)
@@ -322,23 +369,26 @@ class TestPlannedPropagate:
         # same bits, and the bad one fails as a cold call does
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
         past = math.nextafter(T, math.inf)
-        warm, cold = (ThetaPropagator(model.ivp(), theta=0.5, substeps=3) for _ in range(2))
+        warm, cold = (ThetaPropagator(model.ivp(), theta=0.5) for _ in range(2))
         with planned([warm], [0.0, T / 2, past]):
             assert warm._plans == {}
             assert warm.propagate(0.0, T / 2, 0.25).hex() == cold.propagate(0.0, T / 2, 0.25).hex()
             with pytest.raises(ValueError, match="outside signal domain"):
                 warm.propagate(T / 2, past, 0.25)
 
-    @pytest.mark.parametrize("times, bad", [
-        ([-0.002, -0.001, T / 2], -0.002),  # every node of the first interval lies before 0
-        ([T / 2, 0.021, 0.022], 0.021),  # the first node past T is a sync point
-        ([0.0, 0.04], np.linspace(0.0, 0.04, 4)[2].item()),  # an interior node past T
+    @pytest.mark.parametrize("substeps, times, bad", [
+        (1, [-0.002, -0.001, T / 2], -0.002),  # every node of the first interval lies before 0
+        (1, [T / 2, 0.021, 0.022], 0.021),  # the first node past T is a sync point
+        (3, [-0.002, -0.001], -0.002),  # every node of the interval lies before 0
+        (3, [T / 2, 0.021], 0.021),  # the first node past T is the interval's end
+        (3, [0.0, 0.04], np.linspace(0.0, 0.04, 4)[2].item()),  # an interior node past T
     ])
-    def test_theta_set_up_reports_the_first_node_outside_the_domain(self, times, bad):
+    def test_theta_set_up_reports_the_first_node_outside_the_domain(self, substeps, times, bad):
         # the nodes are looked up in increasing order, so the error names the
-        # first one outside the input's domain
+        # first one outside the input's domain: of a run's sync grid, or of
+        # one multi-step interval
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal("pwm:m=400", T))
-        prop = ThetaPropagator(model.ivp(), theta=0.5, substeps=3)
+        prop = ThetaPropagator(model.ivp(), theta=0.5, substeps=substeps)
         with pytest.raises(ValueError, match=re.escape(f"t={bad} outside signal domain")):
             prop._substeps(times)
 
@@ -440,13 +490,14 @@ class TestNearSwitchGrids:
         st.booleans(),
     )
     # an interval a few ulps wide whose seven substeps collapse to h = 0: the
-    # set-up is not clean, so the propagator runs unplanned
+    # multi-step propagator runs unplanned, and its cold call fails
     @example((StepWave(0.02), [0.0, 0.010000000000001607, 0.010000000000001617, 0.02]), 1.0, 7, False)
     @settings(max_examples=200, deadline=None)
     def test_planned_theta_equals_cold_call(self, sig_times, theta, substeps, aligned):
-        # the whole grid set up in one pass against one fresh propagator's
-        # cold call per interval; a failure (a substep collapsed to h = 0 on
-        # an interval a few ulps wide) must be the same too
+        # a one-step propagator's whole grid set up in one pass, or a
+        # multi-step one left unplanned, against one fresh propagator's cold
+        # call per interval; a failure (a substep collapsed to h = 0 on an
+        # interval a few ulps wide) must be the same too
         sig, times = sig_times
         ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig).ivp()
 
@@ -463,10 +514,9 @@ class TestNearSwitchGrids:
             return out
 
         warm = make()
-        clean = make()._substeps(times)[2]
         with planned([warm], times):
-            # every interval planned where the set-up is clean, none where it is not
-            assert len(warm._plans) == (len(times) - 1 if clean else 0)
+            # every interval planned with one step each, none with more
+            assert_plans(warm, len(times) - 1)
             got = chain(warm)
         assert got == chain(make())
 
@@ -714,11 +764,10 @@ def frozen_propagate(prop, t0, t1, u):
 
 def frozen_columns(prop, times):
     """``frozen_substeps`` in the form of ``_substeps``: its first four columns
-    ``(h, p_s, theta*p_e, den)``, each interval's count, and whether every
-    ``h > 0``."""
-    steps, counts = frozen_substeps(prop, times)
+    ``(h, p_s, theta*p_e, den)``, and whether every ``h > 0``."""
+    steps, _ = frozen_substeps(prop, times)
     hs, p_s, th_p_e, dens = (list(col) for col in zip(*[step[:4] for step in steps]))
-    return (hs, p_s, th_p_e, dens), counts, all(h > 0.0 for h in hs)
+    return (hs, p_s, th_p_e, dens), all(h > 0.0 for h in hs)
 
 
 def assert_ends(prop, times):
@@ -737,9 +786,9 @@ def outcome(fn, *args):
         return type(exc), str(exc)
     if isinstance(out, float):
         return out.hex()
-    columns, counts, clean = out
+    columns, clean = out
     assert len(columns) == 4 and all(type(x) is float for col in columns for x in col)
-    return np.array(columns).tobytes(), counts, clean
+    return np.array(columns).tobytes(), clean
 
 
 ORACLE_INPUTS = ["pwm:m=6", "pwm:m=400", "pwm3:m=400,phase=2", "step", "diff:pwm:m=400-sine", "sine", "const:v=1"]
@@ -752,7 +801,10 @@ def _theta(spec, scheme):
 
 
 class TestArraySetUpOracle:
-    """The array set-up of a theta call, and of a run's plans, against the frozen list-based one, bit for bit."""
+    """The array set-up of a theta call, and of a run's plans, against the
+    frozen list-based one, bit for bit.  A one-step propagator's set-up covers
+    a whole sync grid, as a run's plans do; a multi-step one's covers one
+    interval (``set_ups``)."""
 
     @pytest.mark.parametrize("scheme", ORACLE_SCHEMES)
     @pytest.mark.parametrize("spec", ORACLE_INPUTS)
@@ -760,8 +812,10 @@ class TestArraySetUpOracle:
         prop = _theta(spec, scheme)
         for n_int in (1, 5, 20, 320):
             times = [n * T / n_int for n in range(n_int)] + [T]
-            # one run's plans in one set-up, and each interval's cold set-up on its own
-            assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times), n_int
+            # one run's plans in one set-up, or every interval's set-up of a
+            # multi-step propagator; and the first intervals' cold set-ups
+            for ts in set_ups(prop, times):
+                assert outcome(prop._substeps, ts) == outcome(frozen_columns, prop, ts), (n_int, ts[0])
             assert_ends(prop, times)
             for t0, t1 in zip(times[:21], times[1:21]):
                 assert outcome(prop._substeps, (t0, t1)) == outcome(frozen_columns, prop, (t0, t1)), (n_int, t0)
@@ -771,17 +825,20 @@ class TestArraySetUpOracle:
     @pytest.mark.parametrize("head", ["be", "cn"])
     @pytest.mark.parametrize("spec", ["pwm:m=400", "pwm3:m=400,phase=2", "step", "sine"])
     def test_one_grid_of_nodes(self, spec, head, substeps, aligned):
-        # one ``_grid`` call over a whole sync grid: each interval's frozen
-        # grid, neighbours sharing their sync point; and each interval's count
+        # one ``_grid`` call over a whole sync grid of a one-step propagator,
+        # or over each interval of a multi-step one: the intervals' frozen
+        # grids, neighbours sharing their sync point; and one substep per
+        # pair of neighbouring nodes
         prop = _theta(spec, f"{head}:substeps={substeps},aligned={aligned}")
         for n_int in (1, 7, 320):
             times = [n * T / n_int for n in range(n_int)] + [T]
-            grids = [frozen_grid(prop, t0, t1) for t0, t1 in zip(times, times[1:])]
-            want = np.array(grids[0] + [t for grid in grids[1:] for t in grid[1:]])
-            got = prop._grid(times)
-            assert type(got) is np.ndarray and (got.shape, got.dtype) == (want.shape, want.dtype), n_int
-            assert got.tobytes() == want.tobytes(), n_int
-            assert prop._substeps(times)[1] == [len(grid) - 1 for grid in grids], n_int
+            for ts in set_ups(prop, times):
+                grids = [frozen_grid(prop, t0, t1) for t0, t1 in zip(ts, ts[1:])]
+                want = np.array(grids[0] + [t for grid in grids[1:] for t in grid[1:]])
+                got = prop._grid(ts)
+                assert type(got) is np.ndarray and (got.shape, got.dtype) == (want.shape, want.dtype), n_int
+                assert got.tobytes() == want.tobytes(), (n_int, ts[0])
+                assert len(prop._substeps(ts)[0][0]) == len(want) - 1, (n_int, ts[0])
 
     @given(near_switch_grids(ORACLE_INPUTS), st.sampled_from(ORACLE_SCHEMES))
     @settings(max_examples=100, deadline=None)
@@ -789,7 +846,8 @@ class TestArraySetUpOracle:
         sig, times = sig_times
         model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=sig)
         prop = parse_propagator(scheme, model.ivp(), model)
-        assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times)
+        for ts in set_ups(prop, times):
+            assert outcome(prop._substeps, ts) == outcome(frozen_columns, prop, ts)
         assert_ends(prop, times)
         for t0, t1 in zip(times, times[1:]):
             assert outcome(prop.propagate, t0, t1, 0.25) == outcome(frozen_propagate, prop, t0, t1, 0.25)
@@ -808,25 +866,33 @@ class TestArraySetUpOracle:
             times = [0.0, *ts, T]
             for scheme in ("be", "cn:substeps=3"):
                 prop = _theta(spec, scheme)
-                assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times), (spec, scheme)
+                for grid in set_ups(prop, times):
+                    assert outcome(prop._substeps, grid) == outcome(frozen_columns, prop, grid), (spec, scheme)
 
     def test_signed_zero_input_terms(self):
         # a -0.0 input product becomes +0.0 in both input terms
         ivp = SplitIvp(decay=10.0, gain=-1.0, signal=Constant(0.0, T), u0=-0.0)
         for theta in (0.0, 0.5, 1.0):
-            prop = ThetaPropagator(ivp, theta=theta, substeps=3)
-            got = outcome(prop._substeps, [0.0, T / 2, T])
-            assert got == outcome(frozen_columns, prop, [0.0, T / 2, T])
-            assert outcome(prop.propagate, 0.0, T, -0.0) == outcome(frozen_propagate, prop, 0.0, T, -0.0)
+            for substeps in (1, 3):
+                prop = ThetaPropagator(ivp, theta=theta, substeps=substeps)
+                for grid in set_ups(prop, [0.0, T / 2, T]):
+                    assert outcome(prop._substeps, grid) == outcome(frozen_columns, prop, grid), (theta, substeps)
+                assert outcome(prop.propagate, 0.0, T, -0.0) == outcome(frozen_propagate, prop, 0.0, T, -0.0)
 
-    def test_plans_split_the_set_up(self):
-        prop = _theta("pwm:m=400", "be:substeps=7")
+    def test_plans_are_the_set_up_steps(self):
+        # a one-step propagator's plans are its set-up's steps, one 4-tuple
+        # per interval; a multi-step one holds no plans in a run, and its
+        # calls there are cold calls, bit for bit
         times = [n * T / 20 for n in range(21)]
-        steps, counts = frozen_substeps(prop, times)
-        assert counts == [7] * 20
+        prop = _theta("pwm:m=400", "be")
+        steps, _ = frozen_substeps(prop, times)
         got = propagators._theta_plans(prop, times)
-        want = [np.array([step[:4] for step in steps[7 * n : 7 * n + 7]]).tobytes() for n in range(20)]
-        assert [np.array(plan).tobytes() for plan in got] == want
+        assert all(type(plan) is tuple and len(plan) == 4 for plan in got)
+        assert np.array(got).tobytes() == np.array([step[:4] for step in steps]).tobytes()
+        warm, cold = _theta("pwm:m=400", "be:substeps=7"), _theta("pwm:m=400", "be:substeps=7")
+        with planned([warm], times):
+            assert warm._plans is None
+            assert _chain(warm, times).tobytes() == _chain(cold, times).tobytes()
 
     @pytest.mark.parametrize("spec", ORACLE_INPUTS)
     @pytest.mark.parametrize("times", [
@@ -838,18 +904,23 @@ class TestArraySetUpOracle:
     def test_first_node_outside_the_domain(self, spec, times):
         for scheme in ("cn:substeps=3", "be"):
             prop = _theta(spec, scheme)
-            got = outcome(prop._substeps, times)
-            assert got == outcome(frozen_columns, prop, times)
-            assert got[0] is ValueError and "outside signal domain" in got[1]
+            got = [outcome(prop._substeps, grid) for grid in set_ups(prop, times)]
+            assert got == [outcome(frozen_columns, prop, grid) for grid in set_ups(prop, times)]
+            assert got[-1][0] is ValueError and "outside signal domain" in got[-1][1]
 
-    def test_substeps_that_underflow_on_some_intervals(self):
+    def test_a_substep_that_underflows_is_degenerate(self):
         # a horizon of six subnormals on four intervals of one and two: a
         # third of one subnormal rounds to 0, two thirds to one subnormal, so
-        # np.linspace sets the intervals' nodes up by two different formulas
+        # np.linspace sets the intervals' nodes up by two different formulas,
+        # and either way some substep has h = 0
         ivp = SplitIvp(decay=1.0, gain=1.0, signal=Constant(0.0, 3e-323), u0=1.0)
         prop = ThetaPropagator(ivp, theta=0.5, substeps=3)
         times = list(algorithm._sync_times(3e-323, 4))
-        assert outcome(prop._substeps, times) == outcome(frozen_columns, prop, times)
+        assert {t1 - t0 for t0, t1 in zip(times, times[1:])} == {5e-324, 1e-323}
+        for t0, t1 in zip(times, times[1:]):
+            assert outcome(prop._substeps, (t0, t1)) == outcome(frozen_columns, prop, (t0, t1)), t0
+            got = outcome(prop.propagate, t0, t1, 1.0)
+            assert got == (ValueError, "degenerate substep") == outcome(frozen_propagate, prop, t0, t1, 1.0), t0
 
     def test_degenerate_substep(self):
         # seven substeps across an interval two ulps wide: some have h = 0
@@ -896,7 +967,7 @@ class TestCheckFreeRecurrence:
         # and the checked loop names the step
         ivp = SplitIvp(decay=-a, gain=1.0, signal=Constant(0.0, 1.0), u0=0.0)
         prop = ThetaPropagator(ivp, theta=theta)
-        object.__setattr__(prop, "_plans", {0.0: (1.0, [(h, p_s, th_p_e, den)])})
+        object.__setattr__(prop, "_plans", {0.0: (1.0, (h, p_s, th_p_e, den))})
         with pytest.raises(NonFiniteStateError, match=re.escape("non-finite state after step ending at t=1.0")):
             prop.propagate(0.0, 1.0, u)
 
@@ -921,16 +992,16 @@ class TestCheckFreeRecurrence:
         t1 = math.nextafter(math.nextafter(t0, 1.0), 1.0)
         ivp = SplitIvp(decay=1e10, gain=1.0, signal=Constant(0.0, T), u0=0.0)
         prop = ThetaPropagator(ivp, theta=0.0, substeps=substeps)
-        (hs, *_), _, clean = prop._substeps((t0, t1))
+        (hs, *_), clean = prop._substeps((t0, t1))
         assert not clean and (hs[0] > 0.0) == (first is NonFiniteStateError) and 0.0 in hs
         times = [0.0, t0, t1, T]
         for u in (1e300, 0.25, math.nan, -math.inf):
             want = outcome(frozen_propagate, prop, t0, t1, u)
             assert want[0] is (ValueError if u == 0.25 else first), u
             assert outcome(prop.propagate, t0, t1, u) == want, u
-            # the unclean grid leaves the propagator unplanned: the call is a cold one
+            # a multi-step propagator is left unplanned: the call is a cold one
             with planned([prop], times):
-                assert prop._plans == {}
+                assert prop._plans is None
                 assert outcome(prop.propagate, t0, t1, u) == want, u
 
     @pytest.mark.parametrize("scheme", ORACLE_SCHEMES)
@@ -944,7 +1015,7 @@ class TestCheckFreeRecurrence:
             assert outcome(prop.propagate, times[3], times[4], u) == want
             assert outcome(prop.propagate, times[3], times[4], np.array([u])) == want
             with planned([prop], times):
-                assert len(prop._plans) == 20
+                assert_plans(prop, 20)
                 assert outcome(prop.propagate, times[3], times[4], u) == want
 
     @pytest.mark.parametrize("decay, u0, t_end, n_intervals, theta, substeps, want", [
@@ -970,10 +1041,10 @@ class TestCheckFreeRecurrence:
         monkeypatch.setattr(ThetaPropagator, "propagate", spy)
         with pytest.raises(want[0]) as info:
             iterate(cfg)
-        # an unclean set-up leaves the coarse propagator unplanned, a clean
-        # one plans every interval; either way its first call raises,
-        # relabelled by the initial guess
-        assert [len(plans) for plans in seen] == [0 if want[0] is ValueError else n_intervals]
+        # a one-step coarse propagator plans every interval, a multi-step one
+        # runs cold; either way its first call raises, relabelled by the
+        # initial guess
+        assert [plans and len(plans) for plans in seen] == [n_intervals if substeps == 1 else None]
         assert str(info.value) == f"coarse guess failed on interval 1: {want[1]}"
         if want[0] is NonFiniteStateError:
             assert (info.value.k, info.value.n) == (0, 1)
