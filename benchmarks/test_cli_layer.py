@@ -6,6 +6,9 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_cli_layer.py --benchmark-json BENCH_cli.json
 
+``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
+they are dropped before a result is checked in.
+
 The first four cases are the costs of the cli-run workload of ``perfbench``:
 
 * ``test_pwm400_table_build``: the switch table of ``pwm:m=400`` built from

@@ -4,6 +4,9 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_reference_layer.py --benchmark-json BENCH_reference.json
 
+``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
+they are dropped before a result is checked in.
+
 The costly-fine case is the reference of a ``cn:substeps=500,aligned=1`` fine
 propagator at N=20, and the exact-fine case that of an exact one at N=320,
 each called outside a run, as a study or a repeated run calls it after its

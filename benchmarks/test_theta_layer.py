@@ -6,6 +6,9 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_theta_layer.py --benchmark-json BENCH_theta.json
 
+``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
+they are dropped before a result is checked in.
+
 Every case warms the signal's switch table first, so the timings are of the
 steady state that a parareal run spends its time in; the first-call case
 times a costly fine call on a new input equal to a warm one, as each

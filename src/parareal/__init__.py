@@ -49,7 +49,7 @@ from .signals import (
 # ``analysis`` (studies, order fits, bounds) is imported on first use of one of
 # its names (PEP 562), so a process that only runs parareal never compiles it.
 _ANALYSIS_NAMES = frozenset({
-    "BoundParams", "ConvergenceStudy", "InsufficientPointsError", "OrderFit", "OrderProbe",
+    "BoundParams", "ConvergenceStudy", "OrderFit", "OrderProbe",
     "StudySpec", "defect_scaling_study", "eval_bound", "fit_order",
     "local_order_probe", "run_study",
 })
@@ -74,7 +74,6 @@ __all__ = [
     "Difference",
     "ExactLinearPropagator",
     "FixedIterations",
-    "InsufficientPointsError",
     "LinearScalarModel",
     "NonFiniteStateError",
     "OrderFit",

@@ -33,31 +33,27 @@ ERROR_FLOOR = 1e-13
 DEFAULT_N_LIST = (5, 10, 20, 40, 80, 160, 320)
 
 
-class InsufficientPointsError(ValueError):
-    """Fewer than the required number of points above the error floor."""
-
-
 @dataclass
 class OrderFit:
     order: float
     window: list[int]  # indices of the points used
+    floor_hit: bool  # some point lies at or below the floor
 
 
 def fit_order(points: list[tuple[float, float]], floor: float = ERROR_FLOOR, min_points: int = 3) -> OrderFit:
     """Least-squares order from (N, error) pairs: ``error ~ C * N**(-order)``.
 
-    Points at or below ``floor`` are excluded; fewer than ``min_points``
-    usable points raise ``InsufficientPointsError``.
+    Points at or below ``floor`` are excluded; with fewer than ``min_points``
+    usable points the order is NaN and the window is empty.
     """
     window = [i for i, (_, e) in enumerate(points) if e > floor]
+    floor_hit = any(e <= floor for _, e in points)
     if len(window) < min_points:
-        raise InsufficientPointsError(
-            f"need >= {min_points} points above floor {floor:g}, have {len(window)}"
-        )
+        return OrderFit(math.nan, [], floor_hit)
     xs = np.log([points[i][0] for i in window])
     ys = np.log([points[i][1] for i in window])
     slope, _ = np.polyfit(xs, ys, 1)
-    return OrderFit(order=float(-slope), window=window)
+    return OrderFit(float(-slope), window, floor_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +180,13 @@ def run_study(spec: StudySpec) -> ConvergenceStudy:
         for p in results
         if p.failure is None and (spec.fit_min_n is None or p.n >= spec.fit_min_n)
     ]
-    floor_hit = any(e <= ERROR_FLOOR for _, e in pts)
-    try:
-        fit = fit_order(pts)
-        order = fit.order
-        window = [pts[i][0] for i in fit.window]
-    except InsufficientPointsError:
-        order, window = math.nan, []
+    fit = fit_order(pts)
     return ConvergenceStudy(
         spec=spec,
         results=results,
-        fitted_order=order,
-        fit_window=window,
-        floor_hit=floor_hit,
+        fitted_order=fit.order,
+        fit_window=[pts[i][0] for i in fit.window],
+        floor_hit=fit.floor_hit,
     )
 
 
@@ -359,11 +349,8 @@ def _ladder(reference: Propagator, approx: Propagator, t_start: float, u_start, 
     u0 = approx.ivp.u0 if u_start is None else u_start
     errs = [abs(reference.propagate(t_start, t_start + dt, u0) - approx.propagate(t_start, t_start + dt, u0))
             for dt in dts]
-    try:
-        fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
-    except InsufficientPointsError:
-        return OrderProbe(math.nan, list(dts), errs, True)
-    return OrderProbe(-fit.order, list(dts), errs, len(fit.window) < len(dts))
+    fit = fit_order(list(zip(dts, errs)), floor=floor, min_points=2)
+    return OrderProbe(-fit.order, list(dts), errs, fit.floor_hit)
 
 
 def defect_scaling_study(

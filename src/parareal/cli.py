@@ -139,12 +139,13 @@ def _pool(r: dict):
 
 def _read_settings(args, r: dict) -> dict:
     """The settings a ``run``, ``bound eval`` or ``study run`` reads: all but ``reduced_input`` in the
-    original variant and ``kmax`` under ``--k``, whose flags are usage errors where given."""
+    original variant and ``kmax`` under ``--k``, whose flags are usage errors where given, as are counts below 1."""
     unread = {"reduced_input": "--variant original"} if r["variant"] == "original" else {}
     if r["k"] is not None and "kmax" in r:
         unread["kmax"] = "--k (a fixed iteration count)"
     for key, reason in unread.items():
         _reject_ignored(args, (key,), reason)
+    _check_counts(r)
     return {key: value for key, value in r.items() if key not in unread}
 
 
@@ -184,7 +185,6 @@ def _build_run_config(r: dict) -> PararealConfig:
 def _cmd_run(args) -> int:
     r = _resolve(args)
     settings = _read_settings(args, r)
-    _check_counts(r)
     cfg = _build_run_config(r)
     with _pool(r) as executor:
         run = iterate(cfg, executor=executor)
@@ -260,6 +260,8 @@ def _cmd_study_run(args) -> int:
             n_list.append(int(entry))
         except ValueError:
             raise UsageError(f"--n-list entries must be integers, got {entry!r}") from None
+        if n_list[-1] < 1:
+            raise UsageError(f"--n-list entries must be >= 1, got {n_list[-1]}")
 
     if r["preset"]:
         if r["preset"] not in PRESETS:
@@ -338,7 +340,6 @@ def _cmd_bound_eval(args) -> int:
     r = _resolve(args)
     r["k"] = k = 1 if r["k"] is None else r["k"]  # a missing --k means 1, as in study run
     settings = _read_settings(args, r)
-    _check_counts(r)
     model, reduced = _problem(r)
     n_intervals = r["N"]
     cfg = make_config(model, n_intervals, coarse=r["coarse"], reduced_input=reduced, termination=FixedIterations(k))
@@ -439,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonFiniteStateError, FloatingPointError) as exc:
+    except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

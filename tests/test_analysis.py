@@ -14,7 +14,6 @@ from parareal import (
     Constant,
     ExactLinearPropagator,
     FixedIterations,
-    InsufficientPointsError,
     LinearScalarModel,
     SineWave,
     StepWave,
@@ -51,12 +50,12 @@ class TestFitOrder:
     def test_exact_power_law(self):
         pts = [(n, 3.7 * n**-4.0) for n in (5, 10, 20, 40, 80)]
         fit = fit_order(pts)
-        assert fit.order == pytest.approx(4.0, abs=1e-9)
+        assert fit.order == pytest.approx(4.0, abs=1e-9) and not fit.floor_hit
 
     def test_floor_points_are_excluded(self):
         pts = [(5, 1e-3), (10, 1e-5), (20, 1e-7), (40, 1e-14), (80, 1e-15)]
         fit = fit_order(pts, floor=1e-13)
-        assert fit.window == [0, 1, 2]
+        assert fit.window == [0, 1, 2] and fit.floor_hit
 
     def test_perturbed_power_law(self):
         rng = np.random.default_rng(0)
@@ -65,8 +64,8 @@ class TestFitOrder:
         assert fit.order == pytest.approx(3.0, abs=0.15)
 
     def test_insufficient_points(self):
-        with pytest.raises(InsufficientPointsError):
-            fit_order([(5, 1e-3), (10, 1e-14), (20, 1e-15)], floor=1e-13)
+        fit = fit_order([(5, 1e-3), (10, 1e-14), (20, 1e-15)], floor=1e-13)
+        assert math.isnan(fit.order) and fit.window == [] and fit.floor_hit
 
 
 class TestEvalBound:

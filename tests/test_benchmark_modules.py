@@ -21,6 +21,14 @@ def test_benchmarks_are_found():
     assert BENCHMARKS
 
 
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_saved_results_hold_no_raw_samples(path):
+    # ``--benchmark-json`` writes every timing sample under ``stats.data``;
+    # a checked-in result keeps only the summary statistics
+    entries = json.loads(path.read_text())["benchmarks"]
+    assert entries and not [entry["name"] for entry in entries if "data" in entry["stats"]]
+
+
 @pytest.mark.parametrize("path", BENCHMARKS, ids=lambda p: p.name)
 def test_benchmark_module_imports(path):
     spec = importlib.util.spec_from_file_location(f"_benchmark_{path.stem}", path)

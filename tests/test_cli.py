@@ -203,6 +203,16 @@ class TestStudy:
         assert [row[0] for row in data] == ["5", "57", "114"]
         assert all(math.isfinite(float(v)) for row in data for v in (row[2], row[3], row[7]))
 
+    def test_a_series_without_errors_fits_no_order(self, tmp_path):
+        # an exact coarse propagator leaves errors of exactly 0, all at the floor:
+        # the fit's NaN order and empty window reach the CSV as they are
+        out = tmp_path / "study.csv"
+        assert main(["study", "run", "--coarse", "exact", "--n-list", "5,10,20", "--out", str(out)]) == 0
+        lines = read_lines(out)
+        data = [ln.split(",") for ln in lines[3:-1]]
+        assert [(row[0], row[2], row[4]) for row in data] == [(n, "0", "nan") for n in ("5", "10", "20")]
+        assert lines[-1] == "# order series=study fitted=nan window=[] metric=max"
+
     def test_unknown_preset(self):
         assert main(["study", "run", "--preset", "fig99"]) == 1
 
@@ -361,7 +371,7 @@ assert main(["run", "--N", "8", "--k", "1", "--threads", "1", "--out", sys.argv[
 loaded = sorted(m for m in ("parareal.analysis", "parareal.svgplot") if m in sys.modules)
 assert not loaded, loaded
 import parareal
-assert len(parareal.__all__) == 41
+assert len(parareal.__all__) == 40
 missing = [name for name in parareal.__all__ if getattr(parareal, name, None) is None]
 assert not missing, missing
 assert set(parareal.__all__) <= set(dir(parareal))
@@ -462,10 +472,10 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--k", "0"], "need k >= 1 and every N >= 1, got k=0,"),
-        (["--k", "-2"], "need k >= 1 and every N >= 1, got k=-2,"),
+        (["--k", "0"], "--k must be >= 1, got 0\n"),
+        (["--k", "-2"], "--k must be >= 1, got -2\n"),
         (["--metric", "bogus"], "unknown error metric 'bogus'"),
-        (["--n-list", "0,5,10"], "need k >= 1 and every N >= 1, got k=1, n_list=(0, 5, 10)"),
+        (["--n-list", "0,5,10"], "--n-list entries must be >= 1, got 0\n"),
         (["--n-list", "5,,10"], "--n-list entries must be integers, got ''\n"),
         (["--n-list", "5.5"], "--n-list entries must be integers, got '5.5'\n"),
     ])
@@ -553,7 +563,7 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--k", "3"], ["--coarse", "be"], ["--variant", "original"],
+    @pytest.mark.parametrize("flags", [["--k", "3"], ["--k", "0"], ["--coarse", "be"], ["--variant", "original"],
                                        ["--reduced-input", "step"]])
     def test_flags_a_preset_ignores(self, flags, tmp_path, capsys):
         out = tmp_path / "o.csv"
