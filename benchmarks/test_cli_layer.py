@@ -6,8 +6,8 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_cli_layer.py --benchmark-json BENCH_cli.json
 
-``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
-they are dropped before a result is checked in.
+``benchmarks/conftest.py`` drops each case's raw timing samples (``stats.data``)
+from the JSON, so it is ready to check in.
 
 The first four cases are the costs of the cli-run workload of ``perfbench``:
 

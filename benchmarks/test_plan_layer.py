@@ -9,8 +9,8 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_plan_layer.py --benchmark-json BENCH_plan.json
 
-``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
-they are dropped before a result is checked in.
+``benchmarks/conftest.py`` drops each case's raw timing samples (``stats.data``)
+from the JSON, so it is ready to check in.
 
 The planned cases run inside ``propagators.planned``, as the calls of a run
 do after its plans are built; the plans are built before the timed calls.  A

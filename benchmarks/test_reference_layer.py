@@ -4,8 +4,8 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_reference_layer.py --benchmark-json BENCH_reference.json
 
-``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
-they are dropped before a result is checked in.
+``benchmarks/conftest.py`` drops each case's raw timing samples (``stats.data``)
+from the JSON, so it is ready to check in.
 
 The costly-fine case is the reference of a ``cn:substeps=500,aligned=1`` fine
 propagator at N=20, and the exact-fine case that of an exact one at N=320,

@@ -6,8 +6,8 @@ These sit outside the tier-1 ``testpaths``; run them from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_theta_layer.py --benchmark-json BENCH_theta.json
 
-``--benchmark-json`` always writes each case's raw timing samples (``stats.data``);
-they are dropped before a result is checked in.
+``benchmarks/conftest.py`` drops each case's raw timing samples (``stats.data``)
+from the JSON, so it is ready to check in.
 
 Every case warms the signal's switch table first, so the timings are of the
 steady state that a parareal run spends its time in; the first-call case

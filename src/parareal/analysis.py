@@ -346,6 +346,8 @@ class OrderProbe:
 def _ladder(reference: Propagator, approx: Propagator, t_start: float, u_start, dts: list, floor: float) -> OrderProbe:
     """``|reference - approx|`` over ``(t_start, t_start + dt)`` for each ``dt`` of ``dts``, from ``u_start``
     (default ``approx``'s initial value), and its slope fitted above ``floor``, NaN under two points."""
+    if len(dts) < 2:
+        raise ValueError(f"need at least two window lengths, got {len(dts)}")
     u0 = approx.ivp.u0 if u_start is None else u_start
     errs = [abs(reference.propagate(t_start, t_start + dt, u0) - approx.propagate(t_start, t_start + dt, u0))
             for dt in dts]

@@ -393,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--reduced-input", str), ("--N", int), ("--k", int), ("--kmax", int),
         ("--atol", float), ("--rtol", float), ("--threads", int),
     ]:
-        p_run.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"),
-                           help=_THREADS_HELP if flag == "--threads" else None)
+        p_run.add_argument(flag, type=typ, help=_THREADS_HELP if flag == "--threads" else None)
     p_run.add_argument("--out")
     p_run.add_argument("--svg")
     p_run.set_defaults(func=_cmd_run)
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--preset", str), ("--model", str), ("--variant", str), ("--coarse", str),
         ("--reduced-input", str), ("--k", int), ("--n-list", str), ("--metric", str),
     ]:
-        p_srun.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
+        p_srun.add_argument(flag, type=typ)
     p_srun.add_argument("--out")
     p_srun.add_argument("--svg")
     p_srun.set_defaults(func=_cmd_study_run)
@@ -416,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_beval = bound_sub.add_parser("eval", help="a run's error and its bound at each sync point n > k")
     for flag, typ in [("--model", str), ("--coarse", str), ("--variant", str), ("--reduced-input", str),
                       ("--N", int), ("--k", int)]:
-        p_beval.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
+        p_beval.add_argument(flag, type=typ)
     p_beval.add_argument("--out")
     p_beval.set_defaults(func=_cmd_bound_eval)
 
@@ -437,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # a UsageError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteStateError as exc:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import SegmentForm, Signal, _per_process, parse_kv, parse_signal
+from .signals import SegmentForm, Signal, _per_process, parse_signal, parse_spec
 
 
 class UnsupportedSignalError(ValueError):
@@ -248,20 +248,17 @@ def exact_trajectory(model: LinearScalarModel, times: np.ndarray) -> np.ndarray:
     return _trajectory(model.decay_rate, model.R_res, model.signal, times, model.u0)
 
 
-def parse_model(spec: str) -> LinearScalarModel:
-    """Build a model from its CLI name, e.g. ``rl:R=0.01,L=0.001,input=pwm:m=400``.
+def _rl(kv: dict) -> LinearScalarModel:
+    return LinearScalarModel(float(kv["R"]), float(kv["L"]), parse_signal(kv["input"], period=float(kv["T"])))
 
-    The keys are ``R``, ``L``, ``T`` (the period) and ``input`` (a signal
-    spec), in the ``parse_kv`` grammar; commas after ``input=`` stay in the
-    signal spec, so ``input=pwm3:m=400,phase=2`` parses as one value.
-    """
-    head, _, body = spec.strip().partition(":")
-    if head != "rl":
-        raise ValueError(f"unknown model kind {head!r} in {spec!r}")
-    defaults = {"R": "0.01", "L": "0.001", "T": "0.02", "input": "pwm:m=400"}
-    kv = parse_kv(body, defaults, nested="input")
-    return LinearScalarModel(
-        R_res=float(kv["R"]),
-        L_ind=float(kv["L"]),
-        signal=parse_signal(kv["input"], period=float(kv["T"])),
-    )
+
+# the model kind's keys with their defaults (T: the period), its constructor, and the key of its nested signal spec
+_MODEL_KINDS = {
+    "rl": ({"R": "0.01", "L": "0.001", "T": "0.02", "input": "pwm:m=400"}, _rl, "input"),
+}
+
+
+def parse_model(spec: str) -> LinearScalarModel:
+    """Build a model from its CLI name (``parse_spec``), e.g. ``rl:R=0.01,L=0.001,input=pwm:m=400``; commas
+    after ``input=`` stay in the signal spec, so ``input=pwm3:m=400,phase=2`` parses as one value."""
+    return parse_spec(spec, "model", _MODEL_KINDS)

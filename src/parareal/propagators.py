@@ -43,11 +43,12 @@ import operator
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .models import LinearScalarModel, SplitIvp, _grid_plans, exact_linear_propagate
-from .signals import MERGE_TOL, Side, parse_kv
+from .signals import MERGE_TOL, Side, parse_spec
 
 
 class NonFiniteStateError(RuntimeError):
@@ -64,9 +65,7 @@ class NonFiniteStateError(RuntimeError):
 
 
 def scalar_state(u) -> float:
-    """The state as a float: a float, or an array with exactly one element."""
-    if type(u) is float:
-        return u
+    """The state as a float, from an array with exactly one element (callers pass a float on as it is)."""
     u = np.asarray(u, dtype=float)
     if u.size != 1:
         raise ValueError(f"expected a scalar state, got {u.size} elements")
@@ -296,22 +295,13 @@ def planned(props, times: list[float]):
             object.__setattr__(holder, "_plans", None)
 
 
-def parse_propagator(spec: str, ivp: SplitIvp, model: LinearScalarModel | None = None) -> Propagator:
-    """Build a propagator from its CLI name: ``be``, ``cn`` or ``exact``.
+def _exact(kv: dict, ivp: SplitIvp, model: LinearScalarModel | None) -> ExactLinearPropagator:
+    if model is None:
+        raise ValueError("exact propagator needs a scalar linear model")
+    return ExactLinearPropagator(model.with_signal(ivp.signal))
 
-    The theta schemes take ``substeps=<int>`` (default 1) and ``aligned=0|1``
-    (default 0), in the ``parse_kv`` grammar: ``cn:substeps=500,aligned=1``.
-    """
-    head, _, body = spec.strip().partition(":")
-    if head == "exact":
-        parse_kv(body, {})
-        if model is None:
-            raise ValueError("exact propagator needs a scalar linear model")
-        return ExactLinearPropagator(model.with_signal(ivp.signal))
-    theta = {"be": 1.0, "cn": 0.5}.get(head)
-    if theta is None:
-        raise ValueError(f"unknown propagator {spec!r}")
-    kv = parse_kv(body, {"substeps": "1", "aligned": "0"})
+
+def _theta(theta: float, kv: dict, ivp: SplitIvp, model: LinearScalarModel | None) -> ThetaPropagator:
     if kv["aligned"] not in ("0", "1"):
         raise ValueError(f"aligned must be 0 or 1, got {kv['aligned']!r}")
     try:
@@ -319,3 +309,18 @@ def parse_propagator(spec: str, ivp: SplitIvp, model: LinearScalarModel | None =
     except ValueError:
         raise ValueError(f"substeps must be an integer, got {kv['substeps']!r}") from None
     return ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=kv["aligned"] == "1")
+
+
+# each propagator kind's keys with their defaults, and its constructor from them, the IVP and the model
+_THETA_KEYS = {"substeps": "1", "aligned": "0"}
+_PROPAGATOR_KINDS = {
+    "be": (_THETA_KEYS, partial(_theta, 1.0)),
+    "cn": (_THETA_KEYS, partial(_theta, 0.5)),
+    "exact": ({}, _exact),
+}
+
+
+def parse_propagator(spec: str, ivp: SplitIvp, model: LinearScalarModel | None = None) -> Propagator:
+    """Build a propagator from its CLI name (``parse_spec``): ``be``, ``cn`` or ``exact``.  The theta schemes
+    take ``substeps=<int>`` (default 1) and ``aligned=0|1`` (default 0): ``cn:substeps=500,aligned=1``."""
+    return parse_spec(spec, "propagator", _PROPAGATOR_KINDS, ivp, model)

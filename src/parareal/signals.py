@@ -486,7 +486,7 @@ class ThreePhasePwm(_Switched):
 
 @dataclass(frozen=True)
 class Difference(_Switched):
-    """Pointwise difference ``a(t) - b(t)``."""
+    """Pointwise difference ``a(t) - b(t)``, built from Python: no spec names it."""
 
     a: Signal
     b: Signal
@@ -536,7 +536,7 @@ class Difference(_Switched):
 
 
 # ---------------------------------------------------------------------------
-# CLI-facing textual signal specs, e.g. "pwm:m=400", "diff:pwm:m=400-sine"
+# CLI-facing textual specs ``kind[:key=value,...]``, e.g. "pwm:m=400", "rl:input=sine", "cn:substeps=4"
 
 
 def parse_kv(body: str, keys: dict[str, str | None], nested: str | None = None) -> dict[str, str]:
@@ -571,38 +571,31 @@ def parse_kv(body: str, keys: dict[str, str | None], nested: str | None = None) 
     return out
 
 
-def parse_signal(spec: str, period: float = 0.02) -> Signal:
-    """Build a signal from its CLI name.
-
-    Supported: ``pwm:m=400``, ``step``, ``sine``, ``pwm3:m=400,phase=1``,
-    ``sine3:phase=1``, ``const:v=1``, ``zero`` and ``diff:<a>-<b>``; the
-    ``key=value`` body follows ``parse_kv``.
-    """
+def parse_spec(spec: str, what: str, kinds: dict, *context):
+    """Build what ``kind[:body]`` names: ``kinds[kind]`` is ``(keys, build[, nested])``, and ``build`` gets
+    ``parse_kv(body, keys, nested)`` and the caller's ``context``.  An unknown kind raises ``ValueError``."""
     spec = spec.strip()
-    head, _, body = spec.partition(":")
-    if head == "diff":
-        # try every split of the payload into two parseable sub-specs; the last one's error says why none did
-        error = ""
-        for i in range(1, len(body)):
-            if body[i] != "-":
-                continue
-            try:
-                return Difference(parse_signal(body[:i], period), parse_signal(body[i + 1 :], period))
-            except ValueError as exc:
-                error = f": {exc}"
-        raise ValueError(f"cannot parse difference signal {spec!r}{error}")
-    # each kind's keys with their defaults (None: required), and its constructor
-    kinds = {
-        "pwm": ({"m": None}, lambda kv: PwmSingle(m=int(kv["m"]), period=period)),
-        "step": ({}, lambda kv: StepWave(period=period)),
-        "sine": ({}, lambda kv: SineWave(period=period)),
-        "pwm3": ({"m": None, "phase": "1"},
-                 lambda kv: ThreePhasePwm(m=int(kv["m"]), period=period, phase_index=int(kv["phase"]))),
-        "sine3": ({"phase": "1"}, lambda kv: SineWave(period=period, phase_index=int(kv["phase"]))),
-        "const": ({"v": "1.0"}, lambda kv: Constant(value_=float(kv["v"]), period=period)),
-        "zero": ({}, lambda kv: Constant(value_=0.0, period=period)),
-    }
-    if head not in kinds:
-        raise ValueError(f"unknown signal kind {head!r} in {spec!r}")
-    keys, build = kinds[head]
-    return build(parse_kv(body, keys))
+    kind, _, body = spec.partition(":")
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r} in {spec!r}")
+    keys, build, *nested = kinds[kind]
+    return build(parse_kv(body, keys, *nested), *context)
+
+
+# each signal kind's keys with their defaults (None: required), and its constructor from them and the period
+_SIGNAL_KINDS = {
+    "pwm": ({"m": None}, lambda kv, period: PwmSingle(m=int(kv["m"]), period=period)),
+    "step": ({}, lambda kv, period: StepWave(period=period)),
+    "sine": ({}, lambda kv, period: SineWave(period=period)),
+    "pwm3": ({"m": None, "phase": "1"},
+             lambda kv, period: ThreePhasePwm(m=int(kv["m"]), period=period, phase_index=int(kv["phase"]))),
+    "sine3": ({"phase": "1"}, lambda kv, period: SineWave(period=period, phase_index=int(kv["phase"]))),
+    "const": ({"v": "1.0"}, lambda kv, period: Constant(value_=float(kv["v"]), period=period)),
+    "zero": ({}, lambda kv, period: Constant(value_=0.0, period=period)),
+}
+
+
+def parse_signal(spec: str, period: float = 0.02) -> Signal:
+    """Build a signal from its CLI name (``parse_spec``): ``pwm:m=400``, ``step``, ``sine``, ``pwm3:m=400,phase=1``,
+    ``sine3:phase=1``, ``const:v=1`` or ``zero``.  A ``Difference`` has no spec: it is built from Python."""
+    return parse_spec(spec, "signal", _SIGNAL_KINDS, period)

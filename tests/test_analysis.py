@@ -204,6 +204,18 @@ class TestDefectStudy:
         )
         assert probe.slope == -fit_order(list(zip(probe.dts, probe.errors)), floor=1e-15, min_points=2).order
 
+    def test_a_ladder_needs_two_positive_window_lengths(self, pwm400_model, sine_signal, monkeypatch):
+        # under two window lengths there is no slope: an error before any propagation
+        monkeypatch.setattr(ExactLinearPropagator, "propagate", lambda *args: pytest.fail("propagated"))
+        for ladder in ([], [T / 64]):
+            with pytest.raises(ValueError, match=f"^need at least two window lengths, got {len(ladder)}$"):
+                defect_scaling_study(pwm400_model, sine_signal, dt_ladder=ladder)
+        monkeypatch.undo()
+        # a window length that is not positive: the window does not end after it starts
+        for bad in (0.0, -T / 64, math.nan):
+            with pytest.raises(ValueError, match=rf"^need t0 < t1, got \(0\.0, {bad}\)$"):
+                defect_scaling_study(pwm400_model, sine_signal, dt_ladder=[T / 64, bad])
+
     def test_one_element_state(self, pwm400_model, sine_signal):
         # the state goes through ``scalar_state``, as in every ``propagate``
         want = defect_scaling_study(pwm400_model, sine_signal, t_start=0.003, u_start=0.02)

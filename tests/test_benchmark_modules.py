@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("test_*.py"))  # not conftest.py, which holds no cases
 
 
 def test_benchmarks_are_found():

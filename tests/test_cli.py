@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import parareal
-from parareal import ThetaPropagator, cli
+from parareal import ThetaPropagator, cli, models, propagators, signals
 from parareal.cli import main
 
 
@@ -139,15 +139,6 @@ class TestRun:
         last = data[-1].split(",")
         assert last[0] == "1" and last[1] == "4"
         assert float(last[5]) >= 0.0  # jump column populated for k >= 1
-
-    def test_exact_fine_on_two_phases_of_one_sinusoid(self, tmp_path):
-        out = tmp_path / "run.csv"
-        assert main(["run", "--fine", "exact", "--model", "rl:input=diff:sine-sine3:phase=2",
-                     "--N", "20", "--k", "2", "--threads", "1", "--out", str(out)]) == 0
-        lines = read_lines(out)
-        assert lines[2].split(",")[-1] == "err_vs_ref"
-        errs = [float(ln.split(",")[-1]) for ln in lines[3:] if not ln.startswith("#")]
-        assert len(errs) == 3 * 21 and all(math.isfinite(e) for e in errs)
 
 
 class TestStudy:
@@ -596,8 +587,6 @@ class TestUsageErrors:
         (["model", "reference", "--model", "rl:T=inf,input=const"], "period must be positive and finite, got inf"),
         (["signal", "dump", "--signal", "zero", "--period", "inf", "--samples", "3"],
          "period must be positive and finite, got inf"),
-        (["signal", "dump", "--signal", "diff:zero-const", "--period", "inf"],
-         "cannot parse difference signal 'diff:zero-const': period must be positive and finite, got inf"),
     ])
     def test_unbounded_domains(self, argv, message, tmp_path, capsys):
         # rejected before any sampling or run: no numpy warning, no rows
@@ -665,6 +654,22 @@ class TestSvgOutputs:
 
 
 class TestInputChecks:
+    def test_a_difference_has_no_spec(self, tmp_path, capsys):
+        # ``Difference`` is built from Python only: ``diff`` is an unknown
+        # signal kind, also as a model's input
+        with pytest.raises(ValueError) as info:
+            parareal.parse_signal("diff:sine-step")
+        assert str(info.value) == "unknown signal kind 'diff' in 'diff:sine-step'"
+        out = tmp_path / "o.csv"
+        for argv, spec in [
+            (["signal", "dump", "--signal", "diff:sine-step"], "diff:sine-step"),
+            (["run", "--fine", "exact", "--model", "rl:input=diff:sine-sine3:phase=2", "--threads", "1"],
+             "diff:sine-sine3:phase=2"),
+        ]:
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: unknown signal kind 'diff' in {spec!r}\n"
+            assert not out.exists()
+
     def test_unknown_run_variant(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["run", "--variant", "bogus", "--k", "1", "--threads", "1", "--out", str(out)]) == 1
@@ -741,6 +746,45 @@ class TestReadmeUsage:
         text = "\n".join(ln for ln in readme.splitlines() if not ln.startswith(("pip ", "python -m pytest ")))
         named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
         assert named and named <= parser_flags(cli.build_parser())
+
+
+def readme_spec_kinds() -> list[tuple[str, str, list[str]]]:
+    """``(what, kind, required keys)`` for each kind that README's spec table names, ``what``
+    being model, signal or propagator: a row names its kinds in backquotes in its first cell
+    (``signals `step`, `sine` ``) and marks a key ``(required)`` in its second."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| kind | keys (default) |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    named = []
+    for row in table.splitlines():
+        kinds, keys = row.split("|")[1:3]
+        required = re.findall(r"`(\w+)` \(required\)", keys)
+        named += [(kinds.split()[0].rstrip("s"), kind, required) for kind in re.findall(r"`([^`]+)`", kinds)]
+    return named
+
+
+class TestReadmeSpecTable:
+    """README's spec table and the parsers' kind tables name the same kinds, and each kind it names parses."""
+
+    def test_the_table_names_every_kind_the_parsers_accept(self):
+        named = {(what, kind) for what, kind, _ in readme_spec_kinds()}
+        accepted = {("model", kind) for kind in models._MODEL_KINDS}
+        accepted |= {("signal", kind) for kind in signals._SIGNAL_KINDS}
+        accepted |= {("propagator", kind) for kind in propagators._PROPAGATOR_KINDS}
+        assert named == accepted
+
+    @pytest.mark.parametrize("what, kind, required", [
+        pytest.param(*named, id=" ".join(named[:2])) for named in readme_spec_kinds()
+    ])
+    def test_each_named_kind_parses_given_its_required_keys(self, what, kind, required):
+        spec = f"{kind}:{','.join(f'{key}=4' for key in required)}" if required else kind
+        model = models.parse_model("rl")
+        built = {
+            "model": lambda: models.parse_model(spec),
+            "signal": lambda: signals.parse_signal(spec),
+            "propagator": lambda: propagators.parse_propagator(spec, model.ivp(), model),
+        }[what]()
+        assert isinstance(built, {"model": models.LinearScalarModel, "signal": signals.Signal,
+                                  "propagator": propagators.Propagator}[what])
 
 
 def parser_flags(parser: argparse.ArgumentParser) -> set[str]:

@@ -803,7 +803,7 @@ class TestReferenceTrajectory:
     def test_same_frequency_sinusoids_run_exact(self):
         # an exact fine run on a difference of two phases of one sinusoid
         # against one aligned Crank-Nicolson solve over [0, T]
-        model = _model("diff:sine-sine3:phase=2")
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=Difference(SineWave(T), SineWave(T, phase_index=2)))
         run = iterate(make_config(model, 20, termination=FixedIterations(2)))
         cn = parse_propagator("cn:substeps=20000,aligned=1", model.ivp(), model).propagate(0.0, T, model.u0)
         scale = float(np.max(np.abs(run.iterates[2])))

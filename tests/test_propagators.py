@@ -37,6 +37,24 @@ from parareal.signals import MERGE_TOL, SNAP_TOL
 T = 0.02
 A_RATE = 10.0
 
+# the differences the input lists name, each by its label and its two operands' specs; no spec
+# names a ``Difference``, so it is built from Python
+DIFFERENCES = {
+    "diff:pwm:m=400-sine": ("pwm:m=400", "sine"),
+    "diff:pwm:m=10-sine": ("pwm:m=10", "sine"),
+    "diff:pwm:m=4-sine": ("pwm:m=4", "sine"),
+    "diff:sine-sine3:phase=2": ("sine", "sine3:phase=2"),
+}
+
+
+def make_signal(name, period=T):
+    """The input that ``name`` labels, at ``period``: the ``Difference`` of its operands
+    where it is one of ``DIFFERENCES``, else the signal of the spec ``name``."""
+    if name in DIFFERENCES:
+        a, b = DIFFERENCES[name]
+        return Difference(parse_signal(a, period), parse_signal(b, period))
+    return parse_signal(name, period)
+
 
 @pytest.fixture(scope="module")
 def sine_ivp(sine_model):
@@ -200,7 +218,7 @@ class TestScalarSweepReference:
     @pytest.mark.parametrize("spec", ["pwm:m=400", "pwm3:m=400", "step", "sine", "diff:pwm:m=400-sine", "const:v=1"])
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_sync_grid_sweeps(self, spec, theta):
-        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T)).ivp()
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=make_signal(spec)).ivp()
         for substeps in (1, 7):
             for aligned in (False, True):
                 prop = ThetaPropagator(ivp, theta=theta, substeps=substeps, discontinuity_aligned=aligned)
@@ -278,7 +296,7 @@ class TestPlannedPropagate:
     @pytest.mark.parametrize("spec", PLAN_INPUTS)
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_theta(self, spec, theta):
-        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T)).ivp()
+        ivp = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=make_signal(spec)).ivp()
         for substeps in (1, 7):
             for aligned in (False, True):
                 for n_int in (13, 20):
@@ -317,7 +335,7 @@ class TestPlannedPropagate:
         # the 13-interval grid builds the input's table of switch-to-switch
         # segments; the 20-interval grid slices the table the other one built
         models._step_table.cache_clear()
-        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+        model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=make_signal(spec))
         for n_int in (13, 20):
             times = [n * T / n_int for n in range(n_int + 1)]
             self._assert_planned_equals_cold(lambda: parse_propagator("exact", model.ivp(), model), times)
@@ -414,7 +432,7 @@ def near_switch_grids(draw, specs=NEAR_SWITCH_INPUTS):
     """An input and a sync grid on ``[0, T]`` some of whose points sit within
     ``MERGE_TOL*T`` or ``1e-9*T`` of a switch, on either side; on an input
     with no switch, of a uniform grid's point."""
-    sig = parse_signal(draw(st.sampled_from(specs)), T)
+    sig = make_signal(draw(st.sampled_from(specs)))
     n_int = draw(st.integers(1, 40))
     points = {n * T / n_int for n in range(n_int + 1)}
     table = sig.switching_times(0.0, T).tolist() or sorted(points)[1:-1] or [T / 2]
@@ -796,7 +814,7 @@ ORACLE_SCHEMES = ["be", "cn", "be:substeps=7", "cn:substeps=500,aligned=1"]
 
 
 def _theta(spec, scheme):
-    model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=parse_signal(spec, T))
+    model = LinearScalarModel(R_res=0.01, L_ind=0.001, signal=make_signal(spec))
     return parse_propagator(scheme, model.ivp(), model)
 
 
@@ -857,7 +875,7 @@ class TestArraySetUpOracle:
         # to it and the first ones that do not, as one sorted grid
         tol = SNAP_TOL * T
         for spec in ("pwm:m=400", "pwm3:m=400,phase=2", "step", "diff:pwm:m=400-sine"):
-            sig = parse_signal(spec, T)
+            sig = make_signal(spec)
             ts = sorted({t for sw in sig.switching_times(0.0, T).tolist()[:3] for t in snap_edges(sw, tol)})
             lefts, rights = sig._limits_array(np.array(ts))
             want = frozen_limits(sig, ts)
@@ -1073,7 +1091,7 @@ class TestParsePropagator:
 
     def test_unknown(self, sine_model):
         for spec, match in [
-            ("rk4", "unknown propagator"),
+            ("rk4", "^unknown propagator kind 'rk4' in 'rk4'$"),
             ("be:substep=50", "unknown key 'substep'"),
             ("cn:aligned=on", "aligned must be 0 or 1, got 'on'"),
             ("be:substeps", "expected key=value"),

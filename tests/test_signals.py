@@ -22,7 +22,7 @@ from parareal import (
     parse_signal,
 )
 from parareal import algorithm, models, signals
-from test_propagators import frozen_limits
+from test_propagators import frozen_limits, make_signal
 
 T = 0.02
 
@@ -248,8 +248,11 @@ def near_switch_times(draw):
 # switch tables merge), and a difference whose switches all cancel
 NODE_SIGNALS = [
     parse_signal(spec, T)
-    for spec in ["pwm:m=400", "pwm:m=7", "pwm3:m=400,phase=2", "step", "sine", "sine3:phase=3", "const:v=1",
-                 "zero", "diff:pwm:m=400-sine", "diff:pwm:m=400-pwm3:m=400", "diff:pwm:m=7-pwm:m=7"]
+    for spec in ["pwm:m=400", "pwm:m=7", "pwm3:m=400,phase=2", "step", "sine", "sine3:phase=3", "const:v=1", "zero"]
+] + [
+    Difference(PwmSingle(m=400, period=T), SineWave(T)),
+    Difference(PwmSingle(m=400, period=T), ThreePhasePwm(m=400, period=T)),
+    Difference(PwmSingle(m=7, period=T), PwmSingle(m=7, period=T)),
 ]
 
 
@@ -575,9 +578,15 @@ BASE_SPECS = (
     "pwm:m=10", "pwm3:m=10,phase=1", "pwm3:m=10,phase=2", "pwm3:m=10,phase=3", "step", "sine",
     "sine3:phase=1", "sine3:phase=2", "sine3:phase=3", "const:v=0.5", "zero",
 )
-DIFF_SPECS = tuple(f"diff:{a}-{b}" for a in BASE_SPECS for b in BASE_SPECS) + (
-    "diff:diff:sine-sine3:phase=2-pwm:m=10",
-)
+# and the difference of each two of them, and of a difference and a PWM, each labelled by its operands
+BASE_SIGNALS = [pytest.param(parse_signal(spec, T), id=spec) for spec in BASE_SPECS]
+DIFF_SIGNALS = [
+    pytest.param(Difference(parse_signal(a, T), parse_signal(b, T)), id=f"diff:{a}-{b}")
+    for a in BASE_SPECS for b in BASE_SPECS
+] + [
+    pytest.param(Difference(Difference(SineWave(T), SineWave(T, phase_index=2)), PwmSingle(m=10, period=T)),
+                 id="diff:diff:sine-sine3:phase=2-pwm:m=10"),
+]
 
 
 def _segments(sig):
@@ -609,9 +618,8 @@ def _bits(form):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("spec", BASE_SPECS + DIFF_SPECS)
-    def test_every_parseable_signal_has_a_closed_form(self, spec):
-        sig = parse_signal(spec, period=T)
+    @pytest.mark.parametrize("sig", BASE_SIGNALS + DIFF_SIGNALS)
+    def test_every_parseable_signal_has_a_closed_form(self, sig):
         for tl, tr in _segments(sig):
             form = sig.segment_form(tl, tr)
             assert form is not None, (tl, tr)
@@ -619,9 +627,8 @@ class TestClosedForms:
             want = sig._formula(mid)
             assert abs(form.const + form.amp * math.sin(form.omega * mid + form.phase) - want) <= 1e-12
 
-    @pytest.mark.parametrize("spec", DIFF_SPECS)
-    def test_forms_that_existed_keep_their_bits(self, spec):
-        sig = parse_signal(spec, period=T)
+    @pytest.mark.parametrize("sig", DIFF_SIGNALS)
+    def test_forms_that_existed_keep_their_bits(self, sig):
         for tl, tr in _segments(sig):
             old = _form_before_phasors(sig, tl, tr)
             if old is not None:
@@ -643,7 +650,6 @@ class TestParse:
             ("sine3:phase=3", SineWave),
             ("zero", Constant),
             ("const:v=1", Constant),
-            ("diff:pwm:m=400-sine", Difference),
         ],
     )
     def test_known_kinds(self, spec, kind):
@@ -683,16 +689,9 @@ class TestParse:
     @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("spec", KINDS)
     def test_every_kind_rejects_a_bad_period(self, spec, period):
-        # a difference's message ends with its operand's
+        # a difference raises from its first operand
         with pytest.raises(ValueError, match=f"period must be positive and finite, got {period}$"):
-            parse_signal(spec, period=period)
-
-    def test_difference_names_the_last_operand_error(self):
-        with pytest.raises(ValueError) as info:
-            parse_signal("diff:zero-const", period=math.inf)
-        assert str(info.value) == "cannot parse difference signal 'diff:zero-const': period must be positive and finite, got inf"
-        with pytest.raises(ValueError, match=r"^cannot parse difference signal 'diff:sine'$"):
-            parse_signal("diff:sine", period=T)
+            make_signal(spec, period)
 
     @pytest.mark.parametrize("make", [
         lambda: PwmSingle(m=4, period=math.inf),
@@ -708,10 +707,6 @@ class TestParse:
     def test_parsed_params(self):
         sig = parse_signal("pwm3:m=128,phase=2", period=T)
         assert sig.m == 128 and sig.phase_index == 2 and sig.period == T
-
-    def test_difference_payload(self):
-        sig = parse_signal("diff:pwm:m=10-sine", period=T)
-        assert isinstance(sig.a, PwmSingle) and isinstance(sig.b, SineWave)
 
     def test_unknown_kind(self):
         for spec, match in [
